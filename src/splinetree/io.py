@@ -40,7 +40,7 @@ class SurrogateDataset:
 
     ``original`` optionally carries the upstream problem's own response for
     accuracy metrics; ``tags`` optionally carries a train/test marker per
-    row.
+    row.  Continuous feature columns and the response must be finite.
     """
 
     features: tuple[Feature, ...]
@@ -54,8 +54,17 @@ class SurrogateDataset:
         for feat in self.features:
             if feat.name not in self.columns:
                 raise DataError(f"missing column {feat.name!r}")
-            if self.columns[feat.name].shape[0] != n:
+            col = self.columns[feat.name]
+            if col.shape[0] != n:
                 raise DataError(f"column {feat.name!r} length differs from response")
+            if feat.kind == basis.CONTINUOUS and not np.isfinite(col).all():
+                bad = np.flatnonzero(~np.isfinite(col))
+                shown = ", ".join(str(i) for i in bad[:5])
+                more = f" and {bad.size - 5} more" if bad.size > 5 else ""
+                raise DataError(
+                    f"continuous column {feat.name!r} has non-finite values "
+                    f"at rows {shown}{more} (0-based data rows)"
+                )
         for aux in (self.original, self.tags):
             if aux is not None and aux.shape[0] != n:
                 raise DataError("auxiliary column length differs from response")

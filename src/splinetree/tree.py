@@ -8,10 +8,14 @@ partition is scored from the small aggregated systems.  Candidate
 thresholds are global quantile edges of the root training data, reused at
 every node, so bin membership per record is computed once.
 
-Split scoring is vectorized across candidates (stacked standardize /
-eigendecompose / solve); the winning candidate is then re-fitted through
-the scalar :mod:`splinetree.gram` path so the retained models and gains
-come from the reference implementation.
+Split scoring standardizes all candidates at once.  With every ridge
+weight positive, each candidate system is then Cholesky-factored: the
+triangular solves give the coefficients and the GCV trace identity gives
+the effective degrees of freedom, so no eigenvectors are needed.  A zero
+weight (pseudo-inverse) or a failed factorization falls back to one
+batched eigendecomposition per candidate side.  The winning candidate is
+then re-fitted through the scalar :mod:`splinetree.gram` path so the
+retained models and gains come from the reference implementation.
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from . import basis
 from .errors import DataError, NumericalError
 from .gram import (
+    _CONSTANT_COLUMN_RTOL,
     NULL_SPACE_RTOL,
     GramStats,
     NodeModel,
@@ -36,8 +42,6 @@ from .gram import (
     gram_subtract,
     zero_gram,
 )
-
-_CONSTANT_COLUMN_RTOL = 1e-12
 
 # Above this cardinality, categorical split search falls back from
 # exhaustive subset enumeration to the ordered-by-node-mean scan.
@@ -105,9 +109,10 @@ class GrowConfig:
     """Stopping rules and fitting parameters for tree growth.
 
     ``lam`` is the ridge weight; a sequence is treated as a small grid
-    selected per fit by GCV (one eigendecomposition is reused across the
-    grid).  ``loss`` selects the split-search metric: "gcv" compares
-    degrees-of-freedom-penalized SSE, "sse" plain SSE.
+    selected per fit by GCV (a node fit reuses one eigendecomposition
+    across the grid; the split sweep factors each candidate once per
+    positive grid value).  ``loss`` selects the split-search metric:
+    "gcv" compares degrees-of-freedom-penalized SSE, "sse" plain SSE.
     """
 
     max_depth: int = 5
@@ -279,10 +284,18 @@ def _node_split_loss(model: NodeModel, loss: str) -> float:
 def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
     """Losses of stacked candidate child systems.
 
-    Mirrors gram.ridge_solve arithmetic (standardize, eigendecompose,
-    shrink, back-transform, SSE from statistics) across a leading candidate
-    axis.  Returns the per-candidate loss minimized over the lambda grid;
-    saturated candidates (effective df >= count) come back infinite.
+    Standardizes each candidate's gram statistics exactly as
+    gram.standardized_block does, solves the ridge system for every lambda
+    in the grid, back-transforms to the original scale and takes the SSE
+    from statistics.  Returns the per-candidate loss minimized over the
+    lambda grid; saturated candidates (effective df >= count) come back
+    infinite.
+
+    With every lambda > 0 the shifted blocks are positive definite, so each
+    is Cholesky-factored and the effective df comes from the trace identity
+    (see _cholesky_solves).  A zero lambda needs the pseudo-inverse, so that
+    grid, and any candidate whose Cholesky factorization fails, goes through
+    a batched form of gram.ridge_solve's eigendecomposition (_eigh_solves).
     """
     n = counts.astype(np.float64)
     mean = xtx[:, 0, 1:] / n[:, None]
@@ -293,25 +306,20 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
     centered = xtx[:, 1:, 1:] - n[:, None, None] * mean[:, :, None] * mean[:, None, :]
     block = centered / (scale[:, :, None] * scale[:, None, :])
     b = (xty[:, 1:] - mean * xty[:, 0][:, None]) / scale
-    try:
-        w, v = np.linalg.eigh(block)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("batched eigendecomposition failed") from exc
-    d = np.maximum(w, 0.0)
-    top = np.maximum(w[:, -1], 0.0)
-    null = (w < NULL_SPACE_RTOL * top[:, None]) | (top <= 0.0)[:, None]
-    proj = np.einsum("cij,ci->cj", v, b)
     ybar = xty[:, 0] / n
 
+    if min(lam_values) > 0.0:
+        gammas, edfs, failed = _cholesky_solves(block, b, lam_values, loss == "gcv")
+        if failed.any():
+            gammas_f, edfs_f = _eigh_solves(block[failed], b[failed], lam_values)
+            for k in range(len(lam_values)):
+                gammas[k][failed] = gammas_f[k]
+                edfs[k][failed] = edfs_f[k]
+    else:
+        gammas, edfs = _eigh_solves(block, b, lam_values)
+
     best = np.full(counts.shape[0], np.inf)
-    for lam in lam_values:
-        if lam == 0.0:
-            recip = np.where(
-                null, 0.0, np.divide(1.0, d, out=np.ones_like(d), where=d > 0)
-            )
-        else:
-            recip = 1.0 / (d + lam)
-        gamma = np.einsum("cij,cj->ci", v, recip * proj)
+    for gamma, edf in zip(gammas, edfs):
         beta1 = gamma / scale
         beta0 = ybar - np.einsum("ci,ci->c", beta1, mean)
         beta = np.concatenate([beta0[:, None], beta1], axis=1)
@@ -322,12 +330,81 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
         if loss == "sse":
             value = sse
         else:
-            shrink = np.divide(d, d + lam, out=np.zeros_like(d), where=(d + lam) > 0)
-            edf = 1.0 + np.sum(np.where(null, 0.0, shrink), axis=1)
             ok = edf < n
             value = np.where(ok, sse / np.where(ok, (1.0 - edf / n) ** 2, 1.0), np.inf)
         best = np.minimum(best, value)
     return best
+
+
+def _cholesky_solves(block, b, lam_values, want_edf):
+    """Ridge solutions of stacked standardized systems by Cholesky.
+
+    For each lambda > 0 and candidate, factors block + lambda I = L L' and
+    gets gamma = (block + lambda I)^-1 b from the triangular solves.  When
+    ``want_edf``, the effective df comes from the GCV trace identity
+    edf = 1 + p - lambda tr((block + lambda I)^-1), with the trace taken as
+    ||L^-1||_F^2 (Golub, Heath & Wahba 1979); otherwise edf is left NaN.
+    A column constant within the node has a zero row and column in the
+    block (up to rounding), so it adds 1 - lambda / lambda = 0 to the df,
+    as its null direction does in the spectral sum.  Returns per-lambda
+    lists of gammas (c, p) and edfs (c,), plus a mask of candidates whose
+    factorization failed for some lambda; their entries are unset.
+    """
+    count, p = b.shape
+    eye = np.eye(p)
+    failed = np.zeros(count, dtype=bool)
+    gammas, edfs = [], []
+    for lam in lam_values:
+        gamma = np.empty((count, p))
+        edf = np.full(count, np.nan)
+        for i in range(count):
+            if failed[i]:
+                continue
+            # the shifted block is symmetric, so its transpose is the same
+            # matrix in the Fortran order LAPACK factors in place
+            chol, info = dpotrf((block[i] + lam * eye).T, lower=1, overwrite_a=1)
+            if info != 0:
+                failed[i] = True
+                continue
+            gamma[i], _ = dpotrs(chol, b[i], lower=1)
+            if want_edf:
+                inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
+                edf[i] = 1.0 + p - lam * np.vdot(inv, inv)
+        gammas.append(gamma)
+        edfs.append(edf)
+    return gammas, edfs, failed
+
+
+def _eigh_solves(block, b, lam_values):
+    """Ridge solutions of stacked standardized systems by eigendecomposition.
+
+    The batched form of gram.ridge_solve: one eigendecomposition per
+    candidate serves the whole lambda grid, eigenvalues below
+    NULL_SPACE_RTOL times the largest are null directions (pseudo-inverse
+    at lambda = 0) and the effective df sums d / (d + lambda) over the
+    others.  Returns per-lambda lists of gammas (c, p) and edfs (c,).
+    """
+    try:
+        w, v = np.linalg.eigh(block)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("batched eigendecomposition failed") from exc
+    d = np.maximum(w, 0.0)
+    top = np.maximum(w[:, -1], 0.0)
+    null = (w < NULL_SPACE_RTOL * top[:, None]) | (top <= 0.0)[:, None]
+    proj = np.einsum("cij,ci->cj", v, b)
+    gammas, edfs = [], []
+    for lam in lam_values:
+        if lam == 0.0:
+            recip = np.where(
+                null, 0.0, np.divide(1.0, d, out=np.ones_like(d), where=d > 0)
+            )
+        else:
+            recip = 1.0 / (d + lam)
+        gamma = np.einsum("cij,cj->ci", v, recip * proj)
+        shrink = np.divide(d, d + lam, out=np.zeros_like(d), where=(d + lam) > 0)
+        gammas.append(gamma)
+        edfs.append(1.0 + np.sum(np.where(null, 0.0, shrink), axis=1))
+    return gammas, edfs
 
 
 def _stack(grams: Sequence[GramStats]):

@@ -13,6 +13,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def with_cell(src, dst, row, column, text):
+    """Copy a CSV, replacing one cell (0-based data row) with ``text``."""
+    lines = src.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[lines[0].split(",").index(column)] = text
+    lines[row + 1] = ",".join(cells)
+    dst.write_text("\n".join(lines) + "\n")
+    return dst
+
+
 @pytest.fixture
 def sim_csv(tmp_path, capsys):
     path = tmp_path / "data.csv"
@@ -103,6 +113,14 @@ class TestFit:
         )
         assert code == 3 and "'nope'" in err
 
+    def test_non_finite_feature_exits_3(self, tmp_path, sim_csv, capsys):
+        bad = with_cell(sim_csv, tmp_path / "bad.csv", 4, "x3", "nan")
+        code, _, err = run(
+            capsys, "fit", "--data", str(bad), "--response", "f",
+            "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 3 and "'x3'" in err and "rows 4 " in err
+
     def test_config_file_defaults(self, tmp_path, sim_csv, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("max_depth = 0\nknots = 4\nmin_samples_leaf = 60\nseed = 3\n")
@@ -153,6 +171,15 @@ class TestPredictEvaluate:
         assert code == 0
         lines = open(out_csv).read().strip().splitlines()
         assert lines[0] == "prediction" and len(lines) == 1201
+
+    def test_predict_non_finite_feature_exits_3(self, tmp_path, sim_csv,
+                                                fitted_model, capsys):
+        bad = with_cell(sim_csv, tmp_path / "bad.csv", 1, "x1", "-inf")
+        out_csv = tmp_path / "pred.csv"
+        code, _, err = run(capsys, "predict", "--model", str(fitted_model),
+                           "--data", str(bad), "--out", str(out_csv))
+        assert code == 3 and "'x1'" in err and "rows 1 " in err
+        assert not out_csv.exists()
 
     def test_evaluate_consistent_with_fit_report(self, tmp_path, sim_csv, capsys):
         # fit with no holdout: evaluate on the same file must reproduce

@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 
 from splinetree import (
     DataError,
+    Feature,
     GrowConfig,
+    SurrogateDataset,
     build_spec,
     effect_curve,
     effect_eval,
@@ -136,6 +138,30 @@ class TestLoadCsv:
         path.write_text("a,y\n1,0.5\nnot-a-number,0.7\n")
         with pytest.raises(DataError, match="line 3"):
             load_csv(path, response="y")
+
+    def test_non_finite_feature_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("a,b,y\n1,2,0.1\nnan,3,0.2\n3,inf,0.3\n4,-inf,0.4\n")
+        with pytest.raises(DataError, match=r"'a' has non-finite values at rows 1 "):
+            load_csv(path, response="y", continuous=["a"], categorical=["b"])
+        with pytest.raises(DataError, match=r"'b' has non-finite values at rows 2, 3 "):
+            load_csv(path, response="y", continuous=["b"], categorical=["a"])
+
+    def test_dataset_rejects_non_finite_feature(self):
+        x = np.linspace(0.0, 1.0, 12)
+        x[[3, 7]] = np.nan
+        with pytest.raises(DataError, match=r"'x' has non-finite values at rows 3, 7 "):
+            SurrogateDataset(
+                features=(Feature("x", "continuous"),),
+                columns={"x": x},
+                response=np.zeros(12),
+            )
+
+    def test_categorical_nan_text_is_a_level(self, tmp_path):
+        path = tmp_path / "nanlevel.csv"
+        path.write_text("a,c,y\n1,nan,0.1\n2,u,0.2\n")
+        ds = load_csv(path, response="y", categorical=["c"])
+        assert list(ds.columns["c"]) == ["nan", "u"]
 
     def test_categorical_and_tag(self, tmp_path):
         path = tmp_path / "c.csv"

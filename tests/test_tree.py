@@ -20,7 +20,14 @@ from splinetree import (
     prune,
     refit_l1,
 )
-from splinetree.tree import bin_grams, route
+from splinetree import tree as tree_mod
+from splinetree.tree import (
+    _batch_child_losses,
+    _node_split_loss,
+    _stack,
+    bin_grams,
+    route,
+)
 
 from conftest import implementation_best_split, make_dataset, naive_best_split
 
@@ -87,6 +94,28 @@ class TestBinGrams:
         assert grams[1].count == 0 and not grams[1].xtx.any()
 
 
+def _assert_matches_naive(ds, spec, config, min_leaf):
+    """The production sweep finds the naive oracle's split; returns it."""
+    naive = naive_best_split(ds, spec, config, min_leaf)
+    found, _ = implementation_best_split(ds, spec, config, min_leaf)
+    if naive is None:
+        assert found is None
+        return None
+    assert found is not None
+    (feat_index, key), gain, left_beta, right_beta = naive
+    assert ds.features[feat_index].name == found.candidate.feature
+    if isinstance(key, float):
+        assert found.candidate.threshold == pytest.approx(key, rel=1e-12)
+    else:
+        levels = spec.levels[found.candidate.feature]
+        assert found.candidate.categories == tuple(levels[k] for k in key)
+    tol = 1e-8 * max(1.0, abs(gain))
+    assert found.gain == pytest.approx(gain, abs=tol)
+    assert_allclose(found.left_model.coefficients, left_beta, rtol=1e-8, atol=1e-8)
+    assert_allclose(found.right_model.coefficients, right_beta, rtol=1e-8, atol=1e-8)
+    return naive
+
+
 class TestBestSplitOracle:
     """Cumulative-gram sweep against the naive subset-refit oracle."""
 
@@ -105,24 +134,7 @@ class TestBestSplitOracle:
             max_depth=1,
         )
         min_leaf = max(spec.total_columns + 2, 15)
-
-        naive = naive_best_split(ds, spec, config, min_leaf)
-        found, _ = implementation_best_split(ds, spec, config, min_leaf)
-        if naive is None:
-            assert found is None
-            return
-        assert found is not None
-        (feat_index, key), gain, left_beta, right_beta = naive
-        assert ds.features[feat_index].name == found.candidate.feature
-        if isinstance(key, float):
-            assert found.candidate.threshold == pytest.approx(key, rel=1e-12)
-        else:
-            levels = spec.levels[found.candidate.feature]
-            assert found.candidate.categories == tuple(levels[k] for k in key)
-        tol = 1e-8 * max(1.0, abs(gain))
-        assert found.gain == pytest.approx(gain, abs=tol)
-        assert_allclose(found.left_model.coefficients, left_beta, rtol=1e-8, atol=1e-8)
-        assert_allclose(found.right_model.coefficients, right_beta, rtol=1e-8, atol=1e-8)
+        _assert_matches_naive(ds, spec, config, min_leaf)
 
     def test_product_response_splits_first_feature(self):
         # y = x1 * x2 has no additive signal; the best split lands on a
@@ -173,6 +185,105 @@ class TestBestSplitOracle:
         config = GrowConfig(num_bins=8, lam=0.0, loss="sse", max_depth=1, min_gain=1e-10)
         found, _ = implementation_best_split(ds, spec, config, 30)
         assert found is None or found.gain <= config.min_gain
+
+    @pytest.mark.parametrize("loss", ["sse", "gcv"])
+    @pytest.mark.parametrize("lam", [1e-3, 0.05])
+    def test_depth_two_node_with_zero_spline_columns(self, lam, loss):
+        # a depth-2 node: the spec (knots, levels) comes from the full data,
+        # the split search runs on the rows of one grandchild, where the
+        # hat functions of knots outside its x1 range are identically zero
+        rng = np.random.default_rng(77)
+        ds = make_dataset(rng, 1600, continuous=3, categorical=1)
+        spec = build_spec(ds, num_knots=6)
+        rows = np.nonzero((ds.columns["x1"] <= -0.2) & (ds.columns["x2"] > -0.5))[0]
+        sub = ds.subset(rows)
+        X = design_matrix(sub, spec)
+        assert np.any(np.all(X[:, 1:] == 0.0, axis=0))
+        config = GrowConfig(num_bins=8, lam=lam, loss=loss, max_depth=1)
+        min_leaf = max(spec.total_columns + 2, 40)
+        assert _assert_matches_naive(sub, spec, config, min_leaf) is not None
+
+
+def _reference_losses(grams, lam_values, loss):
+    """Per-candidate scalar fits, minimized over the lambda grid."""
+    return np.array([
+        min(_node_split_loss(fit_node(g, lam), loss) for lam in lam_values)
+        for g in grams
+    ])
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Records the batch shape of every call to the eigh fallback."""
+    calls = []
+    inner = tree_mod._eigh_solves
+
+    def spy(block, b, lam_values):
+        calls.append(block.shape)
+        return inner(block, b, lam_values)
+
+    monkeypatch.setattr(tree_mod, "_eigh_solves", spy)
+    return calls
+
+
+class TestBatchChildLosses:
+    """The batched sweep scorer against per-candidate reference fits."""
+
+    @staticmethod
+    def _candidate_grams():
+        # child systems of a spec built on the full data; the narrow x1
+        # ranges leave whole spline columns at zero within the node
+        rng = np.random.default_rng(5)
+        ds = make_dataset(rng, 900, continuous=3, categorical=1)
+        spec = build_spec(ds, num_knots=5)
+        X = design_matrix(ds, spec)
+        x1 = ds.columns["x1"]
+        grams = []
+        for lo, hi in [(-1.0, 1.0), (-1.0, -0.2), (-0.1, 0.7), (0.3, 1.0), (-0.6, 0.1)]:
+            mask = (x1 >= lo) & (x1 <= hi)
+            grams.append(gram_accumulate(X[mask], ds.response[mask]))
+        assert all(np.any(np.diagonal(g.xtx)[1:] == 0.0) for g in grams[1:])
+        return grams
+
+    @pytest.mark.parametrize("loss", ["sse", "gcv"])
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, (1e-3, 0.05, 2.0), 0.0, (0.0, 0.1)])
+    def test_matches_scalar_fits(self, lam, loss, eigh_calls):
+        grams = self._candidate_grams()
+        lam_values = GrowConfig(lam=lam).lam_values
+        got = _batch_child_losses(*_stack(grams), lam_values, loss)
+        assert_allclose(got, _reference_losses(grams, lam_values, loss), rtol=1e-9)
+        # only a grid containing zero needs the eigendecomposition
+        assert bool(eigh_calls) == (min(lam_values) == 0.0)
+
+    def test_grid_gcv_matches_fit_node_selection(self):
+        grams = self._candidate_grams()
+        lam = (1e-3, 0.05, 2.0)
+        got = _batch_child_losses(*_stack(grams), lam, "gcv")
+        want = [_node_split_loss(fit_node(g, lam), "gcv") for g in grams]
+        assert_allclose(got, want, rtol=1e-9)
+
+    @pytest.mark.parametrize("loss", ["sse", "gcv"])
+    def test_failed_cholesky_falls_back_to_eigh(self, loss, eigh_calls):
+        # a duplicated +-1 column makes the standardized block exactly
+        # [[16, 16], [16, 16]]; a ridge weight far below its rounding
+        # leaves it singular, so only that candidate is refactored by eigh
+        x = np.tile([1.0, -1.0], 8)
+        y = np.repeat(np.arange(8.0), 2)  # orthogonal to x, exactly
+        singular = gram_accumulate(np.column_stack([np.ones(16), x, x]), y)
+        rng = np.random.default_rng(3)
+        regular = [
+            gram_accumulate(
+                np.column_stack([np.ones(40), rng.standard_normal((40, 2))]),
+                rng.standard_normal(40),
+            )
+            for _ in range(2)
+        ]
+        grams = [regular[0], singular, regular[1]]
+        lam_values = (1e-20,)
+        got = _batch_child_losses(*_stack(grams), lam_values, loss)
+        assert eigh_calls == [(1, 2, 2)]
+        assert np.all(np.isfinite(got))
+        assert_allclose(got, _reference_losses(grams, lam_values, loss), rtol=1e-9)
 
 
 class TestGrow:
