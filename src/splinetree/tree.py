@@ -9,11 +9,12 @@ thresholds are global quantile edges of the root training data, reused at
 every node, so bin membership per record is computed once.
 
 Split scoring standardizes all candidates at once.  With every ridge
-weight positive, each candidate system is then Cholesky-factored: the
-triangular solves give the coefficients and the GCV trace identity gives
-the effective degrees of freedom, so no eigenvectors are needed.  A zero
-weight (pseudo-inverse) or a failed factorization falls back to one
-batched eigendecomposition per candidate side.  The winning candidate is
+weight positive and a short grid, each candidate system is then
+Cholesky-factored once per weight: the triangular solves give the
+coefficients and the GCV trace identity gives the effective degrees of
+freedom, so no eigenvectors are needed.  A zero weight (pseudo-inverse), a
+longer grid or a failed factorization uses one batched eigendecomposition
+per candidate side, which serves the whole grid.  The winning candidate is
 then re-fitted through the scalar :mod:`splinetree.gram` path so the
 retained models and gains come from the reference implementation.
 """
@@ -46,6 +47,12 @@ from .gram import (
 # Above this cardinality, categorical split search falls back from
 # exhaustive subset enumeration to the ordered-by-node-mean scan.
 EXHAUSTIVE_CATEGORY_LIMIT = 12
+
+# Longest lambda grid the split sweep scores by Cholesky.  The sweep pays
+# one factorization per candidate and grid value, against one
+# eigendecomposition per candidate for the whole grid; with GCV on 150- and
+# 29-column blocks the eigendecomposition is the cheaper from six values.
+_CHOLESKY_GRID_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -111,8 +118,9 @@ class GrowConfig:
     ``lam`` is the ridge weight; a sequence is treated as a small grid
     selected per fit by GCV (a node fit reuses one eigendecomposition
     across the grid; the split sweep factors each candidate once per
-    positive grid value).  ``loss`` selects the split-search metric:
-    "gcv" compares degrees-of-freedom-penalized SSE, "sse" plain SSE.
+    value of a short positive grid).  ``loss`` selects the split-search
+    metric: "gcv" compares degrees-of-freedom-penalized SSE, "sse" plain
+    SSE.
     """
 
     max_depth: int = 5
@@ -294,8 +302,9 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
     With every lambda > 0 the shifted blocks are positive definite, so each
     is Cholesky-factored and the effective df comes from the trace identity
     (see _cholesky_solves).  A zero lambda needs the pseudo-inverse, so that
-    grid, and any candidate whose Cholesky factorization fails, goes through
-    a batched form of gram.ridge_solve's eigendecomposition (_eigh_solves).
+    grid, a grid longer than _CHOLESKY_GRID_LIMIT, and any candidate whose
+    Cholesky factorization fails go through a batched form of
+    gram.ridge_solve's eigendecomposition (_eigh_solves).
     """
     n = counts.astype(np.float64)
     mean = xtx[:, 0, 1:] / n[:, None]
@@ -308,7 +317,7 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
     b = (xty[:, 1:] - mean * xty[:, 0][:, None]) / scale
     ybar = xty[:, 0] / n
 
-    if min(lam_values) > 0.0:
+    if min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT:
         gammas, edfs, failed = _cholesky_solves(block, b, lam_values, loss == "gcv")
         if failed.any():
             gammas_f, edfs_f = _eigh_solves(block[failed], b[failed], lam_values)
@@ -346,7 +355,12 @@ def _cholesky_solves(block, b, lam_values, want_edf):
     ||L^-1||_F^2 (Golub, Heath & Wahba 1979); otherwise edf is left NaN.
     A column constant within the node has a zero row and column in the
     block (up to rounding), so it adds 1 - lambda / lambda = 0 to the df,
-    as its null direction does in the spectral sum.  Returns per-lambda
+    as its null direction does in the spectral sum.  An eigenvalue w that
+    is merely tiny, below NULL_SPACE_RTOL times the largest (say, of two
+    nearly collinear columns), is a null direction that gram.ridge_solve
+    leaves out of the df, but it adds w / (w + lambda) here; so for such
+    candidates the GCV loss can differ from fit_node's by that much df.
+    The winner is refitted through fit_node either way.  Returns per-lambda
     lists of gammas (c, p) and edfs (c,), plus a mask of candidates whose
     factorization failed for some lambda; their entries are unset.
     """

@@ -21,6 +21,7 @@ from splinetree import (
     refit_l1,
 )
 from splinetree import tree as tree_mod
+from splinetree.gram import NULL_SPACE_RTOL, gcv_loss, standardized_block
 from splinetree.tree import (
     _batch_child_losses,
     _node_split_loss,
@@ -246,21 +247,40 @@ class TestBatchChildLosses:
         return grams
 
     @pytest.mark.parametrize("loss", ["sse", "gcv"])
-    @pytest.mark.parametrize("lam", [1e-3, 0.5, (1e-3, 0.05, 2.0), 0.0, (0.0, 0.1)])
+    @pytest.mark.parametrize(
+        "lam",
+        [1e-3, 0.5, (1e-3, 0.05, 2.0), (1e-3, 0.01, 0.05, 0.2, 1.0, 5.0), 0.0, (0.0, 0.1)],
+    )
     def test_matches_scalar_fits(self, lam, loss, eigh_calls):
         grams = self._candidate_grams()
         lam_values = GrowConfig(lam=lam).lam_values
         got = _batch_child_losses(*_stack(grams), lam_values, loss)
         assert_allclose(got, _reference_losses(grams, lam_values, loss), rtol=1e-9)
-        # only a grid containing zero needs the eigendecomposition
-        assert bool(eigh_calls) == (min(lam_values) == 0.0)
+        # a grid containing zero or longer than the Cholesky limit takes eigh
+        long_grid = len(lam_values) > tree_mod._CHOLESKY_GRID_LIMIT
+        assert bool(eigh_calls) == (min(lam_values) == 0.0 or long_grid)
 
-    def test_grid_gcv_matches_fit_node_selection(self):
-        grams = self._candidate_grams()
-        lam = (1e-3, 0.05, 2.0)
-        got = _batch_child_losses(*_stack(grams), lam, "gcv")
-        want = [_node_split_loss(fit_node(g, lam), "gcv") for g in grams]
+    @pytest.mark.parametrize("lam", [1e-3, 0.05])
+    def test_near_collinear_columns(self, lam):
+        # two columns 1e-5 apart leave an eigenvalue w ~ 3e-11 of the largest:
+        # a null direction for gram.ridge_solve, which drops it from the df,
+        # while the trace identity counts its w / (w + lam).  SSE agrees; the
+        # GCV loss is fit_node's SSE under fit_node's df plus exactly that.
+        rng = np.random.default_rng(11)
+        x, z, w = rng.standard_normal((3, 60))
+        y = x + 0.3 * w + 0.1 * rng.standard_normal(60)
+        g = gram_accumulate(np.column_stack([np.ones(60), x, x + 1e-5 * z, w]), y)
+        spectrum = np.linalg.eigvalsh(standardized_block(g)[0])
+        near_null = spectrum[spectrum < NULL_SPACE_RTOL * spectrum[-1]]
+        assert near_null.size == 1 and near_null[0] > 1e-14 * spectrum[-1]
+        model = fit_node(g, lam)
+        sse = _batch_child_losses(*_stack([g]), (lam,), "sse")
+        assert_allclose(sse, model.sse, rtol=1e-9)
+        got = _batch_child_losses(*_stack([g]), (lam,), "gcv")
+        extra_df = near_null[0] / (near_null[0] + lam)
+        want = 60 * gcv_loss(model.sse, 60, model.effective_df + extra_df)
         assert_allclose(got, want, rtol=1e-9)
+        assert 1e-12 < abs(got[0] / _node_split_loss(model, "gcv") - 1.0) < 1e-6
 
     @pytest.mark.parametrize("loss", ["sse", "gcv"])
     def test_failed_cholesky_falls_back_to_eigh(self, loss, eigh_calls):
