@@ -240,10 +240,18 @@ def _load_feature_dataset(art, path) -> io.SurrogateDataset:
     if not rows:
         raise DataError(f"{path}: no data rows")
     index = {name: k for k, name in enumerate(header)}
-    columns = {}
     for feat in art.schema:
         if feat.name not in index:
             raise DataError(f"{path}: missing column {feat.name!r}")
+    width = max((index[feat.name] for feat in art.schema), default=-1) + 1
+    for line, row in enumerate(rows, start=2):  # the header is line 1
+        if len(row) < width:
+            raise DataError(
+                f"{path}: line {line} has {len(row)} cells; "
+                f"the model's columns need {width}"
+            )
+    columns = {}
+    for feat in art.schema:
         raw = [row[index[feat.name]] for row in rows]
         if feat.kind == basis.CONTINUOUS:
             try:

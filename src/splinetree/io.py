@@ -249,12 +249,22 @@ def _split_to_json(split: SplitCandidate | None):
     return {"feature": split.feature, "categories": list(split.categories)}
 
 
-def _split_from_json(doc):
+def _split_from_json(doc, where):
     if doc is None:
         return None
+    feature = _field(doc, "feature", where)
     if "threshold" in doc:
-        return SplitCandidate(feature=doc["feature"], threshold=float(doc["threshold"]))
-    return SplitCandidate(feature=doc["feature"], categories=tuple(doc["categories"]))
+        return SplitCandidate(feature=feature, threshold=float(doc["threshold"]))
+    return SplitCandidate(feature=feature, categories=tuple(_field(doc, "categories", where)))
+
+
+def _field(doc, key, where):
+    """``doc[key]``, with a DataError naming the place when it is absent."""
+    if not isinstance(doc, Mapping):
+        raise DataError(f"{where}: expected an object, got {type(doc).__name__}")
+    if key not in doc:
+        raise DataError(f"{where}: missing field {key!r}")
+    return doc[key]
 
 
 def tree_to_json(root: TreeNode, spec: basis.DesignSpec, schema, config: Mapping) -> dict:
@@ -307,73 +317,158 @@ def save_tree(path, root: TreeNode, spec: basis.DesignSpec, schema, config: Mapp
 
 
 def tree_from_json(doc: Mapping) -> TreeArtifact:
-    if doc.get("format") != TREE_FORMAT:
+    """Rebuild a tree bundle from its JSON document.
+
+    Every malformed document raises DataError: a missing field or a value of
+    the wrong type, a design whose blocks lack their knots or levels or do
+    not match the schema, a coefficient vector that is not finite and
+    ``total_columns`` long, effect means not one per block, a split on a
+    feature the schema or design does not support, and node links that do
+    not form one tree (a dangling child id, a node with two parents, or a
+    node the root does not reach).
+    """
+    if not isinstance(doc, Mapping) or doc.get("format") != TREE_FORMAT:
         raise DataError(f"not a {TREE_FORMAT} document")
     if doc.get("version") != TREE_FORMAT_VERSION:
         raise DataError(
             f"unsupported format version {doc.get('version')!r}; "
             f"this build reads version {TREE_FORMAT_VERSION}"
         )
-    design = doc["design"]
+    try:
+        return _tree_from_json(doc)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed tree document: {exc}") from exc
+
+
+def _spec_from_json(design, schema) -> basis.DesignSpec:
+    blocks = tuple(
+        basis.BasisBlock(
+            _field(b, "feature", "design block"),
+            _field(b, "kind", "design block"),
+            int(_field(b, "start", "design block")),
+            int(_field(b, "stop", "design block")),
+        )
+        for b in _field(design, "blocks", "design")
+    )
     spec = basis.DesignSpec(
-        blocks=tuple(
-            basis.BasisBlock(b["feature"], b["kind"], b["start"], b["stop"])
-            for b in design["blocks"]
-        ),
+        blocks=blocks,
         knots={
-            name: basis.KnotVector(name, np.asarray(values))
-            for name, values in design["knots"].items()
+            name: basis.KnotVector(name, np.asarray(values, dtype=np.float64))
+            for name, values in dict(_field(design, "knots", "design")).items()
         },
-        levels={name: tuple(levels) for name, levels in design["levels"].items()},
-        total_columns=design["total_columns"],
+        levels={
+            name: tuple(levels)
+            for name, levels in dict(_field(design, "levels", "design")).items()
+        },
+        total_columns=int(_field(design, "total_columns", "design")),
         excluded=tuple(design.get("excluded", ())),
     )
-    schema = tuple(Feature(f["name"], f["kind"]) for f in doc["schema"])
+    kinds = {f.name: f.kind for f in schema}
+    for block in spec.blocks:
+        if block.kind == "spline":
+            knots = spec.knots.get(block.feature)
+            kind, width = basis.CONTINUOUS, None if knots is None else len(knots)
+        elif block.kind == "linear":
+            kind, width = basis.CONTINUOUS, 1
+        elif block.kind == "onehot":
+            levels = spec.levels.get(block.feature)
+            kind, width = basis.CATEGORICAL, None if levels is None else len(levels) - 1
+        else:
+            raise DataError(f"design block {block.feature!r}: unknown kind {block.kind!r}")
+        if kinds.get(block.feature) != kind:
+            raise DataError(f"design block {block.feature!r} is not a {kind} schema feature")
+        if width != block.width:
+            raise DataError(
+                f"design block {block.feature!r}: {block.width} columns, "
+                f"but its knots or levels give {width}"
+            )
+    return spec
 
-    nodes: dict[int, TreeNode] = {}
-    for nd in doc["nodes"]:
-        model = NodeModel(
-            coefficients=np.asarray(nd["coefficients"], dtype=np.float64),
-            sse=float(nd["sse"]),
-            r2=float(nd["r2"]),
-            effective_df=float(nd["effective_df"]),
-            lam=float(nd["lambda"]),
-            count=int(nd["count"]),
+
+def _node_from_json(nd, spec, kinds) -> TreeNode:
+    where = f"node {nd.get('id')!r}" if isinstance(nd, Mapping) else "node"
+    coefficients = np.asarray(_field(nd, "coefficients", where), dtype=np.float64)
+    if coefficients.shape != (spec.total_columns,) or not np.isfinite(coefficients).all():
+        raise DataError(
+            f"{where}: coefficients must be {spec.total_columns} finite numbers"
         )
-        nodes[nd["id"]] = TreeNode(
-            id=int(nd["id"]),
-            depth=int(nd["depth"]),
-            count=int(nd["count"]),
-            model=model,
-            split=_split_from_json(nd["split"]),
-            dsse=float(nd["dsse"]),
-            effect_means=None
-            if nd.get("effect_means") is None
-            else np.asarray(nd["effect_means"], dtype=np.float64),
-            flags=tuple(nd.get("flags", ())),
-        )
-    for nd in doc["nodes"]:
-        node = nodes[nd["id"]]
-        if (nd["left"] is None) != (nd["right"] is None) or (
-            (node.split is None) != (nd["left"] is None)
+    effect_means = nd.get("effect_means")
+    if effect_means is not None:
+        effect_means = np.asarray(effect_means, dtype=np.float64)
+        if effect_means.shape != (len(spec.blocks),):
+            raise DataError(f"{where}: effect_means must have one entry per block")
+    split = _split_from_json(_field(nd, "split", where), where)
+    if split is not None:
+        kind = basis.CONTINUOUS if split.threshold is not None else basis.CATEGORICAL
+        if kinds.get(split.feature) != kind or (
+            kind == basis.CATEGORICAL and split.feature not in spec.levels
         ):
-            raise DataError(f"node {node.id}: split and children are inconsistent")
-        if nd["left"] is not None:
-            node.left = nodes[nd["left"]]
-            node.right = nodes[nd["right"]]
-            if node.left.count + node.right.count != node.count:
-                raise DataError(
-                    f"node {node.id}: child counts {node.left.count}+{node.right.count} "
-                    f"do not sum to {node.count}"
-                )
-    roots = set(nodes) - {
-        nd[side] for nd in doc["nodes"] for side in ("left", "right") if nd[side] is not None
-    }
+            raise DataError(f"{where}: no {kind} feature {split.feature!r} to split on")
+    model = NodeModel(
+        coefficients=coefficients,
+        sse=float(_field(nd, "sse", where)),
+        r2=float(_field(nd, "r2", where)),
+        effective_df=float(_field(nd, "effective_df", where)),
+        lam=float(_field(nd, "lambda", where)),
+        count=int(_field(nd, "count", where)),
+    )
+    return TreeNode(
+        id=int(_field(nd, "id", where)),
+        depth=int(_field(nd, "depth", where)),
+        count=model.count,
+        model=model,
+        split=split,
+        dsse=float(_field(nd, "dsse", where)),
+        effect_means=effect_means,
+        flags=tuple(nd.get("flags", ())),
+    )
+
+
+def _tree_from_json(doc) -> TreeArtifact:
+    schema = tuple(
+        Feature(_field(f, "name", "schema entry"), _field(f, "kind", "schema entry"))
+        for f in _field(doc, "schema", "document")
+    )
+    kinds = {f.name: f.kind for f in schema}
+    spec = _spec_from_json(_field(doc, "design", "document"), schema)
+    config = dict(_field(doc, "config", "document"))
+
+    docs = _field(doc, "nodes", "document")
+    nodes: dict[int, TreeNode] = {}
+    for nd in docs:
+        node = _node_from_json(nd, spec, kinds)
+        if node.id in nodes:
+            raise DataError(f"node id {node.id} appears twice")
+        nodes[node.id] = node
+    children: set[int] = set()
+    for nd, node in zip(docs, nodes.values()):
+        where = f"node {node.id}"
+        left, right = _field(nd, "left", where), _field(nd, "right", where)
+        if (left is None) != (right is None) or (node.split is None) != (left is None):
+            raise DataError(f"{where}: split and children are inconsistent")
+        if left is None:
+            continue
+        for child in (left, right):
+            if not isinstance(child, int) or child not in nodes:
+                raise DataError(f"{where}: child id {child!r} names no node")
+            if child in children:
+                raise DataError(f"node {child} has more than one parent")
+            children.add(child)
+        node.left, node.right = nodes[left], nodes[right]
+        if node.left.count + node.right.count != node.count:
+            raise DataError(
+                f"{where}: child counts {node.left.count}+{node.right.count} "
+                f"do not sum to {node.count}"
+            )
+    roots = set(nodes) - children
     if len(roots) != 1:
         raise DataError("tree document does not have a unique root")
-    return TreeArtifact(
-        root=nodes[roots.pop()], spec=spec, schema=schema, config=dict(doc["config"])
-    )
+    root = nodes[roots.pop()]
+    # one root and one parent per other node leaves only a cycle detached
+    # from the root; the walk from the root then misses its nodes
+    if sum(1 for _ in root.nodes()) != len(nodes):
+        raise DataError("tree document has nodes the root does not reach")
+    return TreeArtifact(root=root, spec=spec, schema=schema, config=config)
 
 
 def load_tree(path) -> TreeArtifact:

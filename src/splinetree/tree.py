@@ -120,7 +120,7 @@ class GrowConfig:
     across the grid; the split sweep factors each candidate once per
     value of a short positive grid).  ``loss`` selects the split-search
     metric: "gcv" compares degrees-of-freedom-penalized SSE, "sse" plain
-    SSE.
+    SSE, each taken at the grid value GCV selects for the candidate.
     """
 
     max_depth: int = 5
@@ -220,13 +220,25 @@ def bin_grams(
     number of rows fed to the accumulator equals the number of input rows
     (disjoint cover), which is the property the instrumentation records.
     Empty bins yield zero statistics.
+
+    Bin ids are cast to the narrowest unsigned type that holds
+    ``num_bins - 1``, so the stable sort that groups them is a radix sort
+    for up to 65536 bins; the rows are gathered into bin order with
+    ``np.take`` and the bin boundaries come from the bin counts.  Each
+    bin's products are taken on its contiguous slice of the gathered rows.
+
+    Raises
+    ------
+    ValueError
+        If a bin id is not an integer in ``[0, num_bins)``.
     """
     x = np.asarray(rows, dtype=np.float64)
     y = np.asarray(responses, dtype=np.float64)
-    b = np.asarray(bin_ids)
+    b = _compact_bin_ids(bin_ids, num_bins)
     order = np.argsort(b, kind="stable")
-    xs, ys, bs = x[order], y[order], b[order]
-    edges_idx = np.searchsorted(bs, np.arange(num_bins + 1), side="left")
+    xs, ys = np.take(x, order, axis=0), np.take(y, order)
+    edges_idx = np.zeros(num_bins + 1, dtype=np.intp)
+    np.cumsum(np.bincount(b, minlength=num_bins), out=edges_idx[1:])
     grams = []
     for k in range(num_bins):
         lo, hi = edges_idx[k], edges_idx[k + 1]
@@ -243,6 +255,24 @@ def bin_grams(
             node_count=x.shape[0], num_bins=num_bins,
         )
     return grams
+
+
+def _compact_bin_ids(bin_ids, num_bins: int) -> np.ndarray:
+    """Bin ids in the narrowest unsigned type holding ``num_bins - 1``.
+
+    Out-of-range ids would wrap into a wrong bin once narrowed, so they are
+    rejected instead.
+    """
+    b = np.asarray(bin_ids)
+    if b.size:
+        if b.dtype.kind not in "iu":
+            raise ValueError(f"bin ids must be integers, got dtype {b.dtype}")
+        lo, hi = b.min(), b.max()
+        if lo < 0 or hi >= num_bins:
+            raise ValueError(
+                f"bin ids must lie in [0, {num_bins}), got [{lo}, {hi}]"
+            )
+    return b.astype(np.min_scalar_type(max(num_bins - 1, 0)), copy=False)
 
 
 @dataclass
@@ -295,9 +325,13 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
     Standardizes each candidate's gram statistics exactly as
     gram.standardized_block does, solves the ridge system for every lambda
     in the grid, back-transforms to the original scale and takes the SSE
-    from statistics.  Returns the per-candidate loss minimized over the
-    lambda grid; saturated candidates (effective df >= count) come back
-    infinite.
+    from statistics.  With one lambda, returns each candidate's loss at it.
+    With a grid, each candidate's lambda is chosen by GCV with fit_node's
+    rule (the first value with the strictly smallest GCV, saturated values
+    never chosen) and the loss at that lambda is returned, so candidates
+    are ranked on the model their refit would keep.  A candidate saturated
+    (effective df >= count) at every lambda it could be scored at comes
+    back infinite; plain SSE at a single lambda ignores the df.
 
     With every lambda > 0 the shifted blocks are positive definite, so each
     is Cholesky-factored and the effective df comes from the trace identity
@@ -317,8 +351,11 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
     b = (xty[:, 1:] - mean * xty[:, 0][:, None]) / scale
     ybar = xty[:, 0] / n
 
+    grid = len(lam_values) > 1
     if min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT:
-        gammas, edfs, failed = _cholesky_solves(block, b, lam_values, loss == "gcv")
+        gammas, edfs, failed = _cholesky_solves(
+            block, b, lam_values, loss == "gcv" or grid
+        )
         if failed.any():
             gammas_f, edfs_f = _eigh_solves(block[failed], b[failed], lam_values)
             for k in range(len(lam_values)):
@@ -328,6 +365,7 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
         gammas, edfs = _eigh_solves(block, b, lam_values)
 
     best = np.full(counts.shape[0], np.inf)
+    best_gcv = np.full(counts.shape[0], np.inf)
     for gamma, edf in zip(gammas, edfs):
         beta1 = gamma / scale
         beta0 = ybar - np.einsum("ci,ci->c", beta1, mean)
@@ -336,12 +374,13 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
             "ci,cij,cj->c", beta, xtx, beta
         )
         sse = np.maximum(sse, 0.0)
-        if loss == "sse":
-            value = sse
-        else:
-            ok = edf < n
-            value = np.where(ok, sse / np.where(ok, (1.0 - edf / n) ** 2, 1.0), np.inf)
-        best = np.minimum(best, value)
+        if loss == "sse" and not grid:
+            return sse
+        ok = edf < n
+        gcv = np.where(ok, sse / np.where(ok, (1.0 - edf / n) ** 2, 1.0), np.inf)
+        better = gcv < best_gcv
+        best_gcv[better] = gcv[better]
+        best[better] = (gcv if loss == "gcv" else sse)[better]
     return best
 
 
@@ -645,17 +684,31 @@ def _prepare_binning(dataset, spec, config) -> _RootBinning:
                 continue
             kinds[feat.name] = "continuous"
             edges[feat.name] = e
-            bin_ids[feat.name] = bin_values(values, e)
+            bin_ids[feat.name] = _compact_bin_ids(bin_values(values, e), e.size + 1)
         else:
             levs = spec.levels.get(feat.name)
             if levs is None or len(levs) < 2:
                 continue
             kinds[feat.name] = "categorical"
             levels[feat.name] = levs
-            index = {lev: k for k, lev in enumerate(levs)}
-            bin_ids[feat.name] = np.array([index[v] for v in values])
+            bin_ids[feat.name] = _level_codes(values, levs)
         order.append(feat.name)
     return _RootBinning(kinds, edges, bin_ids, levels, order)
+
+
+def _level_codes(values, levels) -> np.ndarray:
+    """Position of each value in ``levels``, as compact bin ids.
+
+    The lookup runs once per distinct value.  A value absent from
+    ``levels`` raises ``KeyError`` with the first such value in row order.
+    """
+    index = {lev: k for k, lev in enumerate(levels)}
+    uniq, inverse = np.unique(values, return_inverse=True)
+    codes = np.array([index.get(v, -1) for v in uniq], dtype=np.int64)
+    if np.any(codes < 0):
+        missing = np.flatnonzero(codes[inverse] < 0)[0]
+        raise KeyError(values[missing])
+    return _compact_bin_ids(codes, len(levels))[inverse]
 
 
 def _node_feature_bins(binning, X_node, y_node, rows, node_id, instrumentation):
@@ -668,7 +721,7 @@ def _node_feature_bins(binning, X_node, y_node, rows, node_id, instrumentation):
         grams = bin_grams(
             X_node,
             y_node,
-            binning.bin_ids[name][rows],
+            np.take(binning.bin_ids[name], rows),
             n_bins,
             instrumentation=instrumentation,
             node_id=node_id,
@@ -747,8 +800,8 @@ def grow(
         node, node_rows, node_gram = queue.popleft()
         if node.depth >= config.max_depth or node.count < 2 * min_leaf:
             continue
-        X_node = X[node_rows]
-        y_node = y[node_rows]
+        X_node = np.take(X, node_rows, axis=0)
+        y_node = np.take(y, node_rows)
         bins = _node_feature_bins(
             binning, X_node, y_node, node_rows, node.id, instrumentation
         )
@@ -768,12 +821,16 @@ def grow(
         left = TreeNode(
             id=next_id, depth=node.depth + 1, count=left_rows.size,
             model=found.left_model,
-            effect_means=_effect_means(X[left_rows], spec, found.left_model.coefficients),
+            effect_means=_effect_means(
+                np.take(X, left_rows, axis=0), spec, found.left_model.coefficients
+            ),
         )
         right = TreeNode(
             id=next_id + 1, depth=node.depth + 1, count=right_rows.size,
             model=found.right_model,
-            effect_means=_effect_means(X[right_rows], spec, found.right_model.coefficients),
+            effect_means=_effect_means(
+                np.take(X, right_rows, axis=0), spec, found.right_model.coefficients
+            ),
         )
         next_id += 2
         node.left, node.right = left, right

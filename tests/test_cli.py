@@ -219,6 +219,87 @@ class TestPredictEvaluate:
         assert sim_csv.read_bytes() == before
 
 
+def _drop_sse(doc):
+    del doc["nodes"][1]["sse"]
+
+
+def _drop_levels(doc):
+    del doc["design"]["levels"]
+
+
+def _dangling_child(doc):
+    doc["nodes"][0]["left"] = 99
+
+
+def _short_coefficients(doc):
+    doc["nodes"][2]["coefficients"].pop()
+
+
+def _short_effect_means(doc):
+    doc["nodes"][1]["effect_means"].pop()
+
+
+def _self_loop(doc):
+    # node 1 splits into itself and node 2, so both gain a second parent
+    doc["nodes"][1].update(split=doc["nodes"][0]["split"], left=1, right=2)
+
+
+@pytest.fixture
+def split_model(tmp_path, sim_csv, capsys):
+    """A saved depth-1 tree with its split kept: nodes 0, 1 and 2."""
+    model = tmp_path / "split.json"
+    code, _, err = run(
+        capsys, "fit", "--data", str(sim_csv), "--response", "f",
+        "--knots", "4", "--max-depth", "1", "--num-bins", "8",
+        "--min-samples-leaf", "60", "--r2-threshold", "1", "--dsse-fraction", "0",
+        "--out", str(model),
+    )
+    assert code == 0, err
+    return model
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (_drop_sse, "node 1: missing field 'sse'"),
+            (_drop_levels, "design: missing field 'levels'"),
+            (_dangling_child, "child id 99 names no node"),
+            (_short_coefficients, "coefficients must be"),
+            (_short_effect_means, "one entry per block"),
+            (_self_loop, "more than one parent"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["predict", "diagnose"])
+    def test_malformed_tree_exits_3(self, tmp_path, sim_csv, split_model, capsys,
+                                    tamper, message, command):
+        doc = json.loads(split_model.read_text())
+        assert [nd["id"] for nd in doc["nodes"]] == [0, 1, 2]
+        tamper(doc)
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        flag = "--out" if command == "predict" else "--out-dir"
+        code, _, err = run(capsys, command, "--model", str(model),
+                           "--data", str(sim_csv), flag, str(out))
+        assert code == 3 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "diagnose"])
+    def test_ragged_csv_row_exits_3(self, tmp_path, sim_csv, fitted_model, capsys,
+                                    command):
+        lines = sim_csv.read_text().splitlines()
+        lines[5] = ",".join(lines[5].split(",")[:4])  # data line 6 keeps 4 cells
+        bad = tmp_path / "ragged.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        flag = "--out" if command == "predict" else "--out-dir"
+        code, _, err = run(capsys, command, "--model", str(fitted_model),
+                           "--data", str(bad), flag, str(out))
+        assert code == 3 and "line 6 has 4 cells" in err
+        assert not out.exists()
+
+
 class TestDiagnoseExport:
     def test_diagnose_writes_tables(self, tmp_path, sim_csv, fitted_model, capsys):
         out_dir = tmp_path / "diag"

@@ -1,15 +1,20 @@
 """Serialization: CSV ingestion, tree JSON round trips, DOT, diagnostics."""
 
+import copy
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from splinetree import (
     DataError,
     Feature,
     GrowConfig,
+    SplineTreeError,
     SurrogateDataset,
     build_spec,
     effect_curve,
@@ -226,6 +231,116 @@ class TestTreeJson:
         path.write_text("{not json")
         with pytest.raises(DataError, match="JSON"):
             load_tree(path)
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_base():
+    """A depth-2 tree document over mixed features, and data to predict."""
+    rng = np.random.default_rng(8)
+    ds = make_dataset(rng, 900, continuous=2, categorical=1)
+    spec = build_spec(ds, num_knots=3)
+    root = grow(ds, spec, GrowConfig(max_depth=2, num_bins=8, min_samples_leaf=60))
+    return tree_to_json(root, spec, ds.features, {"seed": 0}), ds
+
+
+def _key_paths(obj, prefix=()):
+    """Paths to every mapping key in a JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _key_paths(value, prefix + (i,))
+
+
+def _deleted_field(doc):
+    return hst.sampled_from(sorted(_key_paths(doc), key=repr)).map(
+        lambda path: ("delete", path, None)
+    )
+
+
+def _rewired_child(doc):
+    n = len(doc["nodes"])
+    return hst.tuples(
+        hst.integers(0, n - 1),
+        hst.sampled_from(["left", "right"]),
+        hst.one_of(hst.none(), hst.integers(-2, n + 1)),
+    ).map(lambda t: ("rewire", (t[0], t[1]), t[2]))
+
+
+class TestTreeJsonFuzz:
+    def test_base_tree_has_internal_nodes(self):
+        doc, _ = _fuzz_base()
+        assert sum(nd["split"] is not None for nd in doc["nodes"]) >= 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(hst.one_of(_deleted_field(_fuzz_base()[0]), _rewired_child(_fuzz_base()[0])))
+    def test_mutated_document_loads_and_predicts_or_raises(self, mutation):
+        base, ds = _fuzz_base()
+        doc = copy.deepcopy(base)
+        action, path, value = mutation
+        if action == "delete":
+            *parents, key = path
+            container = doc
+            for step in parents:
+                container = container[step]
+            del container[key]
+        else:
+            node, side = path
+            doc["nodes"][node][side] = value
+        try:
+            art = tree_from_json(doc)
+        except SplineTreeError:
+            return
+        assert np.isfinite(predict(art.root, art.spec, ds)).all()
+
+
+class TestTreeJsonValidation:
+    @pytest.fixture
+    def doc(self):
+        return copy.deepcopy(_fuzz_base()[0])
+
+    def test_detached_cycle_rejected(self, doc):
+        # nodes 90 and 91 are each other's child and have one parent each,
+        # so the document has a unique root that does not reach them
+        leaf = doc["nodes"][-1]
+        split = next(nd["split"] for nd in doc["nodes"] if nd["split"] is not None)
+        extra = []
+        for node_id, children in ((90, (91, 92)), (91, (90, 93)), (92, None), (93, None)):
+            nd = copy.deepcopy(leaf) | {"id": node_id, "count": 0}
+            if children is not None:
+                nd |= {"split": split, "left": children[0], "right": children[1]}
+            extra.append(nd)
+        doc["nodes"].extend(extra)
+        with pytest.raises(DataError, match="does not reach"):
+            tree_from_json(doc)
+
+    def test_duplicate_node_id_rejected(self, doc):
+        doc["nodes"].append(copy.deepcopy(doc["nodes"][-1]))
+        with pytest.raises(DataError, match="appears twice"):
+            tree_from_json(doc)
+
+    def test_block_without_knots_rejected(self, doc):
+        del doc["design"]["knots"]["x1"]
+        with pytest.raises(DataError, match="'x1'"):
+            tree_from_json(doc)
+
+    def test_split_on_unknown_feature_rejected(self, doc):
+        node = next(nd for nd in doc["nodes"] if nd["split"] is not None)
+        node["split"]["feature"] = "nope"
+        with pytest.raises(DataError, match="'nope'"):
+            tree_from_json(doc)
+
+    def test_wrong_value_type_rejected(self, doc):
+        doc["nodes"][0]["sse"] = [1.0]
+        with pytest.raises(DataError, match="malformed"):
+            tree_from_json(doc)
+
+    def test_non_finite_coefficient_rejected(self, doc):
+        doc["nodes"][0]["coefficients"][1] = float("nan")
+        with pytest.raises(DataError, match="finite"):
+            tree_from_json(doc)
 
 
 class TestExportDot:

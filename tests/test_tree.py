@@ -94,6 +94,93 @@ class TestBinGrams:
         grams = bin_grams(X, rng.standard_normal(10), np.zeros(10, dtype=int), 3)
         assert grams[1].count == 0 and not grams[1].xtx.any()
 
+    @staticmethod
+    def _assert_bit_equal(X, y, ids, num_bins):
+        grams = bin_grams(X, y, ids, num_bins)
+        assert len(grams) == num_bins
+        ids = np.asarray(ids)
+        for k, gram in enumerate(grams):
+            xk, yk = X[ids == k], y[ids == k]
+            assert np.array_equal(gram.xtx, xk.T @ xk)
+            assert np.array_equal(gram.xty, xk.T @ yk)
+            assert gram.yty == float(yk @ yk)
+            assert gram.count == xk.shape[0]
+        return grams
+
+    @pytest.mark.parametrize(
+        "num_bins,kind",
+        [(b, k) for b in (1, 7, 300) for k in ("list", "int64", "uint8")
+         if not (k == "uint8" and b > 256)],
+    )
+    def test_bit_equal_to_filtered_products(self, rng, num_bins, kind):
+        n = 2000
+        X = rng.standard_normal((n, 6))
+        y = rng.standard_normal(n)
+        # skip every third bin id so that empty bins occur at every size
+        used = np.arange(num_bins)[np.arange(num_bins) % 3 != 1]
+        ids = rng.choice(used, size=n)
+        if kind == "list":
+            ids = ids.tolist()
+        elif kind == "uint8":
+            ids = ids.astype(np.uint8)
+        grams = self._assert_bit_equal(X, y, ids, num_bins)
+        if num_bins > 1:
+            assert grams[1].count == 0 and not grams[1].xtx.any()
+
+    def test_compact_id_dtypes(self):
+        assert tree_mod._compact_bin_ids([0, 3], 4).dtype == np.uint8
+        assert tree_mod._compact_bin_ids([0, 299], 300).dtype == np.uint16
+        ids = np.array([0, 1], dtype=np.uint8)
+        assert tree_mod._compact_bin_ids(ids, 50) is ids
+
+    @pytest.mark.parametrize("bad", [-1, 5, 300])
+    def test_out_of_range_ids_rejected(self, rng, bad):
+        X = rng.standard_normal((8, 2))
+        ids = np.array([0, 1, 2, 3, 4, 0, 1, bad])
+        with pytest.raises(ValueError, match=r"\[0, 5\)"):
+            bin_grams(X, rng.standard_normal(8), ids, 5)
+
+    def test_non_integer_ids_rejected(self, rng):
+        X = rng.standard_normal((4, 2))
+        with pytest.raises(ValueError, match="integers"):
+            bin_grams(X, rng.standard_normal(4), np.array([0.0, 1.0, 1.5, 0.0]), 3)
+
+
+class TestPrepareBinning:
+    def test_categorical_codes_match_per_row_lookup(self, rng):
+        # the spec's levels come from the full data; the subset lacks two
+        # of them, so the codes skip those positions
+        ds = make_dataset(rng, 600, continuous=1, categorical=1, levels=6)
+        spec = build_spec(ds, num_knots=3)
+        col = ds.columns["c1"]
+        sub = ds.subset(np.nonzero((col != "lv1") & (col != "lv4"))[0])
+        binning = tree_mod._prepare_binning(sub, spec, GrowConfig(num_bins=8))
+        levels = spec.levels["c1"]
+        index = {lev: k for k, lev in enumerate(levels)}
+        expected = np.array([index[v] for v in sub.columns["c1"]])
+        codes = binning.bin_ids["c1"]
+        assert codes.dtype == np.uint8
+        assert np.array_equal(codes, expected)
+        assert not np.isin([1, 4], codes).any()
+
+    def test_unknown_categorical_value_raises_key_error(self, rng):
+        ds = make_dataset(rng, 200, continuous=1, categorical=1)
+        spec = build_spec(ds, num_knots=3)
+        # the first unknown value in row order is reported, as a per-row
+        # lookup would, although "aa" sorts before it
+        ds.columns["c1"][[3, 7]] = ["zz", "aa"]
+        with pytest.raises(KeyError) as exc:
+            tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=8))
+        assert exc.value.args == ("zz",)
+
+    def test_continuous_ids_are_compact(self, rng):
+        ds = make_dataset(rng, 300, continuous=1)
+        spec = build_spec(ds, num_knots=3)
+        binning = tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=8))
+        ids = binning.bin_ids["x1"]
+        assert ids.dtype == np.uint8
+        assert np.array_equal(ids, tree_mod.bin_values(ds.columns["x1"], binning.edges["x1"]))
+
 
 def _assert_matches_naive(ds, spec, config, min_leaf):
     """The production sweep finds the naive oracle's split; returns it."""
@@ -206,11 +293,8 @@ class TestBestSplitOracle:
 
 
 def _reference_losses(grams, lam_values, loss):
-    """Per-candidate scalar fits, minimized over the lambda grid."""
-    return np.array([
-        min(_node_split_loss(fit_node(g, lam), loss) for lam in lam_values)
-        for g in grams
-    ])
+    """Per-candidate scalar fits, at the lambda fit_node selects by GCV."""
+    return np.array([_node_split_loss(fit_node(g, lam_values), loss) for g in grams])
 
 
 @pytest.fixture
@@ -259,6 +343,19 @@ class TestBatchChildLosses:
         # a grid containing zero or longer than the Cholesky limit takes eigh
         long_grid = len(lam_values) > tree_mod._CHOLESKY_GRID_LIMIT
         assert bool(eigh_calls) == (min(lam_values) == 0.0 or long_grid)
+
+    @pytest.mark.parametrize("lam", [(1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 6))])
+    def test_grid_sse_ranks_the_refit_model(self, lam, eigh_calls):
+        # with a grid, an SSE sweep scores each candidate at the lambda its
+        # refit keeps (chosen by GCV), not at the grid's smallest SSE
+        grams = self._candidate_grams()
+        got = _batch_child_losses(*_stack(grams), lam, "sse")
+        refits = [fit_node(g, lam) for g in grams]
+        assert_allclose(got, [m.sse for m in refits], rtol=1e-9)
+        min_sse = np.array([min(fit_node(g, v).sse for v in lam) for g in grams])
+        kept_larger = np.array([m.lam > min(lam) for m in refits])
+        assert kept_larger.any()
+        assert np.all(got[kept_larger] > min_sse[kept_larger] * (1 + 1e-9))
 
     @pytest.mark.parametrize("lam", [1e-3, 0.05])
     def test_near_collinear_columns(self, lam):
