@@ -73,8 +73,8 @@ class DesignSpec:
     """Mapping from raw features to design-matrix columns.
 
     ``blocks`` partition columns ``1 .. total_columns-1``; column 0 is the
-    intercept.  ``excluded`` lists features dropped for being constant on
-    the training data.
+    intercept.  Each feature's ``levels`` are distinct.  ``excluded`` lists
+    features dropped for being constant on the training data.
     """
 
     blocks: tuple[BasisBlock, ...]
@@ -93,6 +93,9 @@ class DesignSpec:
             raise ValueError(
                 f"blocks end at column {expected}, total_columns is {self.total_columns}"
             )
+        for feature, levels in self.levels.items():
+            if len(set(levels)) != len(levels):
+                raise ValueError(f"levels of {feature!r} are not distinct")
 
     @property
     def features(self) -> tuple[str, ...]:
@@ -176,21 +179,49 @@ def onehot_row(value, levels: Sequence) -> np.ndarray:
 def onehot_rows(values, levels: Sequence) -> np.ndarray:
     """Vectorized one-hot encoding; unseen values become all-zero rows."""
     values = np.asarray(values)
+    codes = _level_codes(values, levels)
     out = np.zeros((values.size, len(levels) - 1))
-    seen = np.zeros(values.size, dtype=bool)
-    for j, level in enumerate(levels):
-        match = values == level
-        seen |= match
-        if j > 0:
-            out[match, j - 1] = 1.0
-    if not np.all(seen):
-        bad = np.unique(values[~seen])
+    hit = np.flatnonzero(codes > 0)
+    out[hit, codes[hit] - 1] = 1.0
+    unseen = codes < 0
+    if unseen.any():
+        bad = np.unique(values[unseen])
         warnings.warn(
             f"categories {list(bad)!r} were not seen in training; encoded as reference",
             UnseenCategoryWarning,
             stacklevel=2,
         )
     return out
+
+
+def _level_codes(values, levels: Sequence) -> np.ndarray:
+    """Position in ``levels`` of the level each value equals, or -1 for none.
+
+    Each value is found by binary search over the levels, sorted through an
+    argsort sorter (levels read from a tree document need not be sorted),
+    and then compared with ``==`` to the one level it lands on.  A value of
+    a type that does not order like the levels (a str against int levels)
+    lands anywhere and fails that comparison, so it matches none, as it
+    compares unequal to every level.  Levels of mixed types, and object
+    values that cannot be ordered against the levels, are compared with
+    every level instead.
+    """
+    values = np.asarray(values)
+    table = np.asarray(levels)
+    if table.size == 0:
+        return np.full(values.shape, -1, dtype=np.intp)
+    try:
+        if table.ndim != 1 or table.tolist() != list(levels):
+            raise TypeError("levels of mixed types")  # np.asarray recast them
+        sorter = np.argsort(table, kind="stable")
+        pos = np.searchsorted(table, values, sorter=sorter)
+    except TypeError:
+        codes = np.full(values.shape, -1, dtype=np.intp)
+        for k in reversed(range(len(levels))):
+            codes[values == levels[k]] = k
+        return codes
+    codes = sorter[np.minimum(pos, table.size - 1)]
+    return np.where(table[codes] == values, codes, -1)
 
 
 def build_spec(dataset, num_knots=15, linear: Sequence[str] = ()) -> DesignSpec:

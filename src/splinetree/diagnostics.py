@@ -139,6 +139,19 @@ def leaf_importance(root, spec, dataset) -> ImportanceTable:
     return ImportanceTable(values=values, flagged=frozenset(flagged))
 
 
+def _path_to(root, node_id: int):
+    """Nodes from the root down to the node with ``node_id``, or None."""
+    if root.id == node_id:
+        return [root]
+    if root.is_leaf:
+        return None
+    for child in (root.left, root.right):
+        path = _path_to(child, node_id)
+        if path is not None:
+            return [root, *path]
+    return None
+
+
 def split_contribution(root, node_id: int, spec, dataset) -> SplitContribution:
     """Attribute one split to the features whose effects changed across it.
 
@@ -154,11 +167,17 @@ def split_contribution(root, node_id: int, spec, dataset) -> SplitContribution:
     would otherwise swamp the pooled variance of the genuinely interacting
     features.
     """
-    node = root.node_by_id(node_id)
+    path = _path_to(root, node_id)
+    if path is None:
+        raise KeyError(f"no node with id {node_id}")
+    node = path[-1]
     if node.is_leaf:
         raise ValueError(f"node {node_id} is a leaf; contributions need a split")
-    members = tree_mod.route(root, spec, dataset)
-    idx = members[node.id]
+    # the node's rows, masked along its path exactly as route() walks it
+    idx = np.arange(dataset.n)
+    for parent, child in zip(path, path[1:]):
+        mask = tree_mod.split_mask(dataset, spec, parent.split, rows=idx)
+        idx = idx[mask] if child is parent.left else idx[~mask]
     mask = tree_mod.split_mask(dataset, spec, node.split, rows=idx)
     sides = ((node.left, idx[mask]), (node.right, idx[~mask]))
 
@@ -167,13 +186,16 @@ def split_contribution(root, node_id: int, spec, dataset) -> SplitContribution:
         if block.feature == node.split.feature:
             c[block.feature] = 0.0
             continue
+        parent_coef = node.model.coefficients[block.columns]
         d = np.empty(idx.size)
         pos = 0
         for child, child_idx in sides:
-            raw = dataset.columns[block.feature][child_idx]
-            d[pos : pos + child_idx.size] = _block_effect(
-                node.model, spec, block, raw
-            ) - _block_effect(child.model, spec, block, raw)
+            rows = basis.block_rows(
+                dataset.columns[block.feature][child_idx], spec, block
+            )
+            d[pos : pos + child_idx.size] = (
+                rows @ parent_coef - rows @ child.model.coefficients[block.columns]
+            )
             pos += child_idx.size
         c[block.feature] = float(np.var(d)) if d.size else 0.0
 

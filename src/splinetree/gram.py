@@ -285,21 +285,33 @@ def fit_node(gram: GramStats, lam) -> NodeModel:
     """Standardize, factor once, and ridge-fit.
 
     ``lam`` may be a scalar or a sequence of candidate values; a sequence is
-    scored by GCV reusing the single eigendecomposition and the best value
-    is returned.
+    scored by GCV reusing the single eigendecomposition and the first value
+    with the strictly smallest GCV is returned.  Values that saturate the
+    model (effective df >= count) are skipped.
+
+    Raises
+    ------
+    ValueError
+        If the grid is empty or every value in it saturates the model.
     """
     block, _, _ = standardized_block(gram)
     factor = sym_eig(block)
     if np.isscalar(lam):
         return ridge_solve(gram, factor, float(lam))
+    models = [ridge_solve(gram, factor, float(value)) for value in lam]
+    if not models:
+        raise ValueError("empty lambda grid")
     best = None
-    for value in lam:
-        model = ridge_solve(gram, factor, float(value))
+    for model in models:
+        if model.effective_df >= model.count:
+            continue
         score = gcv_loss(model.sse, model.count, model.effective_df)
         if best is None or score < best[0]:
             best = (score, model)
     if best is None:
-        raise ValueError("empty lambda grid")
+        raise ValueError(
+            f"every lambda in the grid gives a saturated model ({gram.count} rows)"
+        )
     return best[1]
 
 

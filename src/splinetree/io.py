@@ -213,17 +213,23 @@ def load_csv(
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write aligned columns as CSV with round-trip float formatting."""
+    """Write aligned columns as CSV with round-trip float formatting.
+
+    Each column is formatted once: floats by the shortest round-trip
+    ``repr``, anything else by ``str`` of its elements.
+    """
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError("columns must all have the same length")
+    cells = [
+        list(map(repr, col.astype(np.float64).tolist()))
+        if np.issubdtype(col.dtype, np.floating)
+        else list(map(str, col))
+        for col in columns
+    ]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for i in range(len(columns[0]) if columns else 0):
-            writer.writerow(
-                [
-                    _fmt(col[i]) if np.issubdtype(col.dtype, np.floating) else str(col[i])
-                    for col in columns
-                ]
-            )
+        writer.writerows(zip(*cells))
 
 
 # ---------------------------------------------------------------------------

@@ -691,24 +691,26 @@ def _prepare_binning(dataset, spec, config) -> _RootBinning:
                 continue
             kinds[feat.name] = "categorical"
             levels[feat.name] = levs
-            bin_ids[feat.name] = _level_codes(values, levs)
+            bin_ids[feat.name] = _level_codes(values, levs, feat.name)
         order.append(feat.name)
     return _RootBinning(kinds, edges, bin_ids, levels, order)
 
 
-def _level_codes(values, levels) -> np.ndarray:
+def _level_codes(values, levels, feature) -> np.ndarray:
     """Position of each value in ``levels``, as compact bin ids.
 
-    The lookup runs once per distinct value.  A value absent from
-    ``levels`` raises ``KeyError`` with the first such value in row order.
+    A value absent from ``levels`` raises ``DataError`` naming the column
+    and the first such value in row order.
     """
-    index = {lev: k for k, lev in enumerate(levels)}
-    uniq, inverse = np.unique(values, return_inverse=True)
-    codes = np.array([index.get(v, -1) for v in uniq], dtype=np.int64)
-    if np.any(codes < 0):
-        missing = np.flatnonzero(codes[inverse] < 0)[0]
-        raise KeyError(values[missing])
-    return _compact_bin_ids(codes, len(levels))[inverse]
+    codes = basis._level_codes(values, levels)
+    unknown = np.flatnonzero(codes < 0)
+    if unknown.size:
+        first = values[unknown[0] : unknown[0] + 1].tolist()[0]  # a Python value
+        raise DataError(
+            f"categorical column {feature!r} holds {first!r}, "
+            "which is not one of the design's levels"
+        )
+    return _compact_bin_ids(codes, len(levels))
 
 
 def _node_feature_bins(binning, X_node, y_node, rows, node_id, instrumentation):
@@ -751,9 +753,12 @@ def split_mask(dataset, spec, candidate: SplitCandidate, rows=None) -> np.ndarra
         col = col[rows]
     if candidate.threshold is not None:
         return col <= candidate.threshold
-    in_left = np.isin(col, candidate.categories)
-    known = np.isin(col, spec.levels[candidate.feature])
-    return in_left | ~known
+    # one entry per level code, the last for code -1: unseen values go left
+    levels = spec.levels[candidate.feature]
+    goes_left = np.zeros(len(levels) + 1, dtype=bool)
+    goes_left[basis._level_codes(candidate.categories, levels)] = True
+    goes_left[-1] = True
+    return goes_left[basis._level_codes(col, levels)]
 
 
 def grow(
@@ -783,9 +788,9 @@ def grow(
             f"min_samples_leaf {min_leaf} is below the design width {m}"
         )
 
+    binning = _prepare_binning(dataset, spec, config)
     X = basis.design_matrix(dataset, spec)
     y = np.asarray(dataset.response, dtype=np.float64)
-    binning = _prepare_binning(dataset, spec, config)
 
     rows = np.arange(dataset.n)
     root_gram = gram_accumulate(X, y)

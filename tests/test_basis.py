@@ -1,5 +1,7 @@
 """Design construction: knots, hat functions, one-hot, streaming."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,13 @@ from splinetree import (
     quantile_knots,
     spline_row,
 )
-from splinetree.basis import UnseenCategoryWarning, onehot_rows
+from splinetree.basis import (
+    BasisBlock,
+    DesignSpec,
+    UnseenCategoryWarning,
+    _level_codes,
+    onehot_rows,
+)
 
 
 class TestQuantileKnots:
@@ -121,6 +129,92 @@ class TestOnehot:
         rows = onehot_rows(values, self.LEVELS)
         for i, v in enumerate(values):
             assert_allclose(rows[i], onehot_row(v, self.LEVELS))
+
+
+def _reference_codes(values, levels):
+    """Index of the level each value equals by ``==``, -1 for none."""
+    values = np.asarray(values)
+    codes = np.full(values.shape, -1)
+    for k in reversed(range(len(levels))):
+        codes[values == levels[k]] = k
+    return codes
+
+
+def _reference_onehot(values, levels):
+    """One ``==`` pass per level: the encoding the binary search must reproduce."""
+    values = np.asarray(values)
+    out = np.zeros((values.size, len(levels) - 1))
+    seen = np.zeros(values.size, dtype=bool)
+    for j, level in enumerate(levels):
+        match = values == level
+        seen |= match
+        if j > 0:
+            out[match, j - 1] = 1.0
+    if not np.all(seen):
+        bad = np.unique(values[~seen])
+        warnings.warn(
+            f"categories {list(bad)!r} were not seen in training; encoded as reference",
+            UnseenCategoryWarning,
+            stacklevel=2,
+        )
+    return out
+
+
+def _with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+class TestLevelLookup:
+    """Binary-search level codes and one-hot rows against per-level ``==``."""
+
+    CASES = {
+        "str": (np.array(["c", "a", "d", "b", "a"]), ("a", "b", "c", "d")),
+        "unseen": (np.array(["b", "zz", "a", "", "aa", "zz"]), ("a", "b", "c")),
+        "int levels": (np.array([9, 1, 5, 3, 9, -2]), (1, 5, 9)),
+        "float values, int levels": (np.array([1.0, 5.0, 5.5, np.nan]), (1, 5, 9)),
+        "unsorted levels": (np.array(["a", "d", "c", "b", "e"]), ("d", "a", "c", "b")),
+        "str values, int levels": (np.array(["1", "5", "a"]), (1, 5, 9)),
+        "int values, str levels": (np.array([1, 5]), ("1", "5")),
+        "object column": (np.array(["b", "q", "a", "c"], dtype=object), ("a", "b", "c")),
+        # a missing value among strings, as a data frame's object column holds it
+        "object column with nan": (np.array(["b", np.nan, "a"], dtype=object), ("a", "b")),
+        "mixed object column": (np.array(["b", 2, 3.5, "a"], dtype=object), ("a", "b")),
+        "mixed levels": (np.array(["1", "a", "b"]), ("a", 1, "b")),
+        "empty": (np.array([], dtype=str), ("a", "b")),
+    }
+
+    @staticmethod
+    def _assert_matches(values, levels):
+        assert np.array_equal(_level_codes(values, levels), _reference_codes(values, levels))
+        got, got_warnings = _with_warnings(onehot_rows, values, levels)
+        want, want_warnings = _with_warnings(_reference_onehot, values, levels)
+        assert np.array_equal(got, want)
+        assert got_warnings == want_warnings
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_level_equality(self, case):
+        self._assert_matches(*self.CASES[case])
+
+    @settings(max_examples=60, deadline=None)
+    @given(hst.integers(min_value=0, max_value=2**32 - 1))
+    def test_random_data(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = np.array([f"lv{k}" for k in range(12)])
+        levels = tuple(rng.permutation(pool)[: rng.integers(2, 10)].tolist())
+        values = rng.choice(pool, size=int(rng.integers(0, 300)))
+        self._assert_matches(values, levels)
+
+    def test_duplicate_levels_rejected(self):
+        with pytest.raises(ValueError, match="not distinct"):
+            DesignSpec(
+                blocks=(BasisBlock("c", "onehot", 1, 3),),
+                knots={},
+                levels={"c": ("a", "b", "a")},
+                total_columns=3,
+            )
 
 
 class TestBuildDesign:

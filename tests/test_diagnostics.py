@@ -21,7 +21,10 @@ from splinetree import (
     predict,
     split_contribution,
 )
-from splinetree.tree import route
+from splinetree import tree as tree_mod
+from splinetree.basis import UnseenCategoryWarning
+from splinetree.diagnostics import _ZERO_CONTRIBUTION_TOL, _block_effect
+from splinetree.tree import route, split_mask
 
 from conftest import make_dataset
 
@@ -234,6 +237,77 @@ class TestSplitContribution:
         after = split_contribution(root, 0, spec, ds)
         for name in before.c:
             assert after.c[name] == pytest.approx(before.c[name], rel=1e-9, abs=1e-12)
+
+
+def _reference_contribution(root, node, spec, ds):
+    """c and p from a whole-tree route and one effect per model and side."""
+    idx = route(root, spec, ds)[node.id]
+    mask = split_mask(ds, spec, node.split, rows=idx)
+    sides = ((node.left, idx[mask]), (node.right, idx[~mask]))
+    c = {}
+    for block in spec.blocks:
+        if block.feature == node.split.feature:
+            c[block.feature] = 0.0
+            continue
+        d = np.concatenate([
+            _block_effect(node.model, spec, block, ds.columns[block.feature][rows])
+            - _block_effect(child.model, spec, block, ds.columns[block.feature][rows])
+            for child, rows in sides
+        ])
+        c[block.feature] = float(np.var(d)) if d.size else 0.0
+    total = sum(c.values())
+    if total < _ZERO_CONTRIBUTION_TOL:
+        return c, {name: 0.0 for name in c}
+    return c, {name: value / total for name, value in c.items()}
+
+
+class TestSplitContributionOracle:
+    """Path routing and one basis expansion per side, against route()."""
+
+    @pytest.fixture
+    def deep(self, rng):
+        ds = make_dataset(rng, 3000, continuous=3, categorical=2, levels=5)
+        lv = ds.columns["c2"]
+        ds.response[:] += np.where(np.isin(lv, ["lv1", "lv3"]), 2.0, -1.0) * (
+            1.0 + ds.columns["x2"]
+        )
+        spec = build_spec(ds, num_knots=4)
+        root = grow(ds, spec, GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=80))
+        return ds, spec, root
+
+    def test_every_internal_node_exact(self, deep, monkeypatch):
+        ds, spec, root = deep
+        internal = [node for node in root.nodes() if not node.is_leaf]
+        assert max(node.depth for node in internal) == 2
+        assert any(node.split.categories is not None for node in internal)
+        expected = {n.id: _reference_contribution(root, n, spec, ds) for n in internal}
+
+        def no_route(*args, **kwargs):
+            raise AssertionError("split_contribution routed the whole tree")
+
+        monkeypatch.setattr(tree_mod, "route", no_route)
+        for node in internal:
+            sc = split_contribution(root, node.id, spec, ds)
+            assert (sc.c, sc.p) == expected[node.id]
+
+    def test_unseen_categories_follow_route(self, deep):
+        # unseen values route left at every categorical split
+        ds, spec, root = deep
+        fresh = make_dataset(np.random.default_rng(1), 500, continuous=3,
+                             categorical=2, levels=5)
+        fresh.columns["c2"][::7] = "unseen"
+        fresh.columns["c1"][::5] = "other"
+        with pytest.warns(UnseenCategoryWarning):
+            for node in root.nodes():
+                if node.is_leaf:
+                    continue
+                sc = split_contribution(root, node.id, spec, fresh)
+                assert (sc.c, sc.p) == _reference_contribution(root, node, spec, fresh)
+
+    def test_unknown_node_id(self, deep):
+        ds, spec, root = deep
+        with pytest.raises(KeyError, match="no node"):
+            split_contribution(root, 999, spec, ds)
 
 
 class TestFidelity:

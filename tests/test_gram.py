@@ -243,6 +243,31 @@ class TestRidgeSolve:
             scores.append(gcv_loss(m.sse, m.count, m.effective_df))
         assert chosen.lam == grid[int(np.argmin(scores))]
 
+    @staticmethod
+    def _four_by_four():
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.ones(4), rng.standard_normal((4, 3))])
+        return gram_accumulate(X, rng.standard_normal(4))
+
+    def test_grid_skips_saturated_value(self):
+        # 4 rows, 4 columns: lambda = 0 interpolates (df 4), 0.1 does not
+        g = self._four_by_four()
+        assert fit_node(g, 0.0).effective_df == pytest.approx(4.0)
+        alone = fit_node(g, 0.1)
+        assert alone.effective_df == pytest.approx(3.65, abs=0.01)
+        for grid in [(0.0, 0.1), (0.1, 0.0)]:
+            chosen = fit_node(g, grid)
+            assert chosen.lam == 0.1
+            assert np.array_equal(chosen.coefficients, alone.coefficients)
+
+    def test_grid_saturated_everywhere_rejected(self):
+        with pytest.raises(ValueError, match="saturated"):
+            fit_node(self._four_by_four(), (0.0, 0.0))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            fit_node(self._four_by_four(), ())
+
 
 class TestSseFromGram:
     def test_perfect_fit_zero(self):

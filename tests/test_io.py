@@ -1,6 +1,7 @@
 """Serialization: CSV ingestion, tree JSON round trips, DOT, diagnostics."""
 
 import copy
+import csv
 import functools
 import re
 
@@ -125,6 +126,38 @@ class TestLoadCsv:
         ds = load_csv(path, response="y")
         assert (ds.columns["x"] == x).all()
         assert (ds.response == y).all()
+
+    def test_column_writer_matches_per_cell_writer(self, tmp_path, rng):
+        def per_cell(path, header, columns):
+            with open(path, "w", newline="", encoding="utf-8") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(header)
+                for i in range(len(columns[0]) if columns else 0):
+                    writer.writerow([
+                        repr(float(col[i])) if np.issubdtype(col.dtype, np.floating)
+                        else str(col[i])
+                        for col in columns
+                    ])
+
+        n = 40
+        special = np.array([-0.0, 0.0, 1e-300, 1e300, -1e300, 5e-324, 0.1, np.pi])
+        columns = [
+            np.resize(special, n),
+            rng.standard_normal(n),
+            rng.standard_normal(n).astype(np.float32),
+            rng.integers(-10**12, 10**12, n),
+            rng.integers(0, 200, n).astype(np.uint8),
+            rng.choice(["a", "b,c", 'd"e', " f ", ""], n),
+            np.array(["x", 1, 2.5, None] * (n // 4), dtype=object),
+        ]
+        header = [f"c{k}" for k in range(len(columns))]
+        write_csv(tmp_path / "new.csv", header, columns)
+        per_cell(tmp_path / "old.csv", header, columns)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_write_csv_rejects_ragged_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="same length"):
+            write_csv(tmp_path / "r.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -331,6 +364,31 @@ class TestTreeJsonValidation:
         node["split"]["feature"] = "nope"
         with pytest.raises(DataError, match="'nope'"):
             tree_from_json(doc)
+
+    def test_duplicate_levels_rejected(self, doc):
+        levels = doc["design"]["levels"]["c1"]
+        levels[-1] = levels[0]
+        with pytest.raises(DataError, match="not distinct"):
+            tree_from_json(doc)
+
+    def test_unsorted_levels_predict_alike(self, doc):
+        # levels need not be sorted in a document; reordering them (with
+        # the one-hot coefficients) leaves every prediction unchanged
+        ds = _fuzz_base()[1]
+        art = tree_from_json(doc)
+        block = art.spec.block_for("c1")
+        levels = doc["design"]["levels"]["c1"]
+        order = [0, *reversed(range(1, len(levels)))]
+        doc["design"]["levels"]["c1"] = [levels[k] for k in order]
+        for nd in doc["nodes"]:
+            coef = nd["coefficients"][block.start : block.stop]
+            nd["coefficients"][block.start : block.stop] = [coef[k - 1] for k in order[1:]]
+        moved = tree_from_json(doc)
+        assert moved.spec.levels["c1"] != art.spec.levels["c1"]
+        assert_allclose(
+            predict(moved.root, moved.spec, ds), predict(art.root, art.spec, ds),
+            rtol=1e-12, atol=1e-12,
+        )
 
     def test_wrong_value_type_rejected(self, doc):
         doc["nodes"][0]["sse"] = [1.0]

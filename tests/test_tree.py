@@ -1,10 +1,13 @@
 """Tree growth, split search, pruning, prediction, and the L1 refit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from splinetree import (
+    DataError,
     Feature,
     GrowConfig,
     SplitInstrumentation,
@@ -163,15 +166,17 @@ class TestPrepareBinning:
         assert np.array_equal(codes, expected)
         assert not np.isin([1, 4], codes).any()
 
-    def test_unknown_categorical_value_raises_key_error(self, rng):
+    def test_unknown_categorical_value_raises_data_error(self, rng):
         ds = make_dataset(rng, 200, continuous=1, categorical=1)
         spec = build_spec(ds, num_knots=3)
         # the first unknown value in row order is reported, as a per-row
         # lookup would, although "aa" sorts before it
         ds.columns["c1"][[3, 7]] = ["zz", "aa"]
-        with pytest.raises(KeyError) as exc:
+        with pytest.raises(DataError, match="column 'c1' holds 'zz'"):
             tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=8))
-        assert exc.value.args == ("zz",)
+        # grow meets it before any fitting
+        with pytest.raises(DataError, match="column 'c1' holds 'zz'"):
+            grow(ds, spec, GrowConfig(max_depth=1, num_bins=8))
 
     def test_continuous_ids_are_compact(self, rng):
         ds = make_dataset(rng, 300, continuous=1)
@@ -180,6 +185,55 @@ class TestPrepareBinning:
         ids = binning.bin_ids["x1"]
         assert ids.dtype == np.uint8
         assert np.array_equal(ids, tree_mod.bin_values(ds.columns["x1"], binning.edges["x1"]))
+
+
+class TestSplitMask:
+    """Categorical routing against the np.isin rule: in the subset, or unseen."""
+
+    @staticmethod
+    def _isin_rule(col, levels, categories):
+        return np.isin(col, categories) | ~np.isin(col, levels)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_isin_rule(self, seed):
+        rng = np.random.default_rng(seed)
+        ds = make_dataset(rng, 400, continuous=1, categorical=1, levels=7)
+        spec = build_spec(ds, num_knots=3)
+        # unseen values, and levels not in sorted order
+        ds.columns["c1"][rng.choice(400, 25, replace=False)] = "unseen"
+        levels = tuple(rng.permutation(spec.levels["c1"]).tolist())
+        spec = replace(spec, levels={"c1": levels})
+        rows = np.sort(rng.choice(400, 150, replace=False))
+        for size in range(1, len(levels)):
+            categories = tuple(rng.choice(levels, size, replace=False).tolist())
+            cand = tree_mod.SplitCandidate(feature="c1", categories=categories)
+            col = ds.columns["c1"]
+            want = self._isin_rule(col, levels, categories)
+            assert np.array_equal(tree_mod.split_mask(ds, spec, cand), want)
+            assert np.array_equal(
+                tree_mod.split_mask(ds, spec, cand, rows=rows), want[rows]
+            )
+
+    @pytest.mark.parametrize(
+        "values, levels, categories",
+        [
+            (np.array([3, 1, 7, 5, 1, 9]), (5, 1, 7), (7,)),
+            (np.array(["1", "5", "7"]), (1, 5, 7), (5,)),
+            (np.array(["b", "x", "a", "c"], dtype=object), ("a", "b", "c"), ("c", "a")),
+        ],
+        ids=["int levels", "str values, int levels", "object column"],
+    )
+    def test_other_dtypes(self, values, levels, categories):
+        ds = SurrogateDataset(
+            features=(Feature("c", "categorical"),),
+            columns={"c": values},
+            response=np.zeros(values.size),
+        )
+        spec = replace(_spec_stub(), levels={"c": levels})
+        cand = tree_mod.SplitCandidate(feature="c", categories=categories)
+        assert np.array_equal(
+            tree_mod.split_mask(ds, spec, cand), self._isin_rule(values, levels, categories)
+        )
 
 
 def _assert_matches_naive(ds, spec, config, min_leaf):
@@ -356,6 +410,32 @@ class TestBatchChildLosses:
         kept_larger = np.array([m.lam > min(lam) for m in refits])
         assert kept_larger.any()
         assert np.all(got[kept_larger] > min_sse[kept_larger] * (1 + 1e-9))
+
+    @pytest.mark.parametrize("loss", ["sse", "gcv"])
+    @pytest.mark.parametrize("lam", [(0.0, 0.1), (0.1, 0.0, 1.0), (1e-3, 0.1)])
+    def test_grid_with_saturating_value(self, lam, loss):
+        # 4-row children with 4 columns: lambda = 0 interpolates (df = count),
+        # so the sweep and fit_node both skip it and score another value
+        rng = np.random.default_rng(0)
+        grams = [
+            gram_accumulate(
+                np.column_stack([np.ones(rows), rng.standard_normal((rows, 3))]),
+                rng.standard_normal(rows),
+            )
+            for rows in (4, 4, 12)
+        ]
+        got = _batch_child_losses(*_stack(grams), lam, loss)
+        assert np.all(np.isfinite(got))
+        assert_allclose(got, _reference_losses(grams, lam, loss), rtol=1e-9)
+
+    def test_grid_saturated_everywhere_is_infinite(self):
+        rng = np.random.default_rng(0)
+        X = np.column_stack([np.ones(4), rng.standard_normal((4, 3))])
+        grams = [gram_accumulate(X, rng.standard_normal(4))]
+        got = _batch_child_losses(*_stack(grams), (0.0, 0.0), "gcv")
+        assert np.array_equal(got, [np.inf])
+        with pytest.raises(ValueError, match="saturated"):
+            fit_node(grams[0], (0.0, 0.0))
 
     @pytest.mark.parametrize("lam", [1e-3, 0.05])
     def test_near_collinear_columns(self, lam):
