@@ -34,7 +34,6 @@ from .diagnostics import (
 )
 from .errors import ConstantFeatureError, DataError, NumericalError, SplineTreeError
 from .gram import (
-    EigenFactor,
     GramStats,
     NodeModel,
     fit_node,
@@ -42,9 +41,7 @@ from .gram import (
     gram_accumulate,
     gram_merge,
     gram_subtract,
-    ridge_solve,
     sse_from_gram,
-    sym_eig,
 )
 from .io import (
     Feature,

@@ -187,7 +187,7 @@ def onehot_rows(values, levels: Sequence) -> np.ndarray:
     if unseen.any():
         bad = np.unique(values[unseen])
         warnings.warn(
-            f"categories {list(bad)!r} were not seen in training; encoded as reference",
+            f"categories {bad.tolist()!r} were not seen in training; encoded as reference",
             UnseenCategoryWarning,
             stacklevel=2,
         )

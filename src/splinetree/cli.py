@@ -1,6 +1,7 @@
 """Command-line workflow: simulate, fit, predict, evaluate, diagnose, export.
 
-Exit codes: 0 success, 2 argument error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 argument error, 3 data or file error (a file
+that cannot be read or written), 4 numerical failure.
 All randomness flows from explicit --seed flags; identical invocations
 produce identical output bytes.
 """
@@ -227,47 +228,20 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_feature_dataset(art, path) -> io.SurrogateDataset:
-    """Load only the model's feature columns, with a placeholder response."""
-    import csv as _csv
-
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = _csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        rows = list(reader)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    index = {name: k for k, name in enumerate(header)}
-    for feat in art.schema:
-        if feat.name not in index:
-            raise DataError(f"{path}: missing column {feat.name!r}")
-    width = max((index[feat.name] for feat in art.schema), default=-1) + 1
-    for line, row in enumerate(rows, start=2):  # the header is line 1
-        if len(row) < width:
-            raise DataError(
-                f"{path}: line {line} has {len(row)} cells; "
-                f"the model's columns need {width}"
-            )
-    columns = {}
-    for feat in art.schema:
-        raw = [row[index[feat.name]] for row in rows]
-        if feat.kind == basis.CONTINUOUS:
-            try:
-                columns[feat.name] = np.array([float(v) for v in raw])
-            except ValueError as exc:
-                raise DataError(f"{path}: column {feat.name!r}: {exc}") from exc
-        else:
-            columns[feat.name] = np.array(raw)
-    return io.SurrogateDataset(
-        features=art.schema, columns=columns, response=np.zeros(len(rows))
+def _load_model_features(art, path, response=None, **kwargs) -> io.SurrogateDataset:
+    """Load the model's feature columns; without ``response``, a placeholder."""
+    return io.load_csv(
+        path,
+        response=response,
+        continuous=[f.name for f in art.schema if f.kind == basis.CONTINUOUS],
+        categorical=[f.name for f in art.schema if f.kind == basis.CATEGORICAL],
+        **kwargs,
     )
 
 
 def _cmd_predict(args) -> int:
     art = io.load_tree(args.model)
-    dataset = _load_feature_dataset(art, args.data)
+    dataset = _load_model_features(art, args.data)
     pred = tree.predict(art.root, art.spec, dataset)
     io.write_csv(args.out, ["prediction"], [pred])
     return 0
@@ -279,15 +253,8 @@ def _cmd_evaluate(args) -> int:
         return 2
     art = io.load_tree(args.model)
     transform = args.transform or art.config.get("transform", "identity")
-    categorical = tuple(f.name for f in art.schema if f.kind == basis.CATEGORICAL)
-    continuous = [f.name for f in art.schema if f.kind == basis.CONTINUOUS]
-    dataset = io.load_csv(
-        args.data,
-        response=args.response,
-        continuous=continuous,
-        categorical=categorical,
-        original=args.original,
-        transform=transform,
+    dataset = _load_model_features(
+        art, args.data, args.response, original=args.original, transform=transform
     )
     task = args.task or ("binary" if transform == "logit" else "continuous")
     pred = tree.predict(art.root, art.spec, dataset)
@@ -302,7 +269,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     art = io.load_tree(args.model)
-    dataset = _load_feature_dataset(art, args.data)
+    dataset = _load_model_features(art, args.data)
     importance = diagnostics.leaf_importance(art.root, art.spec, dataset)
     contributions = [
         diagnostics.split_contribution(art.root, node.id, art.spec, dataset)
@@ -360,6 +327,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 3
     except SplineTreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,13 +5,16 @@ Every node model in the tree is fitted from the sufficient statistics
 The statistics are additive, so child-node systems during split search are
 obtained by summing per-bin statistics and subtracting from the parent.
 
-Ridge fits standardize the non-intercept columns to zero mean / unit
-variance using moments recovered from the intercept row of X'X, penalize
-in the standardized space, and map coefficients back to the original
-scale.  The intercept is never penalized, and eigenvalues below
-``NULL_SPACE_RTOL`` times the largest one are treated as null directions
-(pseudo-inverse behaviour), which keeps lambda = 0 fits well defined for
-deliberately collinear spline bases.
+One batched ridge solver, :func:`ridge_batch`, serves both the node fits
+and the split sweep: each step works over a leading candidate axis, and
+:func:`fit_node` is a batch of one.  It standardizes the non-intercept
+columns to zero mean / unit variance using moments recovered from the
+intercept row of X'X, penalizes in the standardized space, and maps
+coefficients back to the original scale.  The intercept is never
+penalized, and eigenvalues below ``NULL_SPACE_RTOL`` times the largest one
+are treated as null directions (pseudo-inverse behaviour), which keeps
+lambda = 0 fits well defined for deliberately collinear spline bases.  A
+lambda grid is resolved by GCV with one rule, :func:`select_lambda`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import NumericalError
 
@@ -27,6 +31,12 @@ NULL_SPACE_RTOL = 1e-10
 
 # Relative variance cutoff below which a design column counts as constant.
 _CONSTANT_COLUMN_RTOL = 1e-12
+
+# Longest lambda grid the Cholesky route solves.  It pays one
+# factorization per candidate and grid value, against one
+# eigendecomposition per candidate for the whole grid; with GCV on 150- and
+# 29-column blocks the eigendecomposition is the cheaper from six values.
+_CHOLESKY_GRID_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -61,29 +71,6 @@ class GramStats:
             )
         if self.count < 0:
             raise ValueError("count must be nonnegative")
-
-
-@dataclass(frozen=True)
-class EigenFactor:
-    """Spectral factorization A = rotation' @ diag(spectrum) @ rotation.
-
-    ``rotation`` is orthogonal and ``spectrum`` is sorted descending.
-    """
-
-    rotation: np.ndarray
-    spectrum: np.ndarray
-
-    @property
-    def null_mask(self) -> np.ndarray:
-        """Boolean mask of eigenvalues treated as null space."""
-        top = self.spectrum[0] if self.spectrum.size else 0.0
-        if top <= 0.0:
-            return np.ones_like(self.spectrum, dtype=bool)
-        return self.spectrum < NULL_SPACE_RTOL * top
-
-    @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(~self.null_mask))
 
 
 @dataclass(frozen=True)
@@ -183,136 +170,134 @@ def gram_subtract(parent: GramStats, part: GramStats) -> GramStats:
     )
 
 
-def sym_eig(a: np.ndarray) -> EigenFactor:
-    """Factor a symmetric matrix as rotation' @ diag(spectrum) @ rotation.
+def column_scale(var, ex2):
+    """The constant-column rule: which columns are constant, and their scales.
 
-    The input is symmetrized before factoring; the spectrum is returned in
-    descending order.
-
-    Raises
-    ------
-    NumericalError
-        If the eigensolver fails to converge (with condition diagnostics).
+    A column whose variance ``var`` is at most ``_CONSTANT_COLUMN_RTOL``
+    times ``max(E[x^2], 1)`` counts as constant.  It keeps scale 1, so it
+    centers to the zero column, which the solvers treat as null space;
+    every other column is scaled by its standard deviation.  Returns the
+    boolean mask of constant columns and the scales.
     """
-    a = np.asarray(a, dtype=np.float64)
-    sym = 0.5 * (a + a.T)
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        d = np.diagonal(sym)
-        raise NumericalError(
-            "eigendecomposition did not converge "
-            f"(dim={sym.shape[0]}, diag range [{d.min():.3e}, {d.max():.3e}], "
-            f"frobenius={np.linalg.norm(sym):.3e})"
-        ) from exc
-    # eigh returns ascending eigenvalues with eigenvectors in columns;
-    # store rows of the rotation so A = rotation' @ diag(spectrum) @ rotation.
-    return EigenFactor(rotation=v[:, ::-1].T, spectrum=w[::-1])
-
-
-def standardized_block(gram: GramStats):
-    """Centered and scaled non-intercept block of a gram matrix.
-
-    Column means and variances are recovered from the intercept row of
-    ``xtx`` (column 0 must be the all-ones intercept).  Columns that are
-    constant within the node keep scale 1 and center to the zero column,
-    which the eigensolver then treats as null space.
-
-    Returns
-    -------
-    block : ndarray, shape (m-1, m-1)
-        ``Z'Z`` of the standardized columns (not divided by n).
-    mean : ndarray, shape (m-1,)
-    scale : ndarray, shape (m-1,)
-    """
-    n = gram.count
-    if n <= 0:
-        raise ValueError("cannot standardize an empty GramStats")
-    mean = gram.xtx[0, 1:] / n
-    ex2 = np.diagonal(gram.xtx)[1:] / n
-    var = np.maximum(ex2 - mean**2, 0.0)
     degenerate = var <= _CONSTANT_COLUMN_RTOL * np.maximum(ex2, 1.0)
-    scale = np.sqrt(np.where(degenerate, 1.0, var))
-    centered = gram.xtx[1:, 1:] - n * np.outer(mean, mean)
-    block = centered / np.outer(scale, scale)
-    return block, mean, scale
+    return degenerate, np.sqrt(np.where(degenerate, 1.0, var))
 
 
-def ridge_solve(gram: GramStats, factor: EigenFactor, lam: float) -> NodeModel:
-    """Fit a ridge model from statistics using a precomputed factorization.
+def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=True):
+    """Ridge fits of stacked gram statistics, for every lambda in a grid.
 
-    ``factor`` must be the eigendecomposition of ``standardized_block(gram)``;
-    it can be reused across different ``lam`` values.  The intercept is left
-    unpenalized, so the infinite-shrinkage limit recovers the node mean.
+    ``xtx`` (c, m, m), ``xty`` (c, m), ``yty`` (c,) and ``counts`` (c,)
+    are c systems stacked on a leading candidate axis, column 0 the
+    intercept.  Each is standardized from its own statistics
+    (:func:`_standardize`), solved for every lambda, mapped back to the
+    original scale, and its SSE taken from the statistics.  Returns the
+    coefficients (k, c, m), SSEs (k, c) and effective df (k, c) for the k
+    grid values; pass them to :func:`select_lambda` to resolve a grid.
+
+    Two routes solve the standardized systems.  The eigendecomposition
+    (:func:`_eigh_solves`) is the reference: one factorization serves the
+    whole grid, eigenvalues below ``NULL_SPACE_RTOL`` times the largest are
+    null directions (pseudo-inverse at lambda = 0) and the df sums
+    d / (d + lambda) over the others.  With ``cholesky``, every lambda
+    positive and at most ``_CHOLESKY_GRID_LIMIT`` of them, each system is
+    instead Cholesky-factored once per lambda (:func:`_cholesky_solves`),
+    which needs no eigenvectors; a system whose factorization fails is
+    solved by the reference route.  ``want_edf=False`` lets that route
+    skip the df (left NaN) when only the SSE at one lambda is needed.
+
+    The two routes count the df of a nearly collinear direction
+    differently: an eigenvalue w above zero but below ``NULL_SPACE_RTOL``
+    times the largest is null space to the eigendecomposition, which adds
+    0, while the trace identity adds w / (w + lambda).  The SSEs agree;
+    the GCV of such a system differs by that much df (about 1e-7 relative
+    on two columns 1e-5 apart).  It is left so: counting w in the
+    reference would change the stored ``effective_df`` of such nodes, and
+    dropping it from the Cholesky route needs the spectrum that route
+    exists to avoid.  Node models always come from the reference route
+    (:func:`fit_node`), so only the split sweep's ranking sees it.
 
     Raises
     ------
     ValueError
-        If ``lam`` is negative or dimensions disagree.
+        If a lambda is negative or a system has no rows.
+    NumericalError
+        If an eigendecomposition does not converge.
     """
-    if lam < 0:
+    if min(lam_values) < 0:
         raise ValueError("lambda must be nonnegative")
-    if factor.spectrum.shape[0] != gram.dim - 1:
-        raise ValueError("factor does not match the non-intercept block")
-    n = gram.count
-    _, mean, scale = standardized_block(gram)
-    b = (gram.xty[1:] - mean * gram.xty[0]) / scale
-
-    d = np.maximum(factor.spectrum, 0.0)
-    null = factor.null_mask
-    if lam == 0.0:
-        recip = np.where(null, 0.0, np.divide(1.0, d, out=np.ones_like(d), where=d > 0))
+    block, b, mean, scale = _standardize(xtx, xty, counts)
+    if cholesky and min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT:
+        gammas, edfs, failed = _cholesky_solves(block, b, lam_values, want_edf)
+        if failed.any():
+            gammas_f, edfs_f = _eigh_solves(block[failed], b[failed], lam_values)
+            gammas[:, failed], edfs[:, failed] = gammas_f, edfs_f
     else:
-        recip = 1.0 / (d + lam)
-    gamma = factor.rotation.T @ (recip * (factor.rotation @ b))
+        gammas, edfs = _eigh_solves(block, b, lam_values)
 
-    coef = np.empty(gram.dim)
-    coef[1:] = gamma / scale
-    ybar = gram.xty[0] / n
-    coef[0] = ybar - coef[1:] @ mean
+    coefficients = np.empty(gammas.shape[:2] + (gammas.shape[2] + 1,))
+    coefficients[:, :, 1:] = gammas / scale
+    ybar = xty[:, 0] / counts
+    coefficients[:, :, 0] = ybar - np.matmul(
+        coefficients[:, :, None, 1:], mean[:, :, None]
+    )[:, :, 0, 0]
+    return coefficients, _sse(xtx, xty, yty, coefficients), edfs
 
-    sse = sse_from_gram(gram, coef)
-    tss = max(gram.yty - n * ybar**2, 0.0)
-    r2 = 1.0 if tss <= 0.0 else min(max(1.0 - sse / tss, 0.0), 1.0)
-    shrink = np.divide(d, d + lam, out=np.zeros_like(d), where=(d + lam) > 0)
-    edf = 1.0 + float(np.sum(np.where(null, 0.0, shrink)))
-    return NodeModel(
-        coefficients=coef, sse=sse, r2=r2, effective_df=edf, lam=lam, count=n
-    )
+
+def select_lambda(sse, edf, counts):
+    """GCV choice over a lambda grid, one per candidate.
+
+    ``sse`` and ``edf`` are (k, c) as :func:`ridge_batch` returns them.
+    Each candidate takes the first grid value with the strictly smallest
+    GCV, sse / (n (1 - df/n)^2); values that saturate the model
+    (df >= n) are never chosen.  Returns the chosen grid index (c,) and
+    its GCV (c,), which is infinite where every value saturates.
+    """
+    n = np.asarray(counts, dtype=np.float64)
+    ok = edf < n
+    gcv = np.where(ok, gcv_loss(sse, n, np.where(ok, edf, 0.0)), np.inf)
+    index = np.argmin(gcv, axis=0)
+    return index, gcv[index, np.arange(gcv.shape[1])]
 
 
 def fit_node(gram: GramStats, lam) -> NodeModel:
-    """Standardize, factor once, and ridge-fit.
+    """Ridge-fit one node: :func:`ridge_batch` on a batch of one.
 
-    ``lam`` may be a scalar or a sequence of candidate values; a sequence is
-    scored by GCV reusing the single eigendecomposition and the first value
-    with the strictly smallest GCV is returned.  Values that saturate the
-    model (effective df >= count) are skipped.
+    The fit always takes the eigendecomposition route, so a stored model
+    does not depend on which route scored its split.  ``lam`` may be a
+    scalar or a sequence of candidate values; a sequence is scored by GCV
+    reusing the single eigendecomposition and resolved by
+    :func:`select_lambda`.
 
     Raises
     ------
     ValueError
-        If the grid is empty or every value in it saturates the model.
+        If a lambda is negative, the node has no rows, the grid is empty
+        or every value in it saturates the model.
     """
-    block, _, _ = standardized_block(gram)
-    factor = sym_eig(block)
-    if np.isscalar(lam):
-        return ridge_solve(gram, factor, float(lam))
-    models = [ridge_solve(gram, factor, float(value)) for value in lam]
-    if not models:
+    lam_values = (float(lam),) if np.isscalar(lam) else tuple(float(v) for v in lam)
+    if not lam_values:
         raise ValueError("empty lambda grid")
-    best = None
-    for model in models:
-        if model.effective_df >= model.count:
-            continue
-        score = gcv_loss(model.sse, model.count, model.effective_df)
-        if best is None or score < best[0]:
-            best = (score, model)
-    if best is None:
-        raise ValueError(
-            f"every lambda in the grid gives a saturated model ({gram.count} rows)"
-        )
-    return best[1]
+    counts = np.array([gram.count])
+    coefficients, sse, edf = ridge_batch(
+        gram.xtx[None], gram.xty[None], np.array([gram.yty]), counts, lam_values
+    )
+    k = 0
+    if not np.isscalar(lam):
+        index, gcv = select_lambda(sse, edf, counts)
+        if not gcv[0] < np.inf:
+            raise ValueError(
+                f"every lambda in the grid gives a saturated model ({gram.count} rows)"
+            )
+        k = int(index[0])
+    n = gram.count
+    ybar = gram.xty[0] / n
+    tss = max(gram.yty - n * ybar**2, 0.0)
+    node_sse = float(sse[k, 0])
+    r2 = 1.0 if tss <= 0.0 else min(max(1.0 - node_sse / tss, 0.0), 1.0)
+    return NodeModel(
+        coefficients=coefficients[k, 0], sse=node_sse, r2=r2,
+        effective_df=float(edf[k, 0]), lam=lam_values[k], count=n,
+    )
 
 
 def sse_from_gram(gram: GramStats, coefficients) -> float:
@@ -326,19 +311,129 @@ def sse_from_gram(gram: GramStats, coefficients) -> float:
         raise ValueError(
             f"coefficient length {beta.shape} does not match design width {gram.dim}"
         )
-    value = gram.yty - 2.0 * (beta @ gram.xty) + beta @ gram.xtx @ beta
-    return max(float(value), 0.0)
+    return float(_sse(gram.xtx[None], gram.xty[None], np.array([gram.yty]), beta[None])[0])
 
 
-def gcv_loss(sse: float, count: int, effective_df: float) -> float:
+def _sse(xtx, xty, yty, beta):
+    """SSE of coefficients (..., c, m) against c stacked statistics."""
+    row = beta[..., None, :]
+    value = (
+        yty
+        - 2.0 * np.matmul(row, xty[:, :, None])[..., 0, 0]
+        + np.matmul(np.matmul(row, xtx), beta[..., None])[..., 0, 0]
+    )
+    return np.maximum(value, 0.0)
+
+
+def _standardize(xtx, xty, counts):
+    """Centered and scaled non-intercept systems of stacked statistics.
+
+    Column means and variances are recovered from the intercept row of
+    each ``xtx``; :func:`column_scale` decides which columns are constant
+    within their node.  Returns ``block`` (c, p, p), the ``Z'Z`` of the
+    standardized columns (not divided by n), ``b`` (c, p) = ``Z'y``, and
+    the columns' ``mean`` and ``scale`` (c, p), with p = m - 1.
+    """
+    if np.any(counts <= 0):
+        raise ValueError("cannot standardize statistics of no rows")
+    n = counts.astype(np.float64)[:, None]
+    mean = xtx[:, 0, 1:] / n
+    ex2 = np.diagonal(xtx, axis1=1, axis2=2)[:, 1:] / n
+    _, scale = column_scale(np.maximum(ex2 - mean**2, 0.0), ex2)
+    centered = xtx[:, 1:, 1:] - n[:, :, None] * (mean[:, :, None] * mean[:, None, :])
+    block = centered / (scale[:, :, None] * scale[:, None, :])
+    b = (xty[:, 1:] - mean * xty[:, :1]) / scale
+    return block, b, mean, scale
+
+
+def _eigh_solves(block, b, lam_values):
+    """Ridge solutions of stacked standardized systems by eigendecomposition.
+
+    Each block is symmetrized and factored once for the whole grid, its
+    spectrum taken in descending order.  Eigenvalues below
+    ``NULL_SPACE_RTOL`` times the largest (all of them, if the largest is
+    not positive) are null directions: the pseudo-inverse leaves them out
+    at lambda = 0 and the effective df counts d / (d + lambda) over the
+    others.  Returns gammas (k, c, p) and edfs (k, c).
+    """
+    sym = 0.5 * (block + np.swapaxes(block, 1, 2))
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        d = np.diagonal(sym, axis1=1, axis2=2)
+        raise NumericalError(
+            "eigendecomposition did not converge "
+            f"(dim={sym.shape[-1]}, diag range [{d.min():.3e}, {d.max():.3e}], "
+            f"frobenius={np.linalg.norm(sym):.3e})"
+        ) from exc
+    # eigh returns ascending eigenvalues with eigenvectors in columns; the
+    # rows of ``rotation`` are the eigenvectors in descending order
+    spectrum = w[:, ::-1]
+    columns = v[:, :, ::-1]
+    rotation = np.swapaxes(columns, 1, 2)
+    top = np.max(spectrum, axis=1, initial=0.0)
+    null = (spectrum < NULL_SPACE_RTOL * top[:, None]) | (top <= 0.0)[:, None]
+    d = np.maximum(spectrum, 0.0)
+    proj = np.matmul(rotation, b[:, :, None])
+    gammas, edfs = [], []
+    for lam in lam_values:
+        if lam == 0.0:
+            recip = np.where(null, 0.0, np.divide(1.0, d, out=np.ones_like(d), where=d > 0))
+        else:
+            recip = 1.0 / (d + lam)
+        gammas.append(np.matmul(columns, recip[:, :, None] * proj)[:, :, 0])
+        shrink = np.divide(d, d + lam, out=np.zeros_like(d), where=(d + lam) > 0)
+        edfs.append(1.0 + np.sum(np.where(null, 0.0, shrink), axis=1))
+    return np.stack(gammas), np.stack(edfs)
+
+
+def _cholesky_solves(block, b, lam_values, want_edf):
+    """Ridge solutions of stacked standardized systems by Cholesky.
+
+    For each lambda > 0 and candidate, factors block + lambda I = L L' and
+    gets gamma = (block + lambda I)^-1 b from the triangular solves.  When
+    ``want_edf``, the effective df comes from the GCV trace identity
+    edf = 1 + p - lambda tr((block + lambda I)^-1), with the trace taken as
+    ||L^-1||_F^2 (Golub, Heath & Wahba 1979); otherwise edf is left NaN.
+    A column constant within the node has a zero row and column in the
+    block (up to rounding), so it adds 1 - lambda / lambda = 0 to the df,
+    as its null direction does in the spectral sum.  Returns gammas
+    (k, c, p) and edfs (k, c), plus a mask of candidates whose
+    factorization failed for some lambda; their entries are unset.
+    """
+    count, p = b.shape
+    eye = np.eye(p)
+    failed = np.zeros(count, dtype=bool)
+    gammas = np.empty((len(lam_values), count, p))
+    edfs = np.full((len(lam_values), count), np.nan)
+    for k, lam in enumerate(lam_values):
+        for i in range(count):
+            if failed[i]:
+                continue
+            # the shifted block is symmetric, so its transpose is the same
+            # matrix in the Fortran order LAPACK factors in place
+            chol, info = dpotrf((block[i] + lam * eye).T, lower=1, overwrite_a=1)
+            if info != 0:
+                failed[i] = True
+                continue
+            gammas[k, i], _ = dpotrs(chol, b[i], lower=1)
+            if want_edf:
+                inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
+                edfs[k, i] = 1.0 + p - lam * np.vdot(inv, inv)
+    return gammas, edfs, failed
+
+
+def gcv_loss(sse, count, effective_df):
     """Generalized cross-validation loss sse / (n * (1 - df/n)**2).
+
+    Works elementwise on arrays.
 
     Raises
     ------
     ValueError
         If ``effective_df >= count`` (saturated model).
     """
-    if effective_df >= count:
+    if np.any(np.greater_equal(effective_df, count)):
         raise ValueError(
             f"effective df {effective_df} >= count {count}: saturated model"
         )

@@ -137,7 +137,7 @@ def logit(p: np.ndarray) -> np.ndarray:
 
 def load_csv(
     path,
-    response: str,
+    response: str | None,
     *,
     continuous: Sequence[str] | None = None,
     categorical: Sequence[str] = (),
@@ -149,8 +149,11 @@ def load_csv(
 
     When ``continuous`` is None, every column other than the response,
     original, tag, and declared categoricals is treated as continuous.
-    Unparseable numeric cells are collected and reported with their file
-    line numbers.  ``transform="logit"`` maps the response p through
+    With ``response=None`` no response column is read and the dataset gets
+    an all-zero placeholder response (for prediction and diagnostics).
+    A row too short for the columns read is rejected with its file line
+    number; unparseable numeric cells are collected and reported with
+    theirs.  ``transform="logit"`` maps the response p through
     log(p/(1-p)) with clamping.
     """
     if transform not in ("identity", "logit"):
@@ -170,11 +173,19 @@ def load_csv(
     declared = set(categorical) | reserved
     if continuous is None:
         continuous = [name for name in header if name not in declared]
-    for name in [response, *(n for n in (original, tag) if n), *continuous, *categorical]:
+    used = [*(n for n in (response, original, tag) if n), *continuous, *categorical]
+    for name in used:
         if name not in index:
             raise DataError(f"{path}: missing column {name!r}")
+    width = max((index[name] for name in used), default=-1) + 1
+    for line, row in enumerate(rows, start=2):  # the header is line 1
+        if len(row) < width:
+            raise DataError(
+                f"{path}: line {line} has {len(row)} cells; "
+                f"the columns read need {width}"
+            )
 
-    numeric_cols = [*continuous, response] + ([original] if original else [])
+    numeric_cols = [*continuous, *(n for n in (response, original) if n)]
     parsed: dict[str, np.ndarray] = {}
     bad: list[tuple[int, str, str]] = []
     for name in numeric_cols:
@@ -183,9 +194,8 @@ def load_csv(
         for i, row in enumerate(rows):
             try:
                 out[i] = float(row[k])
-            except (ValueError, IndexError):
-                cell = row[k] if k < len(row) else "<missing>"
-                bad.append((i + 2, name, cell))  # +2: header is line 1
+            except ValueError:
+                bad.append((i + 2, name, row[k]))  # +2: header is line 1
         parsed[name] = out
     if bad:
         detail = "; ".join(f"line {ln}, column {col!r}: {cell!r}" for ln, col, cell in bad[:10])
@@ -200,9 +210,12 @@ def load_csv(
     for name in categorical:
         k = index[name]
         columns[name] = np.array([row[k] for row in rows])
-    resp = parsed[response]
-    if transform == "logit":
-        resp = logit(resp)
+    if response is None:
+        resp = np.zeros(len(rows))
+    else:
+        resp = parsed[response]
+        if transform == "logit":
+            resp = logit(resp)
     return SurrogateDataset(
         features=features,
         columns=columns,

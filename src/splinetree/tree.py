@@ -8,15 +8,14 @@ partition is scored from the small aggregated systems.  Candidate
 thresholds are global quantile edges of the root training data, reused at
 every node, so bin membership per record is computed once.
 
-Split scoring standardizes all candidates at once.  With every ridge
-weight positive and a short grid, each candidate system is then
-Cholesky-factored once per weight: the triangular solves give the
-coefficients and the GCV trace identity gives the effective degrees of
-freedom, so no eigenvectors are needed.  A zero weight (pseudo-inverse), a
-longer grid or a failed factorization uses one batched eigendecomposition
-per candidate side, which serves the whole grid.  The winning candidate is
-then re-fitted through the scalar :mod:`splinetree.gram` path so the
-retained models and gains come from the reference implementation.
+Split scoring solves all candidates of a (node, feature) pair as one
+batch through :func:`splinetree.gram.ridge_batch`, the solver that also
+fits every node model; with every ridge weight positive and a short grid
+it Cholesky-factors each candidate instead of eigendecomposing it (see
+that function for when each route runs).  The winning candidate is then
+re-fitted through :func:`splinetree.gram.fit_node`, a batch of one on the
+eigendecomposition route, so the retained models and gains do not depend
+on the route that ranked them.
 """
 
 from __future__ import annotations
@@ -27,32 +26,26 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from . import basis
 from .errors import DataError, NumericalError
 from .gram import (
-    _CONSTANT_COLUMN_RTOL,
-    NULL_SPACE_RTOL,
     GramStats,
     NodeModel,
+    column_scale,
     fit_node,
     gcv_loss,
     gram_accumulate,
     gram_merge,
     gram_subtract,
+    ridge_batch,
+    select_lambda,
     zero_gram,
 )
 
 # Above this cardinality, categorical split search falls back from
 # exhaustive subset enumeration to the ordered-by-node-mean scan.
 EXHAUSTIVE_CATEGORY_LIMIT = 12
-
-# Longest lambda grid the split sweep scores by Cholesky.  The sweep pays
-# one factorization per candidate and grid value, against one
-# eigendecomposition per candidate for the whole grid; with GCV on 150- and
-# 29-column blocks the eigendecomposition is the cheaper from six values.
-_CHOLESKY_GRID_LIMIT = 4
 
 
 @dataclass(frozen=True)
@@ -320,144 +313,27 @@ def _node_split_loss(model: NodeModel, loss: str) -> float:
 
 
 def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
-    """Losses of stacked candidate child systems.
+    """Losses of stacked candidate child systems, in SSE units.
 
-    Standardizes each candidate's gram statistics exactly as
-    gram.standardized_block does, solves the ridge system for every lambda
-    in the grid, back-transforms to the original scale and takes the SSE
-    from statistics.  With one lambda, returns each candidate's loss at it.
-    With a grid, each candidate's lambda is chosen by GCV with fit_node's
-    rule (the first value with the strictly smallest GCV, saturated values
-    never chosen) and the loss at that lambda is returned, so candidates
+    Solves every candidate with gram.ridge_batch, by Cholesky where that
+    route applies.  With one lambda, returns each candidate's loss at it.
+    With a grid, each candidate's lambda is chosen by gram.select_lambda,
+    fit_node's rule, and the loss at that lambda is returned, so candidates
     are ranked on the model their refit would keep.  A candidate saturated
     (effective df >= count) at every lambda it could be scored at comes
     back infinite; plain SSE at a single lambda ignores the df.
-
-    With every lambda > 0 the shifted blocks are positive definite, so each
-    is Cholesky-factored and the effective df comes from the trace identity
-    (see _cholesky_solves).  A zero lambda needs the pseudo-inverse, so that
-    grid, a grid longer than _CHOLESKY_GRID_LIMIT, and any candidate whose
-    Cholesky factorization fails go through a batched form of
-    gram.ridge_solve's eigendecomposition (_eigh_solves).
     """
-    n = counts.astype(np.float64)
-    mean = xtx[:, 0, 1:] / n[:, None]
-    ex2 = np.diagonal(xtx, axis1=1, axis2=2)[:, 1:] / n[:, None]
-    var = np.maximum(ex2 - mean**2, 0.0)
-    degenerate = var <= _CONSTANT_COLUMN_RTOL * np.maximum(ex2, 1.0)
-    scale = np.sqrt(np.where(degenerate, 1.0, var))
-    centered = xtx[:, 1:, 1:] - n[:, None, None] * mean[:, :, None] * mean[:, None, :]
-    block = centered / (scale[:, :, None] * scale[:, None, :])
-    b = (xty[:, 1:] - mean * xty[:, 0][:, None]) / scale
-    ybar = xty[:, 0] / n
-
     grid = len(lam_values) > 1
-    if min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT:
-        gammas, edfs, failed = _cholesky_solves(
-            block, b, lam_values, loss == "gcv" or grid
-        )
-        if failed.any():
-            gammas_f, edfs_f = _eigh_solves(block[failed], b[failed], lam_values)
-            for k in range(len(lam_values)):
-                gammas[k][failed] = gammas_f[k]
-                edfs[k][failed] = edfs_f[k]
-    else:
-        gammas, edfs = _eigh_solves(block, b, lam_values)
-
-    best = np.full(counts.shape[0], np.inf)
-    best_gcv = np.full(counts.shape[0], np.inf)
-    for gamma, edf in zip(gammas, edfs):
-        beta1 = gamma / scale
-        beta0 = ybar - np.einsum("ci,ci->c", beta1, mean)
-        beta = np.concatenate([beta0[:, None], beta1], axis=1)
-        sse = yty - 2.0 * np.einsum("ci,ci->c", beta, xty) + np.einsum(
-            "ci,cij,cj->c", beta, xtx, beta
-        )
-        sse = np.maximum(sse, 0.0)
-        if loss == "sse" and not grid:
-            return sse
-        ok = edf < n
-        gcv = np.where(ok, sse / np.where(ok, (1.0 - edf / n) ** 2, 1.0), np.inf)
-        better = gcv < best_gcv
-        best_gcv[better] = gcv[better]
-        best[better] = (gcv if loss == "gcv" else sse)[better]
-    return best
-
-
-def _cholesky_solves(block, b, lam_values, want_edf):
-    """Ridge solutions of stacked standardized systems by Cholesky.
-
-    For each lambda > 0 and candidate, factors block + lambda I = L L' and
-    gets gamma = (block + lambda I)^-1 b from the triangular solves.  When
-    ``want_edf``, the effective df comes from the GCV trace identity
-    edf = 1 + p - lambda tr((block + lambda I)^-1), with the trace taken as
-    ||L^-1||_F^2 (Golub, Heath & Wahba 1979); otherwise edf is left NaN.
-    A column constant within the node has a zero row and column in the
-    block (up to rounding), so it adds 1 - lambda / lambda = 0 to the df,
-    as its null direction does in the spectral sum.  An eigenvalue w that
-    is merely tiny, below NULL_SPACE_RTOL times the largest (say, of two
-    nearly collinear columns), is a null direction that gram.ridge_solve
-    leaves out of the df, but it adds w / (w + lambda) here; so for such
-    candidates the GCV loss can differ from fit_node's by that much df.
-    The winner is refitted through fit_node either way.  Returns per-lambda
-    lists of gammas (c, p) and edfs (c,), plus a mask of candidates whose
-    factorization failed for some lambda; their entries are unset.
-    """
-    count, p = b.shape
-    eye = np.eye(p)
-    failed = np.zeros(count, dtype=bool)
-    gammas, edfs = [], []
-    for lam in lam_values:
-        gamma = np.empty((count, p))
-        edf = np.full(count, np.nan)
-        for i in range(count):
-            if failed[i]:
-                continue
-            # the shifted block is symmetric, so its transpose is the same
-            # matrix in the Fortran order LAPACK factors in place
-            chol, info = dpotrf((block[i] + lam * eye).T, lower=1, overwrite_a=1)
-            if info != 0:
-                failed[i] = True
-                continue
-            gamma[i], _ = dpotrs(chol, b[i], lower=1)
-            if want_edf:
-                inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
-                edf[i] = 1.0 + p - lam * np.vdot(inv, inv)
-        gammas.append(gamma)
-        edfs.append(edf)
-    return gammas, edfs, failed
-
-
-def _eigh_solves(block, b, lam_values):
-    """Ridge solutions of stacked standardized systems by eigendecomposition.
-
-    The batched form of gram.ridge_solve: one eigendecomposition per
-    candidate serves the whole lambda grid, eigenvalues below
-    NULL_SPACE_RTOL times the largest are null directions (pseudo-inverse
-    at lambda = 0) and the effective df sums d / (d + lambda) over the
-    others.  Returns per-lambda lists of gammas (c, p) and edfs (c,).
-    """
-    try:
-        w, v = np.linalg.eigh(block)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("batched eigendecomposition failed") from exc
-    d = np.maximum(w, 0.0)
-    top = np.maximum(w[:, -1], 0.0)
-    null = (w < NULL_SPACE_RTOL * top[:, None]) | (top <= 0.0)[:, None]
-    proj = np.einsum("cij,ci->cj", v, b)
-    gammas, edfs = [], []
-    for lam in lam_values:
-        if lam == 0.0:
-            recip = np.where(
-                null, 0.0, np.divide(1.0, d, out=np.ones_like(d), where=d > 0)
-            )
-        else:
-            recip = 1.0 / (d + lam)
-        gamma = np.einsum("cij,cj->ci", v, recip * proj)
-        shrink = np.divide(d, d + lam, out=np.zeros_like(d), where=(d + lam) > 0)
-        gammas.append(gamma)
-        edfs.append(1.0 + np.sum(np.where(null, 0.0, shrink), axis=1))
-    return gammas, edfs
+    _, sse, edf = ridge_batch(
+        xtx, xty, yty, counts, lam_values,
+        cholesky=True, want_edf=loss == "gcv" or grid,
+    )
+    if loss == "sse" and not grid:
+        return sse[0]
+    index, gcv = select_lambda(sse, edf, counts)
+    if loss == "gcv":
+        return counts * gcv
+    return np.where(np.isfinite(gcv), sse[index, np.arange(counts.size)], np.inf)
 
 
 def _stack(grams: Sequence[GramStats]):
@@ -468,14 +344,18 @@ def _stack(grams: Sequence[GramStats]):
     return xtx, xty, yty, counts
 
 
-def _right_stats(node: GramStats, xtx_l, xty_l, yty_l, cnt_l):
+def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config):
+    """Gain of each stacked left side and its complement in the node."""
     xtx_r = node.xtx[None, :, :] - xtx_l
     diag = np.einsum("cii->ci", xtx_r)
     np.maximum(diag, 0.0, out=diag)
     xty_r = node.xty[None, :] - xty_l
     yty_r = np.maximum(node.yty - yty_l, 0.0)
     cnt_r = node.count - cnt_l
-    return xtx_r, xty_r, yty_r, cnt_r
+    lam_values, loss = config.lam_values, config.loss
+    loss_l = _batch_child_losses(xtx_l, xty_l, yty_l, cnt_l, lam_values, loss)
+    loss_r = _batch_child_losses(xtx_r, xty_r, yty_r, cnt_r, lam_values, loss)
+    return parent_loss - (loss_l + loss_r)
 
 
 def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf):
@@ -496,12 +376,10 @@ def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf):
     sel = np.nonzero(feasible & distinct)[0]
     if sel.size == 0:
         return None
-    xtx_l, xty_l = cum_xtx[sel], cum_xty[sel]
-    yty_l, c_l = cum_yty[sel], cum_cnt[sel]
-    xtx_r, xty_r, yty_r, c_r = _right_stats(node_gram, xtx_l, xty_l, yty_l, c_l)
-    loss_l = _batch_child_losses(xtx_l, xty_l, yty_l, c_l, config.lam_values, config.loss)
-    loss_r = _batch_child_losses(xtx_r, xty_r, yty_r, c_r, config.lam_values, config.loss)
-    gains = parent_loss - (loss_l + loss_r)
+    gains = _split_gains(
+        node_gram, cum_xtx[sel], cum_xty[sel], cum_yty[sel], cum_cnt[sel],
+        parent_loss, config,
+    )
     best = int(np.argmax(gains))
     if not np.isfinite(gains[best]):
         return None
@@ -566,14 +444,10 @@ def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf):
     for lo in range(0, sel.size, chunk):
         part = sel[lo : lo + chunk]
         S = membership[part]
-        xtx_l = np.tensordot(S, xtx, axes=1)
-        xty_l = S @ xty
-        yty_l = S @ yty
-        c_l = cnt_l[part]
-        xtx_r, xty_r, yty_r, c_r = _right_stats(node_gram, xtx_l, xty_l, yty_l, c_l)
-        loss_l = _batch_child_losses(xtx_l, xty_l, yty_l, c_l, config.lam_values, config.loss)
-        loss_r = _batch_child_losses(xtx_r, xty_r, yty_r, c_r, config.lam_values, config.loss)
-        gains = parent_loss - (loss_l + loss_r)
+        gains = _split_gains(
+            node_gram, np.tensordot(S, xtx, axes=1), S @ xty, S @ yty, cnt_l[part],
+            parent_loss, config,
+        )
         i = int(np.argmax(gains))
         if np.isfinite(gains[i]) and gains[i] > best_gain:
             best_gain = float(gains[i])
@@ -610,8 +484,7 @@ def best_split(
     Sweeps every feature's candidate partitions from cumulative bin
     statistics; ties break to the lower feature index, then the lower
     threshold, then the canonically smaller left category subset.  The
-    winner's children are re-fitted through the scalar solver and the
-    returned gain is recomputed from those fits.
+    winner's children are re-fitted through fit_node and the returned gain is recomputed from those fits.
     """
     parent_loss = _node_split_loss(node_model, config.loss)
 
@@ -935,8 +808,7 @@ def _lasso_cd(X, y, lambda1, gamma0, max_passes, tol=1e-7):
     n = y.shape[0]
     mean = X[:, 1:].mean(axis=0)
     var = X[:, 1:].var(axis=0)
-    degenerate = var <= _CONSTANT_COLUMN_RTOL * np.maximum((X[:, 1:] ** 2).mean(axis=0), 1.0)
-    scale = np.sqrt(np.where(degenerate, 1.0, var))
+    degenerate, scale = column_scale(var, (X[:, 1:] ** 2).mean(axis=0))
     Z = (X[:, 1:] - mean) / scale
     ybar = float(y.mean())
     yc = y - ybar

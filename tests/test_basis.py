@@ -119,6 +119,13 @@ class TestOnehot:
     def test_second_level_indicator(self):
         assert_allclose(onehot_row("b", self.LEVELS), [1, 0, 0])
 
+    def test_unseen_warning_names_plain_values(self):
+        with pytest.warns(UnseenCategoryWarning) as caught:
+            onehot_rows(np.array(["b", "zz", "aa", "zz"]), self.LEVELS)
+        assert str(caught[0].message) == (
+            "categories ['aa', 'zz'] were not seen in training; encoded as reference"
+        )
+
     def test_unseen_level_warns_and_zeroes(self):
         with pytest.warns(UnseenCategoryWarning):
             row = onehot_row("zzz", self.LEVELS)
@@ -153,7 +160,7 @@ def _reference_onehot(values, levels):
     if not np.all(seen):
         bad = np.unique(values[~seen])
         warnings.warn(
-            f"categories {list(bad)!r} were not seen in training; encoded as reference",
+            f"categories {bad.tolist()!r} were not seen in training; encoded as reference",
             UnseenCategoryWarning,
             stacklevel=2,
         )

@@ -299,6 +299,48 @@ class TestMalformedInputs:
         assert code == 3 and "line 6 has 4 cells" in err
         assert not out.exists()
 
+    def test_ragged_row_before_categorical_column_exits_3(self, tmp_path, capsys):
+        # the row ends before the categorical column; evaluate reads it too
+        data = tmp_path / "short.csv"
+        data.write_text(
+            "x1,f,c1\n"
+            + "".join(f"{i / 100},{i % 7 / 3},{'uv'[i % 2]}\n" for i in range(100))
+            + "0.2,2.0\n"
+        )
+        model = tmp_path / "m.json"
+        code, _, err = run(
+            capsys, "fit", "--data", str(data), "--response", "f",
+            "--categorical", "c1", "--knots", "3", "--max-depth", "0",
+            "--min-samples-leaf", "10", "--out", str(model),
+        )
+        assert code == 3 and "line 102 has 2 cells" in err
+        lines = data.read_text().splitlines()
+        data.write_text("\n".join(lines[:-1]) + "\n")
+        code, _, err = run(
+            capsys, "fit", "--data", str(data), "--response", "f",
+            "--categorical", "c1", "--knots", "3", "--max-depth", "0",
+            "--min-samples-leaf", "10", "--out", str(model),
+        )
+        assert code == 0, err
+        data.write_text("\n".join(lines) + "\n")
+        for command in (["evaluate", "--response", "f"], ["predict", "--out", str(tmp_path / "p.csv")]):
+            code, _, err = run(capsys, command[0], "--model", str(model),
+                               "--data", str(data), *command[1:])
+            assert code == 3 and "line 102 has 2 cells" in err
+
+    @pytest.mark.parametrize("command", ["predict", "diagnose"])
+    def test_unwritable_output_exits_3(self, tmp_path, sim_csv, fitted_model, capsys,
+                                       command):
+        out = tmp_path / "no-such-dir" / "out.csv"
+        flag = "--out" if command == "predict" else "--out-dir"
+        if command == "diagnose":
+            out = tmp_path / "file-not-dir"
+            out.write_text("")
+        code, _, err = run(capsys, command, "--model", str(fitted_model),
+                           "--data", str(sim_csv), flag, str(out))
+        assert code == 3 and err.startswith("file error:")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestDiagnoseExport:
     def test_diagnose_writes_tables(self, tmp_path, sim_csv, fitted_model, capsys):
@@ -331,5 +373,6 @@ class TestDiagnoseExport:
         assert "size=" in out and "R2=" in out
 
     def test_missing_model_file(self, tmp_path, capsys):
-        with pytest.raises(FileNotFoundError):
-            run(capsys, "export", "--model", str(tmp_path / "none.json"))
+        code, _, err = run(capsys, "export", "--model", str(tmp_path / "none.json"))
+        assert code == 3
+        assert "none.json" in err and len(err.strip().splitlines()) == 1

@@ -195,6 +195,32 @@ class TestLoadCsv:
                 response=np.zeros(12),
             )
 
+    @pytest.mark.parametrize("categorical", [["c1"], []])
+    def test_ragged_row_reports_line(self, tmp_path, categorical):
+        # the row ends before the categorical column (or a numeric one)
+        path = tmp_path / "short.csv"
+        path.write_text("x1,f,c1\n0.1,1.0,u\n0.2,2.0\n")
+        continuous = None if categorical else ["x1", "c1"]
+        with pytest.raises(DataError, match="line 3 has 2 cells; the columns read need 3"):
+            load_csv(path, response="f", continuous=continuous, categorical=categorical)
+
+    def test_columns_beyond_those_read_may_be_missing(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("x1,f,note\n0.1,1.0,a\n0.2,2.0\n")
+        ds = load_csv(path, response="f", continuous=["x1"])
+        assert_allclose(ds.response, [1.0, 2.0])
+
+    def test_placeholder_response(self, tmp_path):
+        path = tmp_path / "features.csv"
+        path.write_text("x1,c1\n0.1,u\n0.2,v\n0.3,u\n")
+        ds = load_csv(path, response=None, continuous=["x1"], categorical=["c1"])
+        assert np.array_equal(ds.response, np.zeros(3))
+        assert [f.name for f in ds.features] == ["x1", "c1"]
+        assert list(ds.columns["c1"]) == ["u", "v", "u"]
+        ds = load_csv(path, response=None, categorical=["c1"], transform="logit")
+        assert np.array_equal(ds.response, np.zeros(3))
+        assert_allclose(ds.columns["x1"], [0.1, 0.2, 0.3])
+
     def test_categorical_nan_text_is_a_level(self, tmp_path):
         path = tmp_path / "nanlevel.csv"
         path.write_text("a,c,y\n1,nan,0.1\n2,u,0.2\n")

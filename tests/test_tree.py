@@ -23,8 +23,9 @@ from splinetree import (
     prune,
     refit_l1,
 )
+from splinetree import gram as gram_mod
 from splinetree import tree as tree_mod
-from splinetree.gram import NULL_SPACE_RTOL, gcv_loss, standardized_block
+from splinetree.gram import NULL_SPACE_RTOL, _standardize, gcv_loss
 from splinetree.tree import (
     _batch_child_losses,
     _node_split_loss,
@@ -353,15 +354,15 @@ def _reference_losses(grams, lam_values, loss):
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
-    """Records the batch shape of every call to the eigh fallback."""
+    """Records the batch shape of every call to the eigendecomposition route."""
     calls = []
-    inner = tree_mod._eigh_solves
+    inner = gram_mod._eigh_solves
 
     def spy(block, b, lam_values):
         calls.append(block.shape)
         return inner(block, b, lam_values)
 
-    monkeypatch.setattr(tree_mod, "_eigh_solves", spy)
+    monkeypatch.setattr(gram_mod, "_eigh_solves", spy)
     return calls
 
 
@@ -393,10 +394,11 @@ class TestBatchChildLosses:
         grams = self._candidate_grams()
         lam_values = GrowConfig(lam=lam).lam_values
         got = _batch_child_losses(*_stack(grams), lam_values, loss)
+        swept = list(eigh_calls)  # before the reference fits add their own
         assert_allclose(got, _reference_losses(grams, lam_values, loss), rtol=1e-9)
         # a grid containing zero or longer than the Cholesky limit takes eigh
-        long_grid = len(lam_values) > tree_mod._CHOLESKY_GRID_LIMIT
-        assert bool(eigh_calls) == (min(lam_values) == 0.0 or long_grid)
+        long_grid = len(lam_values) > gram_mod._CHOLESKY_GRID_LIMIT
+        assert bool(swept) == (min(lam_values) == 0.0 or long_grid)
 
     @pytest.mark.parametrize("lam", [(1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 6))])
     def test_grid_sse_ranks_the_refit_model(self, lam, eigh_calls):
@@ -440,14 +442,16 @@ class TestBatchChildLosses:
     @pytest.mark.parametrize("lam", [1e-3, 0.05])
     def test_near_collinear_columns(self, lam):
         # two columns 1e-5 apart leave an eigenvalue w ~ 3e-11 of the largest:
-        # a null direction for gram.ridge_solve, which drops it from the df,
-        # while the trace identity counts its w / (w + lam).  SSE agrees; the
-        # GCV loss is fit_node's SSE under fit_node's df plus exactly that.
+        # a null direction for the eigendecomposition route (fit_node), which
+        # drops it from the df, while the Cholesky route's trace identity
+        # counts its w / (w + lam).  SSE agrees; the GCV loss is fit_node's
+        # SSE under fit_node's df plus exactly that.
         rng = np.random.default_rng(11)
         x, z, w = rng.standard_normal((3, 60))
         y = x + 0.3 * w + 0.1 * rng.standard_normal(60)
         g = gram_accumulate(np.column_stack([np.ones(60), x, x + 1e-5 * z, w]), y)
-        spectrum = np.linalg.eigvalsh(standardized_block(g)[0])
+        xtx, xty, _, counts = _stack([g])
+        spectrum = np.linalg.eigvalsh(_standardize(xtx, xty, counts)[0][0])
         near_null = spectrum[spectrum < NULL_SPACE_RTOL * spectrum[-1]]
         assert near_null.size == 1 and near_null[0] > 1e-14 * spectrum[-1]
         model = fit_node(g, lam)
