@@ -13,10 +13,7 @@ from .basis import (
     KnotVector,
     build_spec,
     design_matrix,
-    design_rows,
-    onehot_row,
     quantile_knots,
-    spline_row,
 )
 from .diagnostics import (
     EffectCurve,
@@ -70,7 +67,6 @@ from .tree import (
     candidate_edges,
     grow,
     predict,
-    predict_record,
     prune,
     refit_l1,
     route,

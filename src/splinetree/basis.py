@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -134,11 +134,6 @@ def quantile_knots(values, num_knots: int, feature: str = "") -> KnotVector:
     return KnotVector(feature=feature, knots=knots)
 
 
-def spline_row(x: float, knots: KnotVector) -> np.ndarray:
-    """Degree-1 B-spline (hat) basis values at a single point."""
-    return spline_rows(np.array([x], dtype=np.float64), knots)[0]
-
-
 def spline_rows(x, knots: KnotVector) -> np.ndarray:
     """Hat-function basis values, one row per input point.
 
@@ -156,28 +151,12 @@ def spline_rows(x, knots: KnotVector) -> np.ndarray:
     return out
 
 
-def onehot_row(value, levels: Sequence) -> np.ndarray:
-    """Indicator vector against ``levels`` with the first level dropped.
-
-    Unseen values encode as all-zero and emit an ``UnseenCategoryWarning``.
-    """
-    out = np.zeros(len(levels) - 1)
-    if value == levels[0]:
-        return out
-    for j, level in enumerate(levels[1:]):
-        if value == level:
-            out[j] = 1.0
-            return out
-    warnings.warn(
-        f"category {value!r} was not seen in training; encoded as reference",
-        UnseenCategoryWarning,
-        stacklevel=2,
-    )
-    return out
-
-
 def onehot_rows(values, levels: Sequence) -> np.ndarray:
-    """Vectorized one-hot encoding; unseen values become all-zero rows."""
+    """Indicator rows against ``levels`` with the first level dropped.
+
+    Unseen values encode as all-zero rows, and one ``UnseenCategoryWarning``
+    names them all.
+    """
     values = np.asarray(values)
     codes = _level_codes(values, levels)
     out = np.zeros((values.size, len(levels) - 1))
@@ -304,17 +283,3 @@ def design_matrix(dataset, spec: DesignSpec) -> np.ndarray:
         )
     return out
 
-
-def design_rows(dataset, spec: DesignSpec) -> Iterator[np.ndarray]:
-    """Stream design rows one record at a time, in dataset order."""
-    for block in spec.blocks:
-        if block.feature not in dataset.columns:
-            raise DataError(f"dataset is missing feature {block.feature!r}")
-    for i in range(dataset.n):
-        row = np.empty(spec.total_columns)
-        row[0] = 1.0
-        for block in spec.blocks:
-            row[block.columns] = block_rows(
-                dataset.columns[block.feature][i : i + 1], spec, block
-            )[0]
-        yield row

@@ -190,16 +190,15 @@ def _print_report(art, dataset, train_rows, test_rows, task):
     if test_rows is not None and len(test_rows):
         sections.append(("test", test_rows))
 
+    metrics = [(label, *_metric_rows(art, dataset, rows, task)) for label, rows in sections]
     binary = task == "binary"
     print(f"{'':22s}{'MSE':>12s}{'R2':>12s}")
-    for label, rows in sections:
-        fid, _ = _metric_rows(art, dataset, rows, task)
+    for label, fid, _ in metrics:
         print(f"{'Fidelity':10s}{label:>8s}    {fid.mse:>12.6g}{fid.r2:>12.4f}")
     if dataset.original is not None:
         if binary:
             print(f"{'':22s}{'AUC':>12s}{'log-loss':>12s}")
-        for label, rows in sections:
-            _, acc = _metric_rows(art, dataset, rows, task)
+        for label, _, acc in metrics:
             if binary:
                 print(f"{'Accuracy':10s}{label:>8s}    {acc['auc']:>12.4f}{acc['log_loss']:>12.6g}")
             else:

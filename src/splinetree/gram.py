@@ -147,18 +147,26 @@ def gram_subtract(parent: GramStats, part: GramStats) -> GramStats:
     Diagonal entries driven slightly negative by round-off (within
     ``-1e-9 * max diag``) are clamped to zero; anything more negative
     indicates the part was not contained in the parent.
+
+    Raises
+    ------
+    ValueError
+        If the two statistics have different dimensions.
+    NumericalError
+        If the part has more rows than the parent, or the difference has a
+        significantly negative diagonal.
     """
     if parent.dim != part.dim:
         raise ValueError(f"dimension mismatch: {parent.dim} vs {part.dim}")
     if part.count > parent.count:
-        raise ValueError(
+        raise NumericalError(
             f"count underflow: part has {part.count} rows, parent {parent.count}"
         )
     xtx = parent.xtx - part.xtx
     diag = np.diagonal(xtx)
     band = 1e-9 * max(float(np.max(parent.xtx.diagonal(), initial=0.0)), 1.0)
     if np.any(diag < -band):
-        raise ValueError("subtraction produced a significantly negative diagonal")
+        raise NumericalError("subtraction produced a significantly negative diagonal")
     if np.any(diag < 0.0):
         xtx = xtx.copy()
         np.fill_diagonal(xtx, np.maximum(diag, 0.0))
@@ -419,7 +427,9 @@ def _cholesky_solves(block, b, lam_values, want_edf):
             gammas[k, i], _ = dpotrs(chol, b[i], lower=1)
             if want_edf:
                 inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
-                edfs[k, i] = 1.0 + p - lam * np.vdot(inv, inv)
+                # einsum, not a BLAS dot: numpy's BLAS thread pool would
+                # contend with scipy's LAPACK pool between these calls
+                edfs[k, i] = 1.0 + p - lam * np.einsum("ij,ij->", inv, inv)
     return gammas, edfs, failed
 
 

@@ -151,14 +151,16 @@ def load_csv(
     original, tag, and declared categoricals is treated as continuous.
     With ``response=None`` no response column is read and the dataset gets
     an all-zero placeholder response (for prediction and diagnostics).
-    A row too short for the columns read is rejected with its file line
-    number; unparseable numeric cells are collected and reported with
-    theirs.  ``transform="logit"`` maps the response p through
-    log(p/(1-p)) with clamping.
+    A header that names a column twice is rejected, and a UTF-8 byte
+    order mark before the header is dropped.  A row too short for the
+    columns read is rejected with its file line number; unparseable
+    numeric cells are collected and reported with theirs.
+    ``transform="logit"`` maps the response p through log(p/(1-p)) with
+    clamping.
     """
     if transform not in ("identity", "logit"):
         raise DataError(f"unknown response transform {transform!r}")
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
@@ -167,6 +169,9 @@ def load_csv(
         rows = list(reader)
     if not rows:
         raise DataError(f"{path}: no data rows")
+    if len(set(header)) < len(header):
+        repeated = next(name for k, name in enumerate(header) if name in header[:k])
+        raise DataError(f"{path}: header repeats column {repeated!r}")
 
     index = {name: k for k, name in enumerate(header)}
     reserved = {response, original, tag} - {None}

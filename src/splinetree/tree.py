@@ -97,12 +97,6 @@ class TreeNode:
     def leaves(self) -> Iterator["TreeNode"]:
         return (node for node in self.nodes() if node.is_leaf)
 
-    def node_by_id(self, node_id: int) -> "TreeNode":
-        for node in self.nodes():
-            if node.id == node_id:
-                return node
-        raise KeyError(f"no node with id {node_id}")
-
 
 @dataclass(frozen=True)
 class GrowConfig:
@@ -223,11 +217,17 @@ def bin_grams(
     Raises
     ------
     ValueError
-        If a bin id is not an integer in ``[0, num_bins)``.
+        If a bin id is not an integer in ``[0, num_bins)``, or the responses
+        or bin ids do not match the rows in number.
     """
     x = np.asarray(rows, dtype=np.float64)
     y = np.asarray(responses, dtype=np.float64)
     b = _compact_bin_ids(bin_ids, num_bins)
+    if not len(y) == len(b) == x.shape[0]:
+        raise ValueError(
+            f"{x.shape[0]} rows need as many responses and bin ids, "
+            f"got {len(y)} and {len(b)}"
+        )
     order = np.argsort(b, kind="stable")
     xs, ys = np.take(x, order, axis=0), np.take(y, order)
     edges_idx = np.zeros(num_bins + 1, dtype=np.intp)
@@ -761,37 +761,11 @@ def predict(root: TreeNode, spec, dataset) -> np.ndarray:
     """Predictions for every record: route to a leaf, evaluate its model."""
     X = basis.design_matrix(dataset, spec)
     out = np.empty(dataset.n)
-
-    def walk(node, idx):
-        if node.is_leaf:
-            out[idx] = X[idx] @ node.model.coefficients
-            return
-        mask = split_mask(dataset, spec, node.split, rows=idx)
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
-
-    walk(root, np.arange(dataset.n))
+    members = route(root, spec, dataset)
+    for leaf in root.leaves():
+        idx = members[leaf.id]
+        out[idx] = X[idx] @ leaf.model.coefficients
     return out
-
-
-def predict_record(root: TreeNode, spec, record) -> float:
-    """Prediction for a single record given as a feature -> value mapping."""
-    node = root
-    while not node.is_leaf:
-        cand = node.split
-        value = record[cand.feature]
-        if cand.threshold is not None:
-            go_left = value <= cand.threshold
-        else:
-            go_left = value in cand.categories or value not in spec.levels[cand.feature]
-        node = node.left if go_left else node.right
-    row = np.empty(spec.total_columns)
-    row[0] = 1.0
-    for block in spec.blocks:
-        row[block.columns] = basis.block_rows(
-            np.asarray([record[block.feature]]), spec, block
-        )[0]
-    return float(row @ node.model.coefficients)
 
 
 def _soft_threshold(value: float, bound: float) -> float:

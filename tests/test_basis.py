@@ -1,4 +1,4 @@
-"""Design construction: knots, hat functions, one-hot, streaming."""
+"""Design construction: knots, hat functions, one-hot, the design matrix."""
 
 import warnings
 
@@ -15,11 +15,8 @@ from splinetree import (
     SurrogateDataset,
     build_spec,
     design_matrix,
-    design_rows,
     gram_accumulate,
-    onehot_row,
     quantile_knots,
-    spline_row,
 )
 from splinetree.basis import (
     BasisBlock,
@@ -27,6 +24,7 @@ from splinetree.basis import (
     UnseenCategoryWarning,
     _level_codes,
     onehot_rows,
+    spline_rows,
 )
 
 
@@ -58,26 +56,24 @@ class TestQuantileKnots:
 
 
 class TestSplineRow:
+    """Hat-function rows from ``spline_rows``, one probe point per row."""
+
     def setup_method(self):
         self.kv = KnotVector("x", np.array([-1.0, -0.25, 0.5, 2.0]))
 
     def test_unit_vector_at_knots(self):
-        for k, t in enumerate(self.kv.knots):
-            row = spline_row(t, self.kv)
-            expected = np.zeros(4)
-            expected[k] = 1.0
-            assert_allclose(row, expected, atol=1e-15)
+        rows = spline_rows(self.kv.knots, self.kv)
+        assert_allclose(rows, np.eye(4), atol=1e-15)
 
     def test_midpoint_splits_evenly(self):
         mid = 0.5 * (self.kv.knots[1] + self.kv.knots[2])
-        row = spline_row(mid, self.kv)
-        assert_allclose(row, [0.0, 0.5, 0.5, 0.0])
+        rows = spline_rows([mid], self.kv)
+        assert_allclose(rows, [[0.0, 0.5, 0.5, 0.0]])
 
     def test_clamped_extrapolation(self):
-        low = spline_row(-7.0, self.kv)
-        assert_allclose(low, spline_row(-1.0, self.kv))
-        high = spline_row(9.0, self.kv)
-        assert_allclose(high, spline_row(2.0, self.kv))
+        rows = spline_rows([-7.0, -1.0, 9.0, 2.0], self.kv)
+        assert_allclose(rows[0], rows[1])
+        assert_allclose(rows[2], rows[3])
 
     def test_piecewise_linear_slope(self):
         # finite differences between knot midpoints recover the hat slope
@@ -85,14 +81,14 @@ class TestSplineRow:
         for k in range(len(t) - 1):
             a, b = t[k], t[k + 1]
             x1, x2 = a + 0.25 * (b - a), a + 0.75 * (b - a)
-            fd = (spline_row(x2, self.kv) - spline_row(x1, self.kv)) / (x2 - x1)
+            r1, r2 = spline_rows([x1, x2], self.kv)
+            fd = (r2 - r1) / (x2 - x1)
             assert fd[k + 1] == pytest.approx(1.0 / (b - a), rel=1e-6)
             assert fd[k] == pytest.approx(-1.0 / (b - a), rel=1e-6)
 
     def test_continuity_across_knots(self):
         for t in self.kv.knots[1:-1]:
-            below = spline_row(t - 1e-9, self.kv)
-            above = spline_row(t + 1e-9, self.kv)
+            below, above = spline_rows([t - 1e-9, t + 1e-9], self.kv)
             assert np.max(np.abs(below - above)) < 1e-7
 
 
@@ -107,17 +103,17 @@ def test_partition_of_unity(x, seed):
     if knots.size < 2:
         knots = np.array([-2.0, 2.0])
     kv = KnotVector("x", knots)
-    assert spline_row(x, kv).sum() == pytest.approx(1.0, abs=1e-12)
+    assert spline_rows([x], kv).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOnehot:
     LEVELS = ("a", "b", "c", "d")
 
     def test_reference_level_all_zero(self):
-        assert_allclose(onehot_row("a", self.LEVELS), np.zeros(3))
+        assert_allclose(onehot_rows(np.array(["a"]), self.LEVELS), np.zeros((1, 3)))
 
     def test_second_level_indicator(self):
-        assert_allclose(onehot_row("b", self.LEVELS), [1, 0, 0])
+        assert_allclose(onehot_rows(np.array(["b"]), self.LEVELS), [[1, 0, 0]])
 
     def test_unseen_warning_names_plain_values(self):
         with pytest.warns(UnseenCategoryWarning) as caught:
@@ -127,15 +123,19 @@ class TestOnehot:
         )
 
     def test_unseen_level_warns_and_zeroes(self):
-        with pytest.warns(UnseenCategoryWarning):
-            row = onehot_row("zzz", self.LEVELS)
-        assert_allclose(row, np.zeros(3))
+        with pytest.warns(UnseenCategoryWarning) as caught:
+            rows = onehot_rows(np.array(["b", "zzz"]), self.LEVELS)
+        assert str(caught[0].message) == (
+            "categories ['zzz'] were not seen in training; encoded as reference"
+        )
+        assert_allclose(rows, [[1, 0, 0], [0, 0, 0]])
 
     def test_vectorized_matches_scalar(self):
+        # each row is the encoding of its value alone
         values = np.array(["c", "a", "d", "b"])
         rows = onehot_rows(values, self.LEVELS)
         for i, v in enumerate(values):
-            assert_allclose(rows[i], onehot_row(v, self.LEVELS))
+            assert_allclose(rows[i], onehot_rows(np.array([v]), self.LEVELS)[0])
 
 
 def _reference_codes(values, levels):
@@ -257,16 +257,6 @@ class TestBuildDesign:
         )
         X = design_matrix(probe, spec)
         assert_allclose(X[:, block.columns], np.eye(len(kv)), atol=1e-15)
-
-    def test_streamed_gram_equals_batch(self, rng):
-        ds = self.make(rng, n=80)
-        spec = build_spec(ds, num_knots=4)
-        batch = design_matrix(ds, spec)
-        streamed = np.vstack(list(design_rows(ds, spec)))
-        g1 = gram_accumulate(batch, ds.response)
-        g2 = gram_accumulate(streamed, ds.response)
-        assert_allclose(g1.xtx, g2.xtx, rtol=1e-12, atol=1e-12)
-        assert_allclose(g1.xty, g2.xty, rtol=1e-12, atol=1e-12)
 
     def test_deterministic_bit_identical(self, rng):
         ds = self.make(rng)

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from splinetree import load_csv, write_csv
 from splinetree.cli import main
 
 
@@ -96,6 +98,48 @@ class TestFit:
         assert "train" in out and "test" in out
         assert model.exists()
 
+    # one prediction per section serves both the fidelity and the accuracy
+    # rows; the report's bytes are pinned to the layout from before that
+    REPORT_HEAD = (
+        "tree: 3 nodes, 2 leaves, depth 1\n"
+        "                               MSE          R2\n"
+        "Fidelity     train       0.0837264      0.9906\n"
+        "Fidelity      test        0.137219      0.9835\n"
+    )
+
+    def test_report_bytes_with_original(self, tmp_path, sim_csv, capsys):
+        code, out, err = run(
+            capsys, "fit", "--data", str(sim_csv), "--response", "f",
+            "--original", "y", "--knots", "4", "--max-depth", "1",
+            "--num-bins", "6", "--min-samples-leaf", "60", "--seed", "3",
+            "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 0, err
+        assert out == self.REPORT_HEAD + (
+            "Accuracy     train        0.333567      0.9636\n"
+            "Accuracy      test        0.424906      0.9507\n"
+        )
+
+    def test_binary_report_bytes(self, tmp_path, sim_csv, capsys):
+        ds = load_csv(sim_csv, response="f", original="y")
+        p = 1.0 / (1.0 + np.exp(ds.response.mean() - ds.response))
+        label = (ds.original > np.median(ds.original)).astype(float)
+        names = [f"x{k}" for k in range(1, 11)]
+        data = tmp_path / "binary.csv"
+        write_csv(data, names + ["p", "label"], [ds.columns[n] for n in names] + [p, label])
+        code, out, err = run(
+            capsys, "fit", "--data", str(data), "--response", "p",
+            "--original", "label", "--transform", "logit", "--knots", "4",
+            "--max-depth", "1", "--num-bins", "6", "--min-samples-leaf", "60",
+            "--seed", "3", "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 0, err
+        assert out == self.REPORT_HEAD + (
+            "                               AUC    log-loss\n"
+            "Accuracy     train          0.9873    0.218293\n"
+            "Accuracy      test          0.9835    0.228389\n"
+        )
+
     def test_depth_zero_global_model(self, tmp_path, sim_csv, capsys):
         model = tmp_path / "t.json"
         code, out, _ = run(
@@ -120,6 +164,36 @@ class TestFit:
             "--out", str(tmp_path / "t.json"),
         )
         assert code == 3 and "'x3'" in err and "rows 4 " in err
+
+    def test_repeated_header_exits_3(self, tmp_path, sim_csv, capsys):
+        lines = sim_csv.read_text().splitlines()
+        lines[0] = lines[0].replace("x2", "x1", 1)
+        bad = tmp_path / "twice.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "t.json"
+        code, _, err = run(
+            capsys, "fit", "--data", str(bad), "--response", "f",
+            "--out", str(model),
+        )
+        assert code == 3 and "header repeats column 'x1'" in err
+        assert not model.exists()
+
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path, sim_csv, capsys):
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + sim_csv.read_bytes())
+        models = {}
+        for label, data in (("plain", sim_csv), ("bom", bom)):
+            models[label] = tmp_path / f"{label}.json"
+            code, _, err = run(
+                capsys, "fit", "--data", str(data), "--response", "f",
+                "--knots", "4", "--max-depth", "1", "--num-bins", "6",
+                "--min-samples-leaf", "60", "--seed", "3",
+                "--out", str(models[label]),
+            )
+            assert code == 0, err
+        schema = json.loads(models["bom"].read_text())["schema"]
+        assert schema[0]["name"] == "x1"
+        assert models["bom"].read_bytes() == models["plain"].read_bytes()
 
     def test_config_file_defaults(self, tmp_path, sim_csv, capsys):
         conf = tmp_path / "run.conf"

@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from splinetree import (
+    NumericalError,
     fit_node,
     gcv_loss,
     gram_accumulate,
@@ -127,8 +128,15 @@ class TestMergeSubtract:
     def test_subtract_count_underflow(self, rng):
         small = gram_accumulate(rng.standard_normal((2, 2)), rng.standard_normal(2))
         big = gram_accumulate(rng.standard_normal((5, 2)), rng.standard_normal(5))
-        with pytest.raises(ValueError, match="underflow"):
+        with pytest.raises(NumericalError, match="underflow"):
             gram_subtract(small, big)
+
+    def test_subtract_negative_diagonal(self, rng):
+        # same row count, but the part is not contained in the parent
+        parent = gram_accumulate(rng.standard_normal((5, 2)), rng.standard_normal(5))
+        part = gram_accumulate(10.0 * rng.standard_normal((5, 2)), rng.standard_normal(5))
+        with pytest.raises(NumericalError, match="negative diagonal"):
+            gram_subtract(parent, part)
 
     def test_dimension_mismatch(self, rng):
         a = zero_gram(2)
@@ -331,6 +339,24 @@ class TestRidgeBatch:
                     want_edf = np.trace(X @ np.linalg.solve(A, X.T))
                 assert sse[k, i] == pytest.approx(np.sum((y - X @ beta) ** 2), rel=1e-9)
                 assert edf[k, i] == pytest.approx(want_edf, rel=1e-9)
+
+    def test_cholesky_route_calls_no_numpy_blas(self, rng, monkeypatch):
+        # numpy's BLAS thread pool, woken between scipy's LAPACK calls,
+        # contends with scipy's own pool, so the Cholesky loop keeps out of it
+        stacked = _stack([gram_accumulate(X, y) for X, y in self._problems(rng)])
+        want = ridge_batch(*stacked, (0.05, 2.0), cholesky=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy BLAS routine called")
+
+        for name in ("vdot", "dot"):
+            monkeypatch.setattr(np, name, refuse)
+        # no eigh either: every system must take the Cholesky route
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        got = ridge_batch(*stacked, (0.05, 2.0), cholesky=True)
+        assert not np.isnan(got[2]).any()
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
     def test_fit_node_calls_eigh_once_by_attribute(self, rng, monkeypatch):
         # the benchmark's tracer times the node fit's factorization by

@@ -111,6 +111,19 @@ class TestLoadCsv:
         assert [f.name for f in ds.features] == ["a", "b"]
         assert_allclose(ds.columns["b"], [2.5, 3.5, 4.5])
 
+    def test_repeated_header_rejected(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("x1,x2,x1,f\n1,2,3,0.1\n4,5,6,0.2\n")
+        with pytest.raises(DataError, match="header repeats column 'x1'"):
+            load_csv(path, response="f")
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfx1,f\n1.5,0.1\n2.5,0.2\n")
+        ds = load_csv(path, response="f")
+        assert [f.name for f in ds.features] == ["x1"]
+        assert_allclose(ds.columns["x1"], [1.5, 2.5])
+
     def test_logit_transform(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("x,p\n0.0,0.5\n1.0,0.8\n")

@@ -1,5 +1,6 @@
 """Tree growth, split search, pruning, prediction, and the L1 refit."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,12 +20,13 @@ from splinetree import (
     gram_accumulate,
     grow,
     predict,
-    predict_record,
     prune,
     refit_l1,
 )
+from splinetree import basis
 from splinetree import gram as gram_mod
 from splinetree import tree as tree_mod
+from splinetree.basis import UnseenCategoryWarning
 from splinetree.gram import NULL_SPACE_RTOL, _standardize, gcv_loss
 from splinetree.tree import (
     _batch_child_losses,
@@ -143,6 +145,13 @@ class TestBinGrams:
         ids = np.array([0, 1, 2, 3, 4, 0, 1, bad])
         with pytest.raises(ValueError, match=r"\[0, 5\)"):
             bin_grams(X, rng.standard_normal(8), ids, 5)
+
+    @pytest.mark.parametrize("n_ids,n_responses", [(3, 6), (6, 4), (8, 6), (6, 9)])
+    def test_length_mismatch_rejected(self, rng, n_ids, n_responses):
+        X = rng.standard_normal((6, 2))
+        ids = np.arange(n_ids) % 2
+        with pytest.raises(ValueError, match="6 rows need as many"):
+            bin_grams(X, rng.standard_normal(n_responses), ids, 2)
 
     def test_non_integer_ids_rejected(self, rng):
         X = rng.standard_normal((4, 2))
@@ -637,6 +646,50 @@ class TestPrune:
             prune(grown, 0.5, 2.0)
 
 
+def _reference_leaf(root, spec, record):
+    """The leaf a record reaches under the split rule, in plain Python.
+
+    Continuous: left iff ``x <= threshold``.  Categorical: left iff the
+    value is in the split's categories or is not a training level at all.
+    """
+    node = root
+    while not node.is_leaf:
+        cand = node.split
+        value = record[cand.feature]
+        if cand.threshold is not None:
+            go_left = value <= cand.threshold
+        else:
+            go_left = value in cand.categories or value not in spec.levels[cand.feature]
+        node = node.left if go_left else node.right
+    return node
+
+
+def _reference_value(leaf, spec, record):
+    """The leaf model at one record, from a dense row built block by block."""
+    row = np.empty(spec.total_columns)
+    row[0] = 1.0
+    for block in spec.blocks:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnseenCategoryWarning)
+            row[block.columns] = basis.block_rows(
+                np.asarray([record[block.feature]]), spec, block
+            )[0]
+    return float(row @ leaf.model.coefficients)
+
+
+def _reference_predict(root, spec, dataset):
+    out = np.empty(dataset.n)
+    for i in range(dataset.n):
+        record = {name: col[i] for name, col in dataset.columns.items()}
+        out[i] = _reference_value(_reference_leaf(root, spec, record), spec, record)
+    return out
+
+
+def _single_record(dataset, record):
+    columns = {f.name: np.asarray([record[f.name]]) for f in dataset.features}
+    return SurrogateDataset(features=dataset.features, columns=columns, response=np.zeros(1))
+
+
 class TestPredict:
     def test_root_only_equals_additive_model(self, rng):
         ds = make_dataset(rng, 300, continuous=2)
@@ -649,38 +702,43 @@ class TestPredict:
         ds = make_dataset(rng, 1200, continuous=2)
         spec = build_spec(ds, num_knots=3)
         root = grow(ds, spec, GrowConfig(max_depth=1, num_bins=8, min_samples_leaf=60))
-        if root.is_leaf:
-            pytest.skip("no split found")
-        t = root.split.threshold
+        assert not root.is_leaf and root.left.is_leaf
         record = {f.name: 0.0 for f in ds.features}
-        record[root.split.feature] = t  # exactly at the threshold
-        row = {**record}
-        value = predict_record(root, spec, row)
-        # route manually to the left child and evaluate there
-        left = root.left
-        while not left.is_leaf:
-            left = left.left if _record_goes_left(left, spec, row) else left.right
-        import splinetree.basis as basis
-
-        dense = left.model.coefficients[0]
-        for block in spec.blocks:
-            dense += float(
-                basis.block_rows(np.asarray([row[block.feature]]), spec, block)[0]
-                @ left.model.coefficients[block.columns]
-            )
-        assert value == pytest.approx(dense, abs=1e-12)
+        record[root.split.feature] = root.split.threshold  # exactly at it
+        value = predict(root, spec, _single_record(ds, record))[0]
+        assert value == pytest.approx(_reference_value(root.left, spec, record), abs=1e-12)
 
     def test_predict_matches_dense_oracle(self, rng):
-        ds = make_dataset(rng, 1500, continuous=3, categorical=1)
+        # a categorical split at the root, continuous splits below it
+        ds = make_dataset(rng, 1500, continuous=2, categorical=1)
+        lifted = np.isin(ds.columns["c1"], ["lv0", "lv2"])
+        ds.response[:] += np.where(lifted, 4.0, -4.0) * ds.columns["x1"] ** 2
         spec = build_spec(ds, num_knots=3)
         root = grow(ds, spec, GrowConfig(max_depth=2, num_bins=8, min_samples_leaf=80))
-        fresh = make_dataset(rng, 1000, continuous=3, categorical=1)
-        pred = predict(root, spec, fresh)
-        X = design_matrix(fresh, spec)
+        internal = [node for node in root.nodes() if not node.is_leaf]
+        assert root.split.categories is not None
+        assert sum(node.split.threshold is not None for node in internal) >= 2
+
+        # fresh records; at every split, rows that reach it get a value
+        # exactly at its threshold, or a category never seen in training
+        fresh = make_dataset(rng, 1000, continuous=2, categorical=1)
+        fresh.columns["c1"] = fresh.columns["c1"].astype("U12")
+
+        def probe(cand):
+            return cand.threshold if cand.threshold is not None else "unseen-lv"
+
+        for node in internal:
+            reaching = route(root, spec, fresh)[node.id]
+            hit = rng.choice(reaching, size=min(25, reaching.size), replace=False)
+            fresh.columns[node.split.feature][hit] = probe(node.split)
         members = route(root, spec, fresh)
-        for leaf in root.leaves():
-            idx = members[leaf.id]
-            assert_allclose(pred[idx], X[idx] @ leaf.model.coefficients, atol=1e-10)
+        for node in internal:
+            reached = fresh.columns[node.split.feature][members[node.id]]
+            assert np.any(reached == probe(node.split)), node.id
+
+        with pytest.warns(UnseenCategoryWarning):
+            pred = predict(root, spec, fresh)
+        assert_allclose(pred, _reference_predict(root, spec, fresh), rtol=0, atol=1e-12)
 
     def test_unseen_category_routes_left(self, rng):
         ds = make_dataset(rng, 1500, continuous=1, categorical=1)
@@ -691,21 +749,12 @@ class TestPredict:
         root = grow(ds, spec, GrowConfig(max_depth=1, num_bins=5, min_samples_leaf=30))
         assert not root.is_leaf and root.split.categories is not None
         record = {"x1": 0.0, "c1": "never-seen"}
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            value = predict_record(root, spec, record)
+        with pytest.warns(UnseenCategoryWarning):
+            value = predict(root, spec, _single_record(ds, record))[0]
         left_record = {"x1": 0.0, "c1": root.split.categories[0]}
-        left_value = predict_record(root, spec, left_record)
+        left_value = predict(root, spec, _single_record(ds, left_record))[0]
         assert value == pytest.approx(left_value, abs=1e-9)
-
-
-def _record_goes_left(node, spec, record):
-    cand = node.split
-    if cand.threshold is not None:
-        return record[cand.feature] <= cand.threshold
-    return record[cand.feature] in cand.categories
+        assert value == pytest.approx(_reference_value(root.left, spec, record), abs=1e-12)
 
 
 class TestRefitL1:
