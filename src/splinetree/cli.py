@@ -101,34 +101,61 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A fit option with a value outside its domain (exit 2)."""
+
+
+def _parse_lambda(text):
+    parts = [float(v) for v in text.split(",") if v.strip()]
+    if not parts:
+        raise ValueError("no values")
+    return parts[0] if len(parts) == 1 else tuple(parts)
+
+
+_KINDS = {int: "an integer", float: "a number", str: "text",
+          _parse_lambda: "a number or comma-separated numbers"}
+
+
 def _config_from_args(args) -> io.RunConfig:
+    """The fit's run configuration from flags over ``--config`` values.
+
+    Raises ``_UsageError`` naming the flag or config key of the first value
+    that does not parse or lies outside its domain.
+    """
     defaults = io.read_config(args.config) if args.config else {}
+    sources: dict[str, str] = {}
 
     def pick(flag, key, cast, fallback):
         if flag is not None:
-            return flag
-        if key in defaults:
-            return cast(defaults[key])
-        return fallback
+            source, raw = "--" + key.replace("_", "-"), flag
+        elif key in defaults:
+            source, raw = f"{key} in {args.config}", defaults[key]
+        else:
+            return fallback
+        sources[key] = source
+        try:
+            return cast(raw)
+        except ValueError:
+            raise _UsageError(f"{source} must be {_KINDS[cast]}, got {raw!r}") from None
 
-    lam = pick(args.lam, "lambda", str, 1e-3)
-    if isinstance(lam, str):
-        parts = [float(v) for v in lam.split(",") if v.strip()]
-        lam = parts[0] if len(parts) == 1 else tuple(parts)
+    def require(ok, key, rule, value):
+        if not ok:
+            raise _UsageError(f"{sources[key]} must be {rule}, got {value!r}")
+
     features = pick(args.features, "features", str, None)
     if isinstance(features, str):
         features = tuple(v.strip() for v in features.split(",") if v.strip())
     categorical = tuple(args.categorical) or tuple(
         v.strip() for v in defaults.get("categorical", "").split(",") if v.strip()
     )
-    return io.RunConfig(
+    config = io.RunConfig(
         features=features,
         categorical=categorical,
         knots=pick(args.knots, "knots", int, 15),
         num_bins=pick(args.num_bins, "num_bins", int, 50),
         max_depth=pick(args.max_depth, "max_depth", int, 5),
         min_samples_leaf=pick(args.min_samples_leaf, "min_samples_leaf", int, None),
-        lam=lam,
+        lam=pick(args.lam, "lambda", _parse_lambda, 1e-3),
         loss=pick(args.loss, "loss", str, "gcv"),
         r2_threshold=pick(args.r2_threshold, "r2_threshold", float, 0.99),
         dsse_fraction=pick(args.dsse_fraction, "dsse_fraction", float, 0.02),
@@ -138,6 +165,26 @@ def _config_from_args(args) -> io.RunConfig:
         test_fraction=pick(args.test_fraction, "test_fraction", float, 1 / 3),
         threads=pick(args.threads, "threads", int, 1),
     )
+    c = config
+    lam_values = np.atleast_1d(c.lam)
+    require(c.knots >= 2, "knots", "at least 2", c.knots)
+    require(c.num_bins >= 2, "num_bins", "at least 2", c.num_bins)
+    require(c.max_depth >= 0, "max_depth", "nonnegative", c.max_depth)
+    require(c.min_samples_leaf is None or c.min_samples_leaf >= 1,
+            "min_samples_leaf", "positive", c.min_samples_leaf)
+    require(bool(np.all(np.isfinite(lam_values) & (lam_values >= 0))),
+            "lambda", "finite and nonnegative", c.lam)
+    require(c.loss in ("gcv", "sse"), "loss", "'gcv' or 'sse'", c.loss)
+    require(0 <= c.r2_threshold <= 1, "r2_threshold", "in [0, 1]", c.r2_threshold)
+    require(0 <= c.dsse_fraction <= 1, "dsse_fraction", "in [0, 1]", c.dsse_fraction)
+    require(c.lambda1 is None or 0 <= c.lambda1 < np.inf,
+            "lambda1", "finite and nonnegative", c.lambda1)
+    require(c.seed >= 0, "seed", "nonnegative", c.seed)
+    require(c.transform in ("identity", "logit"), "transform",
+            "'identity' or 'logit'", c.transform)
+    require(0 <= c.test_fraction < 1, "test_fraction", "in [0, 1)", c.test_fraction)
+    require(c.threads >= 1, "threads", "at least 1", c.threads)
+    return config
 
 
 def _load_fit_dataset(args, config: io.RunConfig, response: str):
@@ -163,8 +210,6 @@ def _train_test_rows(dataset, config: io.RunConfig):
             raise DataError("tag column has no 'train' rows")
         return train, test
     n = dataset.n
-    if not (0 <= config.test_fraction < 1):
-        raise DataError("test_fraction must be in [0, 1)")
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n)
     n_test = int(round(n * config.test_fraction))
@@ -209,11 +254,22 @@ def _cmd_fit(args) -> int:
     if args.response is None:
         print("error: fit requires --response", file=sys.stderr)
         return 2
-    config = _config_from_args(args)
+    try:
+        config = _config_from_args(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     dataset = _load_fit_dataset(args, config, args.response)
     train_rows, test_rows = _train_test_rows(dataset, config)
     train = dataset.subset(train_rows)
     spec = basis.build_spec(train, num_knots=config.knots)
+    if config.min_samples_leaf is not None and config.min_samples_leaf < spec.total_columns:
+        print(
+            f"error: min_samples_leaf {config.min_samples_leaf} is below the "
+            f"design width {spec.total_columns}",
+            file=sys.stderr,
+        )
+        return 2
     grown = tree.grow(train, spec, config.grow_config())
     pruned = tree.prune(grown, config.r2_threshold, config.dsse_fraction)
     if config.lambda1 is not None:

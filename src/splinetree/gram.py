@@ -15,6 +15,13 @@ penalized, and eigenvalues below ``NULL_SPACE_RTOL`` times the largest one
 are treated as null directions (pseudo-inverse behaviour), which keeps
 lambda = 0 fits well defined for deliberately collinear spline bases.  A
 lambda grid is resolved by GCV with one rule, :func:`select_lambda`.
+
+The standardizing arithmetic is written once, in
+:func:`_standardized_block`.  The eigendecomposition route applies it to
+the whole stack; the split sweep's Cholesky route applies it a cache-sized
+chunk of candidates at a time and factors each candidate in a single
+p x p work matrix, so the two routes see bit-identical blocks without the
+Cholesky route ever forming the whole stack.
 """
 
 from __future__ import annotations
@@ -37,6 +44,11 @@ _CONSTANT_COLUMN_RTOL = 1e-12
 # eigendecomposition per candidate for the whole grid; with GCV on 150- and
 # 29-column blocks the eigendecomposition is the cheaper from six values.
 _CHOLESKY_GRID_LIMIT = 4
+
+# The Cholesky route standardizes its candidates a chunk of about this many
+# bytes at a time: one 150-column block, or a few dozen 29-column ones, so
+# the chunk stays in cache and small blocks share each numpy call.
+_STANDARDIZE_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -197,10 +209,11 @@ def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=T
     ``xtx`` (c, m, m), ``xty`` (c, m), ``yty`` (c,) and ``counts`` (c,)
     are c systems stacked on a leading candidate axis, column 0 the
     intercept.  Each is standardized from its own statistics
-    (:func:`_standardize`), solved for every lambda, mapped back to the
-    original scale, and its SSE taken from the statistics.  Returns the
-    coefficients (k, c, m), SSEs (k, c) and effective df (k, c) for the k
-    grid values; pass them to :func:`select_lambda` to resolve a grid.
+    (:func:`_moments`, :func:`_standardized_block`), solved for every
+    lambda, mapped back to the original scale, and its SSE taken from the
+    statistics.  Returns the coefficients (k, c, m), SSEs (k, c) and
+    effective df (k, c) for the k grid values; pass them to
+    :func:`select_lambda` to resolve a grid.
 
     Two routes solve the standardized systems.  The eigendecomposition
     (:func:`_eigh_solves`) is the reference: one factorization serves the
@@ -208,10 +221,11 @@ def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=T
     null directions (pseudo-inverse at lambda = 0) and the df sums
     d / (d + lambda) over the others.  With ``cholesky``, every lambda
     positive and at most ``_CHOLESKY_GRID_LIMIT`` of them, each system is
-    instead Cholesky-factored once per lambda (:func:`_cholesky_solves`),
-    which needs no eigenvectors; a system whose factorization fails is
-    solved by the reference route.  ``want_edf=False`` lets that route
-    skip the df (left NaN) when only the SSE at one lambda is needed.
+    instead standardized in cache-sized chunks and Cholesky-factored once
+    per lambda (:func:`_cholesky_solves`), which needs no eigenvectors and
+    no stacked (c, p, p) block; a system whose factorization fails is
+    solved by the reference route.  ``want_edf=False`` lets that route skip the df (left
+    NaN) when only the SSE at one lambda is needed.
 
     The two routes count the df of a nearly collinear direction
     differently: an eigenvalue w above zero but below ``NULL_SPACE_RTOL``
@@ -233,14 +247,15 @@ def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=T
     """
     if min(lam_values) < 0:
         raise ValueError("lambda must be nonnegative")
-    block, b, mean, scale = _standardize(xtx, xty, counts)
+    n, mean, scale, b = _moments(xtx, xty, counts)
     if cholesky and min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT:
-        gammas, edfs, failed = _cholesky_solves(block, b, lam_values, want_edf)
+        gammas, edfs, failed = _cholesky_solves(xtx, n, mean, scale, b, lam_values, want_edf)
         if failed.any():
-            gammas_f, edfs_f = _eigh_solves(block[failed], b[failed], lam_values)
+            block = _standardized_block(xtx[failed], n[failed], mean[failed], scale[failed])
+            gammas_f, edfs_f = _eigh_solves(block, b[failed], lam_values)
             gammas[:, failed], edfs[:, failed] = gammas_f, edfs_f
     else:
-        gammas, edfs = _eigh_solves(block, b, lam_values)
+        gammas, edfs = _eigh_solves(_standardized_block(xtx, n, mean, scale), b, lam_values)
 
     coefficients = np.empty(gammas.shape[:2] + (gammas.shape[2] + 1,))
     coefficients[:, :, 1:] = gammas / scale
@@ -333,14 +348,13 @@ def _sse(xtx, xty, yty, beta):
     return np.maximum(value, 0.0)
 
 
-def _standardize(xtx, xty, counts):
-    """Centered and scaled non-intercept systems of stacked statistics.
+def _moments(xtx, xty, counts):
+    """Row counts, column means and scales, and ``Z'y`` of stacked statistics.
 
     Column means and variances are recovered from the intercept row of
     each ``xtx``; :func:`column_scale` decides which columns are constant
-    within their node.  Returns ``block`` (c, p, p), the ``Z'Z`` of the
-    standardized columns (not divided by n), ``b`` (c, p) = ``Z'y``, and
-    the columns' ``mean`` and ``scale`` (c, p), with p = m - 1.
+    within their node.  Returns ``n`` (c, 1) as floats, ``mean`` and
+    ``scale`` (c, p), and ``b`` (c, p) = ``Z'y``, with p = m - 1.
     """
     if np.any(counts <= 0):
         raise ValueError("cannot standardize statistics of no rows")
@@ -348,10 +362,29 @@ def _standardize(xtx, xty, counts):
     mean = xtx[:, 0, 1:] / n
     ex2 = np.diagonal(xtx, axis1=1, axis2=2)[:, 1:] / n
     _, scale = column_scale(np.maximum(ex2 - mean**2, 0.0), ex2)
-    centered = xtx[:, 1:, 1:] - n[:, :, None] * (mean[:, :, None] * mean[:, None, :])
-    block = centered / (scale[:, :, None] * scale[:, None, :])
     b = (xty[:, 1:] - mean * xty[:, :1]) / scale
-    return block, b, mean, scale
+    return n, mean, scale, b
+
+
+def _standardized_block(xtx, n, mean, scale, out=None, outer=None):
+    """The ``Z'Z`` of standardized columns: (X'X - n mean mean') / (scale scale').
+
+    The one place the block's centering and scaling arithmetic is written,
+    for stacked statistics ``xtx`` (c, m, m) with ``n`` (c, 1) and
+    ``mean``, ``scale`` (c, p) from :func:`_moments`.  Every step is
+    elementwise, so a candidate's block has the same bits whether it is
+    standardized alone, in a chunk or in the whole stack.  ``out``
+    receives the (c, p, p) block and ``outer`` is scratch of the same
+    shape; both are allocated when not given.
+    """
+    c, p = mean.shape
+    out = np.empty((c, p, p)) if out is None else out
+    outer = np.empty((c, p, p)) if outer is None else outer
+    np.multiply(mean[:, :, None], mean[:, None, :], out=out)
+    np.multiply(n[:, :, None], out, out=out)
+    np.subtract(xtx[:, 1:, 1:], out, out=out)
+    np.multiply(scale[:, :, None], scale[:, None, :], out=outer)
+    return np.divide(out, outer, out=out)
 
 
 def _eigh_solves(block, b, lam_values):
@@ -395,41 +428,51 @@ def _eigh_solves(block, b, lam_values):
     return np.stack(gammas), np.stack(edfs)
 
 
-def _cholesky_solves(block, b, lam_values, want_edf):
-    """Ridge solutions of stacked standardized systems by Cholesky.
+def _cholesky_solves(xtx, n, mean, scale, b, lam_values, want_edf):
+    """Ridge solutions of stacked systems by Cholesky, one candidate at a time.
 
-    For each lambda > 0 and candidate, factors block + lambda I = L L' and
-    gets gamma = (block + lambda I)^-1 b from the triangular solves.  When
-    ``want_edf``, the effective df comes from the GCV trace identity
-    edf = 1 + p - lambda tr((block + lambda I)^-1), with the trace taken as
-    ||L^-1||_F^2 (Golub, Heath & Wahba 1979); otherwise edf is left NaN.
-    A column constant within the node has a zero row and column in the
-    block (up to rounding), so it adds 1 - lambda / lambda = 0 to the df,
-    as its null direction does in the spectral sum.  Returns gammas
-    (k, c, p) and edfs (k, c), plus a mask of candidates whose
+    The candidates are standardized (:func:`_standardized_block`) a chunk
+    of about ``_STANDARDIZE_CHUNK_BYTES`` at a time, so no (c, p, p) stack
+    is formed.  For each candidate and lambda > 0, block + lambda I is
+    copied into one p x p work matrix that LAPACK factors in place as
+    L L', and gamma = (block + lambda I)^-1 b comes from the triangular
+    solves.  When ``want_edf``, the effective df comes from the GCV trace
+    identity edf = 1 + p - lambda tr((block + lambda I)^-1), with the
+    trace taken as ||L^-1||_F^2 (Golub, Heath & Wahba 1979); otherwise edf
+    is left NaN.  A column constant within the node has a zero row and
+    column in the block (up to rounding), so it adds 1 - lambda / lambda = 0
+    to the df, as its null direction does in the spectral sum.  Returns
+    gammas (k, c, p) and edfs (k, c), plus a mask of candidates whose
     factorization failed for some lambda; their entries are unset.
     """
     count, p = b.shape
-    eye = np.eye(p)
+    shifts = [lam * np.eye(p) for lam in lam_values]
+    size = min(count, max(1, _STANDARDIZE_CHUNK_BYTES // (8 * p * p)))
+    blocks, outer, work = np.empty((size, p, p)), np.empty((size, p, p)), np.empty((p, p))
     failed = np.zeros(count, dtype=bool)
     gammas = np.empty((len(lam_values), count, p))
     edfs = np.full((len(lam_values), count), np.nan)
-    for k, lam in enumerate(lam_values):
-        for i in range(count):
-            if failed[i]:
-                continue
-            # the shifted block is symmetric, so its transpose is the same
-            # matrix in the Fortran order LAPACK factors in place
-            chol, info = dpotrf((block[i] + lam * eye).T, lower=1, overwrite_a=1)
-            if info != 0:
-                failed[i] = True
-                continue
-            gammas[k, i], _ = dpotrs(chol, b[i], lower=1)
-            if want_edf:
-                inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
-                # einsum, not a BLAS dot: numpy's BLAS thread pool would
-                # contend with scipy's LAPACK pool between these calls
-                edfs[k, i] = 1.0 + p - lam * np.einsum("ij,ij->", inv, inv)
+    for lo in range(0, count, size):
+        part = slice(lo, min(lo + size, count))
+        chunk = _standardized_block(
+            xtx[part], n[part], mean[part], scale[part],
+            out=blocks[: part.stop - lo], outer=outer[: part.stop - lo],
+        )
+        for i, block in enumerate(chunk, start=lo):
+            for k, lam in enumerate(lam_values):
+                # the shifted block is symmetric, so its transpose is the
+                # same matrix in the Fortran order LAPACK factors in place
+                np.add(block, shifts[k], out=work)
+                chol, info = dpotrf(work.T, lower=1, overwrite_a=1)
+                if info != 0:
+                    failed[i] = True
+                    break
+                gammas[k, i], _ = dpotrs(chol, b[i], lower=1)
+                if want_edf:
+                    inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
+                    # einsum, not a BLAS dot: numpy's BLAS thread pool would
+                    # contend with scipy's LAPACK pool between these calls
+                    edfs[k, i] = 1.0 + p - lam * np.einsum("ij,ij->", inv, inv)
     return gammas, edfs, failed
 
 

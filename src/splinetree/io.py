@@ -152,7 +152,9 @@ def load_csv(
     With ``response=None`` no response column is read and the dataset gets
     an all-zero placeholder response (for prediction and diagnostics).
     A header that names a column twice is rejected, and a UTF-8 byte
-    order mark before the header is dropped.  A row too short for the
+    order mark before the header is dropped.  A file that is not UTF-8
+    text or that the ``csv`` module cannot split is rejected, and so is a
+    NUL character in a categorical or tag cell.  A row too short for the
     columns read is rejected with its file line number; unparseable
     numeric cells are collected and reported with theirs.
     ``transform="logit"`` maps the response p through log(p/(1-p)) with
@@ -163,10 +165,14 @@ def load_csv(
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+            table = list(reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not table:
+        raise DataError(f"{path}: empty file")
+    header, rows = table[0], table[1:]
     if not rows:
         raise DataError(f"{path}: no data rows")
     if len(set(header)) < len(header):
@@ -213,8 +219,7 @@ def load_csv(
     )
     columns: dict[str, np.ndarray] = {name: parsed[name] for name in continuous}
     for name in categorical:
-        k = index[name]
-        columns[name] = np.array([row[k] for row in rows])
+        columns[name] = _text_column(path, rows, index, name)
     if response is None:
         resp = np.zeros(len(rows))
     else:
@@ -226,8 +231,22 @@ def load_csv(
         columns=columns,
         response=resp,
         original=parsed.get(original) if original else None,
-        tags=np.array([row[index[tag]] for row in rows]) if tag else None,
+        tags=_text_column(path, rows, index, tag) if tag else None,
     )
+
+
+def _text_column(path, rows, index, name) -> np.ndarray:
+    """One column's cells as a string array.
+
+    A NUL character is rejected: numpy's string arrays drop trailing NULs,
+    which would silently merge ``"a\\x00"`` into the level ``"a"``.
+    """
+    k = index[name]
+    cells = [row[k] for row in rows]
+    if "\x00" in "".join(cells):
+        line, cell = next((i + 2, c) for i, c in enumerate(cells) if "\x00" in c)
+        raise DataError(f"{path}: line {line}, column {name!r}: NUL character in {cell!r}")
+    return np.array(cells)
 
 
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:

@@ -16,6 +16,18 @@ that function for when each route runs).  The winning candidate is then
 re-fitted through :func:`splinetree.gram.fit_node`, a batch of one on the
 eigendecomposition route, so the retained models and gains do not depend
 on the route that ranked them.
+
+The search's scratch memory lives in one workspace per :func:`grow`: the
+node's gathered rows, the bin-ordered rows, the stacked per-bin X'X that
+the continuous sweep cumulates in place, the left sides (a view of the
+cumulated stack when the feasible cuts are contiguous), the right sides
+and the categorical subset products.  Each buffer keeps the largest size
+asked for, so after the first nodes no (candidates, m, m) or row-sized
+array is allocated; the Cholesky route standardizes its candidates in
+cache-sized chunks and factors each in one p x p matrix (see
+:func:`splinetree.gram.ridge_batch`).  The
+operations and their order are those of fresh allocation, so the trees
+are byte-identical to it.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from __future__ import annotations
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from queue import SimpleQueue
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -160,6 +173,45 @@ class SplitInstrumentation:
         )
 
 
+class _Workspace:
+    """Scratch arrays of the split search, reused from call to call.
+
+    ``grow`` makes one and drops it when it returns; each named array keeps
+    the largest size asked for so far, so once the first nodes are binned
+    and swept, later passes allocate no row- or candidate-sized memory.
+    A workspace serves one thread at a time: a threaded sweep gives each
+    worker one of :meth:`workers`.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+        self._workers: list[_Workspace] = []
+
+    def array(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        """An uninitialized C-contiguous array over the named buffer."""
+        size = int(np.prod(shape))
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            self._arrays.pop(name, None)  # free the old buffer first
+            buf = self._arrays[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+    def take(self, name: str, a: np.ndarray, indices: np.ndarray) -> np.ndarray:
+        """``np.take(a, indices, axis=0)`` into the named buffer.
+
+        The indices must be valid: ``mode="clip"`` gathers straight into the
+        buffer, where the checking default would gather into a copy first.
+        """
+        out = self.array(name, (indices.size,) + a.shape[1:], a.dtype)
+        return np.take(a, indices, axis=0, out=out, mode="clip")
+
+    def workers(self, count: int) -> list["_Workspace"]:
+        """``count`` workspaces for a threaded sweep, kept for reuse."""
+        while len(self._workers) < count:
+            self._workers.append(_Workspace())
+        return self._workers[:count]
+
+
 def candidate_edges(values, num_bins: int) -> np.ndarray:
     """Global candidate thresholds for one continuous feature.
 
@@ -200,6 +252,7 @@ def bin_grams(
     instrumentation: SplitInstrumentation | None = None,
     node_id: int = -1,
     feature: str = "",
+    workspace: _Workspace | None = None,
 ) -> list[GramStats]:
     """Per-bin gram statistics over the full design, in one pass.
 
@@ -211,8 +264,9 @@ def bin_grams(
     Bin ids are cast to the narrowest unsigned type that holds
     ``num_bins - 1``, so the stable sort that groups them is a radix sort
     for up to 65536 bins; the rows are gathered into bin order with
-    ``np.take`` and the bin boundaries come from the bin counts.  Each
-    bin's products are taken on its contiguous slice of the gathered rows.
+    ``np.take`` (into ``workspace`` buffers, when one is given) and the bin
+    boundaries come from the bin counts.  Each bin's products are taken on
+    its contiguous slice of the gathered rows, into arrays of its own.
 
     Raises
     ------
@@ -228,8 +282,9 @@ def bin_grams(
             f"{x.shape[0]} rows need as many responses and bin ids, "
             f"got {len(y)} and {len(b)}"
         )
+    ws = _Workspace() if workspace is None else workspace
     order = np.argsort(b, kind="stable")
-    xs, ys = np.take(x, order, axis=0), np.take(y, order)
+    xs, ys = ws.take("binned_rows", x, order), ws.take("binned_responses", y, order)
     edges_idx = np.zeros(num_bins + 1, dtype=np.intp)
     np.cumsum(np.bincount(b, minlength=num_bins), out=edges_idx[1:])
     grams = []
@@ -336,17 +391,20 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
     return np.where(np.isfinite(gcv), sse[index, np.arange(counts.size)], np.inf)
 
 
-def _stack(grams: Sequence[GramStats]):
-    xtx = np.stack([g.xtx for g in grams])
+def _stack(grams: Sequence[GramStats], workspace: _Workspace | None = None):
+    """Stacked statistics of the grams; ``xtx`` goes into ``workspace``."""
+    m = grams[0].dim
+    xtx = None if workspace is None else workspace.array("stacked", (len(grams), m, m))
+    xtx = np.stack([g.xtx for g in grams], out=xtx)
     xty = np.stack([g.xty for g in grams])
     yty = np.array([g.yty for g in grams])
     counts = np.array([g.count for g in grams])
     return xtx, xty, yty, counts
 
 
-def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config):
+def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config, ws):
     """Gain of each stacked left side and its complement in the node."""
-    xtx_r = node.xtx[None, :, :] - xtx_l
+    xtx_r = np.subtract(node.xtx[None, :, :], xtx_l, out=ws.array("right", xtx_l.shape))
     diag = np.einsum("cii->ci", xtx_r)
     np.maximum(diag, 0.0, out=diag)
     xty_r = node.xty[None, :] - xty_l
@@ -358,12 +416,12 @@ def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, confi
     return parent_loss - (loss_l + loss_r)
 
 
-def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf):
+def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf, ws):
     edges = fb.edges
     if edges is None or edges.size == 0:
         return None
-    xtx, xty, yty, counts = _stack(fb.grams)
-    cum_xtx = np.cumsum(xtx, axis=0)
+    cum_xtx, xty, yty, counts = _stack(fb.grams, ws)
+    np.cumsum(cum_xtx, axis=0, out=cum_xtx)
     cum_xty = np.cumsum(xty, axis=0)
     cum_yty = np.cumsum(yty)
     cum_cnt = np.cumsum(counts)
@@ -376,9 +434,13 @@ def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf):
     sel = np.nonzero(feasible & distinct)[0]
     if sel.size == 0:
         return None
+    if sel[-1] - sel[0] + 1 == sel.size:  # contiguous cuts: a view suffices
+        xtx_l = cum_xtx[sel[0] : sel[-1] + 1]
+    else:
+        xtx_l = ws.take("left", cum_xtx, sel)
     gains = _split_gains(
-        node_gram, cum_xtx[sel], cum_xty[sel], cum_yty[sel], cum_cnt[sel],
-        parent_loss, config,
+        node_gram, xtx_l, cum_xty[sel], cum_yty[sel], cum_cnt[sel],
+        parent_loss, config, ws,
     )
     best = int(np.argmax(gains))
     if not np.isfinite(gains[best]):
@@ -406,7 +468,7 @@ def _canonical_subsets(n_levels: int):
     return subsets
 
 
-def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf):
+def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws):
     levels = fb.levels
     c = len(levels)
     counts = np.array([g.count for g in fb.grams])
@@ -438,15 +500,20 @@ def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf):
     if sel.size == 0:
         return None
 
-    xtx, xty, yty, _ = _stack(fb.grams)
+    xtx, xty, yty, _ = _stack(fb.grams, ws)
+    m = node_gram.dim
+    flat = xtx.reshape(c, m * m)
     best_gain, best_subset = -np.inf, None
-    chunk = max(1, (1 << 22) // max(node_gram.dim**2, 1))
+    chunk = max(1, (1 << 22) // max(m**2, 1))
     for lo in range(0, sel.size, chunk):
         part = sel[lo : lo + chunk]
         S = membership[part]
+        # np.tensordot(S, xtx, axes=1) is this product, less the fresh array
+        xtx_l = ws.array("left", (part.size, m, m))
+        np.dot(S, flat, out=xtx_l.reshape(part.size, m * m))
         gains = _split_gains(
-            node_gram, np.tensordot(S, xtx, axes=1), S @ xty, S @ yty, cnt_l[part],
-            parent_loss, config,
+            node_gram, xtx_l, S @ xty, S @ yty, cnt_l[part],
+            parent_loss, config, ws,
         )
         i = int(np.argmax(gains))
         if np.isfinite(gains[i]) and gains[i] > best_gain:
@@ -466,10 +533,10 @@ def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf):
     )
 
 
-def _sweep_feature(fb, node_gram, parent_loss, config, min_leaf):
+def _sweep_feature(fb, node_gram, parent_loss, config, min_leaf, ws):
     if fb.kind == "continuous":
-        return _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf)
-    return _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf)
+        return _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf, ws)
+    return _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws)
 
 
 def best_split(
@@ -478,28 +545,43 @@ def best_split(
     feature_bins: Iterable[FeatureBins],
     config: GrowConfig,
     min_samples_leaf: int,
+    *,
+    workspace: _Workspace | None = None,
 ) -> BestSplit | None:
     """Best feasible split of a node, or None.
 
     Sweeps every feature's candidate partitions from cumulative bin
     statistics; ties break to the lower feature index, then the lower
     threshold, then the canonically smaller left category subset.  The
-    winner's children are re-fitted through fit_node and the returned gain is recomputed from those fits.
+    winner's children are re-fitted through fit_node and the returned gain
+    is recomputed from those fits.  The sweep's stacked statistics live in
+    ``workspace`` (fresh when not given; ``grow`` passes one that lives as
+    long as the grow), and with ``config.threads > 1`` each worker thread
+    sweeps in a workspace of its own.
     """
+    ws = _Workspace() if workspace is None else workspace
     parent_loss = _node_split_loss(node_model, config.loss)
 
     if config.threads > 1:
         bins_list = list(feature_bins)
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(
-                pool.map(
-                    lambda fb: _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf),
-                    bins_list,
+        idle = SimpleQueue()
+        for worker in ws.workers(config.threads):
+            idle.put(worker)
+
+        def sweep(fb):
+            worker = idle.get()
+            try:
+                return _sweep_feature(
+                    fb, node_gram, parent_loss, config, min_samples_leaf, worker
                 )
-            )
+            finally:
+                idle.put(worker)
+
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            results = list(pool.map(sweep, bins_list))
     else:
         results = [
-            _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf)
+            _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf, ws)
             for fb in feature_bins
         ]
 
@@ -586,8 +668,9 @@ def _level_codes(values, levels, feature) -> np.ndarray:
     return _compact_bin_ids(codes, len(levels))
 
 
-def _node_feature_bins(binning, X_node, y_node, rows, node_id, instrumentation):
+def _node_feature_bins(binning, X_node, y_node, rows, node_id, instrumentation, ws=None):
     """Lazily yield per-feature bin statistics for one node."""
+    ws = _Workspace() if ws is None else ws
     for idx, name in enumerate(binning.order):
         if binning.kinds[name] == "continuous":
             n_bins = binning.edges[name].size + 1
@@ -596,11 +679,12 @@ def _node_feature_bins(binning, X_node, y_node, rows, node_id, instrumentation):
         grams = bin_grams(
             X_node,
             y_node,
-            np.take(binning.bin_ids[name], rows),
+            ws.take("bin_ids", binning.bin_ids[name], rows),
             n_bins,
             instrumentation=instrumentation,
             node_id=node_id,
             feature=name,
+            workspace=ws,
         )
         yield FeatureBins(
             feature=name,
@@ -647,6 +731,12 @@ def grow(
     (root, then its children left-to-right, level by level).  Growth stops
     at ``max_depth``, when no candidate is feasible, or when the best gain
     does not exceed ``min_gain``.
+
+    The same inputs grow the same tree, bit for bit, for any
+    ``config.threads``, under the same BLAS thread setting: BLAS run with
+    another thread count may round the sweep and the node fits differently.
+    The split search's scratch arrays live in one workspace that is
+    dropped on return.
     """
     if dataset.n == 0:
         raise DataError("dataset is empty")
@@ -665,6 +755,7 @@ def grow(
     X = basis.design_matrix(dataset, spec)
     y = np.asarray(dataset.response, dtype=np.float64)
 
+    ws = _Workspace()
     rows = np.arange(dataset.n)
     root_gram = gram_accumulate(X, y)
     root_model = fit_node(root_gram, config.lam)
@@ -678,12 +769,15 @@ def grow(
         node, node_rows, node_gram = queue.popleft()
         if node.depth >= config.max_depth or node.count < 2 * min_leaf:
             continue
-        X_node = np.take(X, node_rows, axis=0)
-        y_node = np.take(y, node_rows)
+        if node_rows.size == dataset.n:  # every row, in order: nothing to gather
+            X_node, y_node = X, y
+        else:
+            X_node = ws.take("node_rows", X, node_rows)
+            y_node = ws.take("node_responses", y, node_rows)
         bins = _node_feature_bins(
-            binning, X_node, y_node, node_rows, node.id, instrumentation
+            binning, X_node, y_node, node_rows, node.id, instrumentation, ws
         )
-        found = best_split(node_gram, node.model, bins, config, min_leaf)
+        found = best_split(node_gram, node.model, bins, config, min_leaf, workspace=ws)
         if found is None or found.gain <= config.min_gain:
             continue
         mask = split_mask(dataset, spec, found.candidate, rows=node_rows)
@@ -700,14 +794,14 @@ def grow(
             id=next_id, depth=node.depth + 1, count=left_rows.size,
             model=found.left_model,
             effect_means=_effect_means(
-                np.take(X, left_rows, axis=0), spec, found.left_model.coefficients
+                ws.take("node_rows", X, left_rows), spec, found.left_model.coefficients
             ),
         )
         right = TreeNode(
             id=next_id + 1, depth=node.depth + 1, count=right_rows.size,
             model=found.right_model,
             effect_means=_effect_means(
-                np.take(X, right_rows, axis=0), spec, found.right_model.coefficients
+                ws.take("node_rows", X, right_rows), spec, found.right_model.coefficients
             ),
         )
         next_id += 2

@@ -237,6 +237,75 @@ class TestFit:
         assert json.loads(model.read_text())["config"]["max_depth"] == 1
 
 
+class TestFitArgumentErrors:
+    """Out-of-domain fit options end in one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--lambda", "abc", "--lambda"),
+            ("--lambda", "0.1,abc", "--lambda"),
+            ("--lambda", "-1", "--lambda"),
+            ("--lambda", "0.1,nan", "--lambda"),
+            ("--max-depth", "-1", "--max-depth"),
+            ("--num-bins", "1", "--num-bins"),
+            ("--threads", "0", "--threads"),
+            ("--knots", "0", "--knots"),
+            ("--min-samples-leaf", "0", "--min-samples-leaf"),
+            ("--r2-threshold", "1.5", "--r2-threshold"),
+            ("--lambda1", "-0.1", "--lambda1"),
+            ("--test-fraction", "1", "--test-fraction"),
+        ],
+    )
+    def test_bad_flag_exits_2_before_reading_data(self, tmp_path, capsys, flag, value,
+                                                  named):
+        # the data file does not exist: reading it would exit 3 instead
+        model = tmp_path / "t.json"
+        code, out, err = run(
+            capsys, "fit", "--data", str(tmp_path / "absent.csv"), "--response", "f",
+            flag, value, "--out", str(model),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {named} must be") and err.count("\n") == 1
+        assert out == "" and not model.exists()
+
+    @pytest.mark.parametrize(
+        "line, key", [("knots = abc", "knots"), ("max_depth = -2", "max_depth"),
+                      ("lambda = 1e-3,x", "lambda"), ("loss = l1", "loss")],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, line, key):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        code, _, err = run(
+            capsys, "fit", "--data", str(tmp_path / "absent.csv"), "--response", "f",
+            "--config", str(conf), "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {key} in {conf} must be")
+        assert err.count("\n") == 1
+
+    def test_flag_overrides_bad_config_value(self, tmp_path, sim_csv, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("max_depth = -2\n")
+        code, _, err = run(
+            capsys, "fit", "--data", str(sim_csv), "--response", "f",
+            "--config", str(conf), "--max-depth", "0", "--knots", "4",
+            "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 0, err
+
+    def test_min_samples_leaf_below_design_width(self, tmp_path, sim_csv, capsys):
+        # the design width is known once the spec is built on the data
+        model = tmp_path / "t.json"
+        code, out, err = run(
+            capsys, "fit", "--data", str(sim_csv), "--response", "f", "--knots", "4",
+            "--min-samples-leaf", "5", "--out", str(model),
+        )
+        assert code == 2
+        assert err.startswith("error: min_samples_leaf 5 is below the design width")
+        assert err.count("\n") == 1 and out == "" and not model.exists()
+
+
 class TestPredictEvaluate:
     def test_predict_writes_csv(self, tmp_path, sim_csv, fitted_model, capsys):
         out_csv = tmp_path / "pred.csv"

@@ -240,6 +240,27 @@ class TestLoadCsv:
         ds = load_csv(path, response="y", categorical=["c"])
         assert list(ds.columns["c"]) == ["nan", "u"]
 
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("x1,c1,f\n1,caf\u00e9,0.1\n".encode("latin-1"))
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            load_csv(path, response="f", categorical=["c1"])
+
+    def test_field_beyond_csv_limit_rejected(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("x1,f\n1,0.1\n" + "9" * 200_000 + ",0.2\n")
+        with pytest.raises(DataError, match="line 3: field larger than field limit"):
+            load_csv(path, response="f")
+
+    @pytest.mark.parametrize("cell", ["u\x00", "\x00u"])
+    def test_nul_in_text_cell_rejected(self, tmp_path, cell):
+        # a trailing NUL would vanish in a numpy string array, merging
+        # the cell into the level "u"
+        path = tmp_path / "nul.csv"
+        path.write_text(f"x1,c1,f\n1,u,0.1\n2,{cell},0.2\n")
+        with pytest.raises(DataError, match="line 3, column 'c1': NUL character"):
+            load_csv(path, response="f", categorical=["c1"])
+
     def test_categorical_and_tag(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_text("a,c,y,part\n1,u,0.5,train\n2,v,0.7,test\n3,u,0.9,train\n")

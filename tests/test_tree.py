@@ -1,11 +1,14 @@
 """Tree growth, split search, pruning, prediction, and the L1 refit."""
 
+import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from splinetree import (
     DataError,
@@ -13,6 +16,7 @@ from splinetree import (
     GrowConfig,
     SplitInstrumentation,
     SurrogateDataset,
+    best_split,
     build_spec,
     candidate_edges,
     design_matrix,
@@ -27,7 +31,7 @@ from splinetree import basis
 from splinetree import gram as gram_mod
 from splinetree import tree as tree_mod
 from splinetree.basis import UnseenCategoryWarning
-from splinetree.gram import NULL_SPACE_RTOL, _standardize, gcv_loss
+from splinetree.gram import NULL_SPACE_RTOL, _moments, _standardized_block, gcv_loss
 from splinetree.tree import (
     _batch_child_losses,
     _node_split_loss,
@@ -460,7 +464,8 @@ class TestBatchChildLosses:
         y = x + 0.3 * w + 0.1 * rng.standard_normal(60)
         g = gram_accumulate(np.column_stack([np.ones(60), x, x + 1e-5 * z, w]), y)
         xtx, xty, _, counts = _stack([g])
-        spectrum = np.linalg.eigvalsh(_standardize(xtx, xty, counts)[0][0])
+        block = _standardized_block(xtx, *_moments(xtx, xty, counts)[:3])
+        spectrum = np.linalg.eigvalsh(block[0])
         near_null = spectrum[spectrum < NULL_SPACE_RTOL * spectrum[-1]]
         assert near_null.size == 1 and near_null[0] > 1e-14 * spectrum[-1]
         model = fit_node(g, lam)
@@ -494,6 +499,254 @@ class TestBatchChildLosses:
         assert eigh_calls == [(1, 2, 2)]
         assert np.all(np.isfinite(got))
         assert_allclose(got, _reference_losses(grams, lam_values, loss), rtol=1e-9)
+
+
+def _fresh_child_losses(xtx, xty, yty, counts, lam_values, loss):
+    """Reference for the sweep's child losses, with fresh arrays throughout.
+
+    The whole stack is standardized at once, each candidate's
+    block + lambda I is a new array handed to LAPACK, and failed
+    factorizations are redone by the eigendecomposition on the stacked
+    block; the operations and their order are the sweep's.
+    """
+    n = counts.astype(np.float64)[:, None]
+    mean = xtx[:, 0, 1:] / n
+    ex2 = np.diagonal(xtx, axis1=1, axis2=2)[:, 1:] / n
+    _, scale = gram_mod.column_scale(np.maximum(ex2 - mean**2, 0.0), ex2)
+    centered = xtx[:, 1:, 1:] - n[:, :, None] * (mean[:, :, None] * mean[:, None, :])
+    block = centered / (scale[:, :, None] * scale[:, None, :])
+    b = (xty[:, 1:] - mean * xty[:, :1]) / scale
+    grid = len(lam_values) > 1
+    count, p = b.shape
+    if min(lam_values) > 0 and len(lam_values) <= gram_mod._CHOLESKY_GRID_LIMIT:
+        gammas = np.empty((len(lam_values), count, p))
+        edfs = np.full((len(lam_values), count), np.nan)
+        failed = np.zeros(count, dtype=bool)
+        for k, lam in enumerate(lam_values):
+            for i in range(count):
+                if failed[i]:
+                    continue
+                chol, info = dpotrf((block[i] + lam * np.eye(p)).T, lower=1, overwrite_a=1)
+                if info != 0:
+                    failed[i] = True
+                    continue
+                gammas[k, i], _ = dpotrs(chol, b[i], lower=1)
+                if loss == "gcv" or grid:
+                    inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
+                    edfs[k, i] = 1.0 + p - lam * np.einsum("ij,ij->", inv, inv)
+        if failed.any():
+            gammas[:, failed], edfs[:, failed] = gram_mod._eigh_solves(
+                block[failed], b[failed], lam_values
+            )
+    else:
+        gammas, edfs = gram_mod._eigh_solves(block, b, lam_values)
+    coefficients = np.empty(gammas.shape[:2] + (p + 1,))
+    coefficients[:, :, 1:] = gammas / scale
+    coefficients[:, :, 0] = xty[:, 0] / counts - np.matmul(
+        coefficients[:, :, None, 1:], mean[:, :, None]
+    )[:, :, 0, 0]
+    sse = gram_mod._sse(xtx, xty, yty, coefficients)
+    if loss == "sse" and not grid:
+        return sse[0]
+    index, gcv = gram_mod.select_lambda(sse, edfs, counts)
+    if loss == "gcv":
+        return counts * gcv
+    return np.where(np.isfinite(gcv), sse[index, np.arange(counts.size)], np.inf)
+
+
+def _fresh_gains(node, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config):
+    xtx_r = node.xtx[None, :, :] - xtx_l
+    diag = np.einsum("cii->ci", xtx_r)
+    np.maximum(diag, 0.0, out=diag)
+    right = (xtx_r, node.xty[None, :] - xty_l, np.maximum(node.yty - yty_l, 0.0),
+             node.count - cnt_l)
+    lam_values, loss = config.lam_values, config.loss
+    return parent_loss - (
+        _fresh_child_losses(xtx_l, xty_l, yty_l, cnt_l, lam_values, loss)
+        + _fresh_child_losses(*right, lam_values, loss)
+    )
+
+
+def _fresh_sweep(fb, node, parent_loss, config, min_leaf):
+    """Every scored candidate of one feature and its gain, with fresh arrays."""
+    xtx = np.stack([g.xtx for g in fb.grams])
+    xty = np.stack([g.xty for g in fb.grams])
+    yty = np.array([g.yty for g in fb.grams])
+    counts = np.array([g.count for g in fb.grams])
+    if fb.kind == "continuous":
+        cum = [np.cumsum(a, axis=0) for a in (xtx, xty, yty, counts)]
+        cnt = cum[3][: fb.edges.size]
+        distinct = np.ones(fb.edges.size, dtype=bool)
+        distinct[1:] = counts[1 : fb.edges.size] > 0
+        sel = np.nonzero((cnt >= min_leaf) & (node.count - cnt >= min_leaf) & distinct)[0]
+        if sel.size == 0:
+            return [], np.empty(0)
+        gains = _fresh_gains(node, *(a[sel] for a in cum), parent_loss, config)
+        return [("threshold", float(fb.edges[j])) for j in sel], gains
+    c = len(fb.levels)
+    if c <= tree_mod.EXHAUSTIVE_CATEGORY_LIMIT:
+        subsets = tree_mod._canonical_subsets(c)
+    else:  # the ordered scan: prefixes of the levels sorted by node mean
+        nonempty = [k for k in range(c) if counts[k] > 0]
+        order = sorted(nonempty, key=lambda k: (fb.grams[k].xty[0] / counts[k], k))
+        subsets = set()
+        for cut in range(1, len(order)):
+            prefix = set(order[:cut])
+            if 0 not in prefix:
+                prefix = set(range(c)) - prefix
+            if 0 < len(prefix) < c:
+                subsets.add(tuple(sorted(prefix)))
+        subsets = sorted(subsets)
+    membership = np.zeros((len(subsets), c))
+    for i, subset in enumerate(subsets):
+        membership[i, list(subset)] = 1.0
+    cnt_l = (membership @ counts).astype(np.int64)
+    sel = np.nonzero((cnt_l >= min_leaf) & (node.count - cnt_l >= min_leaf))[0]
+    chunk = max(1, (1 << 22) // node.dim**2)
+    gains = [
+        _fresh_gains(
+            node, np.tensordot(membership[part], xtx, axes=1), membership[part] @ xty,
+            membership[part] @ yty, cnt_l[part], parent_loss, config,
+        )
+        for part in (sel[lo : lo + chunk] for lo in range(0, sel.size, chunk))
+    ]
+    return [("categories", subsets[i]) for i in sel], np.concatenate(gains or [[]])
+
+
+@pytest.fixture
+def swept_gains(monkeypatch):
+    """Records the gains of every call to the sweep's gain scorer."""
+    calls = []
+    inner = tree_mod._split_gains
+
+    def spy(*args):
+        gains = inner(*args)
+        calls.append(gains.copy())
+        return gains
+
+    monkeypatch.setattr(tree_mod, "_split_gains", spy)
+    return calls
+
+
+def _node_bins(ds, spec, num_bins):
+    """Root node statistics and per-feature bins of a dataset."""
+    X = design_matrix(ds, spec)
+    y = ds.response
+    binning = tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=num_bins))
+    bins = list(tree_mod._node_feature_bins(binning, X, y, np.arange(ds.n), 0, None))
+    return gram_accumulate(X, y), bins
+
+
+def _singular_left_sides():
+    """A node whose left sides all hold two identical +-1 columns.
+
+    The third column departs from the second only in the last bin, so
+    every left side standardizes to a block [[n, n], [n, n]] (singular
+    beyond a 1e-20 ridge weight, exactly so for the 16-row side) while
+    every right side is regular.
+    """
+    n = 64
+    u = np.arange(n, dtype=np.float64)
+    x = np.tile([1.0, -1.0], n // 2)
+    z = np.where(u >= 56, np.random.default_rng(4).standard_normal(n), 0.0)
+    X = np.column_stack([np.ones(n), x, x + z])
+    y = np.random.default_rng(5).standard_normal(n)
+    edges = candidate_edges(u, 8)
+    fb = tree_mod.FeatureBins(
+        feature="u", index=0, kind="continuous",
+        grams=bin_grams(X, y, tree_mod.bin_values(u, edges), edges.size + 1), edges=edges,
+    )
+    return gram_accumulate(X, y), [fb]
+
+
+class TestSweepWorkspace:
+    """The reused sweep buffers give the gains of fresh-array arithmetic."""
+
+    GRIDS = {
+        "scalar": 1e-3,
+        "grid3": (1e-3, 0.05, 2.0),  # Cholesky, one factorization per value
+        "grid6": tuple(np.geomspace(1e-3, 5.0, 6)),  # eigendecomposition
+    }
+
+    @staticmethod
+    def _check(node_gram, bins, config, min_leaf, calls):
+        node_model = fit_node(node_gram, config.lam)
+        parent_loss = _node_split_loss(node_model, config.loss)
+        candidates, want = [], []
+        for fb in bins:
+            keys, gains = _fresh_sweep(fb, node_gram, parent_loss, config, min_leaf)
+            candidates += [(fb.feature, key) for key in keys]
+            want.append(gains)
+        want = np.concatenate(want)
+        ws = tree_mod._Workspace()
+        for _ in range(2):  # a cold workspace, then the same one warm
+            calls.clear()
+            found = best_split(node_gram, node_model, bins, config, min_leaf, workspace=ws)
+            assert np.array_equal(np.concatenate(calls), want)
+            best = int(np.argmax(want))
+            feature, (kind, value) = candidates[best]
+            assert found.candidate == tree_mod.SplitCandidate(feature, **{kind: value})
+        return found
+
+    @pytest.mark.parametrize("levels", [5, 14])
+    @pytest.mark.parametrize("loss", ["gcv", "sse"])
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_gains_match_fresh_arrays(self, swept_gains, grid, loss, levels):
+        # 5 levels take exhaustive subsets, 14 the ordered scan
+        rng = np.random.default_rng(9)
+        ds = make_dataset(rng, 1400, continuous=2, categorical=1, levels=levels)
+        spec = build_spec(ds, num_knots=4)
+        node_gram, bins = _node_bins(ds, spec, 16)
+        assert [fb.kind for fb in bins] == ["continuous", "continuous", "categorical"]
+        config = GrowConfig(lam=self.GRIDS[grid], loss=loss, num_bins=16)
+        self._check(node_gram, bins, config, spec.total_columns, swept_gains)
+
+    @pytest.mark.parametrize("loss", ["gcv", "sse"])
+    def test_failed_factorizations_match_fresh_arrays(self, swept_gains, monkeypatch, loss):
+        failures = []
+        inner = gram_mod._cholesky_solves
+
+        def spy(*args):
+            out = inner(*args)
+            failures.append(int(out[2].sum()))
+            return out
+
+        monkeypatch.setattr(gram_mod, "_cholesky_solves", spy)
+        node_gram, bins = _singular_left_sides()
+        self._check(node_gram, bins, GrowConfig(lam=1e-20, loss=loss), 8, swept_gains)
+        # each of the two sweeps scores the left sides, then the right sides;
+        # some left sides fall back to the eigendecomposition, no right side
+        assert len(failures) == 4
+        assert failures[0] == failures[2] > 0 and failures[1] == failures[3] == 0
+
+    def test_warm_workspace_allocates_no_candidate_stack(self, swept_gains):
+        # 151 columns, as in the C5 fit: the Cholesky route standardizes
+        # one candidate at a time, so a candidate stack is many blocks
+        rng = np.random.default_rng(12)
+        ds = make_dataset(rng, 3000, continuous=3)
+        spec = build_spec(ds, num_knots=50)
+        assert spec.total_columns == 151
+        node_gram, bins = _node_bins(ds, spec, 40)
+        config = GrowConfig(num_bins=40)
+        node_model = fit_node(node_gram, config.lam)
+        min_leaf = spec.total_columns
+        ws = tree_mod._Workspace()
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                swept_gains.clear()
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                best_split(node_gram, node_model, bins, config, min_leaf, workspace=ws)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        p = spec.total_columns - 1
+        stack = min(g.size for g in swept_gains) * p * p * 8  # smallest (c, p, p)
+        assert stack > 20 * p * p * 8
+        assert peaks[0] > stack  # the cold call allocates the buffers
+        assert peaks[1] < stack
 
 
 class TestGrow:
@@ -585,14 +838,16 @@ class TestGrow:
                 assert key not in seen, "feature re-binned within one node"
                 seen.add(key)
 
-    def test_determinism_across_threads(self, rng):
-        ds = make_dataset(rng, 900, continuous=3, categorical=1)
-        spec = build_spec(ds, num_knots=3)
-        trees = [
-            grow(ds, spec, GrowConfig(max_depth=3, num_bins=8,
-                                      min_samples_leaf=60, threads=t))
-            for t in (1, 2, 4)
-        ]
+    @staticmethod
+    def _grown_alike_across_threads(ds, spec, config):
+        # a short switch interval interleaves the workers' sweeps finely, so
+        # a scratch buffer shared between them would be overwritten mid-sweep
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            trees = [grow(ds, spec, replace(config, threads=t)) for t in (1, 2, 4)]
+        finally:
+            sys.setswitchinterval(interval)
         base = list(trees[0].nodes())
         for other in trees[1:]:
             nodes = list(other.nodes())
@@ -600,6 +855,27 @@ class TestGrow:
             for a, b in zip(base, nodes):
                 assert a.id == b.id and a.split == b.split
                 assert (a.model.coefficients == b.model.coefficients).all()
+        return trees[0]
+
+    def test_determinism_across_threads(self, rng):
+        ds = make_dataset(rng, 900, continuous=3, categorical=1)
+        spec = build_spec(ds, num_knots=3)
+        config = GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=60)
+        self._grown_alike_across_threads(ds, spec, config)
+
+    @pytest.mark.parametrize("lam", [(1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 6))])
+    def test_determinism_across_threads_with_grid_and_categorical_split(self, rng, lam):
+        # each worker sweeps in its own workspace; the c1-by-x1 interaction
+        # makes the root split on the categorical feature
+        ds = make_dataset(rng, 900, continuous=3, categorical=1, levels=5)
+        x, c = ds.columns, ds.columns["c1"]
+        sign = np.where(np.isin(c, ["lv1", "lv3"]), 1.0, -1.0)
+        ds.response[:] = (x["x2"] + np.sin(2 * x["x3"]) + 2.0 * sign * x["x1"]
+                          + 0.1 * rng.standard_normal(900))
+        spec = build_spec(ds, num_knots=3)
+        config = GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=60, lam=lam)
+        root = self._grown_alike_across_threads(ds, spec, config)
+        assert root.split.categories is not None
 
 
 def _spec_stub():
