@@ -120,12 +120,15 @@ def _config_from_args(args) -> io.RunConfig:
     """The fit's run configuration from flags over ``--config`` values.
 
     Raises ``_UsageError`` naming the flag or config key of the first value
-    that does not parse or lies outside its domain.
+    that does not parse or lies outside its domain, or the first config key
+    that names no option.
     """
     defaults = io.read_config(args.config) if args.config else {}
     sources: dict[str, str] = {}
+    known = {"categorical"}
 
     def pick(flag, key, cast, fallback):
+        known.add(key)
         if flag is not None:
             source, raw = "--" + key.replace("_", "-"), flag
         elif key in defaults:
@@ -165,6 +168,9 @@ def _config_from_args(args) -> io.RunConfig:
         test_fraction=pick(args.test_fraction, "test_fraction", float, 1 / 3),
         threads=pick(args.threads, "threads", int, 1),
     )
+    unknown = [key for key in defaults if key not in known]
+    if unknown:
+        raise _UsageError(f"unknown key {unknown[0]!r} in {args.config}")
     c = config
     lam_values = np.atleast_1d(c.lam)
     require(c.knots >= 2, "knots", "at least 2", c.knots)

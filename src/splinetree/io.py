@@ -40,7 +40,8 @@ class SurrogateDataset:
 
     ``original`` optionally carries the upstream problem's own response for
     accuracy metrics; ``tags`` optionally carries a train/test marker per
-    row.  Continuous feature columns and the response must be finite.
+    row.  Continuous feature columns, the response and ``original`` must be
+    finite.
     """
 
     features: tuple[Feature, ...]
@@ -57,17 +58,13 @@ class SurrogateDataset:
             col = self.columns[feat.name]
             if col.shape[0] != n:
                 raise DataError(f"column {feat.name!r} length differs from response")
-            if feat.kind == basis.CONTINUOUS and not np.isfinite(col).all():
-                bad = np.flatnonzero(~np.isfinite(col))
-                shown = ", ".join(str(i) for i in bad[:5])
-                more = f" and {bad.size - 5} more" if bad.size > 5 else ""
-                raise DataError(
-                    f"continuous column {feat.name!r} has non-finite values "
-                    f"at rows {shown}{more} (0-based data rows)"
-                )
+            if feat.kind == basis.CONTINUOUS:
+                _require_finite(col, f"continuous column {feat.name!r}")
         for aux in (self.original, self.tags):
             if aux is not None and aux.shape[0] != n:
                 raise DataError("auxiliary column length differs from response")
+        if self.original is not None:
+            _require_finite(self.original, "original response column")
         if not np.all(np.isfinite(self.response)):
             raise DataError("surrogate response contains non-finite values")
 
@@ -84,6 +81,18 @@ class SurrogateDataset:
             original=None if self.original is None else self.original[rows],
             tags=None if self.tags is None else self.tags[rows],
         )
+
+
+def _require_finite(values, column: str) -> None:
+    """Raise ``DataError`` naming the column and its first non-finite rows."""
+    if np.isfinite(values).all():
+        return
+    bad = np.flatnonzero(~np.isfinite(values))
+    shown = ", ".join(str(i) for i in bad[:5])
+    more = f" and {bad.size - 5} more" if bad.size > 5 else ""
+    raise DataError(
+        f"{column} has non-finite values at rows {shown}{more} (0-based data rows)"
+    )
 
 
 @dataclass(frozen=True)
@@ -220,6 +229,8 @@ def load_csv(
     columns: dict[str, np.ndarray] = {name: parsed[name] for name in continuous}
     for name in categorical:
         columns[name] = _text_column(path, rows, index, name)
+    if original:
+        _require_finite(parsed[original], f"original response column {original!r}")
     if response is None:
         resp = np.zeros(len(rows))
     else:

@@ -2,11 +2,25 @@
 
 The grower fits a ridge main-effects model at every node and searches for
 the best binary split by sweeping candidate thresholds with cumulative
-per-bin gram statistics: each (node, feature) pair costs exactly one pass
+per-bin gram statistics: each (node, feature) pair costs at most one pass
 over the node's raw rows to bin-aggregate, after which every candidate
 partition is scored from the small aggregated systems.  Candidate
 thresholds are global quantile edges of the root training data, reused at
 every node, so bin membership per record is computed once.
+
+Histogram subtraction (as in LightGBM) saves most of the passes of a
+split whose children are both searched: only the smaller child is binned
+from its rows, and the larger child's bins are the parent's minus the
+smaller child's, bin by bin.  Counts subtract exactly, so the feasible
+and distinct cuts are those of direct binning; the other statistics
+differ from it by round-off, so once the larger child's sweep has picked
+its winner, that one feature is re-binned from the child's rows and the
+children are built from the direct bins.  The retained statistics, models
+and trees are therefore those of direct binning, and only the ranking
+sees derived bins.  A parent keeps its bins for this only while the bins
+kept by the grow stay within the size of the design matrix, so designs
+whose per-node bins outweigh it (many spline columns) bin every node
+directly.
 
 Split scoring solves all candidates of a (node, feature) pair as one
 batch through :func:`splinetree.gram.ridge_batch`, the solver that also
@@ -36,7 +50,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from queue import SimpleQueue
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -162,10 +176,19 @@ class SplitSearchEvent:
 
 
 class SplitInstrumentation:
-    """Tallies raw-row gram passes, used to verify the one-pass guarantee."""
+    """Tallies raw-row gram passes and the bins kept for subtraction.
+
+    ``events`` holds one entry per :func:`bin_grams` pass, used to verify
+    that no (node, feature) pair is binned twice: a node binned from its
+    rows records one pass per feature, and the larger child of a parent
+    that kept its bins records at most one, the re-binning of its winning
+    feature.  ``kept_bytes`` holds the bytes of per-bin statistics that
+    :func:`grow` keeps beyond the node being searched, after each change.
+    """
 
     def __init__(self):
         self.events: list[SplitSearchEvent] = []
+        self.kept_bytes: list[int] = []
 
     def record(self, node_id, feature, rows_accumulated, node_count, num_bins):
         self.events.append(
@@ -259,7 +282,10 @@ def bin_grams(
     Rows are grouped by bin id and aggregated group by group; the total
     number of rows fed to the accumulator equals the number of input rows
     (disjoint cover), which is the property the instrumentation records.
-    Empty bins yield zero statistics.
+    Empty bins yield zero statistics.  :func:`grow` calls this at most once
+    per (node, feature): for every feature of a node binned from its rows,
+    and for the winning feature only of a node whose bins were derived by
+    subtraction (see :class:`_DerivedBins`).
 
     Bin ids are cast to the narrowest unsigned type that holds
     ``num_bins - 1``, so the stable sort that groups them is a radix sort
@@ -333,6 +359,50 @@ class FeatureBins:
     grams: list[GramStats]
     edges: np.ndarray | None = None  # continuous: threshold per bin boundary
     levels: tuple | None = None  # categorical: full training level list
+
+
+@dataclass
+class _DerivedBins(FeatureBins):
+    """A child's bins taken as its parent's minus its sibling's.
+
+    ``rebin(feature)`` bins the feature directly from the child's rows;
+    :func:`best_split` calls it for the winning feature, so the children's
+    statistics are never built from derived bins.
+    """
+
+    rebin: Callable[[str], list[GramStats]] | None = None
+
+
+def _derived_bins(parent, part, rebin) -> list[_DerivedBins]:
+    """The bins of ``parent`` minus those of ``part``, bin by bin.
+
+    Counts subtract exactly.  A bin left with no rows gets all-zero
+    statistics, as direct binning gives it, so round-off cannot set an
+    empty category apart from another; diagonal entries and y'y driven
+    below zero by round-off are clamped, as in ``gram_subtract``.
+    """
+    out = []
+    for whole, sub in zip(parent, part):
+        xtx = np.stack([g.xtx for g in whole.grams])
+        xtx -= np.stack([g.xtx for g in sub.grams])
+        xty = np.stack([g.xty for g in whole.grams])
+        xty -= np.stack([g.xty for g in sub.grams])
+        yty = np.array([a.yty - b.yty for a, b in zip(whole.grams, sub.grams)])
+        counts = [a.count - b.count for a, b in zip(whole.grams, sub.grams)]
+        empty = np.array(counts) == 0
+        xtx[empty], xty[empty], yty[empty] = 0.0, 0.0, 0.0
+        diag = np.einsum("kii->ki", xtx)
+        np.maximum(diag, 0.0, out=diag)
+        np.maximum(yty, 0.0, out=yty)
+        grams = [
+            GramStats(xtx=xtx[k], xty=xty[k], yty=float(yty[k]), count=counts[k])
+            for k in range(len(counts))
+        ]
+        out.append(_DerivedBins(
+            feature=whole.feature, index=whole.index, kind=whole.kind, grams=grams,
+            edges=whole.edges, levels=whole.levels, rebin=rebin,
+        ))
+    return out
 
 
 @dataclass(frozen=True)
@@ -554,7 +624,10 @@ def best_split(
     statistics; ties break to the lower feature index, then the lower
     threshold, then the canonically smaller left category subset.  The
     winner's children are re-fitted through fit_node and the returned gain
-    is recomputed from those fits.  The sweep's stacked statistics live in
+    is recomputed from those fits.  When the winner's bins were derived by
+    subtraction (:class:`_DerivedBins`), that feature is re-binned from the
+    node's rows first, and the children are merged from the direct bins.
+    The sweep's stacked statistics live in
     ``workspace`` (fresh when not given; ``grow`` passes one that lives as
     long as the grow), and with ``config.threads > 1`` each worker thread
     sweeps in a workspace of its own.
@@ -596,9 +669,12 @@ def best_split(
     if best is None:
         return None
 
-    left_gram = best.bins.grams[best.left_bin_indices[0]]
+    grams = best.bins.grams
+    if isinstance(best.bins, _DerivedBins):  # the children come from direct bins
+        grams = best.bins.rebin(best.bins.feature)
+    left_gram = grams[best.left_bin_indices[0]]
     for k in best.left_bin_indices[1:]:
-        left_gram = gram_merge(left_gram, best.bins.grams[k])
+        left_gram = gram_merge(left_gram, grams[k])
     right_gram = gram_subtract(node_gram, left_gram)
     left_model = fit_node(left_gram, config.lam)
     right_model = fit_node(right_gram, config.lam)
@@ -625,6 +701,15 @@ class _RootBinning:
     bin_ids: dict
     levels: dict
     order: list  # feature names in schema order, excluded features dropped
+
+    def num_bins(self, name) -> int:
+        if self.kinds[name] == "continuous":
+            return self.edges[name].size + 1
+        return len(self.levels[name])
+
+    def nbytes(self, m: int) -> int:
+        """Bytes of one node's per-bin X'X and X'y over every feature."""
+        return sum(self.num_bins(name) for name in self.order) * (m * m + m) * 8
 
 
 def _prepare_binning(dataset, spec, config) -> _RootBinning:
@@ -668,19 +753,42 @@ def _level_codes(values, levels, feature) -> np.ndarray:
     return _compact_bin_ids(codes, len(levels))
 
 
-def _node_feature_bins(binning, X_node, y_node, rows, node_id, instrumentation, ws=None):
-    """Lazily yield per-feature bin statistics for one node."""
+def _kept_bins_budget(X) -> int:
+    """Bytes of per-bin statistics a grow may keep: its design matrix's."""
+    return X.nbytes
+
+
+@dataclass
+class _KeptBins:
+    """Bins a split parent keeps so that only its smaller child is binned.
+
+    ``children`` holds the (id, rows) of the left and right child.  When
+    the left child comes up in :func:`grow`, the smaller child is binned
+    from its rows and the larger one's bins are derived from ``bins``, the
+    parent's; ``bins`` then holds the right child's until it comes up, and
+    ``children`` is cleared.
+    """
+
+    bins: list
+    children: tuple | None
+
+
+def _node_feature_bins(
+    binning, X_node, y_node, rows, node_id, instrumentation, ws=None, only=None
+):
+    """Lazily yield per-feature bin statistics for one node.
+
+    With ``only``, the named feature's alone.
+    """
     ws = _Workspace() if ws is None else ws
     for idx, name in enumerate(binning.order):
-        if binning.kinds[name] == "continuous":
-            n_bins = binning.edges[name].size + 1
-        else:
-            n_bins = len(binning.levels[name])
+        if only is not None and name != only:
+            continue
         grams = bin_grams(
             X_node,
             y_node,
             ws.take("bin_ids", binning.bin_ids[name], rows),
-            n_bins,
+            binning.num_bins(name),
             instrumentation=instrumentation,
             node_id=node_id,
             feature=name,
@@ -737,6 +845,11 @@ def grow(
     another thread count may round the sweep and the node fits differently.
     The split search's scratch arrays live in one workspace that is
     dropped on return.
+
+    A split parent whose children will both be searched keeps its bins,
+    while the bins kept stay within the design matrix's size, so that
+    only the smaller child is binned from its rows and the larger one's
+    bins are the parent's minus the smaller's (see the module docstring).
     """
     if dataset.n == 0:
         raise DataError("dataset is empty")
@@ -756,6 +869,44 @@ def grow(
     y = np.asarray(dataset.response, dtype=np.float64)
 
     ws = _Workspace()
+
+    def direct_bins(node_rows, node_id, only=None) -> list[FeatureBins]:
+        if node_rows.size == dataset.n:  # every row, in order: nothing to gather
+            X_node, y_node = X, y
+        else:
+            X_node = ws.take("node_rows", X, node_rows)
+            y_node = ws.take("node_responses", y, node_rows)
+        return list(_node_feature_bins(
+            binning, X_node, y_node, node_rows, node_id, instrumentation, ws, only
+        ))
+
+    def rebin(node_rows, node_id):
+        return lambda name: direct_bins(node_rows, node_id, name)[0].grams
+
+    def sibling_bins(pair):
+        """Bins of the (left, right) children: the smaller binned, the larger derived."""
+        (left_id, left_rows), (right_id, right_rows) = pair.children
+        if left_rows.size <= right_rows.size:
+            left = direct_bins(left_rows, left_id)
+            return left, _derived_bins(pair.bins, left, rebin(right_rows, right_id))
+        right = direct_bins(right_rows, right_id)
+        return _derived_bins(pair.bins, right, rebin(left_rows, left_id)), right
+
+    def searched(depth, count) -> bool:
+        return depth < config.max_depth and count >= 2 * min_leaf
+
+    # Bins kept for subtraction, in bytes: each keeping parent's until its
+    # left child comes up, then its right child's.  While a pair is
+    # derived, the parent's and the right child's briefly coexist, so a
+    # parent keeps only if there is room for twice its bins.
+    budget, node_bytes, kept = _kept_bins_budget(X), binning.nbytes(m), 0
+
+    def keep(nbytes):
+        nonlocal kept
+        kept += nbytes
+        if instrumentation is not None:
+            instrumentation.kept_bytes.append(kept)
+
     rows = np.arange(dataset.n)
     root_gram = gram_accumulate(X, y)
     root_model = fit_node(root_gram, config.lam)
@@ -764,21 +915,24 @@ def grow(
         effect_means=_effect_means(X, spec, root_model.coefficients),
     )
     next_id = 1
-    queue: deque = deque([(root, rows, root_gram)])
+    queue: deque = deque([(root, rows, root_gram, None)])
     while queue:
-        node, node_rows, node_gram = queue.popleft()
-        if node.depth >= config.max_depth or node.count < 2 * min_leaf:
+        node, node_rows, node_gram, pair = queue.popleft()
+        if not searched(node.depth, node.count):
             continue
-        if node_rows.size == dataset.n:  # every row, in order: nothing to gather
-            X_node, y_node = X, y
-        else:
-            X_node = ws.take("node_rows", X, node_rows)
-            y_node = ws.take("node_responses", y, node_rows)
-        bins = _node_feature_bins(
-            binning, X_node, y_node, node_rows, node.id, instrumentation, ws
-        )
+        if pair is None:
+            bins = direct_bins(node_rows, node.id)
+        elif pair.children is not None:  # the left child of a keeping parent
+            bins, pair.bins = sibling_bins(pair)
+            pair.children = None
+            keep(node_bytes)  # the parent's and the right child's coexisted,
+            keep(-node_bytes)  # then the parent's were dropped
+        else:  # the right child: its bins were made with its sibling's
+            bins, pair.bins = pair.bins, None
+            keep(-node_bytes)
         found = best_split(node_gram, node.model, bins, config, min_leaf, workspace=ws)
         if found is None or found.gain <= config.min_gain:
+            bins = None
             continue
         mask = split_mask(dataset, spec, found.candidate, rows=node_rows)
         left_rows = node_rows[mask]
@@ -788,6 +942,12 @@ def grow(
                 "routing mask disagrees with bin counts for "
                 f"{found.candidate.feature!r} at node {node.id}"
             )
+        pair = None
+        if (searched(node.depth + 1, min(left_rows.size, right_rows.size))
+                and kept + 2 * node_bytes <= budget):
+            pair = _KeptBins(bins, ((next_id, left_rows), (next_id + 1, right_rows)))
+            keep(node_bytes)
+        bins = None  # a node that keeps nothing drops its bins here
         node.split = found.candidate
         node.dsse = found.gain
         left = TreeNode(
@@ -806,8 +966,8 @@ def grow(
         )
         next_id += 2
         node.left, node.right = left, right
-        queue.append((left, left_rows, found.left_gram))
-        queue.append((right, right_rows, found.right_gram))
+        queue.append((left, left_rows, found.left_gram, pair))
+        queue.append((right, right_rows, found.right_gram, pair))
     return root
 
 

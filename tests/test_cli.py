@@ -165,6 +165,15 @@ class TestFit:
         )
         assert code == 3 and "'x3'" in err and "rows 4 " in err
 
+    def test_non_finite_original_exits_3(self, tmp_path, sim_csv, capsys):
+        bad = with_cell(sim_csv, tmp_path / "bad.csv", 5, "y", "nan")
+        code, out, err = run(
+            capsys, "fit", "--data", str(bad), "--response", "f", "--original", "y",
+            "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 3 and "'y'" in err and "rows 5 " in err
+        assert "nan" not in out
+
     def test_repeated_header_exits_3(self, tmp_path, sim_csv, capsys):
         lines = sim_csv.read_text().splitlines()
         lines[0] = lines[0].replace("x2", "x1", 1)
@@ -283,6 +292,18 @@ class TestFitArgumentErrors:
         assert code == 2
         assert err.startswith(f"error: {key} in {conf} must be")
         assert err.count("\n") == 1
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("knots = 4\nmax_dpeth = 0\n")
+        model = tmp_path / "t.json"
+        code, out, err = run(
+            capsys, "fit", "--data", str(tmp_path / "absent.csv"), "--response", "f",
+            "--config", str(conf), "--out", str(model),
+        )
+        assert code == 2
+        assert err == f"error: unknown key 'max_dpeth' in {conf}\n"
+        assert out == "" and not model.exists()
 
     def test_flag_overrides_bad_config_value(self, tmp_path, sim_csv, capsys):
         conf = tmp_path / "run.conf"

@@ -5,8 +5,8 @@ command line) or load as exactly the dataset that a plain ``csv.reader``
 parse of the same text describes.  The reference below restates the
 reader's rules independently: distinct header names, every column read
 present, rows long enough for the columns read, numeric cells that
-``float`` accepts and, for features and the response, that are finite,
-and text cells free of NUL characters.
+``float`` accepts and that are finite, and text cells free of NUL
+characters.
 """
 
 import csv
@@ -118,8 +118,7 @@ def reference(data, response, continuous, categorical, original, tag):
             numbers[name] = [float(row[at[name]]) for row in rows]
         except ValueError:
             return None
-        finite = all(math.isfinite(v) for v in numbers[name])
-        if name != original and not finite:
+        if not all(math.isfinite(v) for v in numbers[name]):
             return None
     texts = {name: [row[at[name]] for row in rows] for name in [*categorical, *([tag] if tag else [])]}
     if any("\x00" in v for cells in texts.values() for v in cells):
@@ -141,7 +140,7 @@ def assert_matches(ds, want, response, original, tag):
     expected = want["numbers"][response] if response else [0.0] * want["rows"]
     assert np.array_equal(ds.response, expected)
     if original:
-        assert np.array_equal(ds.original, want["numbers"][original], equal_nan=True)
+        assert np.array_equal(ds.original, want["numbers"][original])
     if tag:
         assert ds.tags.tolist() == want["texts"][tag]
 

@@ -198,6 +198,23 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r"'b' has non-finite values at rows 2, 3 "):
             load_csv(path, response="y", continuous=["b"], categorical=["a"])
 
+    def test_non_finite_original_rejected(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("a,f,y\n1,0.1,nan\n2,0.2,0.3\n3,0.3,inf\n4,0.4,1e999\n")
+        with pytest.raises(DataError, match=r"'y' has non-finite values at rows 0, 2, 3 "):
+            load_csv(path, response="f", original="y")
+
+    def test_dataset_rejects_non_finite_original(self):
+        original = np.zeros(12)
+        original[[2, 5]] = [np.inf, np.nan]
+        with pytest.raises(DataError, match=r"original .* non-finite values at rows 2, 5 "):
+            SurrogateDataset(
+                features=(Feature("x", "continuous"),),
+                columns={"x": np.linspace(0.0, 1.0, 12)},
+                response=np.zeros(12),
+                original=original,
+            )
+
     def test_dataset_rejects_non_finite_feature(self):
         x = np.linspace(0.0, 1.0, 12)
         x[[3, 7]] = np.nan

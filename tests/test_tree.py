@@ -1,8 +1,10 @@
 """Tree growth, split search, pruning, prediction, and the L1 refit."""
 
+import json
 import sys
 import tracemalloc
 import warnings
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +33,7 @@ from splinetree import basis
 from splinetree import gram as gram_mod
 from splinetree import tree as tree_mod
 from splinetree.basis import UnseenCategoryWarning
+from splinetree.io import tree_to_json
 from splinetree.gram import NULL_SPACE_RTOL, _moments, _standardized_block, gcv_loss
 from splinetree.tree import (
     _batch_child_losses,
@@ -882,6 +885,167 @@ def _spec_stub():
     from splinetree.basis import DesignSpec
 
     return DesignSpec(blocks=(), knots={}, levels={}, total_columns=1)
+
+
+class TestHistogramSubtraction:
+    """The larger child of a kept split sweeps derived bins; trees do not change."""
+
+    CONFIG = GrowConfig(max_depth=4, num_bins=8, min_samples_leaf=40)
+
+    @staticmethod
+    def _data():
+        # 3 spline features plus 6- and 14-level categoricals (exhaustive
+        # subsets and the ordered scan); c6 interacts with x1, so some
+        # nodes split on it and leave a child with empty level bins
+        rng = np.random.default_rng(81)
+        n = 7000
+        ds = make_dataset(rng, n, continuous=3)
+        k6, k14 = rng.integers(0, 6, n), rng.integers(0, 14, n)
+        columns = dict(ds.columns)
+        columns["c6"] = np.array([f"a{k}" for k in range(6)])[k6]
+        columns["c14"] = np.array([f"b{k:02d}" for k in range(14)])[k14]
+        response = (ds.response + 2 * np.cos(2 * k6) + np.cos(3 * k14)
+                    + np.where(np.isin(k6, [1, 4]), 1.5, -1.0) * columns["x1"])
+        ds = SurrogateDataset(
+            features=ds.features + (Feature("c6", "categorical"),
+                                    Feature("c14", "categorical")),
+            columns=columns, response=response,
+        )
+        return ds, build_spec(ds, num_knots=3)
+
+    @staticmethod
+    def _searched(node, config):
+        return (node.depth < config.max_depth
+                and node.count >= 2 * config.min_samples_leaf)
+
+    def _pairs(self, root, config):
+        """(smaller, larger) child of every split whose children were both searched."""
+        for node in root.nodes():
+            if node.is_leaf:
+                continue
+            left, right = node.left, node.right
+            if self._searched(left, config) and self._searched(right, config):
+                yield (left, right) if left.count <= right.count else (right, left)
+
+    @staticmethod
+    def _passes(inst):
+        by_node = defaultdict(list)
+        for ev in inst.events:
+            assert ev.rows_accumulated == ev.node_count
+            by_node[ev.node_id].append(ev.feature)
+        return by_node
+
+    def test_derived_bins_match_direct_binning(self, monkeypatch):
+        ds, spec = self._data()
+        config = self.CONFIG
+        derived = []
+
+        def capture(parent, part, rebin, _derive=tree_mod._derived_bins):
+            derived.append(_derive(parent, part, rebin))
+            return derived[-1]
+
+        monkeypatch.setattr(tree_mod, "_derived_bins", capture)
+        root = grow(ds, spec, config)
+        pairs = list(self._pairs(root, config))
+        assert len(pairs) == len(derived) >= 3  # every pair fits the budget
+        X, y = design_matrix(ds, spec), ds.response
+        binning = tree_mod._prepare_binning(ds, spec, config)
+        members = route(root, spec, ds)
+        empty = 0
+        for (_, larger), bins in zip(pairs, derived):
+            rows = members[larger.id]
+            assert [fb.feature for fb in bins] == binning.order
+            for fb in bins:
+                direct = bin_grams(X[rows], y[rows], binning.bin_ids[fb.feature][rows],
+                                   binning.num_bins(fb.feature))
+                assert len(fb.grams) == len(direct)
+                scale = [max(np.abs(getattr(g, key)).max() for g in direct)
+                         for key in ("xtx", "xty", "yty")]
+                for d, g in zip(fb.grams, direct):
+                    assert d.count == g.count
+                    assert_allclose(d.xtx, g.xtx, rtol=0, atol=1e-12 * scale[0])
+                    assert_allclose(d.xty, g.xty, rtol=0, atol=1e-12 * scale[1])
+                    assert abs(d.yty - g.yty) <= 1e-12 * scale[2]
+                    if g.count == 0:  # exactly zero, as direct binning leaves it
+                        empty += 1
+                        assert not d.xtx.any() and not d.xty.any() and d.yty == 0.0
+        assert empty > 0
+
+    @pytest.mark.parametrize("loss", ["gcv", "sse"])
+    @pytest.mark.parametrize(
+        "lam", [1e-3, (1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 6))],
+        ids=["scalar", "grid3", "grid6"],
+    )
+    def test_tree_bytes_match_direct_binning(self, monkeypatch, lam, loss):
+        ds, spec = self._data()
+        config = replace(self.CONFIG, lam=lam, loss=loss)
+
+        def grown(cfg):
+            inst = SplitInstrumentation()
+            root = grow(ds, spec, cfg, instrumentation=inst)
+            doc = json.dumps(tree_to_json(root, spec, ds.features, {}), sort_keys=True)
+            return doc, len(inst.events)
+
+        with monkeypatch.context() as patch:  # no bins kept: every node binned
+            patch.setattr(tree_mod, "_kept_bins_budget", lambda X: 0)
+            direct, direct_passes = grown(config)
+        for threads in (1, 2):
+            subtracted, passes = grown(replace(config, threads=threads))
+            assert subtracted == direct
+            assert passes < direct_passes
+
+    def test_wide_design_keeps_nothing(self, rng):
+        # 12 knots: one node's per-bin statistics outweigh the design matrix
+        ds = make_dataset(rng, 900, continuous=3)
+        spec = build_spec(ds, num_knots=12)
+        m = spec.total_columns
+        config = GrowConfig(max_depth=3, num_bins=20, min_samples_leaf=m)
+        binning = tree_mod._prepare_binning(ds, spec, config)
+        assert binning.nbytes(m) > design_matrix(ds, spec).nbytes
+        inst = SplitInstrumentation()
+        root = grow(ds, spec, config, instrumentation=inst)
+        assert list(self._pairs(root, config)), "no split had both children searched"
+        assert inst.kept_bytes == []
+        passes = self._passes(inst)
+        searched = [node for node in root.nodes() if self._searched(node, config)]
+        assert sorted(passes) == [node.id for node in searched]
+        for node in searched:  # one pass per (node, feature), as without subtraction
+            assert passes[node.id] == binning.order
+
+    @pytest.mark.parametrize("room", [None, 2], ids=["design-size", "two-nodes"])
+    def test_kept_bytes_within_budget(self, monkeypatch, room):
+        ds, spec = self._data()
+        config = self.CONFIG
+        X, m = design_matrix(ds, spec), spec.total_columns
+        binning = tree_mod._prepare_binning(ds, spec, config)
+        node_bytes = binning.nbytes(m)
+        one = tree_mod._node_feature_bins(binning, X, ds.response, np.arange(ds.n), 0, None)
+        assert node_bytes == sum(g.xtx.nbytes + g.xty.nbytes for fb in one for g in fb.grams)
+        budget = X.nbytes
+        if room is not None:  # room for one parent and its derived child's bins
+            budget = room * node_bytes
+            monkeypatch.setattr(tree_mod, "_kept_bins_budget", lambda X: budget)
+        assert budget >= 2 * node_bytes
+        inst = SplitInstrumentation()
+        root = grow(ds, spec, config, instrumentation=inst)
+        assert 0 < max(inst.kept_bytes) <= budget
+        assert inst.kept_bytes[-1] == 0
+        passes = self._passes(inst)
+        pairs = list(self._pairs(root, config))
+        derived = 0
+        for smaller, larger in pairs:
+            assert passes[smaller.id] == binning.order
+            if passes[larger.id] == binning.order:
+                continue  # binned directly: no room when its parent split
+            derived += 1
+            # at most one pass: the winning feature, re-binned for the children
+            assert len(passes[larger.id]) <= 1
+            if not larger.is_leaf:
+                assert passes[larger.id] == [larger.split.feature]
+        if room is None:
+            assert derived == len(pairs)
+        else:
+            assert 0 < derived < len(pairs)
 
 
 class TestPrune:
