@@ -31,17 +31,21 @@ re-fitted through :func:`splinetree.gram.fit_node`, a batch of one on the
 eigendecomposition route, so the retained models and gains do not depend
 on the route that ranked them.
 
+Per-bin statistics stay stacked from :func:`bin_grams` to the sweep: per
+feature, X'X (bins, m, m), X'y (bins, m), y'y and counts (bins,), the
+layout :func:`splinetree.gram.ridge_batch` takes; subtraction and the
+winner's left side work on the same arrays.
+
 The search's scratch memory lives in one workspace per :func:`grow`: the
-node's gathered rows, the bin-ordered rows, the stacked per-bin X'X that
-the continuous sweep cumulates in place, the left sides (a view of the
-cumulated stack when the feasible cuts are contiguous), the right sides
-and the categorical subset products.  Each buffer keeps the largest size
-asked for, so after the first nodes no (candidates, m, m) or row-sized
-array is allocated; the Cholesky route standardizes its candidates in
-cache-sized chunks and factors each in one p x p matrix (see
-:func:`splinetree.gram.ridge_batch`).  The
-operations and their order are those of fresh allocation, so the trees
-are byte-identical to it.
+node's gathered rows, the bin-ordered rows, the continuous sweep's
+cumulated per-bin X'X, the left sides (a view of the cumulated X'X when
+the feasible cuts are contiguous), the right sides and the categorical
+subset products.  Each buffer keeps the largest size asked for, so after
+the first nodes no (candidates, m, m) or row-sized array is allocated;
+the Cholesky route standardizes its candidates in cache-sized chunks and
+factors each in one p x p matrix (see :func:`splinetree.gram.ridge_batch`).
+The operations and their order are those of fresh allocation, so the
+trees are byte-identical to it.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from queue import SimpleQueue
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -63,11 +67,9 @@ from .gram import (
     fit_node,
     gcv_loss,
     gram_accumulate,
-    gram_merge,
     gram_subtract,
     ridge_batch,
     select_lambda,
-    zero_gram,
 )
 
 # Above this cardinality, categorical split search falls back from
@@ -276,13 +278,15 @@ def bin_grams(
     node_id: int = -1,
     feature: str = "",
     workspace: _Workspace | None = None,
-) -> list[GramStats]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-bin gram statistics over the full design, in one pass.
 
-    Rows are grouped by bin id and aggregated group by group; the total
-    number of rows fed to the accumulator equals the number of input rows
-    (disjoint cover), which is the property the instrumentation records.
-    Empty bins yield zero statistics.  :func:`grow` calls this at most once
+    Returns the stacked ``(xtx, xty, yty, counts)`` of the bins, shaped
+    (num_bins, m, m), (num_bins, m), (num_bins,) and (num_bins,).  Rows are
+    grouped by bin id and aggregated group by group; the total number of
+    rows fed to the accumulator equals the number of input rows (disjoint
+    cover), which is the property the instrumentation records.  Empty bins
+    hold exact zeros.  :func:`grow` calls this at most once
     per (node, feature): for every feature of a node binned from its rows,
     and for the winning feature only of a node whose bins were derived by
     subtraction (see :class:`_DerivedBins`).
@@ -292,7 +296,8 @@ def bin_grams(
     for up to 65536 bins; the rows are gathered into bin order with
     ``np.take`` (into ``workspace`` buffers, when one is given) and the bin
     boundaries come from the bin counts.  Each bin's products are taken on
-    its contiguous slice of the gathered rows, into arrays of its own.
+    its contiguous slice of the gathered rows, written in place into its
+    row of the stacked arrays.
 
     Raises
     ------
@@ -311,24 +316,23 @@ def bin_grams(
     ws = _Workspace() if workspace is None else workspace
     order = np.argsort(b, kind="stable")
     xs, ys = ws.take("binned_rows", x, order), ws.take("binned_responses", y, order)
+    counts = np.bincount(b, minlength=num_bins)
     edges_idx = np.zeros(num_bins + 1, dtype=np.intp)
-    np.cumsum(np.bincount(b, minlength=num_bins), out=edges_idx[1:])
-    grams = []
-    for k in range(num_bins):
+    np.cumsum(counts, out=edges_idx[1:])
+    m = x.shape[1]
+    xtx, xty, yty = np.zeros((num_bins, m, m)), np.zeros((num_bins, m)), np.zeros(num_bins)
+    for k in np.flatnonzero(counts):
         lo, hi = edges_idx[k], edges_idx[k + 1]
-        if lo == hi:
-            grams.append(zero_gram(x.shape[1]))
-            continue
         xk, yk = xs[lo:hi], ys[lo:hi]
-        grams.append(
-            GramStats(xtx=xk.T @ xk, xty=xk.T @ yk, yty=float(yk @ yk), count=hi - lo)
-        )
+        np.matmul(xk.T, xk, out=xtx[k])
+        np.matmul(xk.T, yk, out=xty[k])
+        yty[k] = yk @ yk
     if instrumentation is not None:
         instrumentation.record(
             node_id, feature, rows_accumulated=x.shape[0],
             node_count=x.shape[0], num_bins=num_bins,
         )
-    return grams
+    return xtx, xty, yty, counts
 
 
 def _compact_bin_ids(bin_ids, num_bins: int) -> np.ndarray:
@@ -351,12 +355,15 @@ def _compact_bin_ids(bin_ids, num_bins: int) -> np.ndarray:
 
 @dataclass
 class FeatureBins:
-    """Node-restricted per-bin statistics for one feature's sweep."""
+    """Node-restricted per-bin statistics for one feature, as :func:`bin_grams` stacks them."""
 
     feature: str
     index: int  # position in schema order; first tie-break key
     kind: str  # "continuous" | "categorical"
-    grams: list[GramStats]
+    xtx: np.ndarray  # (bins, m, m)
+    xty: np.ndarray  # (bins, m)
+    yty: np.ndarray  # (bins,)
+    counts: np.ndarray  # (bins,) integer
     edges: np.ndarray | None = None  # continuous: threshold per bin boundary
     levels: tuple | None = None  # categorical: full training level list
 
@@ -370,11 +377,11 @@ class _DerivedBins(FeatureBins):
     statistics are never built from derived bins.
     """
 
-    rebin: Callable[[str], list[GramStats]] | None = None
+    rebin: Callable[[str], FeatureBins] | None = None
 
 
 def _derived_bins(parent, part, rebin) -> list[_DerivedBins]:
-    """The bins of ``parent`` minus those of ``part``, bin by bin.
+    """The bins of ``parent`` minus those of ``part``, array from array.
 
     Counts subtract exactly.  A bin left with no rows gets all-zero
     statistics, as direct binning gives it, so round-off cannot set an
@@ -383,23 +390,16 @@ def _derived_bins(parent, part, rebin) -> list[_DerivedBins]:
     """
     out = []
     for whole, sub in zip(parent, part):
-        xtx = np.stack([g.xtx for g in whole.grams])
-        xtx -= np.stack([g.xtx for g in sub.grams])
-        xty = np.stack([g.xty for g in whole.grams])
-        xty -= np.stack([g.xty for g in sub.grams])
-        yty = np.array([a.yty - b.yty for a, b in zip(whole.grams, sub.grams)])
-        counts = [a.count - b.count for a, b in zip(whole.grams, sub.grams)]
-        empty = np.array(counts) == 0
+        xtx, xty = whole.xtx - sub.xtx, whole.xty - sub.xty
+        yty, counts = whole.yty - sub.yty, whole.counts - sub.counts
+        empty = counts == 0
         xtx[empty], xty[empty], yty[empty] = 0.0, 0.0, 0.0
         diag = np.einsum("kii->ki", xtx)
         np.maximum(diag, 0.0, out=diag)
         np.maximum(yty, 0.0, out=yty)
-        grams = [
-            GramStats(xtx=xtx[k], xty=xty[k], yty=float(yty[k]), count=counts[k])
-            for k in range(len(counts))
-        ]
         out.append(_DerivedBins(
-            feature=whole.feature, index=whole.index, kind=whole.kind, grams=grams,
+            feature=whole.feature, index=whole.index, kind=whole.kind,
+            xtx=xtx, xty=xty, yty=yty, counts=counts,
             edges=whole.edges, levels=whole.levels, rebin=rebin,
         ))
     return out
@@ -461,17 +461,6 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
     return np.where(np.isfinite(gcv), sse[index, np.arange(counts.size)], np.inf)
 
 
-def _stack(grams: Sequence[GramStats], workspace: _Workspace | None = None):
-    """Stacked statistics of the grams; ``xtx`` goes into ``workspace``."""
-    m = grams[0].dim
-    xtx = None if workspace is None else workspace.array("stacked", (len(grams), m, m))
-    xtx = np.stack([g.xtx for g in grams], out=xtx)
-    xty = np.stack([g.xty for g in grams])
-    yty = np.array([g.yty for g in grams])
-    counts = np.array([g.count for g in grams])
-    return xtx, xty, yty, counts
-
-
 def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config, ws):
     """Gain of each stacked left side and its complement in the node."""
     xtx_r = np.subtract(node.xtx[None, :, :], xtx_l, out=ws.array("right", xtx_l.shape))
@@ -490,10 +479,11 @@ def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf, ws):
     edges = fb.edges
     if edges is None or edges.size == 0:
         return None
-    cum_xtx, xty, yty, counts = _stack(fb.grams, ws)
-    np.cumsum(cum_xtx, axis=0, out=cum_xtx)
-    cum_xty = np.cumsum(xty, axis=0)
-    cum_yty = np.cumsum(yty)
+    # into a buffer: the bins stay as they are, for subtraction and the winner
+    cum_xtx = np.cumsum(fb.xtx, axis=0, out=ws.array("stacked", fb.xtx.shape))
+    cum_xty = np.cumsum(fb.xty, axis=0)
+    cum_yty = np.cumsum(fb.yty)
+    counts = fb.counts
     cum_cnt = np.cumsum(counts)
     j_all = np.arange(edges.size)
     cnt_l = cum_cnt[j_all]
@@ -541,15 +531,15 @@ def _canonical_subsets(n_levels: int):
 def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws):
     levels = fb.levels
     c = len(levels)
-    counts = np.array([g.count for g in fb.grams])
+    counts = fb.counts
     if c <= EXHAUSTIVE_CATEGORY_LIMIT:
         subsets = _canonical_subsets(c)
     else:
         # order nonempty levels by node-mean response, scan the c-1 cuts,
         # and canonicalize each prefix to the side containing level 0
-        nonempty = [k for k in range(c) if counts[k] > 0]
-        means = [fb.grams[k].xty[0] / counts[k] for k in nonempty]
-        ordered = [k for _, k in sorted(zip(means, nonempty), key=lambda t: (t[0], t[1]))]
+        nonempty = np.flatnonzero(counts).tolist()
+        means = (fb.xty[nonempty, 0] / counts[nonempty]).tolist()
+        ordered = [k for _, k in sorted(zip(means, nonempty))]
         subsets = []
         for cut in range(1, len(ordered)):
             prefix = set(ordered[:cut])
@@ -570,9 +560,8 @@ def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws):
     if sel.size == 0:
         return None
 
-    xtx, xty, yty, _ = _stack(fb.grams, ws)
     m = node_gram.dim
-    flat = xtx.reshape(c, m * m)
+    flat = fb.xtx.reshape(c, m * m)
     best_gain, best_subset = -np.inf, None
     chunk = max(1, (1 << 22) // max(m**2, 1))
     for lo in range(0, sel.size, chunk):
@@ -582,7 +571,7 @@ def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws):
         xtx_l = ws.array("left", (part.size, m, m))
         np.dot(S, flat, out=xtx_l.reshape(part.size, m * m))
         gains = _split_gains(
-            node_gram, xtx_l, S @ xty, S @ yty, cnt_l[part],
+            node_gram, xtx_l, S @ fb.xty, S @ fb.yty, cnt_l[part],
             parent_loss, config, ws,
         )
         i = int(np.argmax(gains))
@@ -626,8 +615,10 @@ def best_split(
     winner's children are re-fitted through fit_node and the returned gain
     is recomputed from those fits.  When the winner's bins were derived by
     subtraction (:class:`_DerivedBins`), that feature is re-binned from the
-    node's rows first, and the children are merged from the direct bins.
-    The sweep's stacked statistics live in
+    node's rows first, and the children come from the direct bins.  The
+    winner's left side is the sum of its bins' stacked statistics, added
+    in bin order as merging them one by one would; the right side is the
+    node's minus it.  The sweep's scratch arrays live in
     ``workspace`` (fresh when not given; ``grow`` passes one that lives as
     long as the grow), and with ``config.threads > 1`` each worker thread
     sweeps in a workspace of its own.
@@ -669,12 +660,19 @@ def best_split(
     if best is None:
         return None
 
-    grams = best.bins.grams
-    if isinstance(best.bins, _DerivedBins):  # the children come from direct bins
-        grams = best.bins.rebin(best.bins.feature)
-    left_gram = grams[best.left_bin_indices[0]]
-    for k in best.left_bin_indices[1:]:
-        left_gram = gram_merge(left_gram, grams[k])
+    fb = best.bins
+    if isinstance(fb, _DerivedBins):  # the children come from direct bins
+        fb = fb.rebin(fb.feature)
+    idx = best.left_bin_indices
+    # a run of bins, as every continuous winner is, is summed as a view, not a copy
+    idx = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == len(idx) else list(idx)
+    left_gram = GramStats(
+        xtx=np.add.reduce(fb.xtx[idx], axis=0),
+        xty=np.add.reduce(fb.xty[idx], axis=0),
+        # add.reduce sums a vector pairwise; cumsum adds in bin order
+        yty=float(np.cumsum(fb.yty[idx])[-1]),
+        count=int(fb.counts[idx].sum()),
+    )
     right_gram = gram_subtract(node_gram, left_gram)
     left_model = fit_node(left_gram, config.lam)
     right_model = fit_node(right_gram, config.lam)
@@ -775,33 +773,27 @@ class _KeptBins:
 
 def _node_feature_bins(
     binning, X_node, y_node, rows, node_id, instrumentation, ws=None, only=None
-):
-    """Lazily yield per-feature bin statistics for one node.
+) -> list[FeatureBins]:
+    """Per-feature bin statistics for one node, in schema order.
 
     With ``only``, the named feature's alone.
     """
     ws = _Workspace() if ws is None else ws
+    out = []
     for idx, name in enumerate(binning.order):
         if only is not None and name != only:
             continue
-        grams = bin_grams(
-            X_node,
-            y_node,
-            ws.take("bin_ids", binning.bin_ids[name], rows),
-            binning.num_bins(name),
-            instrumentation=instrumentation,
-            node_id=node_id,
-            feature=name,
-            workspace=ws,
+        xtx, xty, yty, counts = bin_grams(
+            X_node, y_node, ws.take("bin_ids", binning.bin_ids[name], rows),
+            binning.num_bins(name), instrumentation=instrumentation,
+            node_id=node_id, feature=name, workspace=ws,
         )
-        yield FeatureBins(
-            feature=name,
-            index=idx,
-            kind=binning.kinds[name],
-            grams=grams,
-            edges=binning.edges.get(name),
-            levels=binning.levels.get(name),
-        )
+        out.append(FeatureBins(
+            feature=name, index=idx, kind=binning.kinds[name],
+            xtx=xtx, xty=xty, yty=yty, counts=counts,
+            edges=binning.edges.get(name), levels=binning.levels.get(name),
+        ))
+    return out
 
 
 def _effect_means(X_node, spec, coefficients) -> np.ndarray:
@@ -876,12 +868,12 @@ def grow(
         else:
             X_node = ws.take("node_rows", X, node_rows)
             y_node = ws.take("node_responses", y, node_rows)
-        return list(_node_feature_bins(
+        return _node_feature_bins(
             binning, X_node, y_node, node_rows, node_id, instrumentation, ws, only
-        ))
+        )
 
     def rebin(node_rows, node_id):
-        return lambda name: direct_bins(node_rows, node_id, name)[0].grams
+        return lambda name: direct_bins(node_rows, node_id, name)[0]
 
     def sibling_bins(pair):
         """Bins of the (left, right) children: the smaller binned, the larger derived."""

@@ -52,6 +52,16 @@ def make_dataset(rng, n, continuous=2, categorical=0, levels=4, response=None):
     )
 
 
+def stack_grams(grams):
+    """The stacked (xtx, xty, yty, counts) of a list of GramStats."""
+    return (
+        np.stack([g.xtx for g in grams]),
+        np.stack([g.xty for g in grams]),
+        np.array([g.yty for g in grams]),
+        np.array([g.count for g in grams]),
+    )
+
+
 def node_loss(model, loss):
     """Split-comparison loss, independent re-statement (SSE units)."""
     if loss == "sse":
@@ -124,8 +134,8 @@ def implementation_best_split(dataset, spec, config, min_leaf):
             ids = bin_values(col, edges)
             bins.append(
                 FeatureBins(
-                    feature=feat.name, index=index, kind="continuous",
-                    grams=bin_grams(X, y, ids, edges.size + 1), edges=edges,
+                    feat.name, index, "continuous",
+                    *bin_grams(X, y, ids, edges.size + 1), edges=edges,
                 )
             )
         else:
@@ -136,8 +146,8 @@ def implementation_best_split(dataset, spec, config, min_leaf):
             ids = np.array([lookup[v] for v in col])
             bins.append(
                 FeatureBins(
-                    feature=feat.name, index=index, kind="categorical",
-                    grams=bin_grams(X, y, ids, len(levs)), levels=levs,
+                    feat.name, index, "categorical",
+                    *bin_grams(X, y, ids, len(levs)), levels=levs,
                 )
             )
     return best_split(node_gram, node_model, bins, config, min_leaf), node_model

@@ -129,11 +129,13 @@ def test_c2_complexity_witness():
     # (a) exactly one full-data pass per (node, feature), for both bin counts
     for bins in (10, 50):
         inst = st.SplitInstrumentation()
-        st.grow(ds, spec, st.GrowConfig(max_depth=2, num_bins=bins),
-                instrumentation=inst)
+        root = st.grow(ds, spec, st.GrowConfig(max_depth=2, num_bins=bins),
+                       instrumentation=inst)
+        counts = {n.id: n.count for n in root.nodes()}
         seen = set()
         for ev in inst.events:
             assert ev.rows_accumulated == ev.node_count
+            assert ev.rows_accumulated == counts[ev.node_id]
             assert (ev.node_id, ev.feature) not in seen
             seen.add((ev.node_id, ev.feature))
 

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -23,3 +24,10 @@ def test_traced_functions_resolve():
     for module, attr, _ in traced:
         mod = importlib.import_module(f"splinetree.{module}")
         assert callable(getattr(mod, attr, None)), f"splinetree.{module}.{attr}"
+
+
+def test_bin_grams_takes_the_rows_first():
+    # the tracer counts tree.bin_grams.rows as the length of the first argument
+    from splinetree.tree import bin_grams
+
+    assert next(iter(inspect.signature(bin_grams).parameters)) == "rows"

@@ -16,7 +16,8 @@ from splinetree import (
     sse_from_gram,
 )
 from splinetree.gram import _eigh_solves, ridge_batch, zero_gram
-from splinetree.tree import _stack
+
+from conftest import stack_grams
 
 
 def random_problem(rng, n, m):
@@ -249,7 +250,7 @@ class TestRidgeSolve:
             with pytest.raises(ValueError, match="nonnegative"):
                 fit_node(g, lam)
         with pytest.raises(ValueError, match="nonnegative"):
-            ridge_batch(*_stack([g]), (-1.0,), cholesky=True)
+            ridge_batch(*stack_grams([g]), (-1.0,), cholesky=True)
 
     def test_effective_df_decreasing_in_lambda(self, rng):
         X, y = random_problem(rng, 50, 5)
@@ -257,7 +258,7 @@ class TestRidgeSolve:
         grid = (0.0, 0.5, 5.0, 50.0)
         dfs = [fit_node(g, lam).effective_df for lam in grid]
         assert all(a > b for a, b in zip(dfs, dfs[1:]))
-        assert np.array_equal(ridge_batch(*_stack([g]), grid)[2][:, 0], dfs)
+        assert np.array_equal(ridge_batch(*stack_grams([g]), grid)[2][:, 0], dfs)
 
     def test_lambda_grid_selects_by_gcv(self, rng):
         X, y = random_problem(rng, 50, 4)
@@ -323,7 +324,7 @@ class TestRidgeBatch:
         problems = self._problems(rng)
         grams = [gram_accumulate(X, y) for X, y in problems]
         lam_values = (0.05, 2.0) if cholesky else (0.0, 0.05, 2.0)
-        coefs, sse, edf = ridge_batch(*_stack(grams), lam_values, cholesky=cholesky)
+        coefs, sse, edf = ridge_batch(*stack_grams(grams), lam_values, cholesky=cholesky)
         for i, (X, y) in enumerate(problems):
             for k, lam in enumerate(lam_values):
                 beta = coefs[k, i]
@@ -343,7 +344,7 @@ class TestRidgeBatch:
     def test_cholesky_route_calls_no_numpy_blas(self, rng, monkeypatch):
         # numpy's BLAS thread pool, woken between scipy's LAPACK calls,
         # contends with scipy's own pool, so the Cholesky loop keeps out of it
-        stacked = _stack([gram_accumulate(X, y) for X, y in self._problems(rng)])
+        stacked = stack_grams([gram_accumulate(X, y) for X, y in self._problems(rng)])
         want = ridge_batch(*stacked, (0.05, 2.0), cholesky=True)
 
         def refuse(*args, **kwargs):
@@ -372,7 +373,7 @@ class TestRidgeBatch:
     def test_fit_node_is_a_batch_of_one(self, rng, lam):
         grams = [gram_accumulate(X, y) for X, y in self._problems(rng)]
         lam_values = (lam,) if np.isscalar(lam) else lam
-        coefs, sse, edf = ridge_batch(*_stack(grams), lam_values)
+        coefs, sse, edf = ridge_batch(*stack_grams(grams), lam_values)
         for i, g in enumerate(grams):
             model = fit_node(g, lam)
             k = lam_values.index(model.lam)

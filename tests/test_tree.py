@@ -15,6 +15,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 from splinetree import (
     DataError,
     Feature,
+    GramStats,
     GrowConfig,
     SplitInstrumentation,
     SurrogateDataset,
@@ -24,6 +25,8 @@ from splinetree import (
     design_matrix,
     fit_node,
     gram_accumulate,
+    gram_merge,
+    gram_subtract,
     grow,
     predict,
     prune,
@@ -38,12 +41,11 @@ from splinetree.gram import NULL_SPACE_RTOL, _moments, _standardized_block, gcv_
 from splinetree.tree import (
     _batch_child_losses,
     _node_split_loss,
-    _stack,
     bin_grams,
     route,
 )
 
-from conftest import implementation_best_split, make_dataset, naive_best_split
+from conftest import implementation_best_split, make_dataset, naive_best_split, stack_grams
 
 
 class TestCandidateEdges:
@@ -75,50 +77,50 @@ class TestBinGrams:
     def test_single_bin_is_node_gram(self, rng):
         X = rng.standard_normal((30, 3))
         y = rng.standard_normal(30)
-        grams = bin_grams(X, y, np.zeros(30, dtype=int), 1)
+        xtx, _, _, counts = bin_grams(X, y, np.zeros(30, dtype=int), 1)
         node = gram_accumulate(X, y)
-        assert_allclose(grams[0].xtx, node.xtx)
-        assert grams[0].count == 30
+        assert_allclose(xtx[0], node.xtx)
+        assert counts[0] == 30
 
     def test_bins_cover_node(self, rng):
         X = rng.standard_normal((100, 4))
         y = rng.standard_normal(100)
         ids = rng.integers(0, 5, size=100)
-        grams = bin_grams(X, y, ids, 5)
-        total_xtx = sum(g.xtx for g in grams)
+        xtx, _, _, counts = bin_grams(X, y, ids, 5)
         node = gram_accumulate(X, y)
-        assert_allclose(total_xtx, node.xtx, rtol=1e-12, atol=1e-12)
-        assert sum(g.count for g in grams) == 100
+        assert_allclose(xtx.sum(axis=0), node.xtx, rtol=1e-12, atol=1e-12)
+        assert counts.sum() == 100
 
     def test_each_bin_matches_filtered_rows(self, rng):
         X = rng.standard_normal((60, 3))
         y = rng.standard_normal(60)
         ids = rng.integers(0, 5, size=60)
-        grams = bin_grams(X, y, ids, 5)
+        xtx, xty, _, counts = bin_grams(X, y, ids, 5)
         for k in range(5):
             mask = ids == k
             direct = gram_accumulate(X[mask], y[mask])
-            assert_allclose(grams[k].xtx, direct.xtx, rtol=1e-12, atol=1e-12)
-            assert_allclose(grams[k].xty, direct.xty, rtol=1e-12, atol=1e-12)
-            assert grams[k].count == direct.count
+            assert_allclose(xtx[k], direct.xtx, rtol=1e-12, atol=1e-12)
+            assert_allclose(xty[k], direct.xty, rtol=1e-12, atol=1e-12)
+            assert counts[k] == direct.count
 
     def test_empty_bins_are_zero(self, rng):
         X = rng.standard_normal((10, 2))
-        grams = bin_grams(X, rng.standard_normal(10), np.zeros(10, dtype=int), 3)
-        assert grams[1].count == 0 and not grams[1].xtx.any()
+        xtx, xty, yty, counts = bin_grams(X, rng.standard_normal(10), np.zeros(10, dtype=int), 3)
+        assert counts[1] == 0 and not xtx[1].any() and not xty[1].any() and yty[1] == 0.0
 
     @staticmethod
     def _assert_bit_equal(X, y, ids, num_bins):
-        grams = bin_grams(X, y, ids, num_bins)
-        assert len(grams) == num_bins
+        xtx, xty, yty, counts = stats = bin_grams(X, y, ids, num_bins)
+        m = X.shape[1]
+        assert [a.shape for a in stats] == [(num_bins, m, m), (num_bins, m), (num_bins,), (num_bins,)]
         ids = np.asarray(ids)
-        for k, gram in enumerate(grams):
+        for k in range(num_bins):
             xk, yk = X[ids == k], y[ids == k]
-            assert np.array_equal(gram.xtx, xk.T @ xk)
-            assert np.array_equal(gram.xty, xk.T @ yk)
-            assert gram.yty == float(yk @ yk)
-            assert gram.count == xk.shape[0]
-        return grams
+            assert np.array_equal(xtx[k], xk.T @ xk)
+            assert np.array_equal(xty[k], xk.T @ yk)
+            assert yty[k] == float(yk @ yk)
+            assert counts[k] == xk.shape[0]
+        return stats
 
     @pytest.mark.parametrize(
         "num_bins,kind",
@@ -136,9 +138,9 @@ class TestBinGrams:
             ids = ids.tolist()
         elif kind == "uint8":
             ids = ids.astype(np.uint8)
-        grams = self._assert_bit_equal(X, y, ids, num_bins)
+        xtx, _, _, counts = self._assert_bit_equal(X, y, ids, num_bins)
         if num_bins > 1:
-            assert grams[1].count == 0 and not grams[1].xtx.any()
+            assert counts[1] == 0 and not xtx[1].any()
 
     def test_compact_id_dtypes(self):
         assert tree_mod._compact_bin_ids([0, 3], 4).dtype == np.uint8
@@ -363,6 +365,70 @@ class TestBestSplitOracle:
         assert _assert_matches_naive(sub, spec, config, min_leaf) is not None
 
 
+class TestWinnerGrams:
+    """The winner's children are bit-equal to merging its bins one by one."""
+
+    @staticmethod
+    def _data():
+        # x1 past 0.6 flips the slope on x2, so the continuous winner's
+        # left side spans most of the 32 bins; c6 and c14 interact with x2
+        rng = np.random.default_rng(33)
+        n = 4000
+        ds = make_dataset(rng, n, continuous=2)
+        k6, k14 = rng.integers(0, 6, n), rng.integers(0, 14, n)
+        columns = dict(ds.columns)
+        columns["c6"] = np.array([f"a{k}" for k in range(6)])[k6]
+        columns["c14"] = np.array([f"b{k:02d}" for k in range(14)])[k14]
+        x1, x2 = columns["x1"], columns["x2"]
+        response = (np.where(x1 > 0.6, -3.0, 1.0) * x2
+                    + np.where(np.isin(k6, [1, 4]), 2.0, -1.0) * x2
+                    + np.cos(3 * k14) * x2 + 0.1 * rng.standard_normal(n))
+        ds = SurrogateDataset(
+            features=ds.features + (Feature("c6", "categorical"),
+                                    Feature("c14", "categorical")),
+            columns=columns, response=response,
+        )
+        return ds, build_spec(ds, num_knots=3)
+
+    @pytest.mark.parametrize("feature", ["x1", "c6", "c14"],
+                             ids=["continuous", "exhaustive", "ordered-scan"])
+    def test_children_match_sequential_merge(self, feature):
+        ds, spec = self._data()
+        config = GrowConfig(num_bins=32)
+        X, y = design_matrix(ds, spec), ds.response
+        binning = tree_mod._prepare_binning(ds, spec, config)
+        fb, = tree_mod._node_feature_bins(
+            binning, X, y, np.arange(ds.n), 0, None, only=feature
+        )
+        node_gram = gram_accumulate(X, y)
+        node_model = fit_node(node_gram, config.lam)
+        found = best_split(node_gram, node_model, [fb], config, spec.total_columns)
+        assert found is not None and found.candidate.feature == feature
+        if fb.kind == "continuous":
+            last = int(np.searchsorted(fb.edges, found.candidate.threshold))
+            assert fb.edges[last] == found.candidate.threshold
+            left_bins = list(range(last + 1))
+            assert len(left_bins) >= 9  # beyond numpy's 8-way pairwise unrolling
+        else:
+            left_bins = [fb.levels.index(v) for v in found.candidate.categories]
+            assert np.any(np.diff(left_bins) > 1)  # not a run: gathered, not a view
+        ids = np.asarray(binning.bin_ids[feature])
+        direct = []
+        for k in left_bins:
+            xk, yk = X[ids == k], y[ids == k]
+            direct.append(GramStats(xtx=xk.T @ xk, xty=xk.T @ yk,
+                                    yty=float(yk @ yk), count=xk.shape[0]))
+        left = direct[0]
+        for gram in direct[1:]:
+            left = gram_merge(left, gram)
+        right = gram_subtract(node_gram, left)
+        for got, want in ((found.left_gram, left), (found.right_gram, right)):
+            assert np.array_equal(got.xtx, want.xtx)
+            assert np.array_equal(got.xty, want.xty)
+            assert got.yty == want.yty
+            assert got.count == want.count
+
+
 def _reference_losses(grams, lam_values, loss):
     """Per-candidate scalar fits, at the lambda fit_node selects by GCV."""
     return np.array([_node_split_loss(fit_node(g, lam_values), loss) for g in grams])
@@ -409,7 +475,7 @@ class TestBatchChildLosses:
     def test_matches_scalar_fits(self, lam, loss, eigh_calls):
         grams = self._candidate_grams()
         lam_values = GrowConfig(lam=lam).lam_values
-        got = _batch_child_losses(*_stack(grams), lam_values, loss)
+        got = _batch_child_losses(*stack_grams(grams), lam_values, loss)
         swept = list(eigh_calls)  # before the reference fits add their own
         assert_allclose(got, _reference_losses(grams, lam_values, loss), rtol=1e-9)
         # a grid containing zero or longer than the Cholesky limit takes eigh
@@ -421,7 +487,7 @@ class TestBatchChildLosses:
         # with a grid, an SSE sweep scores each candidate at the lambda its
         # refit keeps (chosen by GCV), not at the grid's smallest SSE
         grams = self._candidate_grams()
-        got = _batch_child_losses(*_stack(grams), lam, "sse")
+        got = _batch_child_losses(*stack_grams(grams), lam, "sse")
         refits = [fit_node(g, lam) for g in grams]
         assert_allclose(got, [m.sse for m in refits], rtol=1e-9)
         min_sse = np.array([min(fit_node(g, v).sse for v in lam) for g in grams])
@@ -442,7 +508,7 @@ class TestBatchChildLosses:
             )
             for rows in (4, 4, 12)
         ]
-        got = _batch_child_losses(*_stack(grams), lam, loss)
+        got = _batch_child_losses(*stack_grams(grams), lam, loss)
         assert np.all(np.isfinite(got))
         assert_allclose(got, _reference_losses(grams, lam, loss), rtol=1e-9)
 
@@ -450,7 +516,7 @@ class TestBatchChildLosses:
         rng = np.random.default_rng(0)
         X = np.column_stack([np.ones(4), rng.standard_normal((4, 3))])
         grams = [gram_accumulate(X, rng.standard_normal(4))]
-        got = _batch_child_losses(*_stack(grams), (0.0, 0.0), "gcv")
+        got = _batch_child_losses(*stack_grams(grams), (0.0, 0.0), "gcv")
         assert np.array_equal(got, [np.inf])
         with pytest.raises(ValueError, match="saturated"):
             fit_node(grams[0], (0.0, 0.0))
@@ -466,15 +532,15 @@ class TestBatchChildLosses:
         x, z, w = rng.standard_normal((3, 60))
         y = x + 0.3 * w + 0.1 * rng.standard_normal(60)
         g = gram_accumulate(np.column_stack([np.ones(60), x, x + 1e-5 * z, w]), y)
-        xtx, xty, _, counts = _stack([g])
+        xtx, xty, _, counts = stack_grams([g])
         block = _standardized_block(xtx, *_moments(xtx, xty, counts)[:3])
         spectrum = np.linalg.eigvalsh(block[0])
         near_null = spectrum[spectrum < NULL_SPACE_RTOL * spectrum[-1]]
         assert near_null.size == 1 and near_null[0] > 1e-14 * spectrum[-1]
         model = fit_node(g, lam)
-        sse = _batch_child_losses(*_stack([g]), (lam,), "sse")
+        sse = _batch_child_losses(*stack_grams([g]), (lam,), "sse")
         assert_allclose(sse, model.sse, rtol=1e-9)
-        got = _batch_child_losses(*_stack([g]), (lam,), "gcv")
+        got = _batch_child_losses(*stack_grams([g]), (lam,), "gcv")
         extra_df = near_null[0] / (near_null[0] + lam)
         want = 60 * gcv_loss(model.sse, 60, model.effective_df + extra_df)
         assert_allclose(got, want, rtol=1e-9)
@@ -498,7 +564,7 @@ class TestBatchChildLosses:
         ]
         grams = [regular[0], singular, regular[1]]
         lam_values = (1e-20,)
-        got = _batch_child_losses(*_stack(grams), lam_values, loss)
+        got = _batch_child_losses(*stack_grams(grams), lam_values, loss)
         assert eigh_calls == [(1, 2, 2)]
         assert np.all(np.isfinite(got))
         assert_allclose(got, _reference_losses(grams, lam_values, loss), rtol=1e-9)
@@ -572,10 +638,7 @@ def _fresh_gains(node, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config):
 
 def _fresh_sweep(fb, node, parent_loss, config, min_leaf):
     """Every scored candidate of one feature and its gain, with fresh arrays."""
-    xtx = np.stack([g.xtx for g in fb.grams])
-    xty = np.stack([g.xty for g in fb.grams])
-    yty = np.array([g.yty for g in fb.grams])
-    counts = np.array([g.count for g in fb.grams])
+    xtx, xty, yty, counts = fb.xtx, fb.xty, fb.yty, fb.counts
     if fb.kind == "continuous":
         cum = [np.cumsum(a, axis=0) for a in (xtx, xty, yty, counts)]
         cnt = cum[3][: fb.edges.size]
@@ -591,7 +654,7 @@ def _fresh_sweep(fb, node, parent_loss, config, min_leaf):
         subsets = tree_mod._canonical_subsets(c)
     else:  # the ordered scan: prefixes of the levels sorted by node mean
         nonempty = [k for k in range(c) if counts[k] > 0]
-        order = sorted(nonempty, key=lambda k: (fb.grams[k].xty[0] / counts[k], k))
+        order = sorted(nonempty, key=lambda k: (xty[k, 0] / counts[k], k))
         subsets = set()
         for cut in range(1, len(order)):
             prefix = set(order[:cut])
@@ -636,7 +699,7 @@ def _node_bins(ds, spec, num_bins):
     X = design_matrix(ds, spec)
     y = ds.response
     binning = tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=num_bins))
-    bins = list(tree_mod._node_feature_bins(binning, X, y, np.arange(ds.n), 0, None))
+    bins = tree_mod._node_feature_bins(binning, X, y, np.arange(ds.n), 0, None)
     return gram_accumulate(X, y), bins
 
 
@@ -656,8 +719,8 @@ def _singular_left_sides():
     y = np.random.default_rng(5).standard_normal(n)
     edges = candidate_edges(u, 8)
     fb = tree_mod.FeatureBins(
-        feature="u", index=0, kind="continuous",
-        grams=bin_grams(X, y, tree_mod.bin_values(u, edges), edges.size + 1), edges=edges,
+        "u", 0, "continuous",
+        *bin_grams(X, y, tree_mod.bin_values(u, edges), edges.size + 1), edges=edges,
     )
     return gram_accumulate(X, y), [fb]
 
@@ -831,12 +894,14 @@ class TestGrow:
         spec = build_spec(ds, num_knots=3)
         for bins in (5, 20):
             inst = SplitInstrumentation()
-            grow(ds, spec, GrowConfig(max_depth=2, num_bins=bins,
-                                      min_samples_leaf=60),
-                 instrumentation=inst)
+            root = grow(ds, spec, GrowConfig(max_depth=2, num_bins=bins,
+                                             min_samples_leaf=60),
+                        instrumentation=inst)
+            counts = {n.id: n.count for n in root.nodes()}
             seen = set()
             for ev in inst.events:
                 assert ev.rows_accumulated == ev.node_count
+                assert ev.rows_accumulated == counts[ev.node_id]
                 key = (ev.node_id, ev.feature)
                 assert key not in seen, "feature re-binned within one node"
                 seen.add(key)
@@ -928,10 +993,12 @@ class TestHistogramSubtraction:
                 yield (left, right) if left.count <= right.count else (right, left)
 
     @staticmethod
-    def _passes(inst):
+    def _passes(inst, root):
+        counts = {n.id: n.count for n in root.nodes()}
         by_node = defaultdict(list)
         for ev in inst.events:
             assert ev.rows_accumulated == ev.node_count
+            assert ev.rows_accumulated == counts[ev.node_id]
             by_node[ev.node_id].append(ev.feature)
         return by_node
 
@@ -958,17 +1025,14 @@ class TestHistogramSubtraction:
             for fb in bins:
                 direct = bin_grams(X[rows], y[rows], binning.bin_ids[fb.feature][rows],
                                    binning.num_bins(fb.feature))
-                assert len(fb.grams) == len(direct)
-                scale = [max(np.abs(getattr(g, key)).max() for g in direct)
-                         for key in ("xtx", "xty", "yty")]
-                for d, g in zip(fb.grams, direct):
-                    assert d.count == g.count
-                    assert_allclose(d.xtx, g.xtx, rtol=0, atol=1e-12 * scale[0])
-                    assert_allclose(d.xty, g.xty, rtol=0, atol=1e-12 * scale[1])
-                    assert abs(d.yty - g.yty) <= 1e-12 * scale[2]
-                    if g.count == 0:  # exactly zero, as direct binning leaves it
-                        empty += 1
-                        assert not d.xtx.any() and not d.xty.any() and d.yty == 0.0
+                derived_stats = (fb.xtx, fb.xty, fb.yty)
+                assert [d.shape for d in derived_stats] == [g.shape for g in direct[:3]]
+                assert np.array_equal(fb.counts, direct[3])
+                for d, g in zip(derived_stats, direct):
+                    assert_allclose(d, g, rtol=0, atol=1e-12 * np.abs(g).max())
+                gone = direct[3] == 0  # exactly zero, as direct binning leaves them
+                empty += int(gone.sum())
+                assert not any(d[gone].any() for d in derived_stats)
         assert empty > 0
 
     @pytest.mark.parametrize("loss", ["gcv", "sse"])
@@ -1006,7 +1070,7 @@ class TestHistogramSubtraction:
         root = grow(ds, spec, config, instrumentation=inst)
         assert list(self._pairs(root, config)), "no split had both children searched"
         assert inst.kept_bytes == []
-        passes = self._passes(inst)
+        passes = self._passes(inst, root)
         searched = [node for node in root.nodes() if self._searched(node, config)]
         assert sorted(passes) == [node.id for node in searched]
         for node in searched:  # one pass per (node, feature), as without subtraction
@@ -1020,7 +1084,7 @@ class TestHistogramSubtraction:
         binning = tree_mod._prepare_binning(ds, spec, config)
         node_bytes = binning.nbytes(m)
         one = tree_mod._node_feature_bins(binning, X, ds.response, np.arange(ds.n), 0, None)
-        assert node_bytes == sum(g.xtx.nbytes + g.xty.nbytes for fb in one for g in fb.grams)
+        assert node_bytes == sum(fb.xtx.nbytes + fb.xty.nbytes for fb in one)
         budget = X.nbytes
         if room is not None:  # room for one parent and its derived child's bins
             budget = room * node_bytes
@@ -1030,7 +1094,7 @@ class TestHistogramSubtraction:
         root = grow(ds, spec, config, instrumentation=inst)
         assert 0 < max(inst.kept_bytes) <= budget
         assert inst.kept_bytes[-1] == 0
-        passes = self._passes(inst)
+        passes = self._passes(inst, root)
         pairs = list(self._pairs(root, config))
         derived = 0
         for smaller, larger in pairs:
