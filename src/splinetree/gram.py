@@ -224,8 +224,8 @@ def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=T
     instead standardized in cache-sized chunks and Cholesky-factored once
     per lambda (:func:`_cholesky_solves`), which needs no eigenvectors and
     no stacked (c, p, p) block; a system whose factorization fails is
-    solved by the reference route.  ``want_edf=False`` lets that route skip the df (left
-    NaN) when only the SSE at one lambda is needed.
+    solved by the reference route.  ``want_edf=False`` lets that route skip
+    the df (left NaN) when only the SSEs are needed.
 
     The two routes count the df of a nearly collinear direction
     differently: an eigenvalue w above zero but below ``NULL_SPACE_RTOL``
@@ -248,7 +248,7 @@ def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=T
     if min(lam_values) < 0:
         raise ValueError("lambda must be nonnegative")
     n, mean, scale, b = _moments(xtx, xty, counts)
-    if cholesky and min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT:
+    if cholesky and cholesky_route(lam_values):
         gammas, edfs, failed = _cholesky_solves(xtx, n, mean, scale, b, lam_values, want_edf)
         if failed.any():
             block = _standardized_block(xtx[failed], n[failed], mean[failed], scale[failed])
@@ -264,6 +264,12 @@ def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=T
         coefficients[:, :, None, 1:], mean[:, :, None]
     )[:, :, 0, 0]
     return coefficients, _sse(xtx, xty, yty, coefficients), edfs
+
+
+def cholesky_route(lam_values) -> bool:
+    """Whether ``ridge_batch(..., cholesky=True)`` factors by Cholesky: every
+    lambda positive and at most ``_CHOLESKY_GRID_LIMIT`` of them."""
+    return min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT
 
 
 def select_lambda(sse, edf, counts):
@@ -380,10 +386,12 @@ def _standardized_block(xtx, n, mean, scale, out=None, outer=None):
     c, p = mean.shape
     out = np.empty((c, p, p)) if out is None else out
     outer = np.empty((c, p, p)) if outer is None else outer
-    np.multiply(mean[:, :, None], mean[:, None, :], out=out)
+    # einsum takes each outer product with one multiply per element, as a
+    # broadcast multiply would, but writes the block faster
+    np.einsum("ci,cj->cij", mean, mean, out=out)
     np.multiply(n[:, :, None], out, out=out)
     np.subtract(xtx[:, 1:, 1:], out, out=out)
-    np.multiply(scale[:, :, None], scale[:, None, :], out=outer)
+    np.einsum("ci,cj->cij", scale, scale, out=outer)
     return np.divide(out, outer, out=out)
 
 

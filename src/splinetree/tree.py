@@ -31,6 +31,16 @@ re-fitted through :func:`splinetree.gram.fit_node`, a batch of one on the
 eigendecomposition route, so the retained models and gains do not depend
 on the route that ranked them.
 
+Where that route would take each candidate's effective df (a GCV loss or
+a grid), the df is taken only for the candidates that can still win.
+Every side of n rows and m columns has 1 <= df <= m, so its SSEs bound
+its loss from both sides (:func:`_child_loss_bounds`).  One threshold per
+node, shared by its features and their worker threads, holds the
+smallest upper bound and exact loss seen so far; a candidate whose lower
+bound exceeds it is left unscored with gain -inf, as its exact loss
+exceeds the node's best (:func:`_split_gains`).  The winner, its gain
+and the tree are those of scoring every candidate.
+
 Per-bin statistics stay stacked from :func:`bin_grams` to the sweep: per
 feature, X'X (bins, m, m), X'y (bins, m), y'y and counts (bins,), the
 layout :func:`splinetree.gram.ridge_batch` takes; subtraction and the
@@ -39,9 +49,10 @@ winner's left side work on the same arrays.
 The search's scratch memory lives in one workspace per :func:`grow`: the
 node's gathered rows, the bin-ordered rows, the continuous sweep's
 cumulated per-bin X'X, the left sides (a view of the cumulated X'X when
-the feasible cuts are contiguous), the right sides and the categorical
-subset products.  Each buffer keeps the largest size asked for, so after
-the first nodes no (candidates, m, m) or row-sized array is allocated;
+the feasible cuts are contiguous), the right sides, the categorical
+subset products and the sides of the candidates scored exactly.  Each
+buffer keeps the largest size asked for, so after the first nodes no
+(candidates, m, m) or row-sized array is allocated;
 the Cholesky route standardizes its candidates in cache-sized chunks and
 factors each in one p x p matrix (see :func:`splinetree.gram.ridge_batch`).
 The operations and their order are those of fresh allocation, so the
@@ -50,6 +61,7 @@ trees are byte-identical to it.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -63,6 +75,7 @@ from .errors import DataError, NumericalError
 from .gram import (
     GramStats,
     NodeModel,
+    cholesky_route,
     column_scale,
     fit_node,
     gcv_loss,
@@ -173,7 +186,6 @@ class SplitSearchEvent:
     node_id: int
     feature: str
     rows_accumulated: int
-    node_count: int
     num_bins: int
 
 
@@ -192,10 +204,8 @@ class SplitInstrumentation:
         self.events: list[SplitSearchEvent] = []
         self.kept_bytes: list[int] = []
 
-    def record(self, node_id, feature, rows_accumulated, node_count, num_bins):
-        self.events.append(
-            SplitSearchEvent(node_id, feature, rows_accumulated, node_count, num_bins)
-        )
+    def record(self, node_id, feature, rows_accumulated, num_bins):
+        self.events.append(SplitSearchEvent(node_id, feature, rows_accumulated, num_bins))
 
 
 class _Workspace:
@@ -249,8 +259,9 @@ def candidate_edges(values, num_bins: int) -> np.ndarray:
         raise ValueError("num_bins must be >= 2")
     x = np.asarray(values, dtype=np.float64)
     levels = np.arange(1, num_bins) / num_bins
-    edges = np.unique(np.quantile(x, levels, method="midpoint"))
     xs = np.sort(x)
+    # the quantiles of the sorted copy are those of x, found faster
+    edges = np.unique(np.quantile(xs, levels, method="midpoint"))
     left_counts = np.searchsorted(xs, edges, side="right")
     keep = (left_counts > 0) & (left_counts < x.size)
     if edges.size > 1:
@@ -329,8 +340,7 @@ def bin_grams(
         yty[k] = yk @ yk
     if instrumentation is not None:
         instrumentation.record(
-            node_id, feature, rows_accumulated=x.shape[0],
-            node_count=x.shape[0], num_bins=num_bins,
+            node_id, feature, rows_accumulated=x.shape[0], num_bins=num_bins
         )
     return xtx, xty, yty, counts
 
@@ -426,6 +436,39 @@ class _FeatureBest:
     candidate: SplitCandidate
 
 
+# Relative slack on the loss bound below which a candidate is scored
+# exactly: it covers the rounding of the bounds and of the exact losses,
+# down to a Cholesky df a few ulps below 1.
+_BOUND_SLACK = 1e-9
+
+
+class _LossBound:
+    """The smallest known upper bound on a node's best child loss.
+
+    :func:`best_split` makes one per node when the sweep would compute a df
+    (:func:`_df_bounded`); every feature's sweep lowers it (see
+    :func:`_split_gains`).  Worker threads share it under a lock: the order
+    of their updates changes how many candidates are scored, never which
+    one wins.
+    """
+
+    def __init__(self):
+        self.value = np.inf
+        self._lock = threading.Lock()
+
+    def lower(self, value) -> float:
+        """Lower the bound to ``value`` when that is smaller; return the bound."""
+        with self._lock:
+            self.value = min(self.value, float(value))
+            return self.value
+
+
+def _df_bounded(lam_values, loss) -> bool:
+    """Whether the sweep would take a df by Cholesky: on that route, with a
+    GCV loss or a grid to select over (:func:`_batch_child_losses`)."""
+    return cholesky_route(lam_values) and (loss == "gcv" or len(lam_values) > 1)
+
+
 def _node_split_loss(model: NodeModel, loss: str) -> float:
     """Per-node loss used in split comparison, in SSE units.
 
@@ -461,8 +504,48 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
     return np.where(np.isfinite(gcv), sse[index, np.arange(counts.size)], np.inf)
 
 
-def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config, ws):
-    """Gain of each stacked left side and its complement in the node."""
+def _child_loss_bounds(xtx, xty, yty, counts, lam_values, loss):
+    """Bounds on the losses :func:`_batch_child_losses` returns, from SSEs alone.
+
+    Solves every candidate for its SSE at each lambda without the df, so
+    no inverse factor and no trace.  A side of n rows and m design columns
+    has 1 <= df <= m, so its GCV loss SSE / (1 - df/n)^2 lies between
+    SSE / (1 - 1/n)^2 and, when m < n, SSE / (1 - m/n)^2; over a grid the
+    loss is the smallest of these, so both bounds take the grid's smallest
+    SSE.  An SSE loss over a grid is the SSE at the lambda GCV selects, so
+    it lies between the grid's smallest and largest SSE.  The upper bound
+    is infinite where m >= n, as the df may then saturate.  Returns the
+    lower and upper bounds (c,).
+    """
+    _, sse, _ = ridge_batch(xtx, xty, yty, counts, lam_values, cholesky=True, want_edf=False)
+    n = counts.astype(np.float64)
+    m = xtx.shape[-1]
+    smallest = sse.min(axis=0)
+    if loss == "gcv":
+        lower = np.divide(smallest, (1.0 - 1.0 / n) ** 2,
+                          out=np.full_like(smallest, np.inf), where=n > 1)
+        largest = np.divide(smallest, (1.0 - m / n) ** 2,
+                            out=np.full_like(smallest, np.inf), where=n > m)
+    else:
+        lower, largest = smallest, sse.max(axis=0)
+    return lower, np.where(n > m, largest, np.inf)
+
+
+def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config, ws, bound):
+    """Gain of each stacked left side and its complement in the node.
+
+    Without a ``bound``, every candidate is scored exactly by
+    :func:`_batch_child_losses`.  With one (a :class:`_LossBound`, which
+    :func:`best_split` gives where the sweep's Cholesky route would take a
+    df), both sides of every candidate are first solved for their SSE
+    alone and bounded by :func:`_child_loss_bounds`.  The node's bound is
+    lowered to the smallest upper bound; only the candidates whose lower
+    bound is within ``_BOUND_SLACK`` of it are gathered from the stacks
+    and scored exactly, and the bound is then lowered to the smallest
+    exact loss.  Every other candidate's exact loss exceeds the node's best
+    and its gain is -inf, so the winner, its gain and the tree are those of
+    scoring every candidate.
+    """
     xtx_r = np.subtract(node.xtx[None, :, :], xtx_l, out=ws.array("right", xtx_l.shape))
     diag = np.einsum("cii->ci", xtx_r)
     np.maximum(diag, 0.0, out=diag)
@@ -470,17 +553,40 @@ def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, confi
     yty_r = np.maximum(node.yty - yty_l, 0.0)
     cnt_r = node.count - cnt_l
     lam_values, loss = config.lam_values, config.loss
-    loss_l = _batch_child_losses(xtx_l, xty_l, yty_l, cnt_l, lam_values, loss)
-    loss_r = _batch_child_losses(xtx_r, xty_r, yty_r, cnt_r, lam_values, loss)
-    return parent_loss - (loss_l + loss_r)
+    if bound is None:
+        loss_l = _batch_child_losses(xtx_l, xty_l, yty_l, cnt_l, lam_values, loss)
+        loss_r = _batch_child_losses(xtx_r, xty_r, yty_r, cnt_r, lam_values, loss)
+        return parent_loss - (loss_l + loss_r)
+    lower_l, upper_l = _child_loss_bounds(xtx_l, xty_l, yty_l, cnt_l, lam_values, loss)
+    lower_r, upper_r = _child_loss_bounds(xtx_r, xty_r, yty_r, cnt_r, lam_values, loss)
+    threshold = bound.lower(np.min(upper_l + upper_r))
+    scored = np.flatnonzero(lower_l + lower_r <= threshold * (1.0 + _BOUND_SLACK))
+    gains = np.full(cnt_l.size, -np.inf)
+    if scored.size:
+        loss_l = _batch_child_losses(
+            ws.take("scored_left", xtx_l, scored), xty_l[scored], yty_l[scored],
+            cnt_l[scored], lam_values, loss,
+        )
+        loss_r = _batch_child_losses(
+            ws.take("scored_right", xtx_r, scored), xty_r[scored], yty_r[scored],
+            cnt_r[scored], lam_values, loss,
+        )
+        losses = loss_l + loss_r
+        gains[scored] = parent_loss - losses
+        bound.lower(np.min(losses))
+    return gains
 
 
-def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf, ws):
+def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
     edges = fb.edges
     if edges is None or edges.size == 0:
         return None
-    # into a buffer: the bins stay as they are, for subtraction and the winner
-    cum_xtx = np.cumsum(fb.xtx, axis=0, out=ws.array("stacked", fb.xtx.shape))
+    # into a buffer: the bins stay as they are, for subtraction and the winner.
+    # Bin by bin, as cumsum adds, but one contiguous (m, m) add at a time
+    cum_xtx = ws.array("stacked", fb.xtx.shape)
+    cum_xtx[0] = fb.xtx[0]
+    for k in range(1, len(cum_xtx)):
+        np.add(cum_xtx[k - 1], fb.xtx[k], out=cum_xtx[k])
     cum_xty = np.cumsum(fb.xty, axis=0)
     cum_yty = np.cumsum(fb.yty)
     counts = fb.counts
@@ -500,7 +606,7 @@ def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf, ws):
         xtx_l = ws.take("left", cum_xtx, sel)
     gains = _split_gains(
         node_gram, xtx_l, cum_xty[sel], cum_yty[sel], cum_cnt[sel],
-        parent_loss, config, ws,
+        parent_loss, config, ws, bound,
     )
     best = int(np.argmax(gains))
     if not np.isfinite(gains[best]):
@@ -528,7 +634,7 @@ def _canonical_subsets(n_levels: int):
     return subsets
 
 
-def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws):
+def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
     levels = fb.levels
     c = len(levels)
     counts = fb.counts
@@ -572,7 +678,7 @@ def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws):
         np.dot(S, flat, out=xtx_l.reshape(part.size, m * m))
         gains = _split_gains(
             node_gram, xtx_l, S @ fb.xty, S @ fb.yty, cnt_l[part],
-            parent_loss, config, ws,
+            parent_loss, config, ws, bound,
         )
         i = int(np.argmax(gains))
         if np.isfinite(gains[i]) and gains[i] > best_gain:
@@ -592,10 +698,9 @@ def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws):
     )
 
 
-def _sweep_feature(fb, node_gram, parent_loss, config, min_leaf, ws):
-    if fb.kind == "continuous":
-        return _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf, ws)
-    return _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws)
+def _sweep_feature(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
+    sweep = _sweep_continuous if fb.kind == "continuous" else _sweep_categorical
+    return sweep(fb, node_gram, parent_loss, config, min_leaf, ws, bound)
 
 
 def best_split(
@@ -611,7 +716,11 @@ def best_split(
 
     Sweeps every feature's candidate partitions from cumulative bin
     statistics; ties break to the lower feature index, then the lower
-    threshold, then the canonically smaller left category subset.  The
+    threshold, then the canonically smaller left category subset.  Where
+    the sweep would take a df by Cholesky (:func:`_df_bounded`), one
+    :class:`_LossBound` serves every feature, so only candidates that can
+    still win are scored exactly (:func:`_split_gains`); a feature whose
+    candidates were all skipped cannot win and reports no best.  The
     winner's children are re-fitted through fit_node and the returned gain
     is recomputed from those fits.  When the winner's bins were derived by
     subtraction (:class:`_DerivedBins`), that feature is re-binned from the
@@ -625,6 +734,7 @@ def best_split(
     """
     ws = _Workspace() if workspace is None else workspace
     parent_loss = _node_split_loss(node_model, config.loss)
+    bound = _LossBound() if _df_bounded(config.lam_values, config.loss) else None
 
     if config.threads > 1:
         bins_list = list(feature_bins)
@@ -636,7 +746,7 @@ def best_split(
             worker = idle.get()
             try:
                 return _sweep_feature(
-                    fb, node_gram, parent_loss, config, min_samples_leaf, worker
+                    fb, node_gram, parent_loss, config, min_samples_leaf, worker, bound
                 )
             finally:
                 idle.put(worker)
@@ -645,7 +755,7 @@ def best_split(
             results = list(pool.map(sweep, bins_list))
     else:
         results = [
-            _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf, ws)
+            _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf, ws, bound)
             for fb in feature_bins
         ]
 

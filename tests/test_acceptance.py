@@ -134,7 +134,6 @@ def test_c2_complexity_witness():
         counts = {n.id: n.count for n in root.nodes()}
         seen = set()
         for ev in inst.events:
-            assert ev.rows_accumulated == ev.node_count
             assert ev.rows_accumulated == counts[ev.node_id]
             assert (ev.node_id, ev.feature) not in seen
             seen.add((ev.node_id, ev.feature))

@@ -31,6 +31,8 @@ from splinetree import (
     predict,
     prune,
     refit_l1,
+    simulate,
+    to_dataset,
 )
 from splinetree import basis
 from splinetree import gram as gram_mod
@@ -726,7 +728,13 @@ def _singular_left_sides():
 
 
 class TestSweepWorkspace:
-    """The reused sweep buffers give the gains of fresh-array arithmetic."""
+    """The reused sweep buffers give the gains of fresh-array arithmetic.
+
+    Where the sweep bounds the GCV df, it scores only the candidates that
+    can still win and gives the others gain -inf: every candidate it scored
+    has the fresh gain, bit for bit, and every one it skipped has a fresh
+    gain strictly below the fresh winner's.
+    """
 
     GRIDS = {
         "scalar": 1e-3,
@@ -748,8 +756,12 @@ class TestSweepWorkspace:
         for _ in range(2):  # a cold workspace, then the same one warm
             calls.clear()
             found = best_split(node_gram, node_model, bins, config, min_leaf, workspace=ws)
-            assert np.array_equal(np.concatenate(calls), want)
+            got = np.concatenate(calls)
+            scored = got != -np.inf
+            assert np.array_equal(got[scored], want[scored])
+            assert np.all(want[~scored] < want.max())
             best = int(np.argmax(want))
+            assert scored[best]
             feature, (kind, value) = candidates[best]
             assert found.candidate == tree_mod.SplitCandidate(feature, **{kind: value})
         return found
@@ -779,11 +791,16 @@ class TestSweepWorkspace:
 
         monkeypatch.setattr(gram_mod, "_cholesky_solves", spy)
         node_gram, bins = _singular_left_sides()
-        self._check(node_gram, bins, GrowConfig(lam=1e-20, loss=loss), 8, swept_gains)
-        # each of the two sweeps scores the left sides, then the right sides;
-        # some left sides fall back to the eigendecomposition, no right side
-        assert len(failures) == 4
-        assert failures[0] == failures[2] > 0 and failures[1] == failures[3] == 0
+        config = GrowConfig(lam=1e-20, loss=loss)
+        self._check(node_gram, bins, config, 8, swept_gains)
+        # each of the two sweeps solves the left sides, then the right sides,
+        # twice when the df is bounded (every side for its SSE, then the
+        # scored ones with their df); in every pass some left sides fall back
+        # to the eigendecomposition, no right side
+        passes = 2 if tree_mod._df_bounded(config.lam_values, loss) else 1
+        assert len(failures) == 2 * 2 * passes
+        assert failures[: 2 * passes] == failures[2 * passes :]
+        assert all(failures[0::2]) and not any(failures[1::2])
 
     def test_warm_workspace_allocates_no_candidate_stack(self, swept_gains):
         # 151 columns, as in the C5 fit: the Cholesky route standardizes
@@ -813,6 +830,184 @@ class TestSweepWorkspace:
         assert stack > 20 * p * p * 8
         assert peaks[0] > stack  # the cold call allocates the buffers
         assert peaks[1] < stack
+
+
+class TestBoundedScoring:
+    """The sweep takes a df only for the candidates that can still win.
+
+    Where the Cholesky route would take a df, every candidate side is first
+    bounded from its SSEs alone (:func:`tree._child_loss_bounds`), and only
+    the candidates whose lower bound reaches the node's best upper bound
+    are scored exactly.  The winner and its gain must be those of scoring
+    every candidate.
+    """
+
+    @staticmethod
+    def _every_candidate_winner(node_gram, bins, config, min_leaf):
+        """The winner of a test-local evaluation of every candidate."""
+        parent_loss = _node_split_loss(fit_node(node_gram, config.lam), config.loss)
+        candidates, gains = [], []
+        for fb in bins:
+            keys, feature_gains = _fresh_sweep(fb, node_gram, parent_loss, config, min_leaf)
+            candidates += [(fb.feature, key) for key in keys]
+            gains.append(feature_gains)
+        feature, (kind, value) = candidates[int(np.argmax(np.concatenate(gains)))]
+        return tree_mod.SplitCandidate(feature, **{kind: value})
+
+    @staticmethod
+    def _assert_same_winner(node_gram, bins, config, min_leaf, monkeypatch, swept_gains):
+        want = TestBoundedScoring._every_candidate_winner(node_gram, bins, config, min_leaf)
+        node_model = fit_node(node_gram, config.lam)
+        swept_gains.clear()
+        found = best_split(node_gram, node_model, bins, config, min_leaf)
+        skipped = int(np.sum(np.concatenate(swept_gains) == -np.inf))
+        with monkeypatch.context() as patch:  # the same sweep, every candidate scored
+            patch.setattr(tree_mod, "_df_bounded", lambda *args: False)
+            every = best_split(node_gram, node_model, bins, config, min_leaf)
+        assert found.candidate == every.candidate == want
+        assert found.gain == every.gain
+        for got, ref in ((found.left_model, every.left_model),
+                         (found.right_model, every.right_model)):
+            assert np.array_equal(got.coefficients, ref.coefficients)
+        return skipped
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("levels", [5, 14])
+    @pytest.mark.parametrize("loss", ["gcv", "sse"])
+    @pytest.mark.parametrize("lam", [1e-3, (1e-3, 0.05, 2.0)], ids=["scalar", "grid3"])
+    def test_winner_matches_every_candidate(
+        self, monkeypatch, swept_gains, lam, loss, levels, threads
+    ):
+        # 5 levels take exhaustive subsets, 14 the ordered scan
+        rng = np.random.default_rng(31)
+        ds = make_dataset(rng, 1400, continuous=2, categorical=1, levels=levels)
+        spec = build_spec(ds, num_knots=4)
+        node_gram, bins = _node_bins(ds, spec, 16)
+        config = GrowConfig(lam=lam, loss=loss, num_bins=16, threads=threads)
+        skipped = self._assert_same_winner(
+            node_gram, bins, config, spec.total_columns, monkeypatch, swept_gains
+        )
+        # plain SSE at one lambda needs no df, so nothing is bounded there
+        assert (skipped > 0) == tree_mod._df_bounded(config.lam_values, loss)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("loss", ["gcv", "sse"])
+    @pytest.mark.parametrize("lam", [1e-3, (1e-3, 0.05, 2.0)], ids=["scalar", "grid3"])
+    def test_winner_matches_on_a_node_of_twice_the_width(
+        self, monkeypatch, swept_gains, lam, loss, threads
+    ):
+        # n = 2m + 6 rows and leaves of at least m: every side has between m
+        # and m + 6 rows, so the upper bounds are infinite or far above the
+        # lower ones
+        rng = np.random.default_rng(32)
+        probe = make_dataset(rng, 400, continuous=2, categorical=1, levels=5)
+        m = build_spec(probe, num_knots=3).total_columns
+        ds = make_dataset(rng, 2 * m + 6, continuous=2, categorical=1, levels=5)
+        spec = build_spec(ds, num_knots=3)
+        assert spec.total_columns == m
+        node_gram, bins = _node_bins(ds, spec, 16)
+        config = GrowConfig(lam=lam, loss=loss, num_bins=16, threads=threads)
+        self._assert_same_winner(node_gram, bins, config, m, monkeypatch, swept_gains)
+
+    def test_shared_bound_ends_alike_across_threads(self, monkeypatch):
+        # worker threads lower one bound; it ends at the smallest of every
+        # candidate's upper bound and the scored losses, which include the
+        # winner's, so an update lost between threads would leave it higher
+        bounds = []
+
+        class Recorded(tree_mod._LossBound):
+            def __init__(self):
+                super().__init__()
+                bounds.append(self)
+
+        monkeypatch.setattr(tree_mod, "_LossBound", Recorded)
+        rng = np.random.default_rng(33)
+        ds = make_dataset(rng, 1400, continuous=5, categorical=1, levels=14)
+        spec = build_spec(ds, num_knots=4)
+        node_gram, bins = _node_bins(ds, spec, 16)
+        node_model = fit_node(node_gram, 1e-3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            found = [
+                best_split(node_gram, node_model, bins, GrowConfig(num_bins=16, threads=t),
+                           spec.total_columns)
+                for t in (1, 4, 4, 4)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(bounds) == 4 and np.isfinite(bounds[0].value)
+        assert all(b.value == bounds[0].value for b in bounds)
+        assert all(f.candidate == found[0].candidate for f in found)
+
+    @staticmethod
+    def _assert_bounds_hold(grams, lam_values, loss):
+        stacked = stack_grams(grams)
+        lower, upper = tree_mod._child_loss_bounds(*stacked, lam_values, loss)
+        exact = _batch_child_losses(*stacked, lam_values, loss)
+        assert np.all(lower <= exact * (1 + 1e-12))
+        assert np.all(exact <= upper * (1 + 1e-12))
+        return lower, upper
+
+    BOUNDED = [((1e-3,), "gcv"), ((1e-3, 0.05, 2.0), "gcv"), ((1e-3, 0.05, 2.0), "sse")]
+
+    @pytest.mark.parametrize("lam,loss", BOUNDED)
+    def test_bounds_hold_on_random_stacks(self, lam, loss):
+        rng = np.random.default_rng(21)
+        m = 6
+        grams = []
+        for rows in (4, 6, 7, 9, 13, 40, 300):
+            X = np.column_stack([np.ones(rows), rng.standard_normal((rows, m - 1))])
+            y = X[:, 1] - X[:, 2] ** 2 + rng.standard_normal(rows)
+            grams.append(gram_accumulate(X, y))
+        X[:, 3] = 0.5  # a column constant within the side adds no df
+        grams.append(gram_accumulate(X, y))
+        _, upper = self._assert_bounds_hold(grams, lam, loss)
+        # the df may saturate a side of at most m rows
+        assert np.isinf(upper[:2]).all() and np.isfinite(upper[2:]).all()
+
+    @pytest.mark.parametrize("lam,loss", [
+        ((1e-20,), "gcv"), ((1e-20, 0.1), "gcv"), ((1e-20, 0.1), "sse"),
+    ])
+    def test_bounds_hold_where_cholesky_fails(self, lam, loss, eigh_calls):
+        # the duplicated +-1 column of test_failed_cholesky_falls_back_to_eigh:
+        # at lambda 1e-20 its factorization fails and eigh solves it
+        x = np.tile([1.0, -1.0], 8)
+        y = np.repeat(np.arange(8.0), 2)
+        singular = gram_accumulate(np.column_stack([np.ones(16), x, x]), y)
+        rng = np.random.default_rng(3)
+        regular = [
+            gram_accumulate(
+                np.column_stack([np.ones(40), rng.standard_normal((40, 2))]),
+                rng.standard_normal(40),
+            )
+            for _ in range(2)
+        ]
+        self._assert_bounds_hold([regular[0], singular, regular[1]], lam, loss)
+        assert eigh_calls[0] == (1, 2, 2)  # the bounds' own solve fell back
+
+    def test_c5_shaped_root_sweep_takes_few_dfs(self, monkeypatch, swept_gains):
+        # f2's ten features on 15-knot splines (151 columns) and 50 bins, as
+        # in the C5 fit, on fewer rows; the df comes from dtrtri alone
+        sim = simulate("f2", 12_000, 0.5, seed=20240811)
+        ds = to_dataset(sim, rows=sim.train_idx)
+        spec = build_spec(ds, num_knots=15)
+        assert spec.total_columns == 151
+        node_gram, bins = _node_bins(ds, spec, 50)
+        calls = []
+        inner = gram_mod.dtrtri
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(gram_mod, "dtrtri", counting)
+        config = GrowConfig(num_bins=50)
+        found = best_split(node_gram, fit_node(node_gram, config.lam), bins, config,
+                           2 * spec.total_columns)
+        sides = 2 * sum(gains.size for gains in swept_gains)
+        assert found is not None and sides > 800
+        assert 0 < len(calls) < 0.1 * sides
 
 
 class TestGrow:
@@ -900,7 +1095,6 @@ class TestGrow:
             counts = {n.id: n.count for n in root.nodes()}
             seen = set()
             for ev in inst.events:
-                assert ev.rows_accumulated == ev.node_count
                 assert ev.rows_accumulated == counts[ev.node_id]
                 key = (ev.node_id, ev.feature)
                 assert key not in seen, "feature re-binned within one node"
@@ -997,7 +1191,6 @@ class TestHistogramSubtraction:
         counts = {n.id: n.count for n in root.nodes()}
         by_node = defaultdict(list)
         for ev in inst.events:
-            assert ev.rows_accumulated == ev.node_count
             assert ev.rows_accumulated == counts[ev.node_id]
             by_node[ev.node_id].append(ev.feature)
         return by_node
