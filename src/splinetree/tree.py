@@ -8,19 +8,24 @@ partition is scored from the small aggregated systems.  Candidate
 thresholds are global quantile edges of the root training data, reused at
 every node, so bin membership per record is computed once.
 
-Histogram subtraction (as in LightGBM) saves most of the passes of a
-split whose children are both searched: only the smaller child is binned
-from its rows, and the larger child's bins are the parent's minus the
-smaller child's, bin by bin.  Counts subtract exactly, so the feasible
-and distinct cuts are those of direct binning; the other statistics
-differ from it by round-off, so once the larger child's sweep has picked
-its winner, that one feature is re-binned from the child's rows and the
-children are built from the direct bins.  The retained statistics, models
-and trees are therefore those of direct binning, and only the ranking
-sees derived bins.  A parent keeps its bins for this only while the bins
-kept by the grow stay within the size of the design matrix, so designs
-whose per-node bins outweigh it (many spline columns) bin every node
-directly.
+The unit of the search is one feature: bin it from the node's rows, then
+sweep it.  Histogram subtraction (as in LightGBM; Ke et al. 2017) saves
+most of the passes of a split whose children are both searched: only the
+smaller child is binned from its rows, and the larger child's bins are the
+parent's minus the smaller child's, bin by bin.  Counts subtract exactly,
+so the feasible and distinct cuts are those of direct binning; the other
+statistics differ from it by round-off, so once the larger child's sweep
+has picked its winner, that one feature is re-binned from the child's rows
+and the children are built from the direct bins.  The retained
+statistics, models and trees are therefore those of direct binning, and
+only the ranking sees derived bins.  A parent keeps its bins for this only
+while the bins kept by the grow stay within the size of the design
+matrix.  A node that cannot keep its bins (its children cannot both be
+searched, or there is no room, as at every node of a design whose per-node
+bins outweigh the design matrix) streams them: each feature is binned into
+recycled buffers and swept at once, and only its winner's left side is
+kept, so the search holds one feature's bins per worker, not every
+feature's.
 
 Split scoring solves all candidates of a (node, feature) pair as one
 batch through :func:`splinetree.gram.ridge_batch`, the solver that also
@@ -47,20 +52,26 @@ layout :func:`splinetree.gram.ridge_batch` takes; subtraction and the
 winner's left side work on the same arrays.
 
 The search's scratch memory lives in one workspace per :func:`grow`: the
-node's gathered rows, the bin-ordered rows, the continuous sweep's
-cumulated per-bin X'X, the left sides (a view of the cumulated X'X when
-the feasible cuts are contiguous), the right sides, the categorical
-subset products and the sides of the candidates scored exactly.  Each
-buffer keeps the largest size asked for, so after the first nodes no
-(candidates, m, m) or row-sized array is allocated;
-the Cholesky route standardizes its candidates in cache-sized chunks and
-factors each in one p x p matrix (see :func:`splinetree.gram.ridge_batch`).
-The operations and their order are those of fresh allocation, so the
-trees are byte-identical to it.
+node's gathered rows, one bin's gathered rows (each bin is gathered right
+before its products, so no bin-ordered copy of the node is made), the
+recycled bins of a streaming node, the continuous sweep's cumulated
+per-bin X'X, the left sides (a view of the cumulated X'X when the feasible
+cuts are contiguous), the right sides, the categorical subset products and
+the sides of the candidates scored exactly.  Each buffer keeps the largest
+size asked for, so after the first nodes no (candidates, m, m) or
+row-sized array is allocated; the Cholesky route standardizes its
+candidates in cache-sized chunks and factors each in one p x p matrix (see
+:func:`splinetree.gram.ridge_batch`).  With ``threads > 1`` the features,
+their binning included, are spread over worker threads, each with a
+workspace of its own.  The operations and their order are those of fresh
+allocation, so the trees are byte-identical to it.  BLAS runs on one
+thread inside :func:`grow` (see :mod:`splinetree._blas`), so the bytes do
+not depend on the BLAS thread setting either.
 """
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -71,6 +82,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from . import basis
+from ._blas import one_blas_thread
 from .errors import DataError, NumericalError
 from .gram import (
     GramStats,
@@ -194,10 +206,11 @@ class SplitInstrumentation:
 
     ``events`` holds one entry per :func:`bin_grams` pass, used to verify
     that no (node, feature) pair is binned twice: a node binned from its
-    rows records one pass per feature, and the larger child of a parent
-    that kept its bins records at most one, the re-binning of its winning
-    feature.  ``kept_bytes`` holds the bytes of per-bin statistics that
-    :func:`grow` keeps beyond the node being searched, after each change.
+    rows records one pass per feature, in schema order whichever threads
+    binned them, and the larger child of a parent that kept its bins
+    records at most one, the re-binning of its winning feature.
+    ``kept_bytes`` holds the bytes of per-bin statistics that :func:`grow`
+    keeps beyond the node being searched, after each change.
     """
 
     def __init__(self):
@@ -214,13 +227,15 @@ class _Workspace:
     ``grow`` makes one and drops it when it returns; each named array keeps
     the largest size asked for so far, so once the first nodes are binned
     and swept, later passes allocate no row- or candidate-sized memory.
-    A workspace serves one thread at a time: a threaded sweep gives each
-    worker one of :meth:`workers`.
+    A workspace serves one thread at a time: a threaded search gives each
+    worker one of :meth:`workers`.  :func:`bin_grams` returns fresh arrays,
+    except in a :meth:`recycling` view.
     """
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
         self._workers: list[_Workspace] = []
+        self.recycles_bins = False
 
     def array(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         """An uninitialized C-contiguous array over the named buffer."""
@@ -240,11 +255,41 @@ class _Workspace:
         out = self.array(name, (indices.size,) + a.shape[1:], a.dtype)
         return np.take(a, indices, axis=0, out=out, mode="clip")
 
+    def recycling(self) -> "_Workspace":
+        """This workspace, with :func:`bin_grams` writing its statistics into
+        its buffers: they hold only until the next binning in it."""
+        view = copy.copy(self)  # the same buffers and workers
+        view.recycles_bins = True
+        return view
+
     def workers(self, count: int) -> list["_Workspace"]:
-        """``count`` workspaces for a threaded sweep, kept for reuse."""
+        """``count`` workspaces for a threaded search, kept for reuse."""
         while len(self._workers) < count:
             self._workers.append(_Workspace())
         return self._workers[:count]
+
+
+def _map_features(fn, items, ws: _Workspace, threads: int) -> list:
+    """``[fn(item, workspace) for item in items]``, in the items' order.
+
+    With ``threads > 1`` the items run on a pool of that many threads, each
+    of which works in a workspace of its own (:meth:`_Workspace.workers`).
+    """
+    if threads == 1 or len(items) < 2:
+        return [fn(item, ws) for item in items]
+    idle = SimpleQueue()
+    for worker in ws.workers(threads):
+        idle.put(worker)
+
+    def run(item):
+        worker = idle.get()
+        try:
+            return fn(item, worker)
+        finally:
+            idle.put(worker)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, items))
 
 
 def candidate_edges(values, num_bins: int) -> np.ndarray:
@@ -304,11 +349,13 @@ def bin_grams(
 
     Bin ids are cast to the narrowest unsigned type that holds
     ``num_bins - 1``, so the stable sort that groups them is a radix sort
-    for up to 65536 bins; the rows are gathered into bin order with
-    ``np.take`` (into ``workspace`` buffers, when one is given) and the bin
-    boundaries come from the bin counts.  Each bin's products are taken on
-    its contiguous slice of the gathered rows, written in place into its
-    row of the stacked arrays.
+    for up to 65536 bins; the bin boundaries come from the bin counts.
+    Right before each bin's products, its rows are gathered with
+    ``np.take`` into a bin-sized buffer (of ``workspace``, when one is
+    given), so no bin-ordered copy of the rows is made and each bin is
+    still in cache when its products run.  The products are written in
+    place into the bin's row of the stacked arrays: fresh arrays, or the
+    workspace's own buffers when it is a :meth:`_Workspace.recycling` view.
 
     Raises
     ------
@@ -326,15 +373,22 @@ def bin_grams(
         )
     ws = _Workspace() if workspace is None else workspace
     order = np.argsort(b, kind="stable")
-    xs, ys = ws.take("binned_rows", x, order), ws.take("binned_responses", y, order)
     counts = np.bincount(b, minlength=num_bins)
     edges_idx = np.zeros(num_bins + 1, dtype=np.intp)
     np.cumsum(counts, out=edges_idx[1:])
     m = x.shape[1]
-    xtx, xty, yty = np.zeros((num_bins, m, m)), np.zeros((num_bins, m)), np.zeros(num_bins)
-    for k in np.flatnonzero(counts):
+    shapes = (num_bins, m, m), (num_bins, m), (num_bins,)
+    if ws.recycles_bins:
+        xtx, xty, yty = (ws.array(name, shape) for name, shape in zip(_BIN_BUFFERS, shapes))
+    else:
+        xtx, xty, yty = (np.empty(shape) for shape in shapes)
+    for k in range(num_bins):
         lo, hi = edges_idx[k], edges_idx[k + 1]
-        xk, yk = xs[lo:hi], ys[lo:hi]
+        if lo == hi:
+            xtx[k], xty[k], yty[k] = 0.0, 0.0, 0.0
+            continue
+        xk = ws.take("bin_rows", x, order[lo:hi])
+        yk = ws.take("bin_responses", y, order[lo:hi])
         np.matmul(xk.T, xk, out=xtx[k])
         np.matmul(xk.T, yk, out=xty[k])
         yty[k] = yk @ yk
@@ -343,6 +397,10 @@ def bin_grams(
             node_id, feature, rows_accumulated=x.shape[0], num_bins=num_bins
         )
     return xtx, xty, yty, counts
+
+
+# The workspace buffers of recycled bins (see _Workspace.recycling).
+_BIN_BUFFERS = ("bins_xtx", "bins_xty", "bins_yty")
 
 
 def _compact_bin_ids(bin_ids, num_bins: int) -> np.ndarray:
@@ -427,13 +485,42 @@ class BestSplit:
 
 @dataclass(frozen=True)
 class _FeatureBest:
-    """Per-feature sweep winner, scored by the batched path."""
+    """Per-feature sweep winner, scored by the batched path.
+
+    A feature swept from recycled bins keeps its winner's ``left`` side
+    instead of the bins, which the worker's next feature overwrites.
+    """
 
     gain: float
     feature_index: int
-    bins: FeatureBins
+    bins: FeatureBins | None
     left_bin_indices: tuple[int, ...]
     candidate: SplitCandidate
+    left: GramStats | None = None
+
+
+@dataclass(frozen=True)
+class _StreamedFeature:
+    """A feature that :func:`best_split` bins from its node's rows and sweeps
+    at once, in recycled buffers of the worker that takes it."""
+
+    source: "_NodeRows"
+    index: int
+
+
+def _left_gram(fb: FeatureBins, left_bin_indices) -> GramStats:
+    """The sum of the named bins' statistics, added in bin order as merging
+    them one by one would."""
+    idx = left_bin_indices
+    # a run of bins, as every continuous winner is, is summed as a view, not a copy
+    idx = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == len(idx) else list(idx)
+    return GramStats(
+        xtx=np.add.reduce(fb.xtx[idx], axis=0),
+        xty=np.add.reduce(fb.xty[idx], axis=0),
+        # add.reduce sums a vector pairwise; cumsum adds in bin order
+        yty=float(np.cumsum(fb.yty[idx])[-1]),
+        count=int(fb.counts[idx].sum()),
+    )
 
 
 # Relative slack on the loss bound below which a candidate is scored
@@ -725,42 +812,35 @@ def best_split(
     is recomputed from those fits.  When the winner's bins were derived by
     subtraction (:class:`_DerivedBins`), that feature is re-binned from the
     node's rows first, and the children come from the direct bins.  The
-    winner's left side is the sum of its bins' stacked statistics, added
-    in bin order as merging them one by one would; the right side is the
-    node's minus it.  The sweep's scratch arrays live in
-    ``workspace`` (fresh when not given; ``grow`` passes one that lives as
-    long as the grow), and with ``config.threads > 1`` each worker thread
-    sweeps in a workspace of its own.
+    winner's left side is the sum of its bins' stacked statistics
+    (:func:`_left_gram`); the right side is the node's minus it.
+
+    ``grow`` passes the features of a node that cannot keep its bins as
+    :class:`_StreamedFeature` entries instead of bins: each is binned into
+    recycled buffers and swept at once, and only its winner's left side is
+    kept, so at most one feature's bins per worker are alive.  The
+    sweep's scratch arrays live in ``workspace`` (fresh when not given;
+    ``grow`` passes one that lives as long as the grow).  With
+    ``config.threads > 1`` the features, with their binning when streamed,
+    are spread over that many worker threads, each in a workspace of its
+    own; the best is taken over the features in schema order, so the
+    result does not depend on which worker took which feature.
     """
     ws = _Workspace() if workspace is None else workspace
     parent_loss = _node_split_loss(node_model, config.loss)
     bound = _LossBound() if _df_bounded(config.lam_values, config.loss) else None
 
-    if config.threads > 1:
-        bins_list = list(feature_bins)
-        idle = SimpleQueue()
-        for worker in ws.workers(config.threads):
-            idle.put(worker)
-
-        def sweep(fb):
-            worker = idle.get()
-            try:
-                return _sweep_feature(
-                    fb, node_gram, parent_loss, config, min_samples_leaf, worker, bound
-                )
-            finally:
-                idle.put(worker)
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(sweep, bins_list))
-    else:
-        results = [
-            _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf, ws, bound)
-            for fb in feature_bins
-        ]
+    def search(item, worker):
+        streamed = isinstance(item, _StreamedFeature)
+        fb = item.source.bin(item.index, worker.recycling()) if streamed else item
+        res = _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf, worker, bound)
+        if res is None or not streamed:
+            return res
+        # the worker's next feature overwrites these bins: keep the left side
+        return replace(res, bins=None, left=_left_gram(fb, res.left_bin_indices))
 
     best = None
-    for res in results:
+    for res in _map_features(search, list(feature_bins), ws, config.threads):
         if res is None:
             continue
         if best is None or res.gain > best.gain or (
@@ -770,19 +850,12 @@ def best_split(
     if best is None:
         return None
 
-    fb = best.bins
-    if isinstance(fb, _DerivedBins):  # the children come from direct bins
-        fb = fb.rebin(fb.feature)
-    idx = best.left_bin_indices
-    # a run of bins, as every continuous winner is, is summed as a view, not a copy
-    idx = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == len(idx) else list(idx)
-    left_gram = GramStats(
-        xtx=np.add.reduce(fb.xtx[idx], axis=0),
-        xty=np.add.reduce(fb.xty[idx], axis=0),
-        # add.reduce sums a vector pairwise; cumsum adds in bin order
-        yty=float(np.cumsum(fb.yty[idx])[-1]),
-        count=int(fb.counts[idx].sum()),
-    )
+    left_gram = best.left
+    if left_gram is None:
+        fb = best.bins
+        if isinstance(fb, _DerivedBins):  # the children come from direct bins
+            fb = fb.rebin(fb.feature)
+        left_gram = _left_gram(fb, best.left_bin_indices)
     right_gram = gram_subtract(node_gram, left_gram)
     left_model = fit_node(left_gram, config.lam)
     right_model = fit_node(right_gram, config.lam)
@@ -881,28 +954,56 @@ class _KeptBins:
     children: tuple | None
 
 
+class _NodeRows:
+    """A node's rows, from which its features are binned one at a time.
+
+    Each :meth:`bin` keeps the event of its :func:`bin_grams` pass apart,
+    and :meth:`record` hands the events to the instrumentation in schema
+    order, so they do not depend on which worker thread binned which
+    feature.
+    """
+
+    def __init__(self, binning, X_node, y_node, rows, node_id, instrumentation):
+        self.binning, self.X, self.y, self.rows = binning, X_node, y_node, rows
+        self.node_id, self.instrumentation = node_id, instrumentation
+        self._events: dict[int, list] = {}
+
+    def bin(self, index: int, ws: _Workspace) -> FeatureBins:
+        """The bins of the feature at ``index`` in schema order."""
+        binning, name = self.binning, self.binning.order[index]
+        events = None if self.instrumentation is None else SplitInstrumentation()
+        xtx, xty, yty, counts = bin_grams(
+            self.X, self.y, ws.take("bin_ids", binning.bin_ids[name], self.rows),
+            binning.num_bins(name), instrumentation=events,
+            node_id=self.node_id, feature=name, workspace=ws,
+        )
+        if events is not None:
+            self._events[index] = events.events
+        return FeatureBins(
+            feature=name, index=index, kind=binning.kinds[name],
+            xtx=xtx, xty=xty, yty=yty, counts=counts,
+            edges=binning.edges.get(name), levels=binning.levels.get(name),
+        )
+
+    def record(self) -> None:
+        """Record the passes made so far, in schema order."""
+        for index in sorted(self._events):
+            self.instrumentation.events.extend(self._events.pop(index))
+
+
 def _node_feature_bins(
-    binning, X_node, y_node, rows, node_id, instrumentation, ws=None, only=None
+    binning, X_node, y_node, rows, node_id, instrumentation, ws=None, only=None, threads=1
 ) -> list[FeatureBins]:
     """Per-feature bin statistics for one node, in schema order.
 
-    With ``only``, the named feature's alone.
+    With ``only``, the named feature's alone.  With ``threads > 1`` the
+    features are binned on that many worker threads.
     """
     ws = _Workspace() if ws is None else ws
-    out = []
-    for idx, name in enumerate(binning.order):
-        if only is not None and name != only:
-            continue
-        xtx, xty, yty, counts = bin_grams(
-            X_node, y_node, ws.take("bin_ids", binning.bin_ids[name], rows),
-            binning.num_bins(name), instrumentation=instrumentation,
-            node_id=node_id, feature=name, workspace=ws,
-        )
-        out.append(FeatureBins(
-            feature=name, index=idx, kind=binning.kinds[name],
-            xtx=xtx, xty=xty, yty=yty, counts=counts,
-            edges=binning.edges.get(name), levels=binning.levels.get(name),
-        ))
+    source = _NodeRows(binning, X_node, y_node, rows, node_id, instrumentation)
+    indices = [i for i, name in enumerate(binning.order) if only in (None, name)]
+    out = _map_features(source.bin, indices, ws, threads)
+    source.record()
     return out
 
 
@@ -928,6 +1029,7 @@ def split_mask(dataset, spec, candidate: SplitCandidate, rows=None) -> np.ndarra
     return goes_left[basis._level_codes(col, levels)]
 
 
+@one_blas_thread()
 def grow(
     dataset,
     spec: basis.DesignSpec,
@@ -943,15 +1045,21 @@ def grow(
     does not exceed ``min_gain``.
 
     The same inputs grow the same tree, bit for bit, for any
-    ``config.threads``, under the same BLAS thread setting: BLAS run with
-    another thread count may round the sweep and the node fits differently.
-    The split search's scratch arrays live in one workspace that is
-    dropped on return.
+    ``config.threads``.  BLAS runs on one thread for the whole grow
+    (:func:`splinetree._blas.one_blas_thread`), so where numpy's and
+    scipy's bundled OpenBLAS are found the tree does not depend on the BLAS
+    thread setting either; another BLAS run on another thread count may
+    round the sweep and the node fits differently.  The split search's
+    scratch arrays live in one workspace that is dropped on return.
 
     A split parent whose children will both be searched keeps its bins,
     while the bins kept stay within the design matrix's size, so that
     only the smaller child is binned from its rows and the larger one's
     bins are the parent's minus the smaller's (see the module docstring).
+    A node that cannot keep its bins hands :func:`best_split` its features
+    unbinned (:class:`_StreamedFeature`), to be binned and swept one at a
+    time.  With ``config.threads > 1``, binning as well as sweeping runs on
+    that many threads; each node's passes are recorded in schema order.
     """
     if dataset.n == 0:
         raise DataError("dataset is empty")
@@ -972,14 +1080,15 @@ def grow(
 
     ws = _Workspace()
 
-    def direct_bins(node_rows, node_id, only=None) -> list[FeatureBins]:
+    def gathered(node_rows):
         if node_rows.size == dataset.n:  # every row, in order: nothing to gather
-            X_node, y_node = X, y
-        else:
-            X_node = ws.take("node_rows", X, node_rows)
-            y_node = ws.take("node_responses", y, node_rows)
+            return X, y
+        return ws.take("node_rows", X, node_rows), ws.take("node_responses", y, node_rows)
+
+    def direct_bins(node_rows, node_id, only=None) -> list[FeatureBins]:
         return _node_feature_bins(
-            binning, X_node, y_node, node_rows, node_id, instrumentation, ws, only
+            binning, *gathered(node_rows), node_rows, node_id, instrumentation,
+            ws, only, config.threads,
         )
 
     def rebin(node_rows, node_id):
@@ -1003,6 +1112,12 @@ def grow(
     # parent keeps only if there is room for twice its bins.
     budget, node_bytes, kept = _kept_bins_budget(X), binning.nbytes(m), 0
 
+    def can_keep(node) -> bool:
+        """Whether the node could keep its bins once split: only if both of
+        its children can be searched and there is room for them."""
+        return (searched(node.depth + 1, node.count // 2)
+                and kept + 2 * node_bytes <= budget)
+
     def keep(nbytes):
         nonlocal kept
         kept += nbytes
@@ -1022,8 +1137,13 @@ def grow(
         node, node_rows, node_gram, pair = queue.popleft()
         if not searched(node.depth, node.count):
             continue
-        if pair is None:
+        source = None
+        if pair is None and can_keep(node):
             bins = direct_bins(node_rows, node.id)
+        elif pair is None:  # bin and sweep one feature at a time
+            source = _NodeRows(binning, *gathered(node_rows), node_rows, node.id,
+                               instrumentation)
+            bins = [_StreamedFeature(source, i) for i in range(len(binning.order))]
         elif pair.children is not None:  # the left child of a keeping parent
             bins, pair.bins = sibling_bins(pair)
             pair.children = None
@@ -1033,6 +1153,8 @@ def grow(
             bins, pair.bins = pair.bins, None
             keep(-node_bytes)
         found = best_split(node_gram, node.model, bins, config, min_leaf, workspace=ws)
+        if source is not None:
+            source.record()
         if found is None or found.gain <= config.min_gain:
             bins = None
             continue
@@ -1113,8 +1235,13 @@ def route(root: TreeNode, spec, dataset, rows=None) -> dict[int, np.ndarray]:
     return out
 
 
+@one_blas_thread()
 def predict(root: TreeNode, spec, dataset) -> np.ndarray:
-    """Predictions for every record: route to a leaf, evaluate its model."""
+    """Predictions for every record: route to a leaf, evaluate its model.
+
+    Like :func:`grow`, it runs BLAS on one thread: a threaded product may
+    round a prediction differently, and one thread was not slower here.
+    """
     X = basis.design_matrix(dataset, spec)
     out = np.empty(dataset.n)
     members = route(root, spec, dataset)

@@ -111,8 +111,8 @@ class TestBinGrams:
         assert counts[1] == 0 and not xtx[1].any() and not xty[1].any() and yty[1] == 0.0
 
     @staticmethod
-    def _assert_bit_equal(X, y, ids, num_bins):
-        xtx, xty, yty, counts = stats = bin_grams(X, y, ids, num_bins)
+    def _assert_bit_equal(X, y, ids, num_bins, workspace=None):
+        xtx, xty, yty, counts = stats = bin_grams(X, y, ids, num_bins, workspace=workspace)
         m = X.shape[1]
         assert [a.shape for a in stats] == [(num_bins, m, m), (num_bins, m), (num_bins,), (num_bins,)]
         ids = np.asarray(ids)
@@ -143,6 +143,26 @@ class TestBinGrams:
         xtx, _, _, counts = self._assert_bit_equal(X, y, ids, num_bins)
         if num_bins > 1:
             assert counts[1] == 0 and not xtx[1].any()
+
+    def test_warm_workspace_keeps_products_bit_equal(self, rng):
+        # each bin is gathered into the same buffers, reshaped to the width
+        # of the call; the bins grow past any before, then shrink again
+        ws = tree_mod._Workspace()
+        for n, m, num_bins in ((300, 6, 20), (900, 3, 4), (4000, 9, 2), (500, 6, 7)):
+            X = rng.standard_normal((n, m))
+            y = rng.standard_normal(n)
+            ids = rng.choice(np.arange(num_bins)[np.arange(num_bins) != 1], size=n)
+            fresh = self._assert_bit_equal(X, y, ids, num_bins, ws)
+            recycled = self._assert_bit_equal(X, y, ids, num_bins, ws.recycling())
+            for a, b in zip(fresh, recycled):
+                assert np.array_equal(a, b)
+            # fresh statistics are the caller's; recycled ones are the
+            # workspace's buffers, which the next recycling call overwrites
+            buffers = [ws._arrays[name] for name in tree_mod._BIN_BUFFERS]
+            assert not any(np.shares_memory(a, buf) for a in fresh for buf in buffers)
+            assert all(np.shares_memory(a, buf) for a, buf in zip(recycled, buffers))
+        # one buffer, sized by the largest bin: all 4000 rows of width 9
+        assert ws._arrays["bin_rows"].size == 4000 * 9
 
     def test_compact_id_dtypes(self):
         assert tree_mod._compact_bin_ids([0, 3], 4).dtype == np.uint8
@@ -1010,6 +1030,148 @@ class TestBoundedScoring:
         assert 0 < len(calls) < 0.1 * sides
 
 
+def _streamed(ds, spec, num_bins, rows=None, instrumentation=None):
+    """A node's features as streamed entries, binned from its rows when swept."""
+    rows = np.arange(ds.n) if rows is None else rows
+    X, y = design_matrix(ds, spec)[rows], ds.response[rows]
+    binning = tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=num_bins))
+    source = tree_mod._NodeRows(binning, X, y, rows, 0, instrumentation)
+    return [tree_mod._StreamedFeature(source, i) for i in range(len(binning.order))]
+
+
+def _assert_same_children(a, b):
+    """Two BestSplits with the same winner and bit-equal children."""
+    assert a.candidate == b.candidate and a.gain == b.gain
+    for got, want in ((a.left_gram, b.left_gram), (a.right_gram, b.right_gram)):
+        assert np.array_equal(got.xtx, want.xtx) and np.array_equal(got.xty, want.xty)
+        assert got.yty == want.yty and got.count == want.count
+    for got, want in ((a.left_model, b.left_model), (a.right_model, b.right_model)):
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert (got.sse, got.effective_df, got.lam) == (want.sse, want.effective_df, want.lam)
+
+
+class TestStreamedSearch:
+    """A node that cannot keep its bins bins and sweeps one feature at a time.
+
+    Its search is that of the same features binned up front: every
+    candidate that both score has the same gain, bit for bit, and the
+    winner and its children are the same.
+    """
+
+    @staticmethod
+    def _gains_by_sides(monkeypatch):
+        """The gains of every scoring call, keyed by its left sides' y'y and
+        counts, so that calls made in any thread order can be matched."""
+        calls = {}
+        inner = tree_mod._split_gains
+
+        def spy(node, xtx_l, xty_l, yty_l, cnt_l, *rest):
+            gains = inner(node, xtx_l, xty_l, yty_l, cnt_l, *rest)
+            calls[yty_l.tobytes() + cnt_l.tobytes()] = gains.copy()
+            return gains
+
+        monkeypatch.setattr(tree_mod, "_split_gains", spy)
+        return calls
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("levels", [5, 14])
+    @pytest.mark.parametrize("loss", ["gcv", "sse"])
+    @pytest.mark.parametrize("lam", [1e-3, (1e-3, 0.05, 2.0)], ids=["scalar", "grid3"])
+    def test_matches_bins_made_up_front(self, monkeypatch, lam, loss, levels, threads):
+        # 5 levels take exhaustive subsets, 14 the ordered scan
+        rng = np.random.default_rng(41)
+        ds = make_dataset(rng, 1400, continuous=2, categorical=1, levels=levels)
+        spec = build_spec(ds, num_knots=4)
+        node_gram, bins = _node_bins(ds, spec, 16)
+        config = GrowConfig(lam=lam, loss=loss, num_bins=16, threads=threads)
+        node_model = fit_node(node_gram, config.lam)
+        found, gains = [], []
+        for items in (bins, _streamed(ds, spec, 16)):
+            with monkeypatch.context() as patch:
+                gains.append(self._gains_by_sides(patch))
+                found.append(best_split(node_gram, node_model, items, config,
+                                        spec.total_columns))
+        assert gains[0].keys() == gains[1].keys()
+        scored = 0
+        for key, want in gains[0].items():
+            got = gains[1][key]
+            both = (got != -np.inf) & (want != -np.inf)
+            assert np.array_equal(got[both], want[both])
+            scored += int(both.sum())
+        assert scored > 0
+        _assert_same_children(*found)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("lam", [1e-3, (1e-3, 0.05, 2.0)], ids=["scalar", "grid3"])
+    def test_matches_a_node_of_derived_bins(self, lam, threads):
+        # the larger child of the root: its bins derived by subtraction rank
+        # the candidates, and the winner is re-binned for the children, so
+        # they are those of streaming the child's rows
+        ds, spec = TestHistogramSubtraction._data()
+        config = GrowConfig(lam=lam, num_bins=8, threads=threads)
+        X, y, m = design_matrix(ds, spec), ds.response, spec.total_columns
+        binning = tree_mod._prepare_binning(ds, spec, config)
+        root_gram, root_bins = gram_accumulate(X, y), _node_bins(ds, spec, 8)[1]
+        split = best_split(root_gram, fit_node(root_gram, lam), root_bins, config, m)
+        mask = tree_mod.split_mask(ds, spec, split.candidate)
+        rows = [np.flatnonzero(mask), np.flatnonzero(~mask)]
+        grams = [split.left_gram, split.right_gram]
+        small, large = sorted((0, 1), key=lambda side: rows[side].size)
+        smaller = tree_mod._node_feature_bins(
+            binning, X[rows[small]], y[rows[small]], rows[small], 1, None)
+
+        def rebin(name):
+            r = rows[large]
+            return tree_mod._node_feature_bins(binning, X[r], y[r], r, 2, None, only=name)[0]
+
+        derived = tree_mod._derived_bins(root_bins, smaller, rebin)
+        node_gram = grams[large]
+        node_model = fit_node(node_gram, lam)
+        found = [
+            best_split(node_gram, node_model, items, config, m)
+            for items in (derived, _streamed(ds, spec, 8, rows=rows[large]))
+        ]
+        _assert_same_children(*found)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_wide_node_holds_two_features_bins_per_worker(self, threads):
+        # 151 columns, as in the C5 fit: one feature's bins are 40 (m, m)
+        # blocks, and six features binned up front would outweigh the bound
+        rng = np.random.default_rng(12)
+        ds = make_dataset(rng, 3000, continuous=6)
+        spec = build_spec(ds, num_knots=25)
+        m = spec.total_columns
+        assert m == 151
+        node_gram = gram_accumulate(design_matrix(ds, spec), ds.response)
+        streamed = _streamed(ds, spec, 40)
+        binning = streamed[0].source.binning
+        one = max(binning.num_bins(name) for name in binning.order) * (m * m + m + 1) * 8
+        config = GrowConfig(num_bins=40, threads=threads)
+        node_model = fit_node(node_gram, config.lam)
+        ws = tree_mod._Workspace()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            found = best_split(node_gram, node_model, streamed, config, m, workspace=ws)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert found is not None
+        workspaces = [ws] + ws._workers
+        recycled = [
+            sum(w._arrays[name].nbytes for name in tree_mod._BIN_BUFFERS if name in w._arrays)
+            for w in workspaces
+        ]
+        scratch = sum(
+            buf.nbytes for w in workspaces for name, buf in w._arrays.items()
+            if name not in tree_mod._BIN_BUFFERS
+        )
+        assert sum(size > 0 for size in recycled) == threads
+        assert max(recycled) <= one
+        assert len(streamed) > 2 * threads
+        assert peak <= scratch + threads * 2 * one
+
+
 class TestGrow:
     def test_depth_zero_single_node(self, rng):
         ds = make_dataset(rng, 200, continuous=2)
@@ -1102,12 +1264,17 @@ class TestGrow:
 
     @staticmethod
     def _grown_alike_across_threads(ds, spec, config):
-        # a short switch interval interleaves the workers' sweeps finely, so
-        # a scratch buffer shared between them would be overwritten mid-sweep
+        # a short switch interval interleaves the workers' binning and
+        # sweeps finely, so a scratch buffer shared between them would be
+        # overwritten mid-feature; the passes are recorded alike too
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
+        trees, records = [], []
         try:
-            trees = [grow(ds, spec, replace(config, threads=t)) for t in (1, 2, 4)]
+            for t in (1, 2, 4):
+                inst = SplitInstrumentation()
+                trees.append(grow(ds, spec, replace(config, threads=t), instrumentation=inst))
+                records.append((inst.events, inst.kept_bytes))
         finally:
             sys.setswitchinterval(interval)
         base = list(trees[0].nodes())
@@ -1117,7 +1284,8 @@ class TestGrow:
             for a, b in zip(base, nodes):
                 assert a.id == b.id and a.split == b.split
                 assert (a.model.coefficients == b.model.coefficients).all()
-        return trees[0]
+        assert records[0][0] and all(record == records[0] for record in records)
+        return trees[0], records[0][1]
 
     def test_determinism_across_threads(self, rng):
         ds = make_dataset(rng, 900, continuous=3, categorical=1)
@@ -1136,8 +1304,27 @@ class TestGrow:
                           + 0.1 * rng.standard_normal(900))
         spec = build_spec(ds, num_knots=3)
         config = GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=60, lam=lam)
-        root = self._grown_alike_across_threads(ds, spec, config)
+        root, _ = self._grown_alike_across_threads(ds, spec, config)
         assert root.split.categories is not None
+
+    def test_determinism_across_threads_on_a_wide_design(self):
+        # 151 columns: no node can keep its bins, so every node streams
+        rng = np.random.default_rng(14)
+        ds = make_dataset(rng, 2000, continuous=3)
+        spec = build_spec(ds, num_knots=50)
+        m = spec.total_columns
+        config = GrowConfig(max_depth=2, num_bins=20, min_samples_leaf=m)
+        binning = tree_mod._prepare_binning(ds, spec, config)
+        assert binning.nbytes(m) > design_matrix(ds, spec).nbytes
+        root, kept_bytes = self._grown_alike_across_threads(ds, spec, config)
+        assert not root.is_leaf and not root.left.is_leaf and kept_bytes == []
+
+    def test_determinism_across_threads_with_subtraction(self):
+        ds, spec = TestHistogramSubtraction._data()
+        _, kept_bytes = self._grown_alike_across_threads(
+            ds, spec, TestHistogramSubtraction.CONFIG
+        )
+        assert max(kept_bytes) > 0
 
 
 def _spec_stub():
