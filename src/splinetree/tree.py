@@ -16,16 +16,22 @@ parent's minus the smaller child's, bin by bin.  Counts subtract exactly,
 so the feasible and distinct cuts are those of direct binning; the other
 statistics differ from it by round-off, so once the larger child's sweep
 has picked its winner, that one feature is re-binned from the child's rows
-and the children are built from the direct bins.  The retained
-statistics, models and trees are therefore those of direct binning, and
-only the ranking sees derived bins.  A parent keeps its bins for this only
-while the bins kept by the grow stay within the size of the design
-matrix.  A node that cannot keep its bins (its children cannot both be
-searched, or there is no room, as at every node of a design whose per-node
-bins outweigh the design matrix) streams them: each feature is binned into
-recycled buffers and swept at once, and only its winner's left side is
-kept, so the search holds one feature's bins per worker, not every
-feature's.
+(:attr:`FeatureBins.rebin`) and the children are built from the direct
+bins.  The retained statistics, models and trees are therefore those of
+direct binning, and only the ranking sees derived bins.  A parent keeps its
+bins for this only while the bins kept by the grow stay within the size of
+the design matrix.
+
+:func:`best_split` runs one unit per feature: get its bins (given, or
+built by a callable in the worker that runs the unit), sweep them, and sum
+the best candidate's left side from them.  Whether a node holds every
+feature's bins or one feature's per worker is decided by :func:`grow`
+alone: a node that may keep its bins stores what its units build, and one
+that cannot (its children cannot both be searched, or there is no room, as
+at every node of a design whose per-node bins outweigh the design matrix)
+stores nothing, so each feature's bins are dropped once swept.  The left
+child of a keeping parent bins the smaller child and derives the larger
+one feature by feature, inside the same units.
 
 Split scoring solves all candidates of a (node, feature) pair as one
 batch through :func:`splinetree.gram.ridge_batch`, the solver that also
@@ -54,28 +60,27 @@ winner's left side work on the same arrays.
 The search's scratch memory lives in one workspace per :func:`grow`: the
 node's gathered rows, one bin's gathered rows (each bin is gathered right
 before its products, so no bin-ordered copy of the node is made), the
-recycled bins of a streaming node, the continuous sweep's cumulated
-per-bin X'X, the left sides (a view of the cumulated X'X when the feasible
-cuts are contiguous), the right sides, the categorical subset products and
-the sides of the candidates scored exactly.  Each buffer keeps the largest
-size asked for, so after the first nodes no (candidates, m, m) or
-row-sized array is allocated; the Cholesky route standardizes its
-candidates in cache-sized chunks and factors each in one p x p matrix (see
-:func:`splinetree.gram.ridge_batch`).  With ``threads > 1`` the features,
-their binning included, are spread over worker threads, each with a
-workspace of its own.  The operations and their order are those of fresh
-allocation, so the trees are byte-identical to it.  BLAS runs on one
-thread inside :func:`grow` (see :mod:`splinetree._blas`), so the bytes do
-not depend on the BLAS thread setting either.
+continuous sweep's cumulated per-bin X'X, the left sides (a view of the
+cumulated X'X when the feasible cuts are contiguous), the right sides, the
+categorical subset products and the sides of the candidates scored
+exactly.  Each buffer keeps the largest size asked for, so after the first
+nodes no (candidates, m, m) or row-sized array is allocated; the Cholesky
+route standardizes its candidates in cache-sized chunks and factors each in
+one p x p matrix (see :func:`splinetree.gram.ridge_batch`).  With
+``threads > 1`` the units, their binning included, are spread over worker
+threads, each with a workspace of its own.  The operations and their order
+are those of fresh allocation, so the trees are byte-identical to it.  BLAS
+runs on one thread inside :func:`grow` (see :mod:`splinetree._blas`), so the
+bytes do not depend on the BLAS thread setting either.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from queue import SimpleQueue
 from typing import Callable, Iterable, Iterator
 
@@ -204,21 +209,18 @@ class SplitSearchEvent:
 class SplitInstrumentation:
     """Tallies raw-row gram passes and the bins kept for subtraction.
 
-    ``events`` holds one entry per :func:`bin_grams` pass, used to verify
-    that no (node, feature) pair is binned twice: a node binned from its
-    rows records one pass per feature, in schema order whichever threads
-    binned them, and the larger child of a parent that kept its bins
-    records at most one, the re-binning of its winning feature.
-    ``kept_bytes`` holds the bytes of per-bin statistics that :func:`grow`
-    keeps beyond the node being searched, after each change.
+    ``events`` holds one entry per :func:`bin_grams` pass that :func:`grow`
+    makes, used to verify that no (node, feature) pair is binned twice: a
+    node binned from its rows records one pass per feature, in schema order
+    whichever threads binned them, and the larger child of a parent that
+    kept its bins records at most one, the re-binning of its winning
+    feature.  ``kept_bytes`` holds the bytes of per-bin statistics that
+    :func:`grow` keeps beyond the node being searched, after each change.
     """
 
     def __init__(self):
         self.events: list[SplitSearchEvent] = []
         self.kept_bytes: list[int] = []
-
-    def record(self, node_id, feature, rows_accumulated, num_bins):
-        self.events.append(SplitSearchEvent(node_id, feature, rows_accumulated, num_bins))
 
 
 class _Workspace:
@@ -228,14 +230,13 @@ class _Workspace:
     the largest size asked for so far, so once the first nodes are binned
     and swept, later passes allocate no row- or candidate-sized memory.
     A workspace serves one thread at a time: a threaded search gives each
-    worker one of :meth:`workers`.  :func:`bin_grams` returns fresh arrays,
-    except in a :meth:`recycling` view.
+    worker one of :meth:`workers`.  It holds scratch only: the bins that
+    :func:`bin_grams` returns are always fresh arrays, never its buffers.
     """
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
         self._workers: list[_Workspace] = []
-        self.recycles_bins = False
 
     def array(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         """An uninitialized C-contiguous array over the named buffer."""
@@ -254,13 +255,6 @@ class _Workspace:
         """
         out = self.array(name, (indices.size,) + a.shape[1:], a.dtype)
         return np.take(a, indices, axis=0, out=out, mode="clip")
-
-    def recycling(self) -> "_Workspace":
-        """This workspace, with :func:`bin_grams` writing its statistics into
-        its buffers: they hold only until the next binning in it."""
-        view = copy.copy(self)  # the same buffers and workers
-        view.recycles_bins = True
-        return view
 
     def workers(self, count: int) -> list["_Workspace"]:
         """``count`` workspaces for a threaded search, kept for reuse."""
@@ -330,22 +324,19 @@ def bin_grams(
     bin_ids,
     num_bins: int,
     *,
-    instrumentation: SplitInstrumentation | None = None,
-    node_id: int = -1,
-    feature: str = "",
     workspace: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-bin gram statistics over the full design, in one pass.
 
     Returns the stacked ``(xtx, xty, yty, counts)`` of the bins, shaped
-    (num_bins, m, m), (num_bins, m), (num_bins,) and (num_bins,).  Rows are
-    grouped by bin id and aggregated group by group; the total number of
-    rows fed to the accumulator equals the number of input rows (disjoint
-    cover), which is the property the instrumentation records.  Empty bins
-    hold exact zeros.  :func:`grow` calls this at most once
-    per (node, feature): for every feature of a node binned from its rows,
-    and for the winning feature only of a node whose bins were derived by
-    subtraction (see :class:`_DerivedBins`).
+    (num_bins, m, m), (num_bins, m), (num_bins,) and (num_bins,), as fresh
+    arrays.  Rows are grouped by bin id and aggregated group by group; the
+    total number of rows fed to the accumulator equals the number of input
+    rows (disjoint cover), the property :class:`SplitInstrumentation`
+    records.  Empty bins hold exact zeros.  :func:`grow` calls this at most
+    once per (node, feature): for every feature of a node binned from its
+    rows, and for the winning feature only of a node whose bins were derived
+    by subtraction (see :attr:`FeatureBins.rebin`).
 
     Bin ids are cast to the narrowest unsigned type that holds
     ``num_bins - 1``, so the stable sort that groups them is a radix sort
@@ -354,8 +345,7 @@ def bin_grams(
     ``np.take`` into a bin-sized buffer (of ``workspace``, when one is
     given), so no bin-ordered copy of the rows is made and each bin is
     still in cache when its products run.  The products are written in
-    place into the bin's row of the stacked arrays: fresh arrays, or the
-    workspace's own buffers when it is a :meth:`_Workspace.recycling` view.
+    place into the bin's row of the stacked arrays.
 
     Raises
     ------
@@ -377,11 +367,7 @@ def bin_grams(
     edges_idx = np.zeros(num_bins + 1, dtype=np.intp)
     np.cumsum(counts, out=edges_idx[1:])
     m = x.shape[1]
-    shapes = (num_bins, m, m), (num_bins, m), (num_bins,)
-    if ws.recycles_bins:
-        xtx, xty, yty = (ws.array(name, shape) for name, shape in zip(_BIN_BUFFERS, shapes))
-    else:
-        xtx, xty, yty = (np.empty(shape) for shape in shapes)
+    xtx, xty, yty = np.empty((num_bins, m, m)), np.empty((num_bins, m)), np.empty(num_bins)
     for k in range(num_bins):
         lo, hi = edges_idx[k], edges_idx[k + 1]
         if lo == hi:
@@ -392,15 +378,7 @@ def bin_grams(
         np.matmul(xk.T, xk, out=xtx[k])
         np.matmul(xk.T, yk, out=xty[k])
         yty[k] = yk @ yk
-    if instrumentation is not None:
-        instrumentation.record(
-            node_id, feature, rows_accumulated=x.shape[0], num_bins=num_bins
-        )
     return xtx, xty, yty, counts
-
-
-# The workspace buffers of recycled bins (see _Workspace.recycling).
-_BIN_BUFFERS = ("bins_xtx", "bins_xty", "bins_yty")
 
 
 def _compact_bin_ids(bin_ids, num_bins: int) -> np.ndarray:
@@ -423,7 +401,13 @@ def _compact_bin_ids(bin_ids, num_bins: int) -> np.ndarray:
 
 @dataclass
 class FeatureBins:
-    """Node-restricted per-bin statistics for one feature, as :func:`bin_grams` stacks them."""
+    """Node-restricted per-bin statistics for one feature, as :func:`bin_grams` stacks them.
+
+    Bins derived by subtraction (:func:`_derive`) carry ``rebin``, which
+    bins the feature directly from the node's rows in the workspace it is
+    given; :func:`best_split` calls it for the winning feature only, so the
+    children's statistics are never built from derived bins.
+    """
 
     feature: str
     index: int  # position in schema order; first tie-break key
@@ -434,43 +418,26 @@ class FeatureBins:
     counts: np.ndarray  # (bins,) integer
     edges: np.ndarray | None = None  # continuous: threshold per bin boundary
     levels: tuple | None = None  # categorical: full training level list
+    rebin: Callable[["_Workspace"], "FeatureBins"] | None = None
 
 
-@dataclass
-class _DerivedBins(FeatureBins):
-    """A child's bins taken as its parent's minus its sibling's.
-
-    ``rebin(feature)`` bins the feature directly from the child's rows;
-    :func:`best_split` calls it for the winning feature, so the children's
-    statistics are never built from derived bins.
-    """
-
-    rebin: Callable[[str], FeatureBins] | None = None
-
-
-def _derived_bins(parent, part, rebin) -> list[_DerivedBins]:
-    """The bins of ``parent`` minus those of ``part``, array from array.
+def _derive(whole: FeatureBins, sub: FeatureBins, rebin) -> FeatureBins:
+    """The bins of ``whole`` minus those of ``sub``, array from array,
+    carrying ``rebin``.
 
     Counts subtract exactly.  A bin left with no rows gets all-zero
     statistics, as direct binning gives it, so round-off cannot set an
     empty category apart from another; diagonal entries and y'y driven
     below zero by round-off are clamped, as in ``gram_subtract``.
     """
-    out = []
-    for whole, sub in zip(parent, part):
-        xtx, xty = whole.xtx - sub.xtx, whole.xty - sub.xty
-        yty, counts = whole.yty - sub.yty, whole.counts - sub.counts
-        empty = counts == 0
-        xtx[empty], xty[empty], yty[empty] = 0.0, 0.0, 0.0
-        diag = np.einsum("kii->ki", xtx)
-        np.maximum(diag, 0.0, out=diag)
-        np.maximum(yty, 0.0, out=yty)
-        out.append(_DerivedBins(
-            feature=whole.feature, index=whole.index, kind=whole.kind,
-            xtx=xtx, xty=xty, yty=yty, counts=counts,
-            edges=whole.edges, levels=whole.levels, rebin=rebin,
-        ))
-    return out
+    xtx, xty = whole.xtx - sub.xtx, whole.xty - sub.xty
+    yty, counts = whole.yty - sub.yty, whole.counts - sub.counts
+    empty = counts == 0
+    xtx[empty], xty[empty], yty[empty] = 0.0, 0.0, 0.0
+    diag = np.einsum("kii->ki", xtx)
+    np.maximum(diag, 0.0, out=diag)
+    np.maximum(yty, 0.0, out=yty)
+    return replace(whole, xtx=xtx, xty=xty, yty=yty, counts=counts, rebin=rebin)
 
 
 @dataclass(frozen=True)
@@ -487,25 +454,16 @@ class BestSplit:
 class _FeatureBest:
     """Per-feature sweep winner, scored by the batched path.
 
-    A feature swept from recycled bins keeps its winner's ``left`` side
-    instead of the bins, which the worker's next feature overwrites.
+    :func:`best_split` adds the ``left`` side summed from the bins it was
+    swept from, which are then dropped, and their ``rebin`` if derived.
     """
 
     gain: float
     feature_index: int
-    bins: FeatureBins | None
     left_bin_indices: tuple[int, ...]
     candidate: SplitCandidate
     left: GramStats | None = None
-
-
-@dataclass(frozen=True)
-class _StreamedFeature:
-    """A feature that :func:`best_split` bins from its node's rows and sweeps
-    at once, in recycled buffers of the worker that takes it."""
-
-    source: "_NodeRows"
-    index: int
+    rebin: Callable[["_Workspace"], FeatureBins] | None = None
 
 
 def _left_gram(fb: FeatureBins, left_bin_indices) -> GramStats:
@@ -702,7 +660,6 @@ def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
     return _FeatureBest(
         gain=float(gains[best]),
         feature_index=fb.index,
-        bins=fb,
         left_bin_indices=tuple(range(j + 1)),
         candidate=SplitCandidate(feature=fb.feature, threshold=float(edges[j])),
     )
@@ -776,7 +733,6 @@ def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
     return _FeatureBest(
         gain=best_gain,
         feature_index=fb.index,
-        bins=fb,
         left_bin_indices=best_subset,
         candidate=SplitCandidate(
             feature=fb.feature,
@@ -793,7 +749,7 @@ def _sweep_feature(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
 def best_split(
     node_gram: GramStats,
     node_model: NodeModel,
-    feature_bins: Iterable[FeatureBins],
+    feature_bins: Iterable[FeatureBins | Callable[[_Workspace], FeatureBins]],
     config: GrowConfig,
     min_samples_leaf: int,
     *,
@@ -801,8 +757,13 @@ def best_split(
 ) -> BestSplit | None:
     """Best feasible split of a node, or None.
 
-    Sweeps every feature's candidate partitions from cumulative bin
-    statistics; ties break to the lower feature index, then the lower
+    Takes, per feature, its bins or a callable that builds them in the
+    workspace it is given.  One unit per feature gets the bins (calling the
+    callable in the worker that runs the unit), sweeps the candidate
+    partitions from cumulative bin statistics, and sums its best's left
+    side from the bins (:func:`_left_gram`); nothing else of the bins is
+    kept, so bins built by a callable and stored nowhere else are dropped
+    once swept.  Ties break to the lower feature index, then the lower
     threshold, then the canonically smaller left category subset.  Where
     the sweep would take a df by Cholesky (:func:`_df_bounded`), one
     :class:`_LossBound` serves every feature, so only candidates that can
@@ -810,34 +771,27 @@ def best_split(
     candidates were all skipped cannot win and reports no best.  The
     winner's children are re-fitted through fit_node and the returned gain
     is recomputed from those fits.  When the winner's bins were derived by
-    subtraction (:class:`_DerivedBins`), that feature is re-binned from the
-    node's rows first, and the children come from the direct bins.  The
-    winner's left side is the sum of its bins' stacked statistics
-    (:func:`_left_gram`); the right side is the node's minus it.
+    subtraction, their :attr:`FeatureBins.rebin` bins that feature from the
+    node's rows, and its left side is summed from the direct bins instead;
+    the right side is the node's minus the left.
 
-    ``grow`` passes the features of a node that cannot keep its bins as
-    :class:`_StreamedFeature` entries instead of bins: each is binned into
-    recycled buffers and swept at once, and only its winner's left side is
-    kept, so at most one feature's bins per worker are alive.  The
-    sweep's scratch arrays live in ``workspace`` (fresh when not given;
+    The sweep's scratch arrays live in ``workspace`` (fresh when not given;
     ``grow`` passes one that lives as long as the grow).  With
-    ``config.threads > 1`` the features, with their binning when streamed,
-    are spread over that many worker threads, each in a workspace of its
-    own; the best is taken over the features in schema order, so the
-    result does not depend on which worker took which feature.
+    ``config.threads > 1`` the units are spread over that many worker
+    threads, each in a workspace of its own; the best is taken over the
+    features in schema order, so the result does not depend on which
+    worker took which feature.
     """
     ws = _Workspace() if workspace is None else workspace
     parent_loss = _node_split_loss(node_model, config.loss)
     bound = _LossBound() if _df_bounded(config.lam_values, config.loss) else None
 
-    def search(item, worker):
-        streamed = isinstance(item, _StreamedFeature)
-        fb = item.source.bin(item.index, worker.recycling()) if streamed else item
+    def search(entry, worker):
+        fb = entry if isinstance(entry, FeatureBins) else entry(worker)
         res = _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf, worker, bound)
-        if res is None or not streamed:
-            return res
-        # the worker's next feature overwrites these bins: keep the left side
-        return replace(res, bins=None, left=_left_gram(fb, res.left_bin_indices))
+        if res is None:
+            return None
+        return replace(res, left=_left_gram(fb, res.left_bin_indices), rebin=fb.rebin)
 
     best = None
     for res in _map_features(search, list(feature_bins), ws, config.threads):
@@ -851,11 +805,8 @@ def best_split(
         return None
 
     left_gram = best.left
-    if left_gram is None:
-        fb = best.bins
-        if isinstance(fb, _DerivedBins):  # the children come from direct bins
-            fb = fb.rebin(fb.feature)
-        left_gram = _left_gram(fb, best.left_bin_indices)
+    if best.rebin is not None:  # the children come from direct bins
+        left_gram = _left_gram(best.rebin(ws), best.left_bin_indices)
     right_gram = gram_subtract(node_gram, left_gram)
     left_model = fit_node(left_gram, config.lam)
     right_model = fit_node(right_gram, config.lam)
@@ -944,41 +895,65 @@ class _KeptBins:
     """Bins a split parent keeps so that only its smaller child is binned.
 
     ``children`` holds the (id, rows) of the left and right child.  When
-    the left child comes up in :func:`grow`, the smaller child is binned
-    from its rows and the larger one's bins are derived from ``bins``, the
-    parent's; ``bins`` then holds the right child's until it comes up, and
-    ``children`` is cleared.
+    the left child comes up in :func:`grow`, its units (:meth:`left_unit`)
+    bin the smaller child from its rows and derive the larger one's bins
+    from ``bins``, the parent's; ``bins`` then holds the right child's until
+    it comes up, and ``children`` is cleared.
     """
 
     bins: list
     children: tuple | None
 
+    def left_unit(self, source) -> Callable[[int, "_Workspace"], FeatureBins]:
+        """The left child's unit, ``(index, worker) -> its bins of that feature``.
+
+        It bins the feature of the smaller child from its rows (a
+        :class:`_NodeRows` that ``source(id, rows)`` makes), derives the
+        larger child's by :func:`_derive`, and stores the right child's in
+        ``bins``.  The larger child's ``rebin`` makes its rows' source only
+        when called.
+        """
+        parent, self.bins = self.bins, [None] * len(self.bins)
+        children, self.children = self.children, None
+        small = 0 if children[0][1].size <= children[1][1].size else 1
+        smaller, larger = source(*children[small]), children[1 - small]
+
+        def unit(index, worker):
+            sub = smaller.bin(index, worker)
+            both = [sub, _derive(parent[index], sub, lambda ws: source(*larger).bin(index, ws))]
+            left, self.bins[index] = both if small == 0 else both[::-1]
+            return left
+
+        return unit
+
 
 class _NodeRows:
     """A node's rows, from which its features are binned one at a time.
 
-    Each :meth:`bin` keeps the event of its :func:`bin_grams` pass apart,
-    and :meth:`record` hands the events to the instrumentation in schema
-    order, so they do not depend on which worker thread binned which
-    feature.
+    The rows are gathered into the workspace ``ws`` when it is made (the
+    root's are the design matrix itself, in order).  Each :meth:`bin` keeps
+    the :class:`SplitSearchEvent` of its :func:`bin_grams` pass apart, and
+    :meth:`record` hands the events to the instrumentation in schema order,
+    so they do not depend on which worker thread binned which feature.
     """
 
-    def __init__(self, binning, X_node, y_node, rows, node_id, instrumentation):
-        self.binning, self.X, self.y, self.rows = binning, X_node, y_node, rows
+    def __init__(self, binning, X, y, rows, node_id, instrumentation, ws):
+        if rows.size < X.shape[0]:
+            X, y = ws.take("node_rows", X, rows), ws.take("node_responses", y, rows)
+        self.binning, self.X, self.y, self.rows = binning, X, y, rows
         self.node_id, self.instrumentation = node_id, instrumentation
-        self._events: dict[int, list] = {}
+        self._events: dict[int, SplitSearchEvent] = {}
 
     def bin(self, index: int, ws: _Workspace) -> FeatureBins:
         """The bins of the feature at ``index`` in schema order."""
         binning, name = self.binning, self.binning.order[index]
-        events = None if self.instrumentation is None else SplitInstrumentation()
+        num_bins = binning.num_bins(name)
         xtx, xty, yty, counts = bin_grams(
-            self.X, self.y, ws.take("bin_ids", binning.bin_ids[name], self.rows),
-            binning.num_bins(name), instrumentation=events,
-            node_id=self.node_id, feature=name, workspace=ws,
+            self.X, self.y, ws.take("bin_ids", binning.bin_ids[name], self.rows), num_bins,
+            workspace=ws,
         )
-        if events is not None:
-            self._events[index] = events.events
+        if self.instrumentation is not None:
+            self._events[index] = SplitSearchEvent(self.node_id, name, self.X.shape[0], num_bins)
         return FeatureBins(
             feature=name, index=index, kind=binning.kinds[name],
             xtx=xtx, xty=xty, yty=yty, counts=counts,
@@ -988,23 +963,15 @@ class _NodeRows:
     def record(self) -> None:
         """Record the passes made so far, in schema order."""
         for index in sorted(self._events):
-            self.instrumentation.events.extend(self._events.pop(index))
+            self.instrumentation.events.append(self._events.pop(index))
 
 
-def _node_feature_bins(
-    binning, X_node, y_node, rows, node_id, instrumentation, ws=None, only=None, threads=1
-) -> list[FeatureBins]:
-    """Per-feature bin statistics for one node, in schema order.
-
-    With ``only``, the named feature's alone.  With ``threads > 1`` the
-    features are binned on that many worker threads.
-    """
-    ws = _Workspace() if ws is None else ws
-    source = _NodeRows(binning, X_node, y_node, rows, node_id, instrumentation)
-    indices = [i for i, name in enumerate(binning.order) if only in (None, name)]
-    out = _map_features(source.bin, indices, ws, threads)
-    source.record()
-    return out
+def _stored(unit, bins, index, worker) -> FeatureBins:
+    """``unit(index, worker)``, stored in ``bins`` unless that is None."""
+    fb = unit(index, worker)
+    if bins is not None:
+        bins[index] = fb
+    return fb
 
 
 def _effect_means(X_node, spec, coefficients) -> np.ndarray:
@@ -1056,10 +1023,15 @@ def grow(
     while the bins kept stay within the design matrix's size, so that
     only the smaller child is binned from its rows and the larger one's
     bins are the parent's minus the smaller's (see the module docstring).
-    A node that cannot keep its bins hands :func:`best_split` its features
-    unbinned (:class:`_StreamedFeature`), to be binned and swept one at a
-    time.  With ``config.threads > 1``, binning as well as sweeping runs on
-    that many threads; each node's passes are recorded in schema order.
+    Every searched node hands :func:`best_split` one callable per feature,
+    which bins it from a :class:`_NodeRows` (or, at the left child of a
+    keeping parent, bins the smaller child and derives the larger one:
+    :meth:`_KeptBins.left_unit`); the right child of such a parent hands
+    over the bins made with its sibling's.  A node that may keep its bins
+    stores what its callables build; one that cannot stores nothing, so it
+    holds one feature's bins per worker.  With ``config.threads > 1``,
+    binning as well as sweeping runs on that many threads; each node's
+    passes are recorded in schema order.
     """
     if dataset.n == 0:
         raise DataError("dataset is empty")
@@ -1079,29 +1051,11 @@ def grow(
     y = np.asarray(dataset.response, dtype=np.float64)
 
     ws = _Workspace()
+    sources: list[_NodeRows] = []  # made for the search under way, recorded after it
 
-    def gathered(node_rows):
-        if node_rows.size == dataset.n:  # every row, in order: nothing to gather
-            return X, y
-        return ws.take("node_rows", X, node_rows), ws.take("node_responses", y, node_rows)
-
-    def direct_bins(node_rows, node_id, only=None) -> list[FeatureBins]:
-        return _node_feature_bins(
-            binning, *gathered(node_rows), node_rows, node_id, instrumentation,
-            ws, only, config.threads,
-        )
-
-    def rebin(node_rows, node_id):
-        return lambda name: direct_bins(node_rows, node_id, name)[0]
-
-    def sibling_bins(pair):
-        """Bins of the (left, right) children: the smaller binned, the larger derived."""
-        (left_id, left_rows), (right_id, right_rows) = pair.children
-        if left_rows.size <= right_rows.size:
-            left = direct_bins(left_rows, left_id)
-            return left, _derived_bins(pair.bins, left, rebin(right_rows, right_id))
-        right = direct_bins(right_rows, right_id)
-        return _derived_bins(pair.bins, right, rebin(left_rows, left_id)), right
+    def source(node_id, rows) -> _NodeRows:
+        sources.append(_NodeRows(binning, X, y, rows, node_id, instrumentation, ws))
+        return sources[-1]
 
     def searched(depth, count) -> bool:
         return depth < config.max_depth and count >= 2 * min_leaf
@@ -1112,18 +1066,13 @@ def grow(
     # parent keeps only if there is room for twice its bins.
     budget, node_bytes, kept = _kept_bins_budget(X), binning.nbytes(m), 0
 
-    def can_keep(node) -> bool:
-        """Whether the node could keep its bins once split: only if both of
-        its children can be searched and there is room for them."""
-        return (searched(node.depth + 1, node.count // 2)
-                and kept + 2 * node_bytes <= budget)
-
     def keep(nbytes):
         nonlocal kept
         kept += nbytes
         if instrumentation is not None:
             instrumentation.kept_bytes.append(kept)
 
+    features = range(len(binning.order))
     rows = np.arange(dataset.n)
     root_gram = gram_accumulate(X, y)
     root_model = fit_node(root_gram, config.lam)
@@ -1137,24 +1086,29 @@ def grow(
         node, node_rows, node_gram, pair = queue.popleft()
         if not searched(node.depth, node.count):
             continue
-        source = None
-        if pair is None and can_keep(node):
-            bins = direct_bins(node_rows, node.id)
-        elif pair is None:  # bin and sweep one feature at a time
-            source = _NodeRows(binning, *gathered(node_rows), node_rows, node.id,
-                               instrumentation)
-            bins = [_StreamedFeature(source, i) for i in range(len(binning.order))]
+        bins = [None] * len(features)  # what the node's units build, if it may keep it
+        if pair is None:
+            unit = source(node.id, node_rows).bin
+            # it could keep its bins once split only if both of its children
+            # can be searched and there is room for them
+            if not (searched(node.depth + 1, node.count // 2)
+                    and kept + 2 * node_bytes <= budget):
+                bins = None
         elif pair.children is not None:  # the left child of a keeping parent
-            bins, pair.bins = sibling_bins(pair)
-            pair.children = None
+            unit = pair.left_unit(source)
             keep(node_bytes)  # the parent's and the right child's coexisted,
             keep(-node_bytes)  # then the parent's were dropped
         else:  # the right child: its bins were made with its sibling's
-            bins, pair.bins = pair.bins, None
+            bins, pair.bins, unit = pair.bins, None, None
             keep(-node_bytes)
-        found = best_split(node_gram, node.model, bins, config, min_leaf, workspace=ws)
-        if source is not None:
-            source.record()
+        found = best_split(
+            node_gram, node.model,
+            bins if unit is None else [partial(_stored, unit, bins, i) for i in features],
+            config, min_leaf, workspace=ws,
+        )
+        for made in sources:
+            made.record()
+        sources.clear()
         if found is None or found.gain <= config.min_gain:
             bins = None
             continue
@@ -1167,7 +1121,7 @@ def grow(
                 f"{found.candidate.feature!r} at node {node.id}"
             )
         pair = None
-        if (searched(node.depth + 1, min(left_rows.size, right_rows.size))
+        if (bins is not None and searched(node.depth + 1, min(left_rows.size, right_rows.size))
                 and kept + 2 * node_bytes <= budget):
             pair = _KeptBins(bins, ((next_id, left_rows), (next_id + 1, right_rows)))
             keep(node_bytes)
@@ -1297,6 +1251,7 @@ def _lasso_cd(X, y, lambda1, gamma0, max_passes, tol=1e-7):
     return coef, converged
 
 
+@one_blas_thread()
 def refit_l1(root: TreeNode, dataset, spec, lambda1: float) -> TreeNode:
     """Replace leaf coefficients with lasso fits; structure is unchanged.
 
@@ -1306,7 +1261,8 @@ def refit_l1(root: TreeNode, dataset, spec, lambda1: float) -> TreeNode:
     (1000 per design column) is exhausted.  Non-converged leaves keep their
     ridge coefficients and are flagged.  With ``lambda1 = 0`` the problem
     is plain least squares and is solved directly.  The tree is modified in
-    place and returned.
+    place and returned.  Like :func:`grow`, it runs BLAS on one thread, so
+    the coefficients do not depend on the BLAS thread setting.
     """
     if lambda1 < 0:
         raise ValueError("lambda1 must be nonnegative")

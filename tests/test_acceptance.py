@@ -142,9 +142,10 @@ def test_c2_complexity_witness():
     def search(num_bins):
         config = st.GrowConfig(num_bins=num_bins, lam=1e-3, max_depth=1)
         binning = tree_mod._prepare_binning(ds, spec, config)
+        ws = tree_mod._Workspace()
         t0 = time.perf_counter()
-        X_node = X[rows]
-        bins = tree_mod._node_feature_bins(binning, X_node, y[rows], rows, 0, None)
+        source = tree_mod._NodeRows(binning, X[rows], y[rows], rows, 0, None, ws)
+        bins = [source.bin(i, ws) for i in range(len(binning.order))]
         tree_mod.best_split(node_gram, node_model, bins, config, min_leaf)
         return time.perf_counter() - t0
 

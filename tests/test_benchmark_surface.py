@@ -1,9 +1,17 @@
-"""The benchmark's tracer wraps package functions by name; they must resolve."""
+"""The benchmark's tracer wraps package functions by name; they must resolve,
+and grow must call them through those names."""
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from splinetree import GrowConfig, SplitInstrumentation, build_spec, grow
+
+from conftest import make_dataset
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -31,3 +39,32 @@ def test_bin_grams_takes_the_rows_first():
     from splinetree.tree import bin_grams
 
     assert next(iter(inspect.signature(bin_grams).parameters)) == "rows"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_grow_calls_the_traced_bindings(monkeypatch, threads):
+    # the tracer sees a call only if grow makes it through the module
+    # attribute: one best_split per searched node (the parent of the
+    # tree.sweep spans) and one bin_grams per recorded binning pass
+    from splinetree import tree as tree_mod
+
+    calls = {"best_split": [], "bin_grams": []}
+    for name, calls_of in calls.items():
+        inner = getattr(tree_mod, name)
+
+        def counting(*args, _inner=inner, _calls=calls_of, **kwargs):
+            _calls.append(None)
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(tree_mod, name, counting)
+    ds = make_dataset(np.random.default_rng(3), 3000, continuous=3, categorical=1)
+    spec = build_spec(ds, num_knots=3)
+    config = GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=40, threads=threads)
+    inst = SplitInstrumentation()
+    root = grow(ds, spec, config, instrumentation=inst)
+    searched = [node for node in root.nodes()
+                if node.depth < config.max_depth and node.count >= 2 * config.min_samples_leaf]
+    assert max(inst.kept_bytes) > 0  # some children derived their bins
+    assert len(searched) > 3
+    assert len(calls["best_split"]) == len(searched)
+    assert len(calls["bin_grams"]) == len(inst.events)

@@ -1,4 +1,4 @@
-"""grow and predict run BLAS on one thread, so their bytes do not depend on it."""
+"""grow, predict and refit_l1 run BLAS on one thread, so their bytes do not depend on it."""
 
 import os
 import subprocess
@@ -10,10 +10,12 @@ import pytest
 import splinetree
 from splinetree import _blas
 
-# Grows a tree and prints its JSON and the digest of its predictions.  With
-# 10 knots the sweep's products are large enough for OpenBLAS to thread.
+# Grows a tree and prints its JSON, the digest of its predictions and the
+# digest of its leaf coefficients after an L1 refit.  With 10 knots the
+# sweep's and the lasso's products are large enough for OpenBLAS to thread.
 SCRIPT = """
 import hashlib, json
+import numpy as np
 import splinetree as st
 from splinetree.io import tree_to_json
 sim = st.simulate("f2", 3000, 0.5, seed=3)
@@ -22,6 +24,9 @@ spec = st.build_spec(train, num_knots=10)
 root = st.grow(train, spec, st.GrowConfig(max_depth=2, num_bins=16))
 print(json.dumps(tree_to_json(root, spec, train.features, {}), sort_keys=True))
 print(hashlib.sha256(st.predict(root, spec, st.to_dataset(sim)).tobytes()).hexdigest())
+st.refit_l1(root, train, spec, 1e-2)
+coef = np.concatenate([leaf.model.coefficients for leaf in root.leaves()])
+print(hashlib.sha256(coef.tobytes()).hexdigest())
 """
 
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -79,7 +84,7 @@ def test_restored_when_the_block_raises(pools):
 
 
 def test_grow_and_predict_are_pinned(pools, monkeypatch):
-    # the counts seen from inside each function: both build a design matrix
+    # the counts seen from inside each function: each builds a design matrix
     seen = []
     inner = splinetree.basis.design_matrix
 
@@ -94,5 +99,6 @@ def test_grow_and_predict_are_pinned(pools, monkeypatch):
     before = _counts(pools)
     root = splinetree.grow(data, spec, splinetree.GrowConfig(max_depth=1))
     splinetree.predict(root, spec, data)
-    assert seen == [[1] * len(pools)] * 2
+    splinetree.refit_l1(root, data, spec, 1e-2)
+    assert seen == [[1] * len(pools)] * 3
     assert _counts(pools) == before

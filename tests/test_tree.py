@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from collections import defaultdict
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -148,19 +149,22 @@ class TestBinGrams:
         # each bin is gathered into the same buffers, reshaped to the width
         # of the call; the bins grow past any before, then shrink again
         ws = tree_mod._Workspace()
+        earlier = []
         for n, m, num_bins in ((300, 6, 20), (900, 3, 4), (4000, 9, 2), (500, 6, 7)):
             X = rng.standard_normal((n, m))
             y = rng.standard_normal(n)
             ids = rng.choice(np.arange(num_bins)[np.arange(num_bins) != 1], size=n)
-            fresh = self._assert_bit_equal(X, y, ids, num_bins, ws)
-            recycled = self._assert_bit_equal(X, y, ids, num_bins, ws.recycling())
-            for a, b in zip(fresh, recycled):
-                assert np.array_equal(a, b)
-            # fresh statistics are the caller's; recycled ones are the
-            # workspace's buffers, which the next recycling call overwrites
-            buffers = [ws._arrays[name] for name in tree_mod._BIN_BUFFERS]
-            assert not any(np.shares_memory(a, buf) for a in fresh for buf in buffers)
-            assert all(np.shares_memory(a, buf) for a, buf in zip(recycled, buffers))
+            stats = self._assert_bit_equal(X, y, ids, num_bins, ws)
+            again = self._assert_bit_equal(X, y, ids, num_bins, ws)
+            # the statistics are the caller's: never a workspace buffer, and
+            # a later call in the same workspace leaves them as they were
+            buffers = list(ws._arrays.values())
+            assert not any(np.shares_memory(a, buf) for a in stats + again for buf in buffers)
+            assert not any(np.shares_memory(a, b) for a in stats for b in again)
+            assert all(np.array_equal(a, b) for a, b in zip(stats, again))
+            earlier.append(([a.copy() for a in stats], stats))
+        for want, got in earlier:
+            assert all(np.array_equal(a, b) for a, b in zip(want, got))
         # one buffer, sized by the largest bin: all 4000 rows of width 9
         assert ws._arrays["bin_rows"].size == 4000 * 9
 
@@ -419,9 +423,9 @@ class TestWinnerGrams:
         config = GrowConfig(num_bins=32)
         X, y = design_matrix(ds, spec), ds.response
         binning = tree_mod._prepare_binning(ds, spec, config)
-        fb, = tree_mod._node_feature_bins(
-            binning, X, y, np.arange(ds.n), 0, None, only=feature
-        )
+        ws = tree_mod._Workspace()
+        source = tree_mod._NodeRows(binning, X, y, np.arange(ds.n), 0, None, ws)
+        fb = source.bin(binning.order.index(feature), ws)
         node_gram = gram_accumulate(X, y)
         node_model = fit_node(node_gram, config.lam)
         found = best_split(node_gram, node_model, [fb], config, spec.total_columns)
@@ -716,13 +720,21 @@ def swept_gains(monkeypatch):
     return calls
 
 
+def _node_rows(ds, spec, num_bins, rows=None, instrumentation=None):
+    """A node's rows (the root's by default) as a binning source, and its workspace."""
+    rows = np.arange(ds.n) if rows is None else rows
+    binning = tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=num_bins))
+    ws = tree_mod._Workspace()
+    source = tree_mod._NodeRows(binning, design_matrix(ds, spec), ds.response, rows, 0,
+                                instrumentation, ws)
+    return source, ws
+
+
 def _node_bins(ds, spec, num_bins):
     """Root node statistics and per-feature bins of a dataset."""
-    X = design_matrix(ds, spec)
-    y = ds.response
-    binning = tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=num_bins))
-    bins = tree_mod._node_feature_bins(binning, X, y, np.arange(ds.n), 0, None)
-    return gram_accumulate(X, y), bins
+    source, ws = _node_rows(ds, spec, num_bins)
+    bins = [source.bin(i, ws) for i in range(len(source.binning.order))]
+    return gram_accumulate(source.X, source.y), bins
 
 
 def _singular_left_sides():
@@ -1030,13 +1042,10 @@ class TestBoundedScoring:
         assert 0 < len(calls) < 0.1 * sides
 
 
-def _streamed(ds, spec, num_bins, rows=None, instrumentation=None):
-    """A node's features as streamed entries, binned from its rows when swept."""
-    rows = np.arange(ds.n) if rows is None else rows
-    X, y = design_matrix(ds, spec)[rows], ds.response[rows]
-    binning = tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=num_bins))
-    source = tree_mod._NodeRows(binning, X, y, rows, 0, instrumentation)
-    return [tree_mod._StreamedFeature(source, i) for i in range(len(binning.order))]
+def _streamed(ds, spec, num_bins, rows=None):
+    """A node's features as callables that bin them from its rows when swept."""
+    source, _ = _node_rows(ds, spec, num_bins, rows)
+    return [partial(source.bin, i) for i in range(len(source.binning.order))]
 
 
 def _assert_same_children(a, b):
@@ -1051,9 +1060,9 @@ def _assert_same_children(a, b):
 
 
 class TestStreamedSearch:
-    """A node that cannot keep its bins bins and sweeps one feature at a time.
+    """Features handed to best_split as callables are binned and swept one at a time.
 
-    Its search is that of the same features binned up front: every
+    Their search is that of the same features binned up front: every
     candidate that both score has the same gain, bit for bit, and the
     winner and its children are the same.
     """
@@ -1117,14 +1126,13 @@ class TestStreamedSearch:
         rows = [np.flatnonzero(mask), np.flatnonzero(~mask)]
         grams = [split.left_gram, split.right_gram]
         small, large = sorted((0, 1), key=lambda side: rows[side].size)
-        smaller = tree_mod._node_feature_bins(
-            binning, X[rows[small]], y[rows[small]], rows[small], 1, None)
-
-        def rebin(name):
-            r = rows[large]
-            return tree_mod._node_feature_bins(binning, X[r], y[r], r, 2, None, only=name)[0]
-
-        derived = tree_mod._derived_bins(root_bins, smaller, rebin)
+        ws = tree_mod._Workspace()
+        smaller = tree_mod._NodeRows(binning, X, y, rows[small], 1, None, ws)
+        larger = tree_mod._NodeRows(binning, X, y, rows[large], 2, None, tree_mod._Workspace())
+        derived = [
+            tree_mod._derive(whole, smaller.bin(i, ws), partial(larger.bin, i))
+            for i, whole in enumerate(root_bins)
+        ]
         node_gram = grams[large]
         node_model = fit_node(node_gram, lam)
         found = [
@@ -1142,13 +1150,13 @@ class TestStreamedSearch:
         spec = build_spec(ds, num_knots=25)
         m = spec.total_columns
         assert m == 151
-        node_gram = gram_accumulate(design_matrix(ds, spec), ds.response)
-        streamed = _streamed(ds, spec, 40)
-        binning = streamed[0].source.binning
+        source, ws = _node_rows(ds, spec, 40)
+        node_gram = gram_accumulate(source.X, source.y)
+        streamed = [partial(source.bin, i) for i in range(len(source.binning.order))]
+        binning = source.binning
         one = max(binning.num_bins(name) for name in binning.order) * (m * m + m + 1) * 8
         config = GrowConfig(num_bins=40, threads=threads)
         node_model = fit_node(node_gram, config.lam)
-        ws = tree_mod._Workspace()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1157,17 +1165,9 @@ class TestStreamedSearch:
         finally:
             tracemalloc.stop()
         assert found is not None
-        workspaces = [ws] + ws._workers
-        recycled = [
-            sum(w._arrays[name].nbytes for name in tree_mod._BIN_BUFFERS if name in w._arrays)
-            for w in workspaces
-        ]
-        scratch = sum(
-            buf.nbytes for w in workspaces for name, buf in w._arrays.items()
-            if name not in tree_mod._BIN_BUFFERS
-        )
-        assert sum(size > 0 for size in recycled) == threads
-        assert max(recycled) <= one
+        # the workspaces hold scratch only; each feature's bins are fresh
+        # arrays, dropped once swept
+        scratch = sum(buf.nbytes for w in [ws] + ws._workers for buf in w._arrays.values())
         assert len(streamed) > 2 * threads
         assert peak <= scratch + threads * 2 * one
 
@@ -1387,16 +1387,19 @@ class TestHistogramSubtraction:
         config = self.CONFIG
         derived = []
 
-        def capture(parent, part, rebin, _derive=tree_mod._derived_bins):
-            derived.append(_derive(parent, part, rebin))
+        def capture(whole, sub, rebin, _derive=tree_mod._derive):
+            derived.append(_derive(whole, sub, rebin))
             return derived[-1]
 
-        monkeypatch.setattr(tree_mod, "_derived_bins", capture)
+        monkeypatch.setattr(tree_mod, "_derive", capture)
         root = grow(ds, spec, config)
         pairs = list(self._pairs(root, config))
-        assert len(pairs) == len(derived) >= 3  # every pair fits the budget
         X, y = design_matrix(ds, spec), ds.response
         binning = tree_mod._prepare_binning(ds, spec, config)
+        features = len(binning.order)
+        # one feature at a time, in schema order, pair after pair
+        assert len(pairs) * features == len(derived) >= 3 * features  # every pair fits the budget
+        derived = [derived[k : k + features] for k in range(0, len(derived), features)]
         members = route(root, spec, ds)
         empty = 0
         for (_, larger), bins in zip(pairs, derived):
@@ -1463,7 +1466,9 @@ class TestHistogramSubtraction:
         X, m = design_matrix(ds, spec), spec.total_columns
         binning = tree_mod._prepare_binning(ds, spec, config)
         node_bytes = binning.nbytes(m)
-        one = tree_mod._node_feature_bins(binning, X, ds.response, np.arange(ds.n), 0, None)
+        ws = tree_mod._Workspace()
+        source = tree_mod._NodeRows(binning, X, ds.response, np.arange(ds.n), 0, None, ws)
+        one = [source.bin(i, ws) for i in range(len(binning.order))]
         assert node_bytes == sum(fb.xtx.nbytes + fb.xty.nbytes for fb in one)
         budget = X.nbytes
         if room is not None:  # room for one parent and its derived child's bins
