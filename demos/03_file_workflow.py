@@ -17,7 +17,9 @@ import numpy as np
 
 import splinetree as st
 
-workdir = Path(tempfile.mkdtemp(prefix="splinetree_demo_"))
+# The working directory and everything written to it are removed at the end.
+scratch = tempfile.TemporaryDirectory(prefix="splinetree_demo_")
+workdir = Path(scratch.name)
 print("working in", workdir)
 
 # Write a dataset CSV with the standard column layout (x1..x10, f, y).
@@ -79,3 +81,5 @@ paths = st.export_diagnostics(
 for name, path in sorted(paths.items()):
     n_rows = sum(1 for _ in open(path)) - 1
     print(f"wrote {path} ({n_rows} rows)")
+
+scratch.cleanup()

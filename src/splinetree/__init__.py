@@ -36,9 +36,7 @@ from .gram import (
     fit_node,
     gcv_loss,
     gram_accumulate,
-    gram_merge,
     gram_subtract,
-    sse_from_gram,
 )
 from .io import (
     Feature,

@@ -4,6 +4,11 @@ Every node model in the tree is fitted from the sufficient statistics
 (X'X, X'y, y'y, n) of its member rows, never from the raw rows themselves.
 The statistics are additive, so child-node systems during split search are
 obtained by summing per-bin statistics and subtracting from the parent.
+That algebra is written once each: :func:`bin_sum` adds named bins of a
+stack in order, and :func:`complement` takes whole minus part over a
+stack, zeroing a complement of no rows and clamping round-off below zero.
+:func:`gram_subtract`, the tree's derived bins and the split sweep's right
+sides all take the complement.
 
 One batched ridge solver, :func:`ridge_batch`, serves both the node fits
 and the split sweep: each step works over a leading candidate axis, and
@@ -64,7 +69,8 @@ class GramStats:
     yty : float
         Accumulated ``sum_i y_i**2``.
     count : int
-        Number of rows aggregated.  ``count == 0`` implies all-zero entries.
+        Number of rows aggregated.  ``count == 0`` implies all-zero entries,
+        as :func:`gram_accumulate` and :func:`complement` give them.
     """
 
     xtx: np.ndarray
@@ -141,24 +147,14 @@ def gram_accumulate(rows, responses) -> GramStats:
     )
 
 
-def gram_merge(a: GramStats, b: GramStats) -> GramStats:
-    """Elementwise sum of two statistics; counts add."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return GramStats(
-        xtx=a.xtx + b.xtx,
-        xty=a.xty + b.xty,
-        yty=a.yty + b.yty,
-        count=a.count + b.count,
-    )
-
-
 def gram_subtract(parent: GramStats, part: GramStats) -> GramStats:
     """Statistics of the complement: parent minus a contained part.
 
-    Diagonal entries driven slightly negative by round-off (within
-    ``-1e-9 * max diag``) are clamped to zero; anything more negative
-    indicates the part was not contained in the parent.
+    :func:`complement` on a batch of one, after checks on the raw
+    difference: diagonal entries driven slightly negative by round-off
+    (within ``-1e-9 * max diag``) are clamped to zero, anything more
+    negative indicates the part was not contained in the parent, and a
+    complement of no rows is all zeros.
 
     Raises
     ------
@@ -174,20 +170,60 @@ def gram_subtract(parent: GramStats, part: GramStats) -> GramStats:
         raise NumericalError(
             f"count underflow: part has {part.count} rows, parent {parent.count}"
         )
-    xtx = parent.xtx - part.xtx
-    diag = np.diagonal(xtx)
+    diag = np.diagonal(parent.xtx) - np.diagonal(part.xtx)
     band = 1e-9 * max(float(np.max(parent.xtx.diagonal(), initial=0.0)), 1.0)
     if np.any(diag < -band):
         raise NumericalError("subtraction produced a significantly negative diagonal")
-    if np.any(diag < 0.0):
-        xtx = xtx.copy()
-        np.fill_diagonal(xtx, np.maximum(diag, 0.0))
+    xtx, xty, yty, count = complement(_batch_of_one(parent), _batch_of_one(part))
+    return GramStats(xtx=xtx[0], xty=xty[0], yty=float(yty[0]), count=int(count[0]))
+
+
+def complement(whole, part, out=None):
+    """Stacked statistics of whole minus part, ``(xtx, xty, yty, counts)``.
+
+    The one place whole minus part is written.  ``part`` is c stacked
+    statistics, X'X (c, m, m), X'y (c, m), y'y and counts (c,); ``whole``
+    is stacked alike or is one set, (m, m), (m,) and two scalars, taken
+    from each of the c.  X'X is written into ``out`` when it is given.
+    Counts subtract exactly.  A complement of no rows is set to exact
+    zeros, as accumulating no rows gives, and diagonal entries and y'y
+    driven below zero by round-off are clamped to zero.
+    """
+    xtx = np.subtract(whole[0], part[0], out=out)
+    xty = np.subtract(whole[1], part[1])
+    yty = np.subtract(whole[2], part[2])
+    counts = np.subtract(whole[3], part[3])
+    empty = counts == 0
+    xtx[empty], xty[empty], yty[empty] = 0.0, 0.0, 0.0
+    diag = np.einsum("cii->ci", xtx)
+    np.maximum(diag, 0.0, out=diag)
+    np.maximum(yty, 0.0, out=yty)
+    return xtx, xty, yty, counts
+
+
+def bin_sum(bins, indices) -> GramStats:
+    """The statistics of the named bins of stacked ``(xtx, xty, yty, counts)``.
+
+    The one sum of bins: added in the order of ``indices``, as merging the
+    bins one by one would.
+    """
+    xtx, xty, yty, counts = bins
+    idx = list(indices)
+    # a run of bins, as every continuous winner is, is summed as a view, not a copy
+    if idx == list(range(idx[0], idx[0] + len(idx))):
+        idx = slice(idx[0], idx[0] + len(idx))
     return GramStats(
-        xtx=xtx,
-        xty=parent.xty - part.xty,
-        yty=max(parent.yty - part.yty, 0.0),
-        count=parent.count - part.count,
+        xtx=np.add.reduce(xtx[idx], axis=0),
+        xty=np.add.reduce(xty[idx], axis=0),
+        # add.reduce sums a vector pairwise; cumsum adds in bin order
+        yty=float(np.cumsum(yty[idx])[-1]),
+        count=int(counts[idx].sum()),
     )
+
+
+def _batch_of_one(gram: GramStats):
+    """The statistics as a stack of one, ``(xtx, xty, yty, counts)``."""
+    return gram.xtx[None], gram.xty[None], np.array([gram.yty]), np.array([gram.count])
 
 
 def column_scale(var, ex2):
@@ -241,11 +277,11 @@ def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=T
     Raises
     ------
     ValueError
-        If a lambda is negative or a system has no rows.
+        If a lambda is negative or NaN, or a system has no rows.
     NumericalError
         If an eigendecomposition does not converge.
     """
-    if min(lam_values) < 0:
+    if not all(lam >= 0.0 for lam in lam_values):  # NaN fails too
         raise ValueError("lambda must be nonnegative")
     n, mean, scale, b = _moments(xtx, xty, counts)
     if cholesky and cholesky_route(lam_values):
@@ -300,19 +336,17 @@ def fit_node(gram: GramStats, lam) -> NodeModel:
     Raises
     ------
     ValueError
-        If a lambda is negative, the node has no rows, the grid is empty
+        If a lambda is negative or NaN, the node has no rows, the grid is empty
         or every value in it saturates the model.
     """
     lam_values = (float(lam),) if np.isscalar(lam) else tuple(float(v) for v in lam)
     if not lam_values:
         raise ValueError("empty lambda grid")
-    counts = np.array([gram.count])
-    coefficients, sse, edf = ridge_batch(
-        gram.xtx[None], gram.xty[None], np.array([gram.yty]), counts, lam_values
-    )
+    stack = _batch_of_one(gram)
+    coefficients, sse, edf = ridge_batch(*stack, lam_values)
     k = 0
     if not np.isscalar(lam):
-        index, gcv = select_lambda(sse, edf, counts)
+        index, gcv = select_lambda(sse, edf, stack[3])
         if not gcv[0] < np.inf:
             raise ValueError(
                 f"every lambda in the grid gives a saturated model ({gram.count} rows)"
@@ -327,20 +361,6 @@ def fit_node(gram: GramStats, lam) -> NodeModel:
         coefficients=coefficients[k, 0], sse=node_sse, r2=r2,
         effective_df=float(edf[k, 0]), lam=lam_values[k], count=n,
     )
-
-
-def sse_from_gram(gram: GramStats, coefficients) -> float:
-    """Residual sum of squares of given coefficients, from statistics alone.
-
-    Computed as ``y'y - 2 b'X'y + b'X'Xb`` and clamped at zero against
-    round-off.
-    """
-    beta = np.asarray(coefficients, dtype=np.float64)
-    if beta.shape != (gram.dim,):
-        raise ValueError(
-            f"coefficient length {beta.shape} does not match design width {gram.dim}"
-        )
-    return float(_sse(gram.xtx[None], gram.xty[None], np.array([gram.yty]), beta[None])[0])
 
 
 def _sse(xtx, xty, yty, beta):

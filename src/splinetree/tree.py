@@ -54,8 +54,11 @@ and the tree are those of scoring every candidate.
 
 Per-bin statistics stay stacked from :func:`bin_grams` to the sweep: per
 feature, X'X (bins, m, m), X'y (bins, m), y'y and counts (bins,), the
-layout :func:`splinetree.gram.ridge_batch` takes; subtraction and the
-winner's left side work on the same arrays.
+layout :func:`splinetree.gram.ridge_batch` takes.  The algebra on them is
+:mod:`splinetree.gram`'s: every whole minus part (a derived bin, a
+candidate's right side, a winner's right child) is
+:func:`splinetree.gram.complement`, and a winner's left side is
+:func:`splinetree.gram.bin_sum` of its bins.
 
 The search's scratch memory lives in one workspace per :func:`grow`: the
 node's gathered rows, one bin's gathered rows (each bin is gathered right
@@ -92,8 +95,10 @@ from .errors import DataError, NumericalError
 from .gram import (
     GramStats,
     NodeModel,
+    bin_sum,
     cholesky_route,
     column_scale,
+    complement,
     fit_node,
     gcv_loss,
     gram_accumulate,
@@ -167,6 +172,9 @@ class GrowConfig:
     value of a short positive grid).  ``loss`` selects the split-search
     metric: "gcv" compares degrees-of-freedom-penalized SSE, "sse" plain
     SSE, each taken at the grid value GCV selects for the candidate.
+    Every ridge weight must be finite and nonnegative, the grid nonempty
+    and ``min_gain`` nonnegative (not NaN); the constructor raises
+    ``ValueError`` otherwise, as the CLI rejects such values.
     """
 
     max_depth: int = 5
@@ -182,7 +190,11 @@ class GrowConfig:
             raise ValueError("max_depth must be >= 0")
         if self.num_bins < 2:
             raise ValueError("num_bins must be >= 2")
-        if self.min_gain < 0:
+        if not self.lam_values:
+            raise ValueError("lam must not be an empty grid")
+        if not all(0.0 <= lam < np.inf for lam in self.lam_values):
+            raise ValueError("lam must be finite and >= 0")
+        if not self.min_gain >= 0:  # NaN fails too
             raise ValueError("min_gain must be >= 0")
         if self.loss not in ("gcv", "sse"):
             raise ValueError("loss must be 'gcv' or 'sse'")
@@ -403,10 +415,12 @@ def _compact_bin_ids(bin_ids, num_bins: int) -> np.ndarray:
 class FeatureBins:
     """Node-restricted per-bin statistics for one feature, as :func:`bin_grams` stacks them.
 
-    Bins derived by subtraction (:func:`_derive`) carry ``rebin``, which
-    bins the feature directly from the node's rows in the workspace it is
-    given; :func:`best_split` calls it for the winning feature only, so the
-    children's statistics are never built from derived bins.
+    :attr:`stats` is the stack that :func:`splinetree.gram.complement`
+    subtracts bin by bin and :func:`splinetree.gram.bin_sum` sums a side
+    from.  Bins derived by subtraction (:func:`_derive`) carry ``rebin``,
+    which bins the feature directly from the node's rows in the workspace
+    it is given; :func:`best_split` calls it for the winning feature only,
+    so the children's statistics are never built from derived bins.
     """
 
     feature: str
@@ -420,23 +434,21 @@ class FeatureBins:
     levels: tuple | None = None  # categorical: full training level list
     rebin: Callable[["_Workspace"], "FeatureBins"] | None = None
 
+    @property
+    def stats(self):
+        """The stacked ``(xtx, xty, yty, counts)``, as :mod:`splinetree.gram` takes them."""
+        return self.xtx, self.xty, self.yty, self.counts
+
 
 def _derive(whole: FeatureBins, sub: FeatureBins, rebin) -> FeatureBins:
-    """The bins of ``whole`` minus those of ``sub``, array from array,
-    carrying ``rebin``.
+    """The bins of ``whole`` minus those of ``sub``, carrying ``rebin``.
 
-    Counts subtract exactly.  A bin left with no rows gets all-zero
-    statistics, as direct binning gives it, so round-off cannot set an
-    empty category apart from another; diagonal entries and y'y driven
-    below zero by round-off are clamped, as in ``gram_subtract``.
+    They are :func:`splinetree.gram.complement` of the two stacks: counts
+    subtract exactly, and a bin left with no rows gets all-zero statistics,
+    as direct binning gives it, so round-off cannot set an empty category
+    apart from another.
     """
-    xtx, xty = whole.xtx - sub.xtx, whole.xty - sub.xty
-    yty, counts = whole.yty - sub.yty, whole.counts - sub.counts
-    empty = counts == 0
-    xtx[empty], xty[empty], yty[empty] = 0.0, 0.0, 0.0
-    diag = np.einsum("kii->ki", xtx)
-    np.maximum(diag, 0.0, out=diag)
-    np.maximum(yty, 0.0, out=yty)
+    xtx, xty, yty, counts = complement(whole.stats, sub.stats)
     return replace(whole, xtx=xtx, xty=xty, yty=yty, counts=counts, rebin=rebin)
 
 
@@ -464,21 +476,6 @@ class _FeatureBest:
     candidate: SplitCandidate
     left: GramStats | None = None
     rebin: Callable[["_Workspace"], FeatureBins] | None = None
-
-
-def _left_gram(fb: FeatureBins, left_bin_indices) -> GramStats:
-    """The sum of the named bins' statistics, added in bin order as merging
-    them one by one would."""
-    idx = left_bin_indices
-    # a run of bins, as every continuous winner is, is summed as a view, not a copy
-    idx = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] + 1 == len(idx) else list(idx)
-    return GramStats(
-        xtx=np.add.reduce(fb.xtx[idx], axis=0),
-        xty=np.add.reduce(fb.xty[idx], axis=0),
-        # add.reduce sums a vector pairwise; cumsum adds in bin order
-        yty=float(np.cumsum(fb.yty[idx])[-1]),
-        count=int(fb.counts[idx].sum()),
-    )
 
 
 # Relative slack on the loss bound below which a candidate is scored
@@ -579,6 +576,9 @@ def _child_loss_bounds(xtx, xty, yty, counts, lam_values, loss):
 def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config, ws, bound):
     """Gain of each stacked left side and its complement in the node.
 
+    The right sides are :func:`splinetree.gram.complement` of the left
+    ones in the node, their X'X in the workspace's "right" buffer.
+
     Without a ``bound``, every candidate is scored exactly by
     :func:`_batch_child_losses`.  With one (a :class:`_LossBound`, which
     :func:`best_split` gives where the sweep's Cholesky route would take a
@@ -591,12 +591,10 @@ def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, confi
     and its gain is -inf, so the winner, its gain and the tree are those of
     scoring every candidate.
     """
-    xtx_r = np.subtract(node.xtx[None, :, :], xtx_l, out=ws.array("right", xtx_l.shape))
-    diag = np.einsum("cii->ci", xtx_r)
-    np.maximum(diag, 0.0, out=diag)
-    xty_r = node.xty[None, :] - xty_l
-    yty_r = np.maximum(node.yty - yty_l, 0.0)
-    cnt_r = node.count - cnt_l
+    xtx_r, xty_r, yty_r, cnt_r = complement(
+        (node.xtx, node.xty, node.yty, node.count), (xtx_l, xty_l, yty_l, cnt_l),
+        out=ws.array("right", xtx_l.shape),
+    )
     lam_values, loss = config.lam_values, config.loss
     if bound is None:
         loss_l = _batch_child_losses(xtx_l, xty_l, yty_l, cnt_l, lam_values, loss)
@@ -761,9 +759,9 @@ def best_split(
     workspace it is given.  One unit per feature gets the bins (calling the
     callable in the worker that runs the unit), sweeps the candidate
     partitions from cumulative bin statistics, and sums its best's left
-    side from the bins (:func:`_left_gram`); nothing else of the bins is
-    kept, so bins built by a callable and stored nowhere else are dropped
-    once swept.  Ties break to the lower feature index, then the lower
+    side from the bins (:func:`splinetree.gram.bin_sum`); nothing else of
+    the bins is kept, so bins built by a callable and stored nowhere else
+    are dropped once swept.  Ties break to the lower feature index, then the lower
     threshold, then the canonically smaller left category subset.  Where
     the sweep would take a df by Cholesky (:func:`_df_bounded`), one
     :class:`_LossBound` serves every feature, so only candidates that can
@@ -773,7 +771,8 @@ def best_split(
     is recomputed from those fits.  When the winner's bins were derived by
     subtraction, their :attr:`FeatureBins.rebin` bins that feature from the
     node's rows, and its left side is summed from the direct bins instead;
-    the right side is the node's minus the left.
+    the right side is the node's minus the left
+    (:func:`splinetree.gram.gram_subtract`).
 
     The sweep's scratch arrays live in ``workspace`` (fresh when not given;
     ``grow`` passes one that lives as long as the grow).  With
@@ -791,7 +790,7 @@ def best_split(
         res = _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf, worker, bound)
         if res is None:
             return None
-        return replace(res, left=_left_gram(fb, res.left_bin_indices), rebin=fb.rebin)
+        return replace(res, left=bin_sum(fb.stats, res.left_bin_indices), rebin=fb.rebin)
 
     best = None
     for res in _map_features(search, list(feature_bins), ws, config.threads):
@@ -806,7 +805,7 @@ def best_split(
 
     left_gram = best.left
     if best.rebin is not None:  # the children come from direct bins
-        left_gram = _left_gram(best.rebin(ws), best.left_bin_indices)
+        left_gram = bin_sum(best.rebin(ws).stats, best.left_bin_indices)
     right_gram = gram_subtract(node_gram, left_gram)
     left_model = fit_node(left_gram, config.lam)
     right_model = fit_node(right_gram, config.lam)
@@ -1260,12 +1259,13 @@ def refit_l1(root: TreeNode, dataset, spec, lambda1: float) -> TreeNode:
     largest coefficient change in a pass is below 1e-7 or the pass budget
     (1000 per design column) is exhausted.  Non-converged leaves keep their
     ridge coefficients and are flagged.  With ``lambda1 = 0`` the problem
-    is plain least squares and is solved directly.  The tree is modified in
+    is plain least squares and is solved directly; ``lambda1`` must be
+    finite and nonnegative (``ValueError``).  The tree is modified in
     place and returned.  Like :func:`grow`, it runs BLAS on one thread, so
     the coefficients do not depend on the BLAS thread setting.
     """
-    if lambda1 < 0:
-        raise ValueError("lambda1 must be nonnegative")
+    if not 0.0 <= lambda1 < np.inf:
+        raise ValueError("lambda1 must be finite and nonnegative")
     X = basis.design_matrix(dataset, spec)
     y = np.asarray(dataset.response, dtype=np.float64)
     m = spec.total_columns

@@ -15,9 +15,9 @@ from numpy.testing import assert_allclose
 
 import splinetree as st
 from splinetree import tree as tree_mod
-from splinetree.gram import fit_node, gram_accumulate
+from splinetree.gram import _sse, bin_sum, fit_node, gram_accumulate
 
-from conftest import implementation_best_split, make_dataset, naive_best_split
+from conftest import implementation_best_split, make_dataset, naive_best_split, stack_grams
 
 SEED = 20240811
 
@@ -252,12 +252,9 @@ def test_c7_property_suites(case2, tmp_path):
     grams = []
     for (X,) in parts:
         grams.append(gram_accumulate(X, rng.standard_normal(X.shape[0])))
-    total = grams[0]
-    for g in grams[1:]:
-        total = st.gram_merge(total, g)
-    reverse = grams[-1]
-    for g in grams[-2::-1]:
-        reverse = st.gram_merge(reverse, g)
+    stacked = stack_grams(grams)
+    total = bin_sum(stacked, range(6))
+    reverse = bin_sum(stacked, range(5, -1, -1))
     assert_allclose(total.xtx, reverse.xtx, rtol=1e-9)
     back = total
     for g in grams[1:]:
@@ -282,7 +279,8 @@ def test_c7_property_suites(case2, tmp_path):
 
     # SSE from statistics vs residual oracle at 1e-9
     beta = rng.standard_normal(5)
-    sse = st.sse_from_gram(gram_accumulate(Xr, yr), beta)
+    g = gram_accumulate(Xr, yr)
+    sse = float(_sse(g.xtx[None], g.xty[None], np.array([g.yty]), beta[None])[0])
     assert sse == pytest.approx(float(np.sum((yr - Xr @ beta) ** 2)), rel=1e-9)
 
     # effect reassembly: intercept + sum of effects = predict, 1e-10

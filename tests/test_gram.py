@@ -11,11 +11,11 @@ from splinetree import (
     fit_node,
     gcv_loss,
     gram_accumulate,
-    gram_merge,
     gram_subtract,
-    sse_from_gram,
 )
-from splinetree.gram import _eigh_solves, ridge_batch, zero_gram
+from splinetree.gram import (
+    _eigh_solves, _sse, bin_sum, complement, ridge_batch, zero_gram,
+)
 
 from conftest import stack_grams
 
@@ -54,20 +54,25 @@ class TestAccumulate:
             gram_accumulate(np.ones((3, 2)), np.ones(2))
 
 
+def merged(grams, order=None):
+    """The bin sum of the stacked grams, in ``order`` (default: as given)."""
+    return bin_sum(stack_grams(grams), range(len(grams)) if order is None else order)
+
+
 class TestMergeSubtract:
     def test_merge_zero_identity(self, rng):
         g = gram_accumulate(rng.standard_normal((5, 3)), rng.standard_normal(5))
-        merged = gram_merge(g, zero_gram(3))
-        assert_allclose(merged.xtx, g.xtx)
-        assert_allclose(merged.xty, g.xty)
-        assert merged.yty == g.yty and merged.count == g.count
+        total = merged([g, zero_gram(3)])
+        assert_allclose(total.xtx, g.xtx)
+        assert_allclose(total.xty, g.xty)
+        assert total.yty == g.yty and total.count == g.count
 
     def test_merge_two_single_rows(self, rng):
         X = rng.standard_normal((2, 4))
         y = rng.standard_normal(2)
         a = gram_accumulate(X[:1], y[:1])
         b = gram_accumulate(X[1:], y[1:])
-        both = gram_merge(a, b)
+        both = merged([a, b])
         direct = gram_accumulate(X, y)
         assert_allclose(both.xtx, direct.xtx, rtol=1e-12, atol=1e-12)
         assert both.count == 2
@@ -77,10 +82,7 @@ class TestMergeSubtract:
         parts = [
             (rng.standard_normal((k, 3)), rng.standard_normal(k)) for k in sizes
         ]
-        total = None
-        for X, y in parts:
-            g = gram_accumulate(X, y)
-            total = g if total is None else gram_merge(total, g)
+        total = merged([gram_accumulate(X, y) for X, y in parts])
         direct = gram_accumulate(
             np.vstack([X for X, _ in parts]), np.concatenate([y for _, y in parts])
         )
@@ -94,14 +96,22 @@ class TestMergeSubtract:
             gram_accumulate(rng.standard_normal((4, 3)), rng.standard_normal(4))
             for _ in range(6)
         ]
-        forward = grams[0]
-        for g in grams[1:]:
-            forward = gram_merge(forward, g)
-        backward = grams[-1]
-        for g in grams[-2::-1]:
-            backward = gram_merge(backward, g)
+        forward = merged(grams)
+        backward = merged(grams, order=range(5, -1, -1))
         assert_allclose(forward.xtx, backward.xtx, rtol=1e-9)
         assert_allclose(forward.xty, backward.xty, rtol=1e-9)
+
+    def test_merge_picks_named_bins(self, rng):
+        grams = [
+            gram_accumulate(rng.standard_normal((4, 3)), rng.standard_normal(4))
+            for _ in range(5)
+        ]
+        # a run (summed as a view), gathers, and bins out of order
+        for order in ([1, 2, 3], [0, 2, 4], [0, 3, 2], [3, 1]):
+            got, want = merged(grams, order), merged([grams[k] for k in order])
+            assert np.array_equal(got.xtx, want.xtx)
+            assert np.array_equal(got.xty, want.xty)
+            assert got.yty == want.yty and got.count == want.count
 
     def test_subtract_self_is_zero(self, rng):
         g = gram_accumulate(rng.standard_normal((6, 3)), rng.standard_normal(6))
@@ -139,13 +149,112 @@ class TestMergeSubtract:
         with pytest.raises(NumericalError, match="negative diagonal"):
             gram_subtract(parent, part)
 
+    def test_subtract_whole_of_no_rows_left_is_exact_zeros(self):
+        # a whole minus the merged halves of its own rows: round-off is
+        # not left behind in a complement of no rows
+        nonzero = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            X, y = random_problem(rng, 30, 4)
+            whole = gram_accumulate(X, y)
+            halves = merged([gram_accumulate(X[:13], y[:13]), gram_accumulate(X[13:], y[13:])])
+            raw = whole.xtx - halves.xtx
+            nonzero += int(raw.any())
+            diff = gram_subtract(whole, halves)
+            assert diff.count == 0
+            assert not diff.xtx.any() and not diff.xty.any() and diff.yty == 0.0
+        assert nonzero > 0  # the raw differences do carry round-off
+
     def test_dimension_mismatch(self, rng):
         a = zero_gram(2)
         b = zero_gram(3)
-        with pytest.raises(ValueError, match="dimension"):
-            gram_merge(a, b)
+        xtx, _, yty, counts = stack_grams([a, a])
+        _, xty, _, _ = stack_grams([b, b])
+        with pytest.raises(ValueError, match="does not match"):
+            bin_sum((xtx, xty, yty, counts), range(2))
         with pytest.raises(ValueError, match="dimension"):
             gram_subtract(b, a)
+
+
+class TestComplement:
+    """The one whole-minus-part against the statements it replaced."""
+
+    @staticmethod
+    def _stack(rng, c, m, empty=0):
+        grams = [gram_accumulate(*random_problem(rng, int(rng.integers(m, 3 * m)), m))
+                 for _ in range(c)]
+        grams[:empty] = [zero_gram(m)] * empty
+        return stack_grams(grams)
+
+    @staticmethod
+    def _derived_bins(whole, sub):
+        """The former bin-by-bin subtraction of derived bins."""
+        xtx, xty = whole[0] - sub[0], whole[1] - sub[1]
+        yty, counts = whole[2] - sub[2], whole[3] - sub[3]
+        empty = counts == 0
+        xtx[empty], xty[empty], yty[empty] = 0.0, 0.0, 0.0
+        diag = np.einsum("kii->ki", xtx)
+        np.maximum(diag, 0.0, out=diag)
+        np.maximum(yty, 0.0, out=yty)
+        return xtx, xty, yty, counts
+
+    @staticmethod
+    def _right_sides(node, left):
+        """The former right sides of the split sweep."""
+        xtx_r = np.subtract(node.xtx[None, :, :], left[0])
+        diag = np.einsum("cii->ci", xtx_r)
+        np.maximum(diag, 0.0, out=diag)
+        return (xtx_r, node.xty[None, :] - left[1],
+                np.maximum(node.yty - left[2], 0.0), node.count - left[3])
+
+    @staticmethod
+    def _assert_equal(got, want):
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == np.shape(w) and np.array_equal(g, w)
+
+    def test_matches_derived_bins_with_empty_bins(self, rng):
+        for _ in range(20):
+            m = int(rng.integers(2, 6))
+            c = int(rng.integers(2, 9))
+            sub = self._stack(rng, c, m, empty=int(rng.integers(0, c)))
+            # the whole is the part plus another stack: some bins are the
+            # part's alone, so they are left with no rows
+            more = self._stack(rng, c, m, empty=int(rng.integers(1, c + 1)))
+            whole = tuple(a + b for a, b in zip(sub, more))
+            want = self._derived_bins(whole, sub)
+            assert (want[3] == 0).any()
+            self._assert_equal(complement(whole, sub), want)
+            out = np.full_like(whole[0], np.nan)
+            got = complement(whole, sub, out=out)
+            assert got[0] is out
+            self._assert_equal(got, want)
+
+    def test_matches_right_sides_of_a_node(self, rng):
+        for _ in range(20):
+            m = int(rng.integers(2, 6))
+            X, y = random_problem(rng, 200, m)
+            node = gram_accumulate(X, y)
+            cuts = np.sort(rng.choice(np.arange(5, 195), size=8, replace=False))
+            left = stack_grams([gram_accumulate(X[:k], y[:k]) for k in cuts])
+            want = self._right_sides(node, left)
+            out = np.full_like(left[0], np.nan)
+            got = complement((node.xtx, node.xty, node.yty, node.count), left, out=out)
+            assert got[0] is out
+            self._assert_equal(got, want)
+
+    def test_matches_former_gram_subtract(self, rng):
+        for _ in range(50):
+            m = int(rng.integers(1, 6))
+            X, y = random_problem(rng, 40, m)
+            k = int(rng.integers(0, 40))
+            parent, part = gram_accumulate(X, y), gram_accumulate(X[:k], y[:k])
+            xtx = parent.xtx - part.xtx
+            np.fill_diagonal(xtx, np.maximum(np.diagonal(xtx), 0.0))
+            got = gram_subtract(parent, part)
+            assert np.array_equal(got.xtx, xtx)
+            assert np.array_equal(got.xty, parent.xty - part.xty)
+            assert got.yty == max(parent.yty - part.yty, 0.0)
+            assert got.count == 40 - k
 
 
 class TestEighSolves:
@@ -246,11 +355,12 @@ class TestRidgeSolve:
     def test_negative_lambda_rejected(self, rng):
         X, y = random_problem(rng, 20, 3)
         g = gram_accumulate(X, y)
-        for lam in (-1.0, (0.1, -1.0)):
+        for lam in (-1.0, (0.1, -1.0), np.nan, (0.1, np.nan)):
             with pytest.raises(ValueError, match="nonnegative"):
                 fit_node(g, lam)
-        with pytest.raises(ValueError, match="nonnegative"):
-            ridge_batch(*stack_grams([g]), (-1.0,), cholesky=True)
+        for lam_values in ((-1.0,), (np.nan,), (0.1, np.nan)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                ridge_batch(*stack_grams([g]), lam_values, cholesky=True)
 
     def test_effective_df_decreasing_in_lambda(self, rng):
         X, y = random_problem(rng, 50, 5)
@@ -381,29 +491,38 @@ class TestRidgeBatch:
             assert model.sse == sse[k, i] and model.effective_df == edf[k, i]
 
 
+def sse_of(g, beta):
+    """``_sse`` of one set of coefficients against one set of statistics."""
+    beta = np.asarray(beta, dtype=np.float64)
+    return float(_sse(g.xtx[None], g.xty[None], np.array([g.yty]), beta[None])[0])
+
+
 class TestSseFromGram:
     def test_perfect_fit_zero(self):
         x = np.linspace(0, 1, 8)
         X = np.column_stack([np.ones(8), x])
         g = gram_accumulate(X, 1.0 + 2.0 * x)
-        assert sse_from_gram(g, [1.0, 2.0]) == pytest.approx(0.0, abs=1e-10)
+        assert sse_of(g, [1.0, 2.0]) == pytest.approx(0.0, abs=1e-10)
+        assert fit_node(g, 0.0).sse == pytest.approx(0.0, abs=1e-10)
 
     def test_null_coefficients_give_yty(self, rng):
         X, y = random_problem(rng, 20, 3)
         g = gram_accumulate(X, y)
-        assert sse_from_gram(g, np.zeros(3)) == pytest.approx(g.yty)
+        assert sse_of(g, np.zeros(3)) == pytest.approx(g.yty)
 
     def test_matches_residual_oracle(self, rng):
         X, y = random_problem(rng, 35, 4)
         g = gram_accumulate(X, y)
         beta = rng.standard_normal(4)
         direct = float(np.sum((y - X @ beta) ** 2))
-        assert sse_from_gram(g, beta) == pytest.approx(direct, rel=1e-9)
+        assert sse_of(g, beta) == pytest.approx(direct, rel=1e-9)
 
-    def test_dimension_mismatch(self, rng):
-        g = gram_accumulate(rng.standard_normal((5, 3)), rng.standard_normal(5))
-        with pytest.raises(ValueError, match="width"):
-            sse_from_gram(g, np.zeros(4))
+    @pytest.mark.parametrize("lam", [1e-3, 0.5, (0.0, 0.05, 2.0)])
+    def test_fit_node_sse_matches_residual_oracle(self, rng, lam):
+        X, y = random_problem(rng, 35, 4)
+        model = fit_node(gram_accumulate(X, y), lam)
+        direct = float(np.sum((y - X @ model.coefficients) ** 2))
+        assert model.sse == pytest.approx(direct, rel=1e-9)
 
 
 class TestGcvLoss:

@@ -26,7 +26,6 @@ from splinetree import (
     design_matrix,
     fit_node,
     gram_accumulate,
-    gram_merge,
     gram_subtract,
     grow,
     predict,
@@ -439,14 +438,12 @@ class TestWinnerGrams:
             left_bins = [fb.levels.index(v) for v in found.candidate.categories]
             assert np.any(np.diff(left_bins) > 1)  # not a run: gathered, not a view
         ids = np.asarray(binning.bin_ids[feature])
-        direct = []
-        for k in left_bins:
+        xtx, xty, yty, count = 0.0, 0.0, 0.0, 0
+        for k in left_bins:  # bin by bin, in order
             xk, yk = X[ids == k], y[ids == k]
-            direct.append(GramStats(xtx=xk.T @ xk, xty=xk.T @ yk,
-                                    yty=float(yk @ yk), count=xk.shape[0]))
-        left = direct[0]
-        for gram in direct[1:]:
-            left = gram_merge(left, gram)
+            xtx, xty = xtx + xk.T @ xk, xty + xk.T @ yk
+            yty, count = yty + float(yk @ yk), count + xk.shape[0]
+        left = GramStats(xtx=xtx, xty=xty, yty=yty, count=count)
         right = gram_subtract(node_gram, left)
         for got, want in ((found.left_gram, left), (found.right_gram, right)):
             assert np.array_equal(got.xtx, want.xtx)
@@ -1246,6 +1243,19 @@ class TestGrow:
         with pytest.raises(ValueError, match="design width"):
             grow(ds, spec, GrowConfig(min_samples_leaf=spec.total_columns - 1))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("lam", np.nan, "finite"), ("lam", np.inf, "finite"), ("lam", -1e-3, "finite"),
+         ("lam", (1e-3, np.nan), "finite"), ("lam", (0.1, np.inf), "finite"),
+         ("lam", (), "empty"), ("min_gain", np.nan, "min_gain"),
+         ("min_gain", -1.0, "min_gain")],
+    )
+    def test_config_outside_the_domain_rejected(self, field, value, message):
+        # a NaN ridge weight would grow NaN models and an infinite one an
+        # intercept-only root, with no error
+        with pytest.raises(ValueError, match=message):
+            GrowConfig(**{field: value})
+
     def test_one_gram_pass_per_node_feature(self, rng):
         ds = make_dataset(rng, 800, continuous=3)
         spec = build_spec(ds, num_knots=3)
@@ -1718,6 +1728,16 @@ class TestRefitL1:
                 g = g_new
             ours = leaf.model.coefficients[1:][keep] * sd[keep]
             assert objective(ours) == pytest.approx(objective(g), abs=1e-6)
+
+    @pytest.mark.parametrize("lambda1", [np.nan, np.inf, -0.1])
+    def test_penalty_outside_the_domain_rejected(self, rng, lambda1):
+        # a NaN penalty would zero every non-intercept coefficient unflagged
+        ds, spec, root = self.setup_tree(rng)
+        before = [leaf.model.coefficients.copy() for leaf in root.leaves()]
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            refit_l1(root, ds, spec, lambda1)
+        for leaf, coefficients in zip(root.leaves(), before):
+            assert np.array_equal(leaf.model.coefficients, coefficients)
 
     def test_structure_unchanged(self, rng):
         ds, spec, root = self.setup_tree(rng)
