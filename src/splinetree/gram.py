@@ -4,11 +4,13 @@ Every node model in the tree is fitted from the sufficient statistics
 (X'X, X'y, y'y, n) of its member rows, never from the raw rows themselves.
 The statistics are additive, so child-node systems during split search are
 obtained by summing per-bin statistics and subtracting from the parent.
-That algebra is written once each: :func:`bin_sum` adds named bins of a
-stack in order, and :func:`complement` takes whole minus part over a
-stack, zeroing a complement of no rows and clamping round-off below zero.
-:func:`gram_subtract`, the tree's derived bins and the split sweep's right
-sides all take the complement.
+:class:`GramStats` is the one format of the statistics, for one row set or
+for c of them stacked on a leading axis (the bins of a feature, or the
+candidate sides of a split sweep).  The algebra on them is written once
+each: :func:`bin_sum` adds named bins of a stack in order, and
+:func:`complement` takes whole minus part, zeroing a complement of no rows
+and clamping round-off below zero.  :func:`gram_subtract`, the tree's
+derived bins and the split sweep's right sides all take the complement.
 
 One batched ridge solver, :func:`ridge_batch`, serves both the node fits
 and the split sweep: each step works over a leading candidate axis, and
@@ -58,36 +60,41 @@ _STANDARDIZE_CHUNK_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class GramStats:
-    """Sufficient statistics for a least-squares fit.
+    """Sufficient statistics for least-squares fits, of one row set or a stack.
+
+    One row set has X'X (m, m), X'y (m,), a float y'y and an int count.  A
+    stack of c row sets (the bins of a feature, or candidate sides of a
+    split) has the same statistics on a leading axis: X'X (c, m, m), X'y
+    (c, m), and y'y and counts as (c,) arrays.
 
     Attributes
     ----------
-    xtx : ndarray, shape (m, m)
+    xtx : ndarray, shape (m, m) or (c, m, m)
         Accumulated outer products ``sum_i x_i x_i'`` (symmetric PSD).
-    xty : ndarray, shape (m,)
+    xty : ndarray, shape (m,) or (c, m)
         Accumulated ``sum_i x_i y_i``.
-    yty : float
+    yty : float or ndarray, shape (c,)
         Accumulated ``sum_i y_i**2``.
-    count : int
+    count : int or ndarray, shape (c,)
         Number of rows aggregated.  ``count == 0`` implies all-zero entries,
         as :func:`gram_accumulate` and :func:`complement` give them.
     """
 
     xtx: np.ndarray
     xty: np.ndarray
-    yty: float
-    count: int
+    yty: float | np.ndarray
+    count: int | np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.xty.shape[0]
+        return self.xty.shape[-1]
 
     def __post_init__(self):
-        if self.xtx.shape != (self.xty.shape[0], self.xty.shape[0]):
-            raise ValueError(
-                f"xtx shape {self.xtx.shape} does not match xty length {self.xty.shape[0]}"
-            )
-        if self.count < 0:
+        shapes = (self.xtx.shape, self.xty.shape, np.shape(self.yty), np.shape(self.count))
+        lead = self.xty.shape[:-1]
+        if shapes != (self.xty.shape + self.xty.shape[-1:], self.xty.shape, lead, lead):
+            raise ValueError(f"shapes of xtx, xty, yty and count {shapes} do not match")
+        if np.any(np.less(self.count, 0)):
             raise ValueError("count must be nonnegative")
 
 
@@ -174,56 +181,48 @@ def gram_subtract(parent: GramStats, part: GramStats) -> GramStats:
     band = 1e-9 * max(float(np.max(parent.xtx.diagonal(), initial=0.0)), 1.0)
     if np.any(diag < -band):
         raise NumericalError("subtraction produced a significantly negative diagonal")
-    xtx, xty, yty, count = complement(_batch_of_one(parent), _batch_of_one(part))
-    return GramStats(xtx=xtx[0], xty=xty[0], yty=float(yty[0]), count=int(count[0]))
+    diff = complement(parent, part)
+    return GramStats(xtx=diff.xtx, xty=diff.xty, yty=float(diff.yty), count=int(diff.count))
 
 
-def complement(whole, part, out=None):
-    """Stacked statistics of whole minus part, ``(xtx, xty, yty, counts)``.
+def complement(whole: GramStats, part: GramStats, out=None) -> GramStats:
+    """The statistics of whole minus part.
 
-    The one place whole minus part is written.  ``part`` is c stacked
-    statistics, X'X (c, m, m), X'y (c, m), y'y and counts (c,); ``whole``
-    is stacked alike or is one set, (m, m), (m,) and two scalars, taken
-    from each of the c.  X'X is written into ``out`` when it is given.
-    Counts subtract exactly.  A complement of no rows is set to exact
-    zeros, as accumulating no rows gives, and diagonal entries and y'y
-    driven below zero by round-off are clamped to zero.
+    The one place whole minus part is written.  ``part`` is one row set or
+    a stack of c; ``whole`` is laid out alike, or is one row set taken from
+    each of the c.  X'X is written into ``out`` when it is given.  Counts
+    subtract exactly.  A complement of no rows is set to exact zeros, as
+    accumulating no rows gives, and diagonal entries and y'y driven below
+    zero by round-off are clamped to zero.
     """
-    xtx = np.subtract(whole[0], part[0], out=out)
-    xty = np.subtract(whole[1], part[1])
-    yty = np.subtract(whole[2], part[2])
-    counts = np.subtract(whole[3], part[3])
-    empty = counts == 0
-    xtx[empty], xty[empty], yty[empty] = 0.0, 0.0, 0.0
-    diag = np.einsum("cii->ci", xtx)
+    xtx = np.subtract(whole.xtx, part.xtx, out=out)
+    xty = np.subtract(whole.xty, part.xty)
+    count = np.subtract(whole.count, part.count)
+    empty = count == 0
+    xtx[empty], xty[empty] = 0.0, 0.0
+    yty = np.where(empty, 0.0, np.maximum(np.subtract(whole.yty, part.yty), 0.0))
+    diag = np.einsum("...ii->...i", xtx)
     np.maximum(diag, 0.0, out=diag)
-    np.maximum(yty, 0.0, out=yty)
-    return xtx, xty, yty, counts
+    return GramStats(xtx=xtx, xty=xty, yty=yty, count=count)
 
 
-def bin_sum(bins, indices) -> GramStats:
-    """The statistics of the named bins of stacked ``(xtx, xty, yty, counts)``.
+def bin_sum(bins: GramStats, indices) -> GramStats:
+    """The statistics of the named bins of a stack, as one row set.
 
     The one sum of bins: added in the order of ``indices``, as merging the
     bins one by one would.
     """
-    xtx, xty, yty, counts = bins
     idx = list(indices)
     # a run of bins, as every continuous winner is, is summed as a view, not a copy
     if idx == list(range(idx[0], idx[0] + len(idx))):
         idx = slice(idx[0], idx[0] + len(idx))
     return GramStats(
-        xtx=np.add.reduce(xtx[idx], axis=0),
-        xty=np.add.reduce(xty[idx], axis=0),
+        xtx=np.add.reduce(bins.xtx[idx], axis=0),
+        xty=np.add.reduce(bins.xty[idx], axis=0),
         # add.reduce sums a vector pairwise; cumsum adds in bin order
-        yty=float(np.cumsum(yty[idx])[-1]),
-        count=int(counts[idx].sum()),
+        yty=float(np.cumsum(bins.yty[idx])[-1]),
+        count=int(bins.count[idx].sum()),
     )
-
-
-def _batch_of_one(gram: GramStats):
-    """The statistics as a stack of one, ``(xtx, xty, yty, counts)``."""
-    return gram.xtx[None], gram.xty[None], np.array([gram.yty]), np.array([gram.count])
 
 
 def column_scale(var, ex2):
@@ -239,15 +238,14 @@ def column_scale(var, ex2):
     return degenerate, np.sqrt(np.where(degenerate, 1.0, var))
 
 
-def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=True):
+def ridge_batch(stats: GramStats, lam_values, *, cholesky=False, want_edf=True):
     """Ridge fits of stacked gram statistics, for every lambda in a grid.
 
-    ``xtx`` (c, m, m), ``xty`` (c, m), ``yty`` (c,) and ``counts`` (c,)
-    are c systems stacked on a leading candidate axis, column 0 the
-    intercept.  Each is standardized from its own statistics
-    (:func:`_moments`, :func:`_standardized_block`), solved for every
-    lambda, mapped back to the original scale, and its SSE taken from the
-    statistics.  Returns the coefficients (k, c, m), SSEs (k, c) and
+    ``stats`` is a stack of c systems, X'X (c, m, m), X'y (c, m), y'y and
+    counts (c,), column 0 the intercept.  Each is standardized from its
+    own statistics (:func:`_moments`, :func:`_standardized_block`), solved
+    for every lambda, mapped back to the original scale, and its SSE taken
+    from the statistics.  Returns the coefficients (k, c, m), SSEs (k, c) and
     effective df (k, c) for the k grid values; pass them to
     :func:`select_lambda` to resolve a grid.
 
@@ -277,13 +275,14 @@ def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=T
     Raises
     ------
     ValueError
-        If a lambda is negative or NaN, or a system has no rows.
+        If a lambda is negative, infinite or NaN, or a system has no rows.
     NumericalError
         If an eigendecomposition does not converge.
     """
-    if not all(lam >= 0.0 for lam in lam_values):  # NaN fails too
-        raise ValueError("lambda must be nonnegative")
-    n, mean, scale, b = _moments(xtx, xty, counts)
+    if not all(0.0 <= lam < np.inf for lam in lam_values):  # NaN fails too
+        raise ValueError("lambda must be finite and nonnegative")
+    xtx = stats.xtx
+    n, mean, scale, b = _moments(stats)
     if cholesky and cholesky_route(lam_values):
         gammas, edfs, failed = _cholesky_solves(xtx, n, mean, scale, b, lam_values, want_edf)
         if failed.any():
@@ -295,11 +294,11 @@ def ridge_batch(xtx, xty, yty, counts, lam_values, *, cholesky=False, want_edf=T
 
     coefficients = np.empty(gammas.shape[:2] + (gammas.shape[2] + 1,))
     coefficients[:, :, 1:] = gammas / scale
-    ybar = xty[:, 0] / counts
+    ybar = stats.xty[:, 0] / stats.count
     coefficients[:, :, 0] = ybar - np.matmul(
         coefficients[:, :, None, 1:], mean[:, :, None]
     )[:, :, 0, 0]
-    return coefficients, _sse(xtx, xty, yty, coefficients), edfs
+    return coefficients, _sse(stats, coefficients), edfs
 
 
 def cholesky_route(lam_values) -> bool:
@@ -336,17 +335,20 @@ def fit_node(gram: GramStats, lam) -> NodeModel:
     Raises
     ------
     ValueError
-        If a lambda is negative or NaN, the node has no rows, the grid is empty
-        or every value in it saturates the model.
+        If a lambda is negative, infinite or NaN, the node has no rows, the
+        grid is empty or every value in it saturates the model.
     """
     lam_values = (float(lam),) if np.isscalar(lam) else tuple(float(v) for v in lam)
     if not lam_values:
         raise ValueError("empty lambda grid")
-    stack = _batch_of_one(gram)
-    coefficients, sse, edf = ridge_batch(*stack, lam_values)
+    stack = GramStats(
+        xtx=gram.xtx[None], xty=gram.xty[None],
+        yty=np.array([gram.yty]), count=np.array([gram.count]),
+    )
+    coefficients, sse, edf = ridge_batch(stack, lam_values)
     k = 0
     if not np.isscalar(lam):
-        index, gcv = select_lambda(sse, edf, stack[3])
+        index, gcv = select_lambda(sse, edf, stack.count)
         if not gcv[0] < np.inf:
             raise ValueError(
                 f"every lambda in the grid gives a saturated model ({gram.count} rows)"
@@ -363,18 +365,18 @@ def fit_node(gram: GramStats, lam) -> NodeModel:
     )
 
 
-def _sse(xtx, xty, yty, beta):
+def _sse(stats: GramStats, beta):
     """SSE of coefficients (..., c, m) against c stacked statistics."""
     row = beta[..., None, :]
     value = (
-        yty
-        - 2.0 * np.matmul(row, xty[:, :, None])[..., 0, 0]
-        + np.matmul(np.matmul(row, xtx), beta[..., None])[..., 0, 0]
+        stats.yty
+        - 2.0 * np.matmul(row, stats.xty[:, :, None])[..., 0, 0]
+        + np.matmul(np.matmul(row, stats.xtx), beta[..., None])[..., 0, 0]
     )
     return np.maximum(value, 0.0)
 
 
-def _moments(xtx, xty, counts):
+def _moments(stats: GramStats):
     """Row counts, column means and scales, and ``Z'y`` of stacked statistics.
 
     Column means and variances are recovered from the intercept row of
@@ -382,13 +384,13 @@ def _moments(xtx, xty, counts):
     within their node.  Returns ``n`` (c, 1) as floats, ``mean`` and
     ``scale`` (c, p), and ``b`` (c, p) = ``Z'y``, with p = m - 1.
     """
-    if np.any(counts <= 0):
+    if np.any(stats.count <= 0):
         raise ValueError("cannot standardize statistics of no rows")
-    n = counts.astype(np.float64)[:, None]
-    mean = xtx[:, 0, 1:] / n
-    ex2 = np.diagonal(xtx, axis1=1, axis2=2)[:, 1:] / n
+    n = stats.count.astype(np.float64)[:, None]
+    mean = stats.xtx[:, 0, 1:] / n
+    ex2 = np.diagonal(stats.xtx, axis1=1, axis2=2)[:, 1:] / n
     _, scale = column_scale(np.maximum(ex2 - mean**2, 0.0), ex2)
-    b = (xty[:, 1:] - mean * xty[:, :1]) / scale
+    b = (stats.xty[:, 1:] - mean * stats.xty[:, :1]) / scale
     return n, mean, scale, b
 
 

@@ -52,13 +52,22 @@ bound exceeds it is left unscored with gain -inf, as its exact loss
 exceeds the node's best (:func:`_split_gains`).  The winner, its gain
 and the tree are those of scoring every candidate.
 
-Per-bin statistics stay stacked from :func:`bin_grams` to the sweep: per
-feature, X'X (bins, m, m), X'y (bins, m), y'y and counts (bins,), the
-layout :func:`splinetree.gram.ridge_batch` takes.  The algebra on them is
+Statistics stay in one format, :class:`splinetree.gram.GramStats`, from
+:func:`bin_grams` to the solver: a feature's bins are one stacked
+GramStats, X'X (bins, m, m), X'y (bins, m), y'y and counts (bins,), and
+so is every batch of candidate sides that
+:func:`splinetree.gram.ridge_batch` solves.  The algebra on them is
 :mod:`splinetree.gram`'s: every whole minus part (a derived bin, a
 candidate's right side, a winner's right child) is
 :func:`splinetree.gram.complement`, and a winner's left side is
 :func:`splinetree.gram.bin_sum` of its bins.
+
+One loop sweeps every feature (:func:`_sweep_feature`).  A feature kind
+only yields batches of stacked left sides and the bins each candidate
+sends left: a continuous feature's cuts come as one batch, a categorical
+feature's level subsets in chunks of bounded size.  Every batch is scored
+by :func:`_split_gains`; the first highest finite gain wins, and the split
+is built from the feature and the winner's left bins.
 
 The search's scratch memory lives in one workspace per :func:`grow`: the
 node's gathered rows, one bin's gathered rows (each bin is gathered right
@@ -79,6 +88,7 @@ bytes do not depend on the BLAS thread setting either.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -173,8 +183,10 @@ class GrowConfig:
     metric: "gcv" compares degrees-of-freedom-penalized SSE, "sse" plain
     SSE, each taken at the grid value GCV selects for the candidate.
     Every ridge weight must be finite and nonnegative, the grid nonempty
-    and ``min_gain`` nonnegative (not NaN); the constructor raises
-    ``ValueError`` otherwise, as the CLI rejects such values.
+    and ``min_gain`` nonnegative (not NaN); ``max_depth``, ``num_bins``,
+    ``threads`` and a given ``min_samples_leaf`` must be integers (Python
+    or NumPy).  The constructor raises ``ValueError`` otherwise, as the CLI
+    rejects such values.
     """
 
     max_depth: int = 5
@@ -186,6 +198,11 @@ class GrowConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("max_depth", "num_bins", "threads", "min_samples_leaf"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    or (value is None and name == "min_samples_leaf")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if self.num_bins < 2:
@@ -337,15 +354,15 @@ def bin_grams(
     num_bins: int,
     *,
     workspace: _Workspace | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> GramStats:
     """Per-bin gram statistics over the full design, in one pass.
 
-    Returns the stacked ``(xtx, xty, yty, counts)`` of the bins, shaped
-    (num_bins, m, m), (num_bins, m), (num_bins,) and (num_bins,), as fresh
-    arrays.  Rows are grouped by bin id and aggregated group by group; the
-    total number of rows fed to the accumulator equals the number of input
-    rows (disjoint cover), the property :class:`SplitInstrumentation`
-    records.  Empty bins hold exact zeros.  :func:`grow` calls this at most
+    Returns the bins as one stacked :class:`splinetree.gram.GramStats`:
+    X'X (num_bins, m, m), X'y (num_bins, m), y'y and counts (num_bins,),
+    all fresh arrays.  Rows are grouped by bin id and aggregated group by
+    group; the total number of rows fed to the accumulator equals the
+    number of input rows (disjoint cover), the property
+    :class:`SplitInstrumentation` records.  Empty bins hold exact zeros.  :func:`grow` calls this at most
     once per (node, feature): for every feature of a node binned from its
     rows, and for the winning feature only of a node whose bins were derived
     by subtraction (see :attr:`FeatureBins.rebin`).
@@ -390,7 +407,7 @@ def bin_grams(
         np.matmul(xk.T, xk, out=xtx[k])
         np.matmul(xk.T, yk, out=xty[k])
         yty[k] = yk @ yk
-    return xtx, xty, yty, counts
+    return GramStats(xtx=xtx, xty=xty, yty=yty, count=counts)
 
 
 def _compact_bin_ids(bin_ids, num_bins: int) -> np.ndarray:
@@ -413,31 +430,24 @@ def _compact_bin_ids(bin_ids, num_bins: int) -> np.ndarray:
 
 @dataclass
 class FeatureBins:
-    """Node-restricted per-bin statistics for one feature, as :func:`bin_grams` stacks them.
+    """Node-restricted per-bin statistics for one feature.
 
-    :attr:`stats` is the stack that :func:`splinetree.gram.complement`
-    subtracts bin by bin and :func:`splinetree.gram.bin_sum` sums a side
-    from.  Bins derived by subtraction (:func:`_derive`) carry ``rebin``,
-    which bins the feature directly from the node's rows in the workspace
-    it is given; :func:`best_split` calls it for the winning feature only,
-    so the children's statistics are never built from derived bins.
+    :attr:`stats` is the stack :func:`bin_grams` returns, one row set per
+    bin, which :func:`splinetree.gram.complement` subtracts bin by bin and
+    :func:`splinetree.gram.bin_sum` sums a side from.  Bins derived by
+    subtraction (:func:`_derive`) carry ``rebin``, which bins the feature
+    directly from the node's rows in the workspace it is given;
+    :func:`best_split` calls it for the winning feature only, so the
+    children's statistics are never built from derived bins.
     """
 
     feature: str
     index: int  # position in schema order; first tie-break key
     kind: str  # "continuous" | "categorical"
-    xtx: np.ndarray  # (bins, m, m)
-    xty: np.ndarray  # (bins, m)
-    yty: np.ndarray  # (bins,)
-    counts: np.ndarray  # (bins,) integer
+    stats: GramStats  # stacked, one row set per bin
     edges: np.ndarray | None = None  # continuous: threshold per bin boundary
     levels: tuple | None = None  # categorical: full training level list
     rebin: Callable[["_Workspace"], "FeatureBins"] | None = None
-
-    @property
-    def stats(self):
-        """The stacked ``(xtx, xty, yty, counts)``, as :mod:`splinetree.gram` takes them."""
-        return self.xtx, self.xty, self.yty, self.counts
 
 
 def _derive(whole: FeatureBins, sub: FeatureBins, rebin) -> FeatureBins:
@@ -448,8 +458,7 @@ def _derive(whole: FeatureBins, sub: FeatureBins, rebin) -> FeatureBins:
     as direct binning gives it, so round-off cannot set an empty category
     apart from another.
     """
-    xtx, xty, yty, counts = complement(whole.stats, sub.stats)
-    return replace(whole, xtx=xtx, xty=xty, yty=yty, counts=counts, rebin=rebin)
+    return replace(whole, stats=complement(whole.stats, sub.stats), rebin=rebin)
 
 
 @dataclass(frozen=True)
@@ -522,7 +531,7 @@ def _node_split_loss(model: NodeModel, loss: str) -> float:
     return model.count * gcv_loss(model.sse, model.count, model.effective_df)
 
 
-def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
+def _batch_child_losses(sides: GramStats, lam_values, loss):
     """Losses of stacked candidate child systems, in SSE units.
 
     Solves every candidate with gram.ridge_batch, by Cholesky where that
@@ -535,18 +544,18 @@ def _batch_child_losses(xtx, xty, yty, counts, lam_values, loss):
     """
     grid = len(lam_values) > 1
     _, sse, edf = ridge_batch(
-        xtx, xty, yty, counts, lam_values,
-        cholesky=True, want_edf=loss == "gcv" or grid,
+        sides, lam_values, cholesky=True, want_edf=loss == "gcv" or grid,
     )
     if loss == "sse" and not grid:
         return sse[0]
+    counts = sides.count
     index, gcv = select_lambda(sse, edf, counts)
     if loss == "gcv":
         return counts * gcv
     return np.where(np.isfinite(gcv), sse[index, np.arange(counts.size)], np.inf)
 
 
-def _child_loss_bounds(xtx, xty, yty, counts, lam_values, loss):
+def _child_loss_bounds(sides: GramStats, lam_values, loss):
     """Bounds on the losses :func:`_batch_child_losses` returns, from SSEs alone.
 
     Solves every candidate for its SSE at each lambda without the df, so
@@ -559,9 +568,9 @@ def _child_loss_bounds(xtx, xty, yty, counts, lam_values, loss):
     is infinite where m >= n, as the df may then saturate.  Returns the
     lower and upper bounds (c,).
     """
-    _, sse, _ = ridge_batch(xtx, xty, yty, counts, lam_values, cholesky=True, want_edf=False)
-    n = counts.astype(np.float64)
-    m = xtx.shape[-1]
+    _, sse, _ = ridge_batch(sides, lam_values, cholesky=True, want_edf=False)
+    n = sides.count.astype(np.float64)
+    m = sides.dim
     smallest = sse.min(axis=0)
     if loss == "gcv":
         lower = np.divide(smallest, (1.0 - 1.0 / n) ** 2,
@@ -573,8 +582,8 @@ def _child_loss_bounds(xtx, xty, yty, counts, lam_values, loss):
     return lower, np.where(n > m, largest, np.inf)
 
 
-def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config, ws, bound):
-    """Gain of each stacked left side and its complement in the node.
+def _split_gains(node: GramStats, left: GramStats, parent_loss, config, ws, bound):
+    """Gain of each candidate: a stack of left sides and their complements in the node.
 
     The right sides are :func:`splinetree.gram.complement` of the left
     ones in the node, their X'X in the workspace's "right" buffer.
@@ -591,76 +600,62 @@ def _split_gains(node: GramStats, xtx_l, xty_l, yty_l, cnt_l, parent_loss, confi
     and its gain is -inf, so the winner, its gain and the tree are those of
     scoring every candidate.
     """
-    xtx_r, xty_r, yty_r, cnt_r = complement(
-        (node.xtx, node.xty, node.yty, node.count), (xtx_l, xty_l, yty_l, cnt_l),
-        out=ws.array("right", xtx_l.shape),
-    )
+    right = complement(node, left, out=ws.array("right", left.xtx.shape))
     lam_values, loss = config.lam_values, config.loss
     if bound is None:
-        loss_l = _batch_child_losses(xtx_l, xty_l, yty_l, cnt_l, lam_values, loss)
-        loss_r = _batch_child_losses(xtx_r, xty_r, yty_r, cnt_r, lam_values, loss)
-        return parent_loss - (loss_l + loss_r)
-    lower_l, upper_l = _child_loss_bounds(xtx_l, xty_l, yty_l, cnt_l, lam_values, loss)
-    lower_r, upper_r = _child_loss_bounds(xtx_r, xty_r, yty_r, cnt_r, lam_values, loss)
+        return parent_loss - (
+            _batch_child_losses(left, lam_values, loss)
+            + _batch_child_losses(right, lam_values, loss)
+        )
+    lower_l, upper_l = _child_loss_bounds(left, lam_values, loss)
+    lower_r, upper_r = _child_loss_bounds(right, lam_values, loss)
     threshold = bound.lower(np.min(upper_l + upper_r))
     scored = np.flatnonzero(lower_l + lower_r <= threshold * (1.0 + _BOUND_SLACK))
-    gains = np.full(cnt_l.size, -np.inf)
+    gains = np.full(left.count.size, -np.inf)
     if scored.size:
-        loss_l = _batch_child_losses(
-            ws.take("scored_left", xtx_l, scored), xty_l[scored], yty_l[scored],
-            cnt_l[scored], lam_values, loss,
-        )
-        loss_r = _batch_child_losses(
-            ws.take("scored_right", xtx_r, scored), xty_r[scored], yty_r[scored],
-            cnt_r[scored], lam_values, loss,
-        )
-        losses = loss_l + loss_r
+        def exact(side, name):
+            return _batch_child_losses(GramStats(
+                xtx=ws.take(name, side.xtx, scored), xty=side.xty[scored],
+                yty=side.yty[scored], count=side.count[scored],
+            ), lam_values, loss)
+
+        losses = exact(left, "scored_left") + exact(right, "scored_right")
         gains[scored] = parent_loss - losses
         bound.lower(np.min(losses))
     return gains
 
 
-def _sweep_continuous(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
-    edges = fb.edges
-    if edges is None or edges.size == 0:
-        return None
+def _cut_batches(fb, node_count, min_leaf, ws):
+    """The feasible distinct cuts of a continuous feature, as one batch.
+
+    Cut j sends bins 0..j left.  Yields the stacked left sides and, per
+    cut, its left bins; the left sides' X'X are cumulated in the
+    workspace.
+    """
+    bins, edges = fb.stats, fb.edges
     # into a buffer: the bins stay as they are, for subtraction and the winner.
     # Bin by bin, as cumsum adds, but one contiguous (m, m) add at a time
-    cum_xtx = ws.array("stacked", fb.xtx.shape)
-    cum_xtx[0] = fb.xtx[0]
+    cum_xtx = ws.array("stacked", bins.xtx.shape)
+    cum_xtx[0] = bins.xtx[0]
     for k in range(1, len(cum_xtx)):
-        np.add(cum_xtx[k - 1], fb.xtx[k], out=cum_xtx[k])
-    cum_xty = np.cumsum(fb.xty, axis=0)
-    cum_yty = np.cumsum(fb.yty)
-    counts = fb.counts
-    cum_cnt = np.cumsum(counts)
-    j_all = np.arange(edges.size)
-    cnt_l = cum_cnt[j_all]
-    feasible = (cnt_l >= min_leaf) & (node_gram.count - cnt_l >= min_leaf)
+        np.add(cum_xtx[k - 1], bins.xtx[k], out=cum_xtx[k])
+    cum_cnt = np.cumsum(bins.count)
+    cnt_l = cum_cnt[: edges.size]
+    feasible = (cnt_l >= min_leaf) & (node_count - cnt_l >= min_leaf)
     # empty bins duplicate the previous partition; keep only distinct cuts
     distinct = np.ones(edges.size, dtype=bool)
-    distinct[1:] = counts[1 : edges.size] > 0
+    distinct[1:] = bins.count[1 : edges.size] > 0
     sel = np.nonzero(feasible & distinct)[0]
     if sel.size == 0:
-        return None
+        return
     if sel[-1] - sel[0] + 1 == sel.size:  # contiguous cuts: a view suffices
         xtx_l = cum_xtx[sel[0] : sel[-1] + 1]
     else:
         xtx_l = ws.take("left", cum_xtx, sel)
-    gains = _split_gains(
-        node_gram, xtx_l, cum_xty[sel], cum_yty[sel], cum_cnt[sel],
-        parent_loss, config, ws, bound,
-    )
-    best = int(np.argmax(gains))
-    if not np.isfinite(gains[best]):
-        return None
-    j = int(sel[best])
-    return _FeatureBest(
-        gain=float(gains[best]),
-        feature_index=fb.index,
-        left_bin_indices=tuple(range(j + 1)),
-        candidate=SplitCandidate(feature=fb.feature, threshold=float(edges[j])),
-    )
+    yield GramStats(
+        xtx=xtx_l, xty=np.cumsum(bins.xty, axis=0)[sel], yty=np.cumsum(bins.yty)[sel],
+        count=cum_cnt[sel],
+    ), [range(j + 1) for j in sel]
 
 
 def _canonical_subsets(n_levels: int):
@@ -676,17 +671,24 @@ def _canonical_subsets(n_levels: int):
     return subsets
 
 
-def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
-    levels = fb.levels
+def _subset_batches(fb, node_count, min_leaf, ws):
+    """The feasible left level subsets of a categorical feature, in chunks.
+
+    Up to ``EXHAUSTIVE_CATEGORY_LIMIT`` levels every canonical subset is a
+    candidate; above it, the prefixes of the nonempty levels ordered by
+    node-mean response.  Yields, per chunk of about 32 MiB of X'X, the
+    stacked left sides (their X'X in the workspace) and each one's subset.
+    """
+    levels, bins = fb.levels, fb.stats
     c = len(levels)
-    counts = fb.counts
+    counts = bins.count
     if c <= EXHAUSTIVE_CATEGORY_LIMIT:
         subsets = _canonical_subsets(c)
     else:
         # order nonempty levels by node-mean response, scan the c-1 cuts,
         # and canonicalize each prefix to the side containing level 0
         nonempty = np.flatnonzero(counts).tolist()
-        means = (fb.xty[nonempty, 0] / counts[nonempty]).tolist()
+        means = (bins.xty[nonempty, 0] / counts[nonempty]).tolist()
         ordered = [k for _, k in sorted(zip(means, nonempty))]
         subsets = []
         for cut in range(1, len(ordered)):
@@ -696,21 +698,14 @@ def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
             if 0 < len(prefix) < c:
                 subsets.append(tuple(sorted(prefix)))
         subsets = sorted(set(subsets))
-    if not subsets:
-        return None
 
     membership = np.zeros((len(subsets), c))
     for i, subset in enumerate(subsets):
         membership[i, list(subset)] = 1.0
     cnt_l = (membership @ counts).astype(np.int64)
-    feasible = (cnt_l >= min_leaf) & (node_gram.count - cnt_l >= min_leaf)
-    sel = np.nonzero(feasible)[0]
-    if sel.size == 0:
-        return None
-
-    m = node_gram.dim
-    flat = fb.xtx.reshape(c, m * m)
-    best_gain, best_subset = -np.inf, None
+    sel = np.nonzero((cnt_l >= min_leaf) & (node_count - cnt_l >= min_leaf))[0]
+    m = bins.dim
+    flat = bins.xtx.reshape(c, m * m)
     chunk = max(1, (1 << 22) // max(m**2, 1))
     for lo in range(0, sel.size, chunk):
         part = sel[lo : lo + chunk]
@@ -718,30 +713,35 @@ def _sweep_categorical(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
         # np.tensordot(S, xtx, axes=1) is this product, less the fresh array
         xtx_l = ws.array("left", (part.size, m, m))
         np.dot(S, flat, out=xtx_l.reshape(part.size, m * m))
-        gains = _split_gains(
-            node_gram, xtx_l, S @ fb.xty, S @ fb.yty, cnt_l[part],
-            parent_loss, config, ws, bound,
-        )
-        i = int(np.argmax(gains))
-        if np.isfinite(gains[i]) and gains[i] > best_gain:
-            best_gain = float(gains[i])
-            best_subset = subsets[part[i]]
-    if best_subset is None:
-        return None
-    return _FeatureBest(
-        gain=best_gain,
-        feature_index=fb.index,
-        left_bin_indices=best_subset,
-        candidate=SplitCandidate(
-            feature=fb.feature,
-            categories=tuple(levels[k] for k in best_subset),
-        ),
-    )
+        yield GramStats(
+            xtx=xtx_l, xty=S @ bins.xty, yty=S @ bins.yty, count=cnt_l[part],
+        ), [subsets[i] for i in part]
 
 
 def _sweep_feature(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
-    sweep = _sweep_continuous if fb.kind == "continuous" else _sweep_categorical
-    return sweep(fb, node_gram, parent_loss, config, min_leaf, ws, bound)
+    """A feature's best candidate: the first with the highest finite gain, or None.
+
+    Continuous cuts come as one batch (:func:`_cut_batches`), categorical
+    subsets in chunks (:func:`_subset_batches`); each batch of left sides
+    is scored by :func:`_split_gains`, and the split is built from the
+    winner's left bins.
+    """
+    batches = _cut_batches if fb.kind == "continuous" else _subset_batches
+    best_gain, best_left = -np.inf, None
+    for left, left_bins in batches(fb, node_gram.count, min_leaf, ws):
+        gains = _split_gains(node_gram, left, parent_loss, config, ws, bound)
+        i = int(np.argmax(gains))
+        if np.isfinite(gains[i]) and gains[i] > best_gain:
+            best_gain, best_left = float(gains[i]), tuple(left_bins[i])
+    if best_left is None:
+        return None
+    if fb.kind == "continuous":
+        candidate = SplitCandidate(fb.feature, threshold=float(fb.edges[best_left[-1]]))
+    else:
+        candidate = SplitCandidate(fb.feature, categories=tuple(fb.levels[k] for k in best_left))
+    return _FeatureBest(
+        gain=best_gain, feature_index=fb.index, left_bin_indices=best_left, candidate=candidate,
+    )
 
 
 def best_split(
@@ -947,15 +947,14 @@ class _NodeRows:
         """The bins of the feature at ``index`` in schema order."""
         binning, name = self.binning, self.binning.order[index]
         num_bins = binning.num_bins(name)
-        xtx, xty, yty, counts = bin_grams(
+        stats = bin_grams(
             self.X, self.y, ws.take("bin_ids", binning.bin_ids[name], self.rows), num_bins,
             workspace=ws,
         )
         if self.instrumentation is not None:
             self._events[index] = SplitSearchEvent(self.node_id, name, self.X.shape[0], num_bins)
         return FeatureBins(
-            feature=name, index=index, kind=binning.kinds[name],
-            xtx=xtx, xty=xty, yty=yty, counts=counts,
+            feature=name, index=index, kind=binning.kinds[name], stats=stats,
             edges=binning.edges.get(name), levels=binning.levels.get(name),
         )
 

@@ -13,6 +13,7 @@ import pytest
 
 from splinetree import (
     Feature,
+    GramStats,
     SurrogateDataset,
     candidate_edges,
     design_matrix,
@@ -53,12 +54,12 @@ def make_dataset(rng, n, continuous=2, categorical=0, levels=4, response=None):
 
 
 def stack_grams(grams):
-    """The stacked (xtx, xty, yty, counts) of a list of GramStats."""
-    return (
-        np.stack([g.xtx for g in grams]),
-        np.stack([g.xty for g in grams]),
-        np.array([g.yty for g in grams]),
-        np.array([g.count for g in grams]),
+    """A list of one-row-set GramStats as one stacked GramStats."""
+    return GramStats(
+        xtx=np.stack([g.xtx for g in grams]),
+        xty=np.stack([g.xty for g in grams]),
+        yty=np.array([g.yty for g in grams]),
+        count=np.array([g.count for g in grams]),
     )
 
 
@@ -135,7 +136,7 @@ def implementation_best_split(dataset, spec, config, min_leaf):
             bins.append(
                 FeatureBins(
                     feat.name, index, "continuous",
-                    *bin_grams(X, y, ids, edges.size + 1), edges=edges,
+                    bin_grams(X, y, ids, edges.size + 1), edges=edges,
                 )
             )
         else:
@@ -147,7 +148,7 @@ def implementation_best_split(dataset, spec, config, min_leaf):
             bins.append(
                 FeatureBins(
                     feat.name, index, "categorical",
-                    *bin_grams(X, y, ids, len(levs)), levels=levs,
+                    bin_grams(X, y, ids, len(levs)), levels=levs,
                 )
             )
     return best_split(node_gram, node_model, bins, config, min_leaf), node_model

@@ -280,7 +280,7 @@ def test_c7_property_suites(case2, tmp_path):
     # SSE from statistics vs residual oracle at 1e-9
     beta = rng.standard_normal(5)
     g = gram_accumulate(Xr, yr)
-    sse = float(_sse(g.xtx[None], g.xty[None], np.array([g.yty]), beta[None])[0])
+    sse = float(_sse(stack_grams([g]), beta[None])[0])
     assert sse == pytest.approx(float(np.sum((yr - Xr @ beta) ** 2)), rel=1e-9)
 
     # effect reassembly: intercept + sum of effects = predict, 1e-10

@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from splinetree import (
+    GramStats,
     NumericalError,
     fit_node,
     gcv_loss,
@@ -168,12 +169,20 @@ class TestMergeSubtract:
     def test_dimension_mismatch(self, rng):
         a = zero_gram(2)
         b = zero_gram(3)
-        xtx, _, yty, counts = stack_grams([a, a])
-        _, xty, _, _ = stack_grams([b, b])
-        with pytest.raises(ValueError, match="does not match"):
-            bin_sum((xtx, xty, yty, counts), range(2))
+        two, three = stack_grams([a, a]), stack_grams([b, b])
+        with pytest.raises(ValueError, match="do not match"):
+            GramStats(xtx=two.xtx, xty=three.xty, yty=two.yty, count=two.count)
         with pytest.raises(ValueError, match="dimension"):
             gram_subtract(b, a)
+
+    def test_stacked_layout_checked(self, rng):
+        stack = stack_grams([gram_accumulate(*random_problem(rng, 8, 3)) for _ in range(4)])
+        assert stack.dim == 3
+        for yty, count in ((stack.yty[:3], stack.count), (stack.yty, 7)):
+            with pytest.raises(ValueError, match="do not match"):
+                GramStats(xtx=stack.xtx, xty=stack.xty, yty=yty, count=count)
+        with pytest.raises(ValueError, match="nonnegative"):
+            GramStats(xtx=stack.xtx, xty=stack.xty, yty=stack.yty, count=np.array([1, 2, -1, 3]))
 
 
 class TestComplement:
@@ -189,8 +198,8 @@ class TestComplement:
     @staticmethod
     def _derived_bins(whole, sub):
         """The former bin-by-bin subtraction of derived bins."""
-        xtx, xty = whole[0] - sub[0], whole[1] - sub[1]
-        yty, counts = whole[2] - sub[2], whole[3] - sub[3]
+        xtx, xty = whole.xtx - sub.xtx, whole.xty - sub.xty
+        yty, counts = whole.yty - sub.yty, whole.count - sub.count
         empty = counts == 0
         xtx[empty], xty[empty], yty[empty] = 0.0, 0.0, 0.0
         diag = np.einsum("kii->ki", xtx)
@@ -201,15 +210,16 @@ class TestComplement:
     @staticmethod
     def _right_sides(node, left):
         """The former right sides of the split sweep."""
-        xtx_r = np.subtract(node.xtx[None, :, :], left[0])
+        xtx_r = np.subtract(node.xtx[None, :, :], left.xtx)
         diag = np.einsum("cii->ci", xtx_r)
         np.maximum(diag, 0.0, out=diag)
-        return (xtx_r, node.xty[None, :] - left[1],
-                np.maximum(node.yty - left[2], 0.0), node.count - left[3])
+        return (xtx_r, node.xty[None, :] - left.xty,
+                np.maximum(node.yty - left.yty, 0.0), node.count - left.count)
 
     @staticmethod
     def _assert_equal(got, want):
-        for g, w in zip(got, want, strict=True):
+        fields = (got.xtx, got.xty, got.yty, got.count)
+        for g, w in zip(fields, want, strict=True):
             assert g.shape == np.shape(w) and np.array_equal(g, w)
 
     def test_matches_derived_bins_with_empty_bins(self, rng):
@@ -220,13 +230,14 @@ class TestComplement:
             # the whole is the part plus another stack: some bins are the
             # part's alone, so they are left with no rows
             more = self._stack(rng, c, m, empty=int(rng.integers(1, c + 1)))
-            whole = tuple(a + b for a, b in zip(sub, more))
+            whole = GramStats(xtx=sub.xtx + more.xtx, xty=sub.xty + more.xty,
+                              yty=sub.yty + more.yty, count=sub.count + more.count)
             want = self._derived_bins(whole, sub)
             assert (want[3] == 0).any()
             self._assert_equal(complement(whole, sub), want)
-            out = np.full_like(whole[0], np.nan)
+            out = np.full_like(whole.xtx, np.nan)
             got = complement(whole, sub, out=out)
-            assert got[0] is out
+            assert got.xtx is out
             self._assert_equal(got, want)
 
     def test_matches_right_sides_of_a_node(self, rng):
@@ -237,9 +248,9 @@ class TestComplement:
             cuts = np.sort(rng.choice(np.arange(5, 195), size=8, replace=False))
             left = stack_grams([gram_accumulate(X[:k], y[:k]) for k in cuts])
             want = self._right_sides(node, left)
-            out = np.full_like(left[0], np.nan)
-            got = complement((node.xtx, node.xty, node.yty, node.count), left, out=out)
-            assert got[0] is out
+            out = np.full_like(left.xtx, np.nan)
+            got = complement(node, left, out=out)
+            assert got.xtx is out
             self._assert_equal(got, want)
 
     def test_matches_former_gram_subtract(self, rng):
@@ -360,7 +371,18 @@ class TestRidgeSolve:
                 fit_node(g, lam)
         for lam_values in ((-1.0,), (np.nan,), (0.1, np.nan)):
             with pytest.raises(ValueError, match="nonnegative"):
-                ridge_batch(*stack_grams([g]), lam_values, cholesky=True)
+                ridge_batch(stack_grams([g]), lam_values, cholesky=True)
+
+    def test_infinite_lambda_rejected(self, rng):
+        # an infinite weight would fit an intercept-only model with df 1
+        X, y = random_problem(rng, 50, 4)
+        g = gram_accumulate(X, y)
+        for lam in (np.inf, (0.1, np.inf)):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                fit_node(g, lam)
+        for cholesky in (False, True):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                ridge_batch(stack_grams([g]), (np.inf,), cholesky=cholesky)
 
     def test_effective_df_decreasing_in_lambda(self, rng):
         X, y = random_problem(rng, 50, 5)
@@ -368,7 +390,7 @@ class TestRidgeSolve:
         grid = (0.0, 0.5, 5.0, 50.0)
         dfs = [fit_node(g, lam).effective_df for lam in grid]
         assert all(a > b for a, b in zip(dfs, dfs[1:]))
-        assert np.array_equal(ridge_batch(*stack_grams([g]), grid)[2][:, 0], dfs)
+        assert np.array_equal(ridge_batch(stack_grams([g]), grid)[2][:, 0], dfs)
 
     def test_lambda_grid_selects_by_gcv(self, rng):
         X, y = random_problem(rng, 50, 4)
@@ -434,7 +456,7 @@ class TestRidgeBatch:
         problems = self._problems(rng)
         grams = [gram_accumulate(X, y) for X, y in problems]
         lam_values = (0.05, 2.0) if cholesky else (0.0, 0.05, 2.0)
-        coefs, sse, edf = ridge_batch(*stack_grams(grams), lam_values, cholesky=cholesky)
+        coefs, sse, edf = ridge_batch(stack_grams(grams), lam_values, cholesky=cholesky)
         for i, (X, y) in enumerate(problems):
             for k, lam in enumerate(lam_values):
                 beta = coefs[k, i]
@@ -455,7 +477,7 @@ class TestRidgeBatch:
         # numpy's BLAS thread pool, woken between scipy's LAPACK calls,
         # contends with scipy's own pool, so the Cholesky loop keeps out of it
         stacked = stack_grams([gram_accumulate(X, y) for X, y in self._problems(rng)])
-        want = ridge_batch(*stacked, (0.05, 2.0), cholesky=True)
+        want = ridge_batch(stacked, (0.05, 2.0), cholesky=True)
 
         def refuse(*args, **kwargs):
             raise AssertionError("numpy BLAS routine called")
@@ -464,7 +486,7 @@ class TestRidgeBatch:
             monkeypatch.setattr(np, name, refuse)
         # no eigh either: every system must take the Cholesky route
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        got = ridge_batch(*stacked, (0.05, 2.0), cholesky=True)
+        got = ridge_batch(stacked, (0.05, 2.0), cholesky=True)
         assert not np.isnan(got[2]).any()
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -483,7 +505,7 @@ class TestRidgeBatch:
     def test_fit_node_is_a_batch_of_one(self, rng, lam):
         grams = [gram_accumulate(X, y) for X, y in self._problems(rng)]
         lam_values = (lam,) if np.isscalar(lam) else lam
-        coefs, sse, edf = ridge_batch(*stack_grams(grams), lam_values)
+        coefs, sse, edf = ridge_batch(stack_grams(grams), lam_values)
         for i, g in enumerate(grams):
             model = fit_node(g, lam)
             k = lam_values.index(model.lam)
@@ -494,7 +516,7 @@ class TestRidgeBatch:
 def sse_of(g, beta):
     """``_sse`` of one set of coefficients against one set of statistics."""
     beta = np.asarray(beta, dtype=np.float64)
-    return float(_sse(g.xtx[None], g.xty[None], np.array([g.yty]), beta[None])[0])
+    return float(_sse(stack_grams([g]), beta[None])[0])
 
 
 class TestSseFromGram:

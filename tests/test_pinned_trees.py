@@ -1,0 +1,144 @@
+"""Grown tree structure pinned to recorded values.
+
+Small trees on a narrow design with 6- and 14-level categoricals (the
+exhaustive subset search and the ordered scan), grown with bounded GCV
+scoring at lambda 1e-3, a lambda grid, plain SSE and two threads.  Their
+split features, thresholds, category subsets and node counts must match
+the values below exactly; the node coefficients, which BLAS rounding may
+move, match at rtol 1e-8 through each node's coefficient norm.  The design
+is narrow enough that parents keep their bins, so the larger child of
+every kept split is searched on bins derived by histogram subtraction.
+"""
+
+import numpy as np
+import pytest
+
+from splinetree import (
+    Feature, GrowConfig, SplitInstrumentation, SurrogateDataset, build_spec, grow,
+)
+
+from conftest import make_dataset
+
+
+def _data():
+    rng = np.random.default_rng(17)
+    n = 3000
+    base = make_dataset(rng, n, continuous=3)
+    k6, k14 = rng.integers(0, 6, n), rng.integers(0, 14, n)
+    columns = dict(base.columns)
+    columns["c6"] = np.array([f"a{k}" for k in range(6)])[k6]
+    columns["c14"] = np.array([f"b{k:02d}" for k in range(14)])[k14]
+    x1, x2, x3 = columns["x1"], columns["x2"], columns["x3"]
+    # interactions the node models' one-hot main effects cannot absorb
+    response = (base.response + 4.0 * np.where(k14 % 3 == 0, 1.0, -1.0) * (x3 + 1.5)
+                + np.where(np.isin(k6, [1, 4]), 1.5, -1.0) * x1 + np.cos(2 * k6) * (x2 > 0.3))
+    ds = SurrogateDataset(
+        features=base.features + (Feature("c6", "categorical"), Feature("c14", "categorical")),
+        columns=columns, response=response,
+    )
+    return ds, build_spec(ds, num_knots=3)
+
+
+SETTINGS = {
+    "gcv": dict(lam=1e-3),
+    "grid": dict(lam=(1e-3, 0.05, 2.0)),
+    "sse": dict(lam=1e-3, loss="sse"),
+    "threads": dict(lam=1e-3, threads=2),
+}
+
+# per setting: node count, (node id, feature, threshold or left categories)
+# of every split, and every node's coefficient norm, in node id order
+PINNED = {
+    "gcv": (
+        15,
+        [
+            (0, "x3", -0.2698287512460592),
+            (1, "x3", -0.5182481395308077),
+            (2, "x3", 0.4678995088921384),
+            (3, "x2", 0.23194691474224682),
+            (4, "x2", 0.23194691474224682),
+            (5, "c14", ("b00", "b03", "b06", "b09", "b12")),
+            (6, "c6", ("a0", "a2", "a3", "a5")),
+        ],
+        [
+            37.687117590172186, 21.854835669556653, 50.128570985821256, 19.565951171233536,
+            27.009855808927615, 42.42391392071914, 56.29904882443696, 22.826248294931442,
+            19.918412985051393, 29.89460416505419, 28.181787065092983, 23.931431413234304,
+            11.392648107842357, 55.48510246959421, 56.775852527384856,
+        ],
+    ),
+    "grid": (
+        15,
+        [
+            (0, "x3", -0.2698287512460592),
+            (1, "c14", ("b00", "b03", "b06", "b09", "b12")),
+            (2, "x3", 0.4678995088921384),
+            (3, "x2", 0.23194691474224682),
+            (4, "x2", 0.4858590377316857),
+            (5, "c14", ("b00", "b03", "b06", "b09", "b12")),
+            (6, "c6", ("a0", "a2", "a3", "a5")),
+        ],
+        [
+            37.68116909297601, 21.84494812720404, 50.1188721646359, 4.571190786852995,
+            10.997610153200801, 42.410733177551734, 56.2654659741608, 12.03070097205503,
+            6.112327129593296, 12.927549910838763, 10.401878251681923, 23.857746105640373,
+            11.368101705419688, 55.48510246959421, 56.775852527384856,
+        ],
+    ),
+    "sse": (
+        15,
+        [
+            (0, "x3", -0.2698287512460592),
+            (1, "x3", -0.5182481395308077),
+            (2, "x3", 0.4678995088921384),
+            (3, "x2", 0.23194691474224682),
+            (4, "x2", 0.23194691474224682),
+            (5, "c14", ("b00", "b03", "b06", "b09", "b12")),
+            (6, "x1", -0.027238466652982574),
+        ],
+        [
+            37.687117590172186, 21.854835669556653, 50.128570985821256, 19.565951171233536,
+            27.009855808927615, 42.42391392071914, 56.29904882443696, 22.826248294931442,
+            19.918412985051393, 29.89460416505419, 28.181787065092983, 23.931431413234304,
+            11.392648107842357, 56.08544640454317, 55.62724345908867,
+        ],
+    ),
+    "threads": (
+        15,
+        [
+            (0, "x3", -0.2698287512460592),
+            (1, "x3", -0.5182481395308077),
+            (2, "x3", 0.4678995088921384),
+            (3, "x2", 0.23194691474224682),
+            (4, "x2", 0.23194691474224682),
+            (5, "c14", ("b00", "b03", "b06", "b09", "b12")),
+            (6, "c6", ("a0", "a2", "a3", "a5")),
+        ],
+        [
+            37.687117590172186, 21.854835669556653, 50.128570985821256, 19.565951171233536,
+            27.009855808927615, 42.42391392071914, 56.29904882443696, 22.826248294931442,
+            19.918412985051393, 29.89460416505419, 28.181787065092983, 23.931431413234304,
+            11.392648107842357, 55.48510246959421, 56.775852527384856,
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("setting", list(SETTINGS))
+def test_grown_structure_matches_pinned_values(setting):
+    ds, spec = _data()
+    inst = SplitInstrumentation()
+    config = GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=40, **SETTINGS[setting])
+    root = grow(ds, spec, config, instrumentation=inst)
+    assert max(inst.kept_bytes) > 0  # histogram subtraction ran
+    nodes = list(root.nodes())
+    splits = [
+        (node.id, node.split.feature,
+         node.split.threshold if node.split.threshold is not None else node.split.categories)
+        for node in nodes if node.split is not None
+    ]
+    count, want_splits, want_norms = PINNED[setting]
+    assert len(nodes) == count
+    assert splits == want_splits
+    norms = [float(np.linalg.norm(node.model.coefficients)) for node in nodes]
+    np.testing.assert_allclose(norms, want_norms, rtol=1e-8)

@@ -79,40 +79,42 @@ class TestBinGrams:
     def test_single_bin_is_node_gram(self, rng):
         X = rng.standard_normal((30, 3))
         y = rng.standard_normal(30)
-        xtx, _, _, counts = bin_grams(X, y, np.zeros(30, dtype=int), 1)
+        stats = bin_grams(X, y, np.zeros(30, dtype=int), 1)
         node = gram_accumulate(X, y)
-        assert_allclose(xtx[0], node.xtx)
-        assert counts[0] == 30
+        assert_allclose(stats.xtx[0], node.xtx)
+        assert stats.count[0] == 30
 
     def test_bins_cover_node(self, rng):
         X = rng.standard_normal((100, 4))
         y = rng.standard_normal(100)
         ids = rng.integers(0, 5, size=100)
-        xtx, _, _, counts = bin_grams(X, y, ids, 5)
+        stats = bin_grams(X, y, ids, 5)
         node = gram_accumulate(X, y)
-        assert_allclose(xtx.sum(axis=0), node.xtx, rtol=1e-12, atol=1e-12)
-        assert counts.sum() == 100
+        assert_allclose(stats.xtx.sum(axis=0), node.xtx, rtol=1e-12, atol=1e-12)
+        assert stats.count.sum() == 100
 
     def test_each_bin_matches_filtered_rows(self, rng):
         X = rng.standard_normal((60, 3))
         y = rng.standard_normal(60)
         ids = rng.integers(0, 5, size=60)
-        xtx, xty, _, counts = bin_grams(X, y, ids, 5)
+        stats = bin_grams(X, y, ids, 5)
         for k in range(5):
             mask = ids == k
             direct = gram_accumulate(X[mask], y[mask])
-            assert_allclose(xtx[k], direct.xtx, rtol=1e-12, atol=1e-12)
-            assert_allclose(xty[k], direct.xty, rtol=1e-12, atol=1e-12)
-            assert counts[k] == direct.count
+            assert_allclose(stats.xtx[k], direct.xtx, rtol=1e-12, atol=1e-12)
+            assert_allclose(stats.xty[k], direct.xty, rtol=1e-12, atol=1e-12)
+            assert stats.count[k] == direct.count
 
     def test_empty_bins_are_zero(self, rng):
         X = rng.standard_normal((10, 2))
-        xtx, xty, yty, counts = bin_grams(X, rng.standard_normal(10), np.zeros(10, dtype=int), 3)
-        assert counts[1] == 0 and not xtx[1].any() and not xty[1].any() and yty[1] == 0.0
+        stats = bin_grams(X, rng.standard_normal(10), np.zeros(10, dtype=int), 3)
+        assert stats.count[1] == 0 and not stats.xtx[1].any() and not stats.xty[1].any()
+        assert stats.yty[1] == 0.0
 
     @staticmethod
     def _assert_bit_equal(X, y, ids, num_bins, workspace=None):
-        xtx, xty, yty, counts = stats = bin_grams(X, y, ids, num_bins, workspace=workspace)
+        got = bin_grams(X, y, ids, num_bins, workspace=workspace)
+        xtx, xty, yty, counts = stats = got.xtx, got.xty, got.yty, got.count
         m = X.shape[1]
         assert [a.shape for a in stats] == [(num_bins, m, m), (num_bins, m), (num_bins,), (num_bins,)]
         ids = np.asarray(ids)
@@ -498,7 +500,7 @@ class TestBatchChildLosses:
     def test_matches_scalar_fits(self, lam, loss, eigh_calls):
         grams = self._candidate_grams()
         lam_values = GrowConfig(lam=lam).lam_values
-        got = _batch_child_losses(*stack_grams(grams), lam_values, loss)
+        got = _batch_child_losses(stack_grams(grams), lam_values, loss)
         swept = list(eigh_calls)  # before the reference fits add their own
         assert_allclose(got, _reference_losses(grams, lam_values, loss), rtol=1e-9)
         # a grid containing zero or longer than the Cholesky limit takes eigh
@@ -510,7 +512,7 @@ class TestBatchChildLosses:
         # with a grid, an SSE sweep scores each candidate at the lambda its
         # refit keeps (chosen by GCV), not at the grid's smallest SSE
         grams = self._candidate_grams()
-        got = _batch_child_losses(*stack_grams(grams), lam, "sse")
+        got = _batch_child_losses(stack_grams(grams), lam, "sse")
         refits = [fit_node(g, lam) for g in grams]
         assert_allclose(got, [m.sse for m in refits], rtol=1e-9)
         min_sse = np.array([min(fit_node(g, v).sse for v in lam) for g in grams])
@@ -531,7 +533,7 @@ class TestBatchChildLosses:
             )
             for rows in (4, 4, 12)
         ]
-        got = _batch_child_losses(*stack_grams(grams), lam, loss)
+        got = _batch_child_losses(stack_grams(grams), lam, loss)
         assert np.all(np.isfinite(got))
         assert_allclose(got, _reference_losses(grams, lam, loss), rtol=1e-9)
 
@@ -539,7 +541,7 @@ class TestBatchChildLosses:
         rng = np.random.default_rng(0)
         X = np.column_stack([np.ones(4), rng.standard_normal((4, 3))])
         grams = [gram_accumulate(X, rng.standard_normal(4))]
-        got = _batch_child_losses(*stack_grams(grams), (0.0, 0.0), "gcv")
+        got = _batch_child_losses(stack_grams(grams), (0.0, 0.0), "gcv")
         assert np.array_equal(got, [np.inf])
         with pytest.raises(ValueError, match="saturated"):
             fit_node(grams[0], (0.0, 0.0))
@@ -555,15 +557,15 @@ class TestBatchChildLosses:
         x, z, w = rng.standard_normal((3, 60))
         y = x + 0.3 * w + 0.1 * rng.standard_normal(60)
         g = gram_accumulate(np.column_stack([np.ones(60), x, x + 1e-5 * z, w]), y)
-        xtx, xty, _, counts = stack_grams([g])
-        block = _standardized_block(xtx, *_moments(xtx, xty, counts)[:3])
+        stacked = stack_grams([g])
+        block = _standardized_block(stacked.xtx, *_moments(stacked)[:3])
         spectrum = np.linalg.eigvalsh(block[0])
         near_null = spectrum[spectrum < NULL_SPACE_RTOL * spectrum[-1]]
         assert near_null.size == 1 and near_null[0] > 1e-14 * spectrum[-1]
         model = fit_node(g, lam)
-        sse = _batch_child_losses(*stack_grams([g]), (lam,), "sse")
+        sse = _batch_child_losses(stack_grams([g]), (lam,), "sse")
         assert_allclose(sse, model.sse, rtol=1e-9)
-        got = _batch_child_losses(*stack_grams([g]), (lam,), "gcv")
+        got = _batch_child_losses(stack_grams([g]), (lam,), "gcv")
         extra_df = near_null[0] / (near_null[0] + lam)
         want = 60 * gcv_loss(model.sse, 60, model.effective_df + extra_df)
         assert_allclose(got, want, rtol=1e-9)
@@ -587,13 +589,13 @@ class TestBatchChildLosses:
         ]
         grams = [regular[0], singular, regular[1]]
         lam_values = (1e-20,)
-        got = _batch_child_losses(*stack_grams(grams), lam_values, loss)
+        got = _batch_child_losses(stack_grams(grams), lam_values, loss)
         assert eigh_calls == [(1, 2, 2)]
         assert np.all(np.isfinite(got))
         assert_allclose(got, _reference_losses(grams, lam_values, loss), rtol=1e-9)
 
 
-def _fresh_child_losses(xtx, xty, yty, counts, lam_values, loss):
+def _fresh_child_losses(sides, lam_values, loss):
     """Reference for the sweep's child losses, with fresh arrays throughout.
 
     The whole stack is standardized at once, each candidate's
@@ -601,6 +603,7 @@ def _fresh_child_losses(xtx, xty, yty, counts, lam_values, loss):
     factorizations are redone by the eigendecomposition on the stacked
     block; the operations and their order are the sweep's.
     """
+    xtx, xty, counts = sides.xtx, sides.xty, sides.count
     n = counts.astype(np.float64)[:, None]
     mean = xtx[:, 0, 1:] / n
     ex2 = np.diagonal(xtx, axis1=1, axis2=2)[:, 1:] / n
@@ -637,7 +640,7 @@ def _fresh_child_losses(xtx, xty, yty, counts, lam_values, loss):
     coefficients[:, :, 0] = xty[:, 0] / counts - np.matmul(
         coefficients[:, :, None, 1:], mean[:, :, None]
     )[:, :, 0, 0]
-    sse = gram_mod._sse(xtx, xty, yty, coefficients)
+    sse = gram_mod._sse(sides, coefficients)
     if loss == "sse" and not grid:
         return sse[0]
     index, gcv = gram_mod.select_lambda(sse, edfs, counts)
@@ -646,22 +649,22 @@ def _fresh_child_losses(xtx, xty, yty, counts, lam_values, loss):
     return np.where(np.isfinite(gcv), sse[index, np.arange(counts.size)], np.inf)
 
 
-def _fresh_gains(node, xtx_l, xty_l, yty_l, cnt_l, parent_loss, config):
-    xtx_r = node.xtx[None, :, :] - xtx_l
+def _fresh_gains(node, left, parent_loss, config):
+    xtx_r = node.xtx[None, :, :] - left.xtx
     diag = np.einsum("cii->ci", xtx_r)
     np.maximum(diag, 0.0, out=diag)
-    right = (xtx_r, node.xty[None, :] - xty_l, np.maximum(node.yty - yty_l, 0.0),
-             node.count - cnt_l)
+    right = GramStats(xtx_r, node.xty[None, :] - left.xty,
+                      np.maximum(node.yty - left.yty, 0.0), node.count - left.count)
     lam_values, loss = config.lam_values, config.loss
     return parent_loss - (
-        _fresh_child_losses(xtx_l, xty_l, yty_l, cnt_l, lam_values, loss)
-        + _fresh_child_losses(*right, lam_values, loss)
+        _fresh_child_losses(left, lam_values, loss)
+        + _fresh_child_losses(right, lam_values, loss)
     )
 
 
 def _fresh_sweep(fb, node, parent_loss, config, min_leaf):
     """Every scored candidate of one feature and its gain, with fresh arrays."""
-    xtx, xty, yty, counts = fb.xtx, fb.xty, fb.yty, fb.counts
+    xtx, xty, yty, counts = fb.stats.xtx, fb.stats.xty, fb.stats.yty, fb.stats.count
     if fb.kind == "continuous":
         cum = [np.cumsum(a, axis=0) for a in (xtx, xty, yty, counts)]
         cnt = cum[3][: fb.edges.size]
@@ -670,7 +673,7 @@ def _fresh_sweep(fb, node, parent_loss, config, min_leaf):
         sel = np.nonzero((cnt >= min_leaf) & (node.count - cnt >= min_leaf) & distinct)[0]
         if sel.size == 0:
             return [], np.empty(0)
-        gains = _fresh_gains(node, *(a[sel] for a in cum), parent_loss, config)
+        gains = _fresh_gains(node, GramStats(*(a[sel] for a in cum)), parent_loss, config)
         return [("threshold", float(fb.edges[j])) for j in sel], gains
     c = len(fb.levels)
     if c <= tree_mod.EXHAUSTIVE_CATEGORY_LIMIT:
@@ -694,8 +697,10 @@ def _fresh_sweep(fb, node, parent_loss, config, min_leaf):
     chunk = max(1, (1 << 22) // node.dim**2)
     gains = [
         _fresh_gains(
-            node, np.tensordot(membership[part], xtx, axes=1), membership[part] @ xty,
-            membership[part] @ yty, cnt_l[part], parent_loss, config,
+            node,
+            GramStats(np.tensordot(membership[part], xtx, axes=1), membership[part] @ xty,
+                      membership[part] @ yty, cnt_l[part]),
+            parent_loss, config,
         )
         for part in (sel[lo : lo + chunk] for lo in range(0, sel.size, chunk))
     ]
@@ -751,7 +756,7 @@ def _singular_left_sides():
     edges = candidate_edges(u, 8)
     fb = tree_mod.FeatureBins(
         "u", 0, "continuous",
-        *bin_grams(X, y, tree_mod.bin_values(u, edges), edges.size + 1), edges=edges,
+        bin_grams(X, y, tree_mod.bin_values(u, edges), edges.size + 1), edges=edges,
     )
     return gram_accumulate(X, y), [fb]
 
@@ -972,8 +977,8 @@ class TestBoundedScoring:
     @staticmethod
     def _assert_bounds_hold(grams, lam_values, loss):
         stacked = stack_grams(grams)
-        lower, upper = tree_mod._child_loss_bounds(*stacked, lam_values, loss)
-        exact = _batch_child_losses(*stacked, lam_values, loss)
+        lower, upper = tree_mod._child_loss_bounds(stacked, lam_values, loss)
+        exact = _batch_child_losses(stacked, lam_values, loss)
         assert np.all(lower <= exact * (1 + 1e-12))
         assert np.all(exact <= upper * (1 + 1e-12))
         return lower, upper
@@ -1038,6 +1043,50 @@ class TestBoundedScoring:
         assert found is not None and sides > 800
         assert 0 < len(calls) < 0.1 * sides
 
+    def test_categorical_sweep_over_several_chunks(self, swept_gains):
+        # 46 columns: a chunk of left sides holds (1 << 22) // 46**2 = 1982 of
+        # the 2047 subsets of 12 levels, so the sweep scores them in two
+        # batches.  The levels in ``alike`` act alike, so the best subset is
+        # theirs: (0, 6, ..., 11) comes late in canonical order, in the
+        # second batch, and (0, 1, ..., 5) early, in the first.  The early one
+        # is scored by plain SSE, unbounded, so the second batch's gains are
+        # finite too and only the carried best keeps the first batch's winner
+        cases = (((0, 6, 7, 8, 9, 10, 11), 1, "gcv"), ((0, 1, 2, 3, 4, 5), 0, "sse"))
+        for alike, batch, loss in cases:
+            rng = np.random.default_rng(51)
+            n = 900
+            base = make_dataset(rng, n, continuous=2)
+            k = rng.integers(0, 12, n)
+            columns = dict(base.columns, g=np.array([f"g{j:02d}" for j in range(12)])[k])
+            response = base.response + np.where(np.isin(k, alike), 1.5, -1.5) * columns["x1"]
+            ds = SurrogateDataset(features=base.features + (Feature("g", "categorical"),),
+                                  columns=columns, response=response)
+            spec = build_spec(ds, num_knots=17)
+            m = spec.total_columns
+            assert m == 46
+            node_gram, bins = _node_bins(ds, spec, 8)
+            fb = bins[-1]
+            config = GrowConfig(num_bins=8, loss=loss)
+            bound = tree_mod._LossBound() if tree_mod._df_bounded(config.lam_values, loss) else None
+            assert (bound is None) == (loss == "sse")
+            parent_loss = _node_split_loss(fit_node(node_gram, config.lam), config.loss)
+            keys, want = _fresh_sweep(fb, node_gram, parent_loss, config, m)
+            chunk = (1 << 22) // m**2
+            best = int(np.argmax(want))
+            assert len(keys) == 2047 > chunk and best // chunk == batch
+            swept_gains.clear()
+            found = tree_mod._sweep_feature(fb, node_gram, parent_loss, config, m,
+                                            tree_mod._Workspace(), bound)
+            assert [gains.size for gains in swept_gains] == [chunk, 2047 - chunk]
+            assert np.isfinite(swept_gains[1]).all() == (bound is None)
+            assert found.gain == want[best]
+            assert found.left_bin_indices == keys[best][1] == alike
+            assert found.candidate.categories == tuple(f"g{j:02d}" for j in alike)
+            if batch:  # the subset-refit oracle refits 4,094 sides: run it once
+                (feature, key), gain, *_ = naive_best_split(ds, spec, config, m)
+                assert (feature, key) == (fb.index, alike)
+                assert gain == pytest.approx(found.gain, rel=1e-9)
+
 
 def _streamed(ds, spec, num_bins, rows=None):
     """A node's features as callables that bin them from its rows when swept."""
@@ -1071,9 +1120,9 @@ class TestStreamedSearch:
         calls = {}
         inner = tree_mod._split_gains
 
-        def spy(node, xtx_l, xty_l, yty_l, cnt_l, *rest):
-            gains = inner(node, xtx_l, xty_l, yty_l, cnt_l, *rest)
-            calls[yty_l.tobytes() + cnt_l.tobytes()] = gains.copy()
+        def spy(node, left, *rest):
+            gains = inner(node, left, *rest)
+            calls[left.yty.tobytes() + left.count.tobytes()] = gains.copy()
             return gains
 
         monkeypatch.setattr(tree_mod, "_split_gains", spy)
@@ -1248,13 +1297,30 @@ class TestGrow:
         [("lam", np.nan, "finite"), ("lam", np.inf, "finite"), ("lam", -1e-3, "finite"),
          ("lam", (1e-3, np.nan), "finite"), ("lam", (0.1, np.inf), "finite"),
          ("lam", (), "empty"), ("min_gain", np.nan, "min_gain"),
-         ("min_gain", -1.0, "min_gain")],
+         ("min_gain", -1.0, "min_gain"),
+         ("max_depth", np.nan, "integer"), ("max_depth", 2.5, "integer"),
+         ("num_bins", 7.5, "integer"), ("num_bins", np.nan, "integer"),
+         ("threads", 1.5, "integer"), ("min_samples_leaf", np.nan, "integer"),
+         ("min_samples_leaf", 40.5, "integer")],
     )
     def test_config_outside_the_domain_rejected(self, field, value, message):
         # a NaN ridge weight would grow NaN models and an infinite one an
-        # intercept-only root, with no error
+        # intercept-only root, with no error; a NaN depth would grow a
+        # root-only tree and a depth of 2.5 one of depth 3
         with pytest.raises(ValueError, match=message):
             GrowConfig(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self, rng):
+        ds = make_dataset(rng, 600, continuous=2)
+        spec = build_spec(ds, num_knots=3)
+        plain = GrowConfig(max_depth=2, num_bins=8, threads=2, min_samples_leaf=60)
+        numpy = GrowConfig(max_depth=np.int64(2), num_bins=np.int32(8), threads=np.uint8(2),
+                           min_samples_leaf=np.int64(60))
+        trees = [list(grow(ds, spec, config).nodes()) for config in (plain, numpy)]
+        assert len(trees[0]) == len(trees[1]) > 1
+        for a, b in zip(*trees):
+            assert a.split == b.split
+            assert np.array_equal(a.model.coefficients, b.model.coefficients)
 
     def test_one_gram_pass_per_node_feature(self, rng):
         ds = make_dataset(rng, 800, continuous=3)
@@ -1418,12 +1484,13 @@ class TestHistogramSubtraction:
             for fb in bins:
                 direct = bin_grams(X[rows], y[rows], binning.bin_ids[fb.feature][rows],
                                    binning.num_bins(fb.feature))
-                derived_stats = (fb.xtx, fb.xty, fb.yty)
-                assert [d.shape for d in derived_stats] == [g.shape for g in direct[:3]]
-                assert np.array_equal(fb.counts, direct[3])
-                for d, g in zip(derived_stats, direct):
+                derived_stats = (fb.stats.xtx, fb.stats.xty, fb.stats.yty)
+                direct_stats = (direct.xtx, direct.xty, direct.yty)
+                assert [d.shape for d in derived_stats] == [g.shape for g in direct_stats]
+                assert np.array_equal(fb.stats.count, direct.count)
+                for d, g in zip(derived_stats, direct_stats):
                     assert_allclose(d, g, rtol=0, atol=1e-12 * np.abs(g).max())
-                gone = direct[3] == 0  # exactly zero, as direct binning leaves them
+                gone = direct.count == 0  # exactly zero, as direct binning leaves them
                 empty += int(gone.sum())
                 assert not any(d[gone].any() for d in derived_stats)
         assert empty > 0
@@ -1479,7 +1546,7 @@ class TestHistogramSubtraction:
         ws = tree_mod._Workspace()
         source = tree_mod._NodeRows(binning, X, ds.response, np.arange(ds.n), 0, None, ws)
         one = [source.bin(i, ws) for i in range(len(binning.order))]
-        assert node_bytes == sum(fb.xtx.nbytes + fb.xty.nbytes for fb in one)
+        assert node_bytes == sum(fb.stats.xtx.nbytes + fb.stats.xty.nbytes for fb in one)
         budget = X.nbytes
         if room is not None:  # room for one parent and its derived child's bins
             budget = room * node_bytes
