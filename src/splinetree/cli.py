@@ -91,8 +91,9 @@ def _cmd_simulate(args) -> int:
     if args.n < 1:
         print("error: --n must be positive", file=sys.stderr)
         return 2
-    if args.sigma < 0:
-        print("error: --sigma must be nonnegative", file=sys.stderr)
+    if not 0 <= args.sigma < np.inf:
+        print(f"error: --sigma must be finite and nonnegative, got {args.sigma!r}",
+              file=sys.stderr)
         return 2
     sim = simdata.simulate(args.kind, args.n, args.sigma, args.seed)
     header = [f"x{k}" for k in range(1, 11)] + ["f", "y"]
@@ -208,6 +209,19 @@ def _load_fit_dataset(args, config: io.RunConfig, response: str):
     )
 
 
+def _check_labels(dataset, task, original):
+    """Reject a binary task on an original column that is not 0/1.
+
+    Runs right after loading, so a bad column ends the command before any
+    fit, prediction or output file.
+    """
+    if task == "binary" and dataset.original is not None:
+        if not np.isin(dataset.original, (0.0, 1.0)).all():
+            raise DataError(
+                f"binary task requires 0/1 labels in original column {original!r}"
+            )
+
+
 def _train_test_rows(dataset, config: io.RunConfig):
     if dataset.tags is not None:
         train = np.nonzero(dataset.tags == "train")[0]
@@ -266,6 +280,8 @@ def _cmd_fit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     dataset = _load_fit_dataset(args, config, args.response)
+    task = args.task or ("binary" if config.transform == "logit" else "continuous")
+    _check_labels(dataset, task, args.original)
     train_rows, test_rows = _train_test_rows(dataset, config)
     train = dataset.subset(train_rows)
     spec = basis.build_spec(train, num_knots=config.knots)
@@ -283,7 +299,6 @@ def _cmd_fit(args) -> int:
     saved_config = config.to_json_dict() | {"response": args.response}
     io.save_tree(args.out, pruned, spec, dataset.features, saved_config)
 
-    task = args.task or ("binary" if config.transform == "logit" else "continuous")
     art = io.TreeArtifact(root=pruned, spec=spec, schema=dataset.features, config={})
     _print_report(art, dataset, train_rows, test_rows, task)
     return 0
@@ -318,6 +333,7 @@ def _cmd_evaluate(args) -> int:
         art, args.data, args.response, original=args.original, transform=transform
     )
     task = args.task or ("binary" if transform == "logit" else "continuous")
+    _check_labels(dataset, task, args.original)
     pred = tree.predict(art.root, art.spec, dataset)
     fid = diagnostics.fidelity(pred, dataset.response)
     print(f"fidelity: mse={fid.mse!r} r2={fid.r2!r}")

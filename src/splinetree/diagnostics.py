@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 import numpy as np
-from scipy.stats import rankdata
 
 from . import basis, tree as tree_mod
 
@@ -236,15 +235,26 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def auc_score(scores, labels) -> float:
-    """Rank-statistic AUC with midrank tie handling; NaN if single-class."""
+    """Rank-statistic AUC with midrank tie handling.
+
+    The midranks are computed in numpy: a stable sort, tie groups where
+    adjacent sorted scores differ (so -0.0 ties with 0.0), and each group's
+    1-based ranks averaged to (start + end + 1) / 2.  NaN if the labels are
+    single-class or any score is NaN.
+    """
     s = np.asarray(scores, dtype=np.float64)
     lab = np.asarray(labels)
     pos = lab == 1
     n1 = int(np.count_nonzero(pos))
     n0 = s.size - n1
-    if n1 == 0 or n0 == 0:
+    if n1 == 0 or n0 == 0 or np.isnan(s).any():
         return float("nan")
-    ranks = rankdata(s, method="average")
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], s.size)
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return float((ranks[pos].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 

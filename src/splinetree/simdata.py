@@ -95,8 +95,8 @@ def simulate(kind: str, n: int, sigma: float, seed: int) -> Simulation:
         raise ValueError(f"kind must be one of {sorted(_KINDS)}, got {kind!r}")
     if n < 1:
         raise ValueError("n must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(n, 10))
     f = _KINDS[kind](x)

@@ -78,6 +78,17 @@ class TestSimulate:
                            "--out", str(tmp_path / "x.csv"))
         assert code == 2 and "sigma" in err
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma_exits_2(self, tmp_path, capsys, sigma):
+        out_path = tmp_path / "s.csv"
+        code, _, err = run(capsys, "simulate", "--kind", "f1", "--n", "2",
+                           f"--sigma={sigma}", "--out", str(out_path))
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: --sigma must be finite and nonnegative, got {float(sigma)!r}"
+        ]
+        assert not out_path.exists()
+
     def test_unknown_flag_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--bogus", "1"])
@@ -139,6 +150,27 @@ class TestFit:
             "Accuracy     train          0.9873    0.218293\n"
             "Accuracy      test          0.9835    0.228389\n"
         )
+
+    @pytest.mark.parametrize("task_flags", [["--task", "binary"], ["--transform", "logit"]])
+    def test_binary_task_on_non_binary_original_exits_3(self, tmp_path, sim_csv, capsys,
+                                                         task_flags):
+        # the response is a probability, so --transform logit loads it; the
+        # original column y is the continuous noisy response
+        ds = load_csv(sim_csv, response="f", original="y")
+        p = 1.0 / (1.0 + np.exp(-ds.response))
+        names = [f"x{k}" for k in range(1, 11)]
+        data = tmp_path / "prob.csv"
+        write_csv(data, names + ["p", "y"], [ds.columns[n] for n in names] + [p, ds.original])
+        model = tmp_path / "t.json"
+        code, out, err = run(
+            capsys, "fit", "--data", str(data), "--response", "p",
+            "--original", "y", *task_flags, "--out", str(model),
+        )
+        assert code == 3 and out == ""
+        assert err.splitlines() == [
+            "data error: binary task requires 0/1 labels in original column 'y'"
+        ]
+        assert not model.exists()
 
     def test_depth_zero_global_model(self, tmp_path, sim_csv, capsys):
         model = tmp_path / "t.json"
@@ -365,6 +397,17 @@ class TestPredictEvaluate:
         mse_fit = float(fit_line.split()[2])
         mse_eval = float(eval_out.split("mse=")[1].split()[0])
         assert mse_eval == pytest.approx(mse_fit, rel=2e-6)
+
+    def test_evaluate_binary_task_on_non_binary_original_exits_3(
+            self, tmp_path, sim_csv, fitted_model, capsys):
+        code, out, err = run(
+            capsys, "evaluate", "--model", str(fitted_model), "--data", str(sim_csv),
+            "--response", "f", "--original", "y", "--task", "binary",
+        )
+        assert code == 3 and out == ""
+        assert err.splitlines() == [
+            "data error: binary task requires 0/1 labels in original column 'y'"
+        ]
 
     def test_idempotent_outputs(self, tmp_path, sim_csv, fitted_model, capsys):
         a, b = tmp_path / "p1.csv", tmp_path / "p2.csv"

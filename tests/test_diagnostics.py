@@ -367,6 +367,47 @@ class TestAccuracy:
         b = auc_score(np.exp(scores) * 2 + 5, labels)
         assert a == pytest.approx(b, abs=1e-12)
 
+    @staticmethod
+    def _rankdata_auc(scores, labels):
+        """The former scipy formula, kept as a differential oracle."""
+        from scipy.stats import rankdata
+
+        s = np.asarray(scores, dtype=np.float64)
+        pos = np.asarray(labels) == 1
+        n1 = int(np.count_nonzero(pos))
+        n0 = s.size - n1
+        return float((rankdata(s, method="average")[pos].sum() - n1 * (n1 + 1) / 2.0)
+                     / (n1 * n0))
+
+    @pytest.mark.parametrize("case", [
+        "rounded ties", "no ties", "all equal", "n = 2", "signed zeros", "bool labels",
+    ])
+    def test_auc_equals_rankdata_formula(self, rng, case):
+        n = 2 if case == "n = 2" else 300
+        scores = rng.standard_normal(n)
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        if case == "rounded ties":
+            scores = np.round(scores, 1)
+        elif case == "all equal":
+            scores[:] = 0.25
+        elif case == "signed zeros":
+            scores = np.round(scores)
+            scores[rng.random(n) < 0.3] = -0.0
+            scores[rng.random(n) < 0.3] = 0.0
+        elif case == "bool labels":
+            scores = np.round(scores, 1)
+            labels = labels.astype(bool)
+        assert auc_score(scores, labels) == self._rankdata_auc(scores, labels)
+
+    def test_auc_nan_score_gives_nan(self):
+        scores = np.array([0.1, np.nan, 0.3, 0.2])
+        labels = np.array([1, 0, 1, 0])
+        assert math.isnan(self._rankdata_auc(scores, labels))
+        assert math.isnan(auc_score(scores, labels))
+        assert math.isnan(auc_score(scores[::-1], labels[::-1]))
+        assert math.isnan(auc_score([np.nan, np.nan, 1.0], [0, 1, 1]))
+
     def test_single_class_flagged(self):
         out = accuracy(np.array([0.2, 0.4, -0.1]), np.array([1, 1, 1]), task="binary")
         assert math.isnan(out["auc"])

@@ -126,6 +126,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate("f1", 10, -0.5, 0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            simulate("f2", 10, sigma, 0)
+
 
 class TestToDataset:
     def test_noiseless_surrogate_keeps_original(self):
