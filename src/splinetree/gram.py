@@ -24,11 +24,9 @@ lambda = 0 fits well defined for deliberately collinear spline bases.  A
 lambda grid is resolved by GCV with one rule, :func:`select_lambda`.
 
 The standardizing arithmetic is written once, in
-:func:`_standardized_block`.  The eigendecomposition route applies it to
-the whole stack; the split sweep's Cholesky route applies it a cache-sized
-chunk of candidates at a time and factors each candidate in a single
-p x p work matrix, so the two routes see bit-identical blocks without the
-Cholesky route ever forming the whole stack.
+:func:`_standardized_block`, which :func:`ridge_batch` applies once per
+cache-sized chunk of systems.  Both routes solve from that block, so they
+see the same bits and neither forms the whole stack of blocks.
 """
 
 from __future__ import annotations
@@ -52,9 +50,9 @@ _CONSTANT_COLUMN_RTOL = 1e-12
 # 29-column blocks the eigendecomposition is the cheaper from six values.
 _CHOLESKY_GRID_LIMIT = 4
 
-# The Cholesky route standardizes its candidates a chunk of about this many
-# bytes at a time: one 150-column block, or a few dozen 29-column ones, so
-# the chunk stays in cache and small blocks share each numpy call.
+# ridge_batch standardizes its systems a chunk of about this many bytes at
+# a time: one 150-column block, or a few dozen 29-column ones, so the chunk
+# stays in cache and small blocks share each numpy call.
 _STANDARDIZE_CHUNK_BYTES = 1 << 18
 
 
@@ -249,17 +247,18 @@ def ridge_batch(stats: GramStats, lam_values, *, cholesky=False, want_edf=True):
     effective df (k, c) for the k grid values; pass them to
     :func:`select_lambda` to resolve a grid.
 
-    Two routes solve the standardized systems.  The eigendecomposition
-    (:func:`_eigh_solves`) is the reference: one factorization serves the
-    whole grid, eigenvalues below ``NULL_SPACE_RTOL`` times the largest are
-    null directions (pseudo-inverse at lambda = 0) and the df sums
-    d / (d + lambda) over the others.  With ``cholesky``, every lambda
-    positive and at most ``_CHOLESKY_GRID_LIMIT`` of them, each system is
-    instead standardized in cache-sized chunks and Cholesky-factored once
-    per lambda (:func:`_cholesky_solves`), which needs no eigenvectors and
-    no stacked (c, p, p) block; a system whose factorization fails is
-    solved by the reference route.  ``want_edf=False`` lets that route skip
-    the df (left NaN) when only the SSEs are needed.
+    One loop standardizes the systems a chunk of about
+    ``_STANDARDIZE_CHUNK_BYTES`` at a time, never the whole (c, p, p) stack.
+    With ``cholesky``, every lambda positive and at most
+    ``_CHOLESKY_GRID_LIMIT`` of them, each system of a chunk is
+    Cholesky-factored once per lambda (:func:`_cholesky_solves`), and
+    ``want_edf=False`` lets it skip the df (left NaN).  Every other system,
+    and every one whose factorization fails, is solved from the same block
+    by the reference, the eigendecomposition (:func:`_eigh_solves`): one
+    factorization serves the whole grid, eigenvalues below
+    ``NULL_SPACE_RTOL`` times the largest are null directions
+    (pseudo-inverse at lambda = 0) and the df sums d / (d + lambda) over
+    the others.
 
     The two routes count the df of a nearly collinear direction
     differently: an eigenvalue w above zero but below ``NULL_SPACE_RTOL``
@@ -281,16 +280,30 @@ def ridge_batch(stats: GramStats, lam_values, *, cholesky=False, want_edf=True):
     """
     if not all(0.0 <= lam < np.inf for lam in lam_values):  # NaN fails too
         raise ValueError("lambda must be finite and nonnegative")
-    xtx = stats.xtx
     n, mean, scale, b = _moments(stats)
-    if cholesky and cholesky_route(lam_values):
-        gammas, edfs, failed = _cholesky_solves(xtx, n, mean, scale, b, lam_values, want_edf)
-        if failed.any():
-            block = _standardized_block(xtx[failed], n[failed], mean[failed], scale[failed])
-            gammas_f, edfs_f = _eigh_solves(block, b[failed], lam_values)
-            gammas[:, failed], edfs[:, failed] = gammas_f, edfs_f
-    else:
-        gammas, edfs = _eigh_solves(_standardized_block(xtx, n, mean, scale), b, lam_values)
+    count, p = b.shape
+    gammas = np.empty((len(lam_values), count, p))
+    edfs = np.full((len(lam_values), count), np.nan)
+    factor = cholesky and min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT
+    # made once per call: once per chunk slows the sweep's many small calls
+    shifts = [(lam, lam * np.eye(p)) for lam in lam_values] if factor else None
+    work = np.empty((p, p))
+    size = max(1, min(count, _STANDARDIZE_CHUNK_BYTES // (8 * max(p, 1) ** 2)))
+    blocks, outer = np.empty((size, p, p)), np.empty((size, p, p))
+    for lo in range(0, count, size):
+        part = slice(lo, min(lo + size, count))
+        block = _standardized_block(
+            stats.xtx[part], n[part], mean[part], scale[part],
+            out=blocks[: part.stop - lo], outer=outer[: part.stop - lo],
+        )
+        if factor:
+            failed = _cholesky_solves(
+                block, b[part], shifts, work, gammas[:, part], edfs[:, part] if want_edf else None,
+            )
+            if not failed:
+                continue
+            part, block = np.add(failed, lo), block[failed]
+        gammas[:, part], edfs[:, part] = _eigh_solves(block, b[part], lam_values)
 
     coefficients = np.empty(gammas.shape[:2] + (gammas.shape[2] + 1,))
     coefficients[:, :, 1:] = gammas / scale
@@ -299,12 +312,6 @@ def ridge_batch(stats: GramStats, lam_values, *, cholesky=False, want_edf=True):
         coefficients[:, :, None, 1:], mean[:, :, None]
     )[:, :, 0, 0]
     return coefficients, _sse(stats, coefficients), edfs
-
-
-def cholesky_route(lam_values) -> bool:
-    """Whether ``ridge_batch(..., cholesky=True)`` factors by Cholesky: every
-    lambda positive and at most ``_CHOLESKY_GRID_LIMIT`` of them."""
-    return min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT
 
 
 def select_lambda(sse, edf, counts):
@@ -458,52 +465,40 @@ def _eigh_solves(block, b, lam_values):
     return np.stack(gammas), np.stack(edfs)
 
 
-def _cholesky_solves(xtx, n, mean, scale, b, lam_values, want_edf):
-    """Ridge solutions of stacked systems by Cholesky, one candidate at a time.
+def _cholesky_solves(blocks, b, shifts, work, gammas, edfs):
+    """Ridge solutions of stacked standardized systems by Cholesky.
 
-    The candidates are standardized (:func:`_standardized_block`) a chunk
-    of about ``_STANDARDIZE_CHUNK_BYTES`` at a time, so no (c, p, p) stack
-    is formed.  For each candidate and lambda > 0, block + lambda I is
-    copied into one p x p work matrix that LAPACK factors in place as
-    L L', and gamma = (block + lambda I)^-1 b comes from the triangular
-    solves.  When ``want_edf``, the effective df comes from the GCV trace
-    identity edf = 1 + p - lambda tr((block + lambda I)^-1), with the
-    trace taken as ||L^-1||_F^2 (Golub, Heath & Wahba 1979); otherwise edf
-    is left NaN.  A column constant within the node has a zero row and
-    column in the block (up to rounding), so it adds 1 - lambda / lambda = 0
-    to the df, as its null direction does in the spectral sum.  Returns
-    gammas (k, c, p) and edfs (k, c), plus a mask of candidates whose
+    ``shifts`` holds (lambda, lambda I) per grid value, every lambda > 0.
+    For each block and lambda, block + lambda I is copied into the p x p
+    ``work`` matrix that LAPACK factors in place as L L', and
+    gamma = (block + lambda I)^-1 b from the triangular solves is written
+    into ``gammas`` (k, c, p).  When ``edfs`` (k, c) is given, the
+    effective df is written into it from the GCV trace identity
+    edf = 1 + p - lambda tr((block + lambda I)^-1), with the trace taken as
+    ||L^-1||_F^2 (Golub, Heath & Wahba 1979).  A column constant within the
+    node has a zero row and column in the block (up to rounding), so it
+    adds 1 - lambda / lambda = 0 to the df, as its null direction does in
+    the spectral sum.  Returns the positions of the systems whose
     factorization failed for some lambda; their entries are unset.
     """
-    count, p = b.shape
-    shifts = [lam * np.eye(p) for lam in lam_values]
-    size = min(count, max(1, _STANDARDIZE_CHUNK_BYTES // (8 * p * p)))
-    blocks, outer, work = np.empty((size, p, p)), np.empty((size, p, p)), np.empty((p, p))
-    failed = np.zeros(count, dtype=bool)
-    gammas = np.empty((len(lam_values), count, p))
-    edfs = np.full((len(lam_values), count), np.nan)
-    for lo in range(0, count, size):
-        part = slice(lo, min(lo + size, count))
-        chunk = _standardized_block(
-            xtx[part], n[part], mean[part], scale[part],
-            out=blocks[: part.stop - lo], outer=outer[: part.stop - lo],
-        )
-        for i, block in enumerate(chunk, start=lo):
-            for k, lam in enumerate(lam_values):
-                # the shifted block is symmetric, so its transpose is the
-                # same matrix in the Fortran order LAPACK factors in place
-                np.add(block, shifts[k], out=work)
-                chol, info = dpotrf(work.T, lower=1, overwrite_a=1)
-                if info != 0:
-                    failed[i] = True
-                    break
-                gammas[k, i], _ = dpotrs(chol, b[i], lower=1)
-                if want_edf:
-                    inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
-                    # einsum, not a BLAS dot: numpy's BLAS thread pool would
-                    # contend with scipy's LAPACK pool between these calls
-                    edfs[k, i] = 1.0 + p - lam * np.einsum("ij,ij->", inv, inv)
-    return gammas, edfs, failed
+    p = b.shape[1]
+    failed = []
+    for i, block in enumerate(blocks):
+        for k, (lam, shift) in enumerate(shifts):
+            # the shifted block is symmetric, so its transpose is the
+            # same matrix in the Fortran order LAPACK factors in place
+            np.add(block, shift, out=work)
+            chol, info = dpotrf(work.T, lower=1, overwrite_a=1)
+            if info != 0:
+                failed.append(i)
+                break
+            gammas[k, i], _ = dpotrs(chol, b[i], lower=1)
+            if edfs is not None:
+                inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
+                # einsum, not a BLAS dot: numpy's BLAS thread pool would
+                # contend with scipy's LAPACK pool between these calls
+                edfs[k, i] = 1.0 + p - lam * np.einsum("ij,ij->", inv, inv)
+    return failed
 
 
 def gcv_loss(sse, count, effective_df):

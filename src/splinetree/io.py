@@ -303,13 +303,28 @@ def _split_to_json(split: SplitCandidate | None):
     return {"feature": split.feature, "categories": list(split.categories)}
 
 
-def _split_from_json(doc, where):
+def _split_from_json(doc, where, spec, kinds):
+    """A node's split, or None.  A split must route every row as it says:
+    a finite threshold, or a nonempty list of distinct levels of its feature."""
     if doc is None:
         return None
     feature = _field(doc, "feature", where)
     if "threshold" in doc:
-        return SplitCandidate(feature=feature, threshold=float(doc["threshold"]))
-    return SplitCandidate(feature=feature, categories=tuple(_field(doc, "categories", where)))
+        kind, split = basis.CONTINUOUS, SplitCandidate(feature, threshold=float(doc["threshold"]))
+    else:
+        categories = tuple(_field(doc, "categories", where))
+        kind, split = basis.CATEGORICAL, SplitCandidate(feature, categories=categories)
+    if kinds.get(feature) != kind or (kind == basis.CATEGORICAL and feature not in spec.levels):
+        raise DataError(f"{where}: no {kind} feature {feature!r} to split on")
+    if kind == basis.CONTINUOUS and not np.isfinite(split.threshold):
+        raise DataError(f"{where}: split threshold {split.threshold!r} is not finite")
+    if kind == basis.CATEGORICAL and not (
+        len(set(categories)) == len(categories) > 0
+        and set(categories) <= set(spec.levels[feature])
+    ):
+        raise DataError(f"{where}: split categories {list(categories)!r} are not distinct "
+                        f"levels of {feature!r}, at least one")
+    return split
 
 
 def _field(doc, key, where):
@@ -376,8 +391,10 @@ def tree_from_json(doc: Mapping) -> TreeArtifact:
     Every malformed document raises DataError: a missing field or a value of
     the wrong type, a design whose blocks lack their knots or levels or do
     not match the schema, a coefficient vector that is not finite and
-    ``total_columns`` long, effect means not one per block, a split on a
-    feature the schema or design does not support, and node links that do
+    ``total_columns`` long, effect means not one finite number per block, a
+    split on a feature the schema or design does not support, a split
+    threshold that is not finite, split categories that are empty, repeat
+    a level or name one the feature does not have, and node links that do
     not form one tree (a dangling child id, a node with two parents, or a
     node the root does not reach).
     """
@@ -446,18 +463,11 @@ def _node_from_json(nd, spec, kinds) -> TreeNode:
         raise DataError(
             f"{where}: coefficients must be {spec.total_columns} finite numbers"
         )
-    effect_means = nd.get("effect_means")
-    if effect_means is not None:
-        effect_means = np.asarray(effect_means, dtype=np.float64)
-        if effect_means.shape != (len(spec.blocks),):
-            raise DataError(f"{where}: effect_means must have one entry per block")
-    split = _split_from_json(_field(nd, "split", where), where)
-    if split is not None:
-        kind = basis.CONTINUOUS if split.threshold is not None else basis.CATEGORICAL
-        if kinds.get(split.feature) != kind or (
-            kind == basis.CATEGORICAL and split.feature not in spec.levels
-        ):
-            raise DataError(f"{where}: no {kind} feature {split.feature!r} to split on")
+    # the centered effects of diagnose subtract them
+    effect_means = np.asarray(_field(nd, "effect_means", where), dtype=np.float64)
+    if effect_means.shape != (len(spec.blocks),) or not np.isfinite(effect_means).all():
+        raise DataError(f"{where}: effect_means must have one entry per block, each finite")
+    split = _split_from_json(_field(nd, "split", where), where, spec, kinds)
     model = NodeModel(
         coefficients=coefficients,
         sse=float(_field(nd, "sse", where)),

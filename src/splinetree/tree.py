@@ -42,15 +42,19 @@ re-fitted through :func:`splinetree.gram.fit_node`, a batch of one on the
 eigendecomposition route, so the retained models and gains do not depend
 on the route that ranked them.
 
-Where that route would take each candidate's effective df (a GCV loss or
-a grid), the df is taken only for the candidates that can still win.
-Every side of n rows and m columns has 1 <= df <= m, so its SSEs bound
-its loss from both sides (:func:`_child_loss_bounds`).  One threshold per
-node, shared by its features and their worker threads, holds the
-smallest upper bound and exact loss seen so far; a candidate whose lower
-bound exceeds it is left unscored with gain -inf, as its exact loss
-exceeds the node's best (:func:`_split_gains`).  The winner, its gain
-and the tree are those of scoring every candidate.
+Every loss and lambda grid scores its candidates by one path: bound
+every candidate, then score exactly only those that can still win.  Each
+side is first solved for its SSEs without asking for the df.  Where the
+loss needs the df and the Cholesky route skipped it (a GCV loss or a
+grid), a side of n rows and m columns has 1 <= df <= m, so its SSEs bound
+its loss from both sides; where the solve gives the loss anyway (plain SSE
+at one lambda, the eigendecomposition route) both bounds are that loss
+(:func:`_child_loss_bounds`).  One threshold per node, shared by its
+features and their worker threads, holds the smallest upper bound and
+exact loss seen so far; a candidate whose lower bound exceeds it is left
+unscored with gain -inf, as its exact loss exceeds the node's best
+(:func:`_split_gains`).  The winner, its gain and the tree are those of
+scoring every candidate.
 
 Statistics stay in one format, :class:`splinetree.gram.GramStats`, from
 :func:`bin_grams` to the solver: a feature's bins are one stacked
@@ -76,9 +80,9 @@ continuous sweep's cumulated per-bin X'X, the left sides (a view of the
 cumulated X'X when the feasible cuts are contiguous), the right sides, the
 categorical subset products and the sides of the candidates scored
 exactly.  Each buffer keeps the largest size asked for, so after the first
-nodes no (candidates, m, m) or row-sized array is allocated; the Cholesky
-route standardizes its candidates in cache-sized chunks and factors each in
-one p x p matrix (see :func:`splinetree.gram.ridge_batch`).  With
+nodes no (candidates, m, m) or row-sized array is allocated; the solver
+standardizes the candidates in cache-sized chunks, on either route (see
+:func:`splinetree.gram.ridge_batch`).  With
 ``threads > 1`` the units, their binning included, are spread over worker
 threads, each with a workspace of its own.  The operations and their order
 are those of fresh allocation, so the trees are byte-identical to it.  BLAS
@@ -106,7 +110,6 @@ from .gram import (
     GramStats,
     NodeModel,
     bin_sum,
-    cholesky_route,
     column_scale,
     complement,
     fit_node,
@@ -295,10 +298,12 @@ class _Workspace:
 def _map_features(fn, items, ws: _Workspace, threads: int) -> list:
     """``[fn(item, workspace) for item in items]``, in the items' order.
 
-    With ``threads > 1`` the items run on a pool of that many threads, each
-    of which works in a workspace of its own (:meth:`_Workspace.workers`).
+    With ``threads > 1`` the items run on a pool of that many threads, at
+    most one per item, each of which works in a workspace of its own
+    (:meth:`_Workspace.workers`).
     """
-    if threads == 1 or len(items) < 2:
+    threads = min(threads, len(items))
+    if threads < 2:
         return [fn(item, ws) for item in items]
     idle = SimpleQueue()
     for worker in ws.workers(threads):
@@ -496,9 +501,8 @@ _BOUND_SLACK = 1e-9
 class _LossBound:
     """The smallest known upper bound on a node's best child loss.
 
-    :func:`best_split` makes one per node when the sweep would compute a df
-    (:func:`_df_bounded`); every feature's sweep lowers it (see
-    :func:`_split_gains`).  Worker threads share it under a lock: the order
+    :func:`best_split` makes one per node; every feature's sweep lowers it
+    (see :func:`_split_gains`).  Worker threads share it under a lock: the order
     of their updates changes how many candidates are scored, never which
     one wins.
     """
@@ -512,12 +516,6 @@ class _LossBound:
         with self._lock:
             self.value = min(self.value, float(value))
             return self.value
-
-
-def _df_bounded(lam_values, loss) -> bool:
-    """Whether the sweep would take a df by Cholesky: on that route, with a
-    GCV loss or a grid to select over (:func:`_batch_child_losses`)."""
-    return cholesky_route(lam_values) and (loss == "gcv" or len(lam_values) > 1)
 
 
 def _node_split_loss(model: NodeModel, loss: str) -> float:
@@ -542,44 +540,45 @@ def _batch_child_losses(sides: GramStats, lam_values, loss):
     (effective df >= count) at every lambda it could be scored at comes
     back infinite; plain SSE at a single lambda ignores the df.
     """
-    grid = len(lam_values) > 1
-    _, sse, edf = ridge_batch(
-        sides, lam_values, cholesky=True, want_edf=loss == "gcv" or grid,
-    )
-    if loss == "sse" and not grid:
-        return sse[0]
-    counts = sides.count
-    index, gcv = select_lambda(sse, edf, counts)
-    if loss == "gcv":
-        return counts * gcv
-    return np.where(np.isfinite(gcv), sse[index, np.arange(counts.size)], np.inf)
+    want_edf = loss == "gcv" or len(lam_values) > 1
+    return _child_loss_bounds(sides, lam_values, loss, want_edf)[0]
 
 
-def _child_loss_bounds(sides: GramStats, lam_values, loss):
-    """Bounds on the losses :func:`_batch_child_losses` returns, from SSEs alone.
+def _child_loss_bounds(sides: GramStats, lam_values, loss, want_edf=False):
+    """Bounds on the losses :func:`_batch_child_losses` returns.
 
-    Solves every candidate for its SSE at each lambda without the df, so
-    no inverse factor and no trace.  A side of n rows and m design columns
-    has 1 <= df <= m, so its GCV loss SSE / (1 - df/n)^2 lies between
-    SSE / (1 - 1/n)^2 and, when m < n, SSE / (1 - m/n)^2; over a grid the
-    loss is the smallest of these, so both bounds take the grid's smallest
-    SSE.  An SSE loss over a grid is the SSE at the lambda GCV selects, so
-    it lies between the grid's smallest and largest SSE.  The upper bound
-    is infinite where m >= n, as the df may then saturate.  Returns the
-    lower and upper bounds (c,).
+    Solves every candidate for its SSE at each lambda, and for its df only
+    ``want_edf``.  Where the loss needs no df (plain SSE at one lambda) or
+    the df came back (``want_edf``, the eigendecomposition route or a
+    failed Cholesky factorization), both bounds are the exact loss.
+    Elsewhere the bounds come from the SSEs alone, with no inverse factor
+    and no trace.  A side of n rows and m design columns has 1 <= df <= m,
+    so its GCV loss SSE / (1 - df/n)^2 lies between SSE / (1 - 1/n)^2 and,
+    when m < n, SSE / (1 - m/n)^2; over a grid the loss is the smallest of
+    these, so both bounds take the grid's smallest SSE.  An SSE loss over a
+    grid is the SSE at the lambda GCV selects, so it lies between the
+    grid's smallest and largest SSE.  The upper bound is infinite where
+    m >= n, as the df may then saturate.  Returns the lower and upper
+    bounds (c,).
     """
-    _, sse, _ = ridge_batch(sides, lam_values, cholesky=True, want_edf=False)
-    n = sides.count.astype(np.float64)
-    m = sides.dim
+    _, sse, edf = ridge_batch(sides, lam_values, cholesky=True, want_edf=want_edf)
+    counts = sides.count
+    if loss == "sse" and len(lam_values) == 1:
+        return sse[0], sse[0]
+    index, gcv = select_lambda(sse, edf, counts)
+    n, m = counts.astype(np.float64), sides.dim
     smallest = sse.min(axis=0)
     if loss == "gcv":
+        exact = counts * gcv
         lower = np.divide(smallest, (1.0 - 1.0 / n) ** 2,
                           out=np.full_like(smallest, np.inf), where=n > 1)
         largest = np.divide(smallest, (1.0 - m / n) ** 2,
                             out=np.full_like(smallest, np.inf), where=n > m)
     else:
+        exact = np.where(np.isfinite(gcv), sse[index, np.arange(counts.size)], np.inf)
         lower, largest = smallest, sse.max(axis=0)
-    return lower, np.where(n > m, largest, np.inf)
+    known = ~np.isnan(edf).any(axis=0)
+    return np.where(known, exact, lower), np.where(known, exact, np.where(n > m, largest, np.inf))
 
 
 def _split_gains(node: GramStats, left: GramStats, parent_loss, config, ws, bound):
@@ -588,25 +587,19 @@ def _split_gains(node: GramStats, left: GramStats, parent_loss, config, ws, boun
     The right sides are :func:`splinetree.gram.complement` of the left
     ones in the node, their X'X in the workspace's "right" buffer.
 
-    Without a ``bound``, every candidate is scored exactly by
-    :func:`_batch_child_losses`.  With one (a :class:`_LossBound`, which
-    :func:`best_split` gives where the sweep's Cholesky route would take a
-    df), both sides of every candidate are first solved for their SSE
-    alone and bounded by :func:`_child_loss_bounds`.  The node's bound is
-    lowered to the smallest upper bound; only the candidates whose lower
-    bound is within ``_BOUND_SLACK`` of it are gathered from the stacks
-    and scored exactly, and the bound is then lowered to the smallest
-    exact loss.  Every other candidate's exact loss exceeds the node's best
-    and its gain is -inf, so the winner, its gain and the tree are those of
-    scoring every candidate.
+    Every loss and lambda grid takes one path.  Both sides of every
+    candidate are first bounded by :func:`_child_loss_bounds`, exactly
+    where the solve gives the loss anyway.  The node's ``bound`` (a
+    :class:`_LossBound`) is lowered to the smallest upper bound; only the
+    candidates whose lower bound is within ``_BOUND_SLACK`` of it are
+    gathered from the stacks and scored exactly by
+    :func:`_batch_child_losses`, and the bound is then lowered to the
+    smallest exact loss.  Every other candidate's exact loss exceeds the
+    node's best and its gain is -inf, so the winner, its gain and the tree
+    are those of scoring every candidate.
     """
     right = complement(node, left, out=ws.array("right", left.xtx.shape))
     lam_values, loss = config.lam_values, config.loss
-    if bound is None:
-        return parent_loss - (
-            _batch_child_losses(left, lam_values, loss)
-            + _batch_child_losses(right, lam_values, loss)
-        )
     lower_l, upper_l = _child_loss_bounds(left, lam_values, loss)
     lower_r, upper_r = _child_loss_bounds(right, lam_values, loss)
     threshold = bound.lower(np.min(upper_l + upper_r))
@@ -762,8 +755,7 @@ def best_split(
     side from the bins (:func:`splinetree.gram.bin_sum`); nothing else of
     the bins is kept, so bins built by a callable and stored nowhere else
     are dropped once swept.  Ties break to the lower feature index, then the lower
-    threshold, then the canonically smaller left category subset.  Where
-    the sweep would take a df by Cholesky (:func:`_df_bounded`), one
+    threshold, then the canonically smaller left category subset.  One
     :class:`_LossBound` serves every feature, so only candidates that can
     still win are scored exactly (:func:`_split_gains`); a feature whose
     candidates were all skipped cannot win and reports no best.  The
@@ -783,7 +775,7 @@ def best_split(
     """
     ws = _Workspace() if workspace is None else workspace
     parent_loss = _node_split_loss(node_model, config.loss)
-    bound = _LossBound() if _df_bounded(config.lam_values, config.loss) else None
+    bound = _LossBound()
 
     def search(entry, worker):
         fb = entry if isinstance(entry, FeatureBins) else entry(worker)
@@ -1169,10 +1161,8 @@ def prune(root: TreeNode, r2_threshold: float, dsse_fraction: float) -> TreeNode
     return rebuild(root)
 
 
-def route(root: TreeNode, spec, dataset, rows=None) -> dict[int, np.ndarray]:
+def route(root: TreeNode, spec, dataset) -> dict[int, np.ndarray]:
     """Row indices reaching each node, keyed by node id."""
-    if rows is None:
-        rows = np.arange(dataset.n)
     out = {}
 
     def walk(node, idx):
@@ -1183,7 +1173,7 @@ def route(root: TreeNode, spec, dataset, rows=None) -> dict[int, np.ndarray]:
         walk(node.left, idx[mask])
         walk(node.right, idx[~mask])
 
-    walk(root, rows)
+    walk(root, np.arange(dataset.n))
     return out
 
 

@@ -446,6 +446,22 @@ def _short_effect_means(doc):
     doc["nodes"][1]["effect_means"].pop()
 
 
+def _nan_threshold(doc):
+    doc["nodes"][0]["split"]["threshold"] = float("nan")  # every row would go right
+
+
+def _infinite_threshold(doc):
+    doc["nodes"][0]["split"]["threshold"] = float("inf")
+
+
+def _null_effect_means(doc):
+    doc["nodes"][2]["effect_means"] = None
+
+
+def _nan_effect_means(doc):
+    doc["nodes"][1]["effect_means"][0] = float("nan")
+
+
 def _self_loop(doc):
     # node 1 splits into itself and node 2, so both gain a second parent
     doc["nodes"][1].update(split=doc["nodes"][0]["split"], left=1, right=2)
@@ -475,6 +491,10 @@ class TestMalformedInputs:
             (_short_coefficients, "coefficients must be"),
             (_short_effect_means, "one entry per block"),
             (_self_loop, "more than one parent"),
+            (_nan_threshold, "node 0: split threshold nan is not finite"),
+            (_infinite_threshold, "node 0: split threshold inf is not finite"),
+            (_null_effect_means, "node 2: effect_means must have one entry per block"),
+            (_nan_effect_means, "node 1: effect_means must have one entry per block, each finite"),
         ],
     )
     @pytest.mark.parametrize("command", ["predict", "diagnose"])
@@ -490,6 +510,7 @@ class TestMalformedInputs:
         code, _, err = run(capsys, command, "--model", str(model),
                            "--data", str(sim_csv), flag, str(out))
         assert code == 3 and message in err
+        assert len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "diagnose"])

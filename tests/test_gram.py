@@ -14,6 +14,7 @@ from splinetree import (
     gram_accumulate,
     gram_subtract,
 )
+from splinetree import gram as gram_mod
 from splinetree.gram import (
     _eigh_solves, _sse, bin_sum, complement, ridge_batch, zero_gram,
 )
@@ -511,6 +512,57 @@ class TestRidgeBatch:
             k = lam_values.index(model.lam)
             assert np.array_equal(model.coefficients, coefs[k, i])
             assert model.sse == sse[k, i] and model.effective_df == edf[k, i]
+
+    @staticmethod
+    def _with_singular(rng):
+        # a duplicated +-1 column standardizes to [[16, 16], [16, 16]]
+        # exactly, so a 1e-20 ridge weight leaves its factorization failing
+        x = np.tile([1.0, -1.0], 8)
+        grams = [gram_accumulate(np.column_stack([np.ones(40), rng.standard_normal((40, 2))]),
+                                 rng.standard_normal(40)) for _ in range(4)]
+        grams.insert(2, gram_accumulate(np.column_stack([np.ones(16), x, x]),
+                                        np.repeat(np.arange(8.0), 2)))
+        return stack_grams(grams)
+
+    @pytest.mark.parametrize("cholesky", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_chunks_solve_alike(self, rng, monkeypatch, cholesky, chunk):
+        # one loop standardizes and solves the systems chunk by chunk: any
+        # chunk size gives the bits of the whole stack as one chunk, failed
+        # factorizations included
+        stacked = self._with_singular(rng)
+        lam_values = (1e-20, 0.5)
+        want = ridge_batch(stacked, lam_values, cholesky=cholesky)
+        assert stacked.count.size <= gram_mod._STANDARDIZE_CHUNK_BYTES // (8 * 2 * 2)
+        monkeypatch.setattr(gram_mod, "_STANDARDIZE_CHUNK_BYTES", chunk * 8 * 2 * 2)
+        got = ridge_batch(stacked, lam_values, cholesky=cholesky)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_failed_factorization_is_standardized_once(self, rng, monkeypatch):
+        # the eigendecomposition solves a failed system from the chunk's
+        # block, so every system is standardized exactly once
+        stacked = self._with_singular(rng)
+        standardized, solved = [], []
+        block_of = gram_mod._standardized_block
+        eigh_of = gram_mod._eigh_solves
+
+        def spy_block(xtx, *args, **kwargs):
+            standardized.append(len(xtx))
+            return block_of(xtx, *args, **kwargs)
+
+        def spy_eigh(block, b, lam_values):
+            solved.append(block.copy())
+            return eigh_of(block, b, lam_values)
+
+        monkeypatch.setattr(gram_mod, "_standardized_block", spy_block)
+        monkeypatch.setattr(gram_mod, "_eigh_solves", spy_eigh)
+        coefs, sse, edf = ridge_batch(stacked, (1e-20,), cholesky=True, want_edf=False)
+        assert standardized == [5]
+        assert len(solved) == 1 and solved[0].shape == (1, 2, 2)
+        assert np.array_equal(solved[0][0], np.full((2, 2), 16.0))
+        # the fallen-back system has its df, the others skipped it
+        assert np.isnan(edf[0]).tolist() == [True, True, False, True, True]
 
 
 def sse_of(g, beta):

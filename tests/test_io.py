@@ -472,6 +472,44 @@ class TestTreeJsonValidation:
         with pytest.raises(DataError, match="malformed"):
             tree_from_json(doc)
 
+    @staticmethod
+    def _categorical_root(doc, categories):
+        """The document with its root split on c1, sending ``categories`` left."""
+        doc["nodes"][0]["split"] = {"feature": "c1", "categories": categories}
+        return doc
+
+    def test_categorical_split_loads(self, doc):
+        levels = doc["design"]["levels"]["c1"]
+        art = tree_from_json(self._categorical_root(doc, levels[:2]))
+        assert art.root.split.categories == tuple(levels[:2])
+
+    @pytest.mark.parametrize("tamper", ["empty", "repeated", "unknown"])
+    def test_bad_split_categories_rejected(self, doc, tamper):
+        # each would route rows silently: an unknown level sends none of
+        # its own left, and nothing is left to send for an empty list
+        levels = doc["design"]["levels"]["c1"]
+        categories = {"empty": [], "repeated": [levels[0], levels[0]],
+                      "unknown": [levels[0], "no such level"]}[tamper]
+        with pytest.raises(DataError, match="node 0: split categories .* are not distinct levels"):
+            tree_from_json(self._categorical_root(doc, categories))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, doc, value):
+        node = next(nd for nd in doc["nodes"]
+                    if nd["split"] is not None and "threshold" in nd["split"])
+        node["split"]["threshold"] = value
+        with pytest.raises(DataError, match="split threshold .* is not finite"):
+            tree_from_json(doc)
+
+    @pytest.mark.parametrize("value", [None, float("nan"), float("inf")])
+    def test_effect_means_must_be_finite(self, doc, value):
+        if value is None:
+            doc["nodes"][1]["effect_means"] = None
+        else:
+            doc["nodes"][1]["effect_means"][0] = value
+        with pytest.raises(DataError, match="node 1: effect_means must have one entry per block"):
+            tree_from_json(doc)
+
     def test_non_finite_coefficient_rejected(self, doc):
         doc["nodes"][0]["coefficients"][1] = float("nan")
         with pytest.raises(DataError, match="finite"):

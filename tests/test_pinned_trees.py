@@ -1,8 +1,10 @@
 """Grown tree structure pinned to recorded values.
 
 Small trees on a narrow design with 6- and 14-level categoricals (the
-exhaustive subset search and the ordered scan), grown with bounded GCV
-scoring at lambda 1e-3, a lambda grid, plain SSE and two threads.  Their
+exhaustive subset search and the ordered scan), grown with GCV scoring at
+lambda 1e-3, a lambda grid, plain SSE and two threads, all of which the
+sweep solves by Cholesky, and at lambda 0 and a six-value grid, which it
+solves by eigendecomposition.  Their
 split features, thresholds, category subsets and node counts must match
 the values below exactly; the node coefficients, which BLAS rounding may
 move, match at rtol 1e-8 through each node's coefficient norm.  The design
@@ -44,6 +46,8 @@ SETTINGS = {
     "grid": dict(lam=(1e-3, 0.05, 2.0)),
     "sse": dict(lam=1e-3, loss="sse"),
     "threads": dict(lam=1e-3, threads=2),
+    "zero": dict(lam=0.0),
+    "grid6": dict(lam=tuple(np.geomspace(1e-3, 5.0, 6))),
 }
 
 # per setting: node count, (node id, feature, threshold or left categories)
@@ -119,6 +123,42 @@ PINNED = {
             27.009855808927615, 42.42391392071914, 56.29904882443696, 22.826248294931442,
             19.918412985051393, 29.89460416505419, 28.181787065092983, 23.931431413234304,
             11.392648107842357, 55.48510246959421, 56.775852527384856,
+        ],
+    ),
+    "zero": (
+        15,
+        [
+            (0, "x3", -0.2698287512460592),
+            (1, "x3", -0.5182481395308077),
+            (2, "x3", 0.4678995088921384),
+            (3, "x2", 0.23194691474224682),
+            (4, "x2", 0.23194691474224682),
+            (5, "c14", ("b00", "b03", "b06", "b09", "b12")),
+            (6, "c6", ("a0", "a2", "a3", "a5")),
+        ],
+        [
+            37.687239034690336, 21.855037625548043, 50.128769065205475, 19.56618865779493,
+            27.01063736335602, 42.424183057984386, 56.29973488197354, 22.826619221035845,
+            19.91907033491574, 29.895594538911798, 28.185510477834196, 23.93146852179831,
+            11.392660445394512, 55.48609813030212, 56.777963657918214,
+        ],
+    ),
+    "grid6": (
+        15,
+        [
+            (0, "x3", -0.2698287512460592),
+            (1, "c14", ("b00", "b03", "b06", "b09", "b12")),
+            (2, "x3", 0.4678995088921384),
+            (3, "x2", 0.23194691474224682),
+            (4, "x2", 0.4858590377316857),
+            (5, "c14", ("b00", "b03", "b06", "b09", "b12")),
+            (6, "c6", ("a0", "a2", "a3", "a5")),
+        ],
+        [
+            37.66713149282616, 21.821660627444384, 50.09599195760209, 4.5521977688710535,
+            10.979504276263592, 42.416065438251245, 56.27904877616074, 11.84197787503065,
+            6.001038045875925, 12.886662212548641, 10.442980202079822, 23.748786534232924,
+            11.331631284367528, 55.45608348381176, 56.7663707163381,
         ],
     ),
 }

@@ -764,16 +764,17 @@ def _singular_left_sides():
 class TestSweepWorkspace:
     """The reused sweep buffers give the gains of fresh-array arithmetic.
 
-    Where the sweep bounds the GCV df, it scores only the candidates that
-    can still win and gives the others gain -inf: every candidate it scored
-    has the fresh gain, bit for bit, and every one it skipped has a fresh
-    gain strictly below the fresh winner's.
+    The sweep scores only the candidates that can still win and gives the
+    others gain -inf: every candidate it scored has the fresh gain, bit for
+    bit, and every one it skipped has a fresh gain strictly below the fresh
+    winner's.
     """
 
     GRIDS = {
         "scalar": 1e-3,
         "grid3": (1e-3, 0.05, 2.0),  # Cholesky, one factorization per value
         "grid6": tuple(np.geomspace(1e-3, 5.0, 6)),  # eigendecomposition
+        "zero": 0.0,  # eigendecomposition, pseudo-inverse
     }
 
     @staticmethod
@@ -819,32 +820,39 @@ class TestSweepWorkspace:
         inner = gram_mod._cholesky_solves
 
         def spy(*args):
-            out = inner(*args)
-            failures.append(int(out[2].sum()))
-            return out
+            failed = inner(*args)
+            failures.append(len(failed))
+            return failed
 
         monkeypatch.setattr(gram_mod, "_cholesky_solves", spy)
         node_gram, bins = _singular_left_sides()
         config = GrowConfig(lam=1e-20, loss=loss)
         self._check(node_gram, bins, config, 8, swept_gains)
         # each of the two sweeps solves the left sides, then the right sides,
-        # twice when the df is bounded (every side for its SSE, then the
-        # scored ones with their df); in every pass some left sides fall back
-        # to the eigendecomposition, no right side
-        passes = 2 if tree_mod._df_bounded(config.lam_values, loss) else 1
-        assert len(failures) == 2 * 2 * passes
-        assert failures[: 2 * passes] == failures[2 * passes :]
+        # twice (every side for its SSE, then the scored ones exactly; each
+        # stack is one chunk); in every pass some left sides fall back to the
+        # eigendecomposition, no right side
+        assert len(failures) == 2 * 2 * 2
+        assert failures[:4] == failures[4:]
         assert all(failures[0::2]) and not any(failures[1::2])
 
     def test_warm_workspace_allocates_no_candidate_stack(self, swept_gains):
-        # 151 columns, as in the C5 fit: the Cholesky route standardizes
-        # one candidate at a time, so a candidate stack is many blocks
+        # 151 columns, as in the C5 fit: the solver standardizes one
+        # candidate at a time, so a candidate stack is many blocks
+        self._assert_no_warm_stack(swept_gains, 1e-3)
+
+    def test_eigh_route_allocates_no_candidate_stack(self, swept_gains):
+        # lambda = 0 takes the eigendecomposition, chunked alike
+        self._assert_no_warm_stack(swept_gains, 0.0)
+
+    @staticmethod
+    def _assert_no_warm_stack(swept_gains, lam):
         rng = np.random.default_rng(12)
         ds = make_dataset(rng, 3000, continuous=3)
         spec = build_spec(ds, num_knots=50)
         assert spec.total_columns == 151
         node_gram, bins = _node_bins(ds, spec, 40)
-        config = GrowConfig(num_bins=40)
+        config = GrowConfig(num_bins=40, lam=lam)
         node_model = fit_node(node_gram, config.lam)
         min_leaf = spec.total_columns
         ws = tree_mod._Workspace()
@@ -867,51 +875,59 @@ class TestSweepWorkspace:
 
 
 class TestBoundedScoring:
-    """The sweep takes a df only for the candidates that can still win.
+    """The sweep scores exactly only the candidates that can still win.
 
-    Where the Cholesky route would take a df, every candidate side is first
-    bounded from its SSEs alone (:func:`tree._child_loss_bounds`), and only
-    the candidates whose lower bound reaches the node's best upper bound
-    are scored exactly.  The winner and its gain must be those of scoring
-    every candidate.
+    Under every loss and lambda grid, every candidate side is first bounded
+    (:func:`tree._child_loss_bounds`: from its SSEs alone where the
+    Cholesky route skips the df, by the exact loss where the solve gives
+    it), and only the candidates whose lower bound reaches the node's best
+    upper bound are scored exactly.  The winner and its gain must be those
+    of scoring every candidate.
     """
 
+    LAMS = [1e-3, (1e-3, 0.05, 2.0), 0.0, tuple(np.geomspace(1e-3, 5.0, 6))]
+    LAM_IDS = ["scalar", "grid3", "zero", "grid6"]
+
     @staticmethod
-    def _every_candidate_winner(node_gram, bins, config, min_leaf):
-        """The winner of a test-local evaluation of every candidate."""
+    def _every_candidate_split(node_gram, bins, config, min_leaf):
+        """The winner of a test-local evaluation of every candidate
+        (:func:`_fresh_sweep`), its children refitted and its gain."""
         parent_loss = _node_split_loss(fit_node(node_gram, config.lam), config.loss)
         candidates, gains = [], []
         for fb in bins:
             keys, feature_gains = _fresh_sweep(fb, node_gram, parent_loss, config, min_leaf)
-            candidates += [(fb.feature, key) for key in keys]
+            candidates += [(fb, key) for key in keys]
             gains.append(feature_gains)
-        feature, (kind, value) = candidates[int(np.argmax(np.concatenate(gains)))]
-        return tree_mod.SplitCandidate(feature, **{kind: value})
+        fb, (kind, value) = candidates[int(np.argmax(np.concatenate(gains)))]
+        if kind == "threshold":
+            left_bins = range(int(np.flatnonzero(fb.edges == value)[0]) + 1)
+        else:
+            left_bins = value
+            value = tuple(fb.levels[k] for k in value)
+        left = gram_mod.bin_sum(fb.stats, left_bins)
+        models = fit_node(left, config.lam), fit_node(gram_subtract(node_gram, left), config.lam)
+        gain = parent_loss - sum(_node_split_loss(model, config.loss) for model in models)
+        return tree_mod.SplitCandidate(fb.feature, **{kind: value}), models, gain
 
     @staticmethod
-    def _assert_same_winner(node_gram, bins, config, min_leaf, monkeypatch, swept_gains):
-        want = TestBoundedScoring._every_candidate_winner(node_gram, bins, config, min_leaf)
-        node_model = fit_node(node_gram, config.lam)
+    def _assert_same_winner(node_gram, bins, config, min_leaf, swept_gains):
+        want, models, gain = TestBoundedScoring._every_candidate_split(
+            node_gram, bins, config, min_leaf
+        )
         swept_gains.clear()
-        found = best_split(node_gram, node_model, bins, config, min_leaf)
+        found = best_split(node_gram, fit_node(node_gram, config.lam), bins, config, min_leaf)
         skipped = int(np.sum(np.concatenate(swept_gains) == -np.inf))
-        with monkeypatch.context() as patch:  # the same sweep, every candidate scored
-            patch.setattr(tree_mod, "_df_bounded", lambda *args: False)
-            every = best_split(node_gram, node_model, bins, config, min_leaf)
-        assert found.candidate == every.candidate == want
-        assert found.gain == every.gain
-        for got, ref in ((found.left_model, every.left_model),
-                         (found.right_model, every.right_model)):
+        assert found.candidate == want
+        assert found.gain == gain
+        for got, ref in zip((found.left_model, found.right_model), models):
             assert np.array_equal(got.coefficients, ref.coefficients)
         return skipped
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("levels", [5, 14])
     @pytest.mark.parametrize("loss", ["gcv", "sse"])
-    @pytest.mark.parametrize("lam", [1e-3, (1e-3, 0.05, 2.0)], ids=["scalar", "grid3"])
-    def test_winner_matches_every_candidate(
-        self, monkeypatch, swept_gains, lam, loss, levels, threads
-    ):
+    @pytest.mark.parametrize("lam", LAMS, ids=LAM_IDS)
+    def test_winner_matches_every_candidate(self, swept_gains, lam, loss, levels, threads):
         # 5 levels take exhaustive subsets, 14 the ordered scan
         rng = np.random.default_rng(31)
         ds = make_dataset(rng, 1400, continuous=2, categorical=1, levels=levels)
@@ -919,16 +935,16 @@ class TestBoundedScoring:
         node_gram, bins = _node_bins(ds, spec, 16)
         config = GrowConfig(lam=lam, loss=loss, num_bins=16, threads=threads)
         skipped = self._assert_same_winner(
-            node_gram, bins, config, spec.total_columns, monkeypatch, swept_gains
+            node_gram, bins, config, spec.total_columns, swept_gains
         )
-        # plain SSE at one lambda needs no df, so nothing is bounded there
-        assert (skipped > 0) == tree_mod._df_bounded(config.lam_values, loss)
+        # every loss and grid is bounded, so some candidates are skipped
+        assert skipped > 0
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("loss", ["gcv", "sse"])
-    @pytest.mark.parametrize("lam", [1e-3, (1e-3, 0.05, 2.0)], ids=["scalar", "grid3"])
+    @pytest.mark.parametrize("lam", LAMS, ids=LAM_IDS)
     def test_winner_matches_on_a_node_of_twice_the_width(
-        self, monkeypatch, swept_gains, lam, loss, threads
+        self, swept_gains, lam, loss, threads
     ):
         # n = 2m + 6 rows and leaves of at least m: every side has between m
         # and m + 6 rows, so the upper bounds are infinite or far above the
@@ -941,7 +957,7 @@ class TestBoundedScoring:
         assert spec.total_columns == m
         node_gram, bins = _node_bins(ds, spec, 16)
         config = GrowConfig(lam=lam, loss=loss, num_bins=16, threads=threads)
-        self._assert_same_winner(node_gram, bins, config, m, monkeypatch, swept_gains)
+        self._assert_same_winner(node_gram, bins, config, m, swept_gains)
 
     def test_shared_bound_ends_alike_across_threads(self, monkeypatch):
         # worker threads lower one bound; it ends at the smallest of every
@@ -981,12 +997,10 @@ class TestBoundedScoring:
         exact = _batch_child_losses(stacked, lam_values, loss)
         assert np.all(lower <= exact * (1 + 1e-12))
         assert np.all(exact <= upper * (1 + 1e-12))
-        return lower, upper
+        return lower, upper, exact
 
-    BOUNDED = [((1e-3,), "gcv"), ((1e-3, 0.05, 2.0), "gcv"), ((1e-3, 0.05, 2.0), "sse")]
-
-    @pytest.mark.parametrize("lam,loss", BOUNDED)
-    def test_bounds_hold_on_random_stacks(self, lam, loss):
+    @staticmethod
+    def _random_stack():
         rng = np.random.default_rng(21)
         m = 6
         grams = []
@@ -996,9 +1010,29 @@ class TestBoundedScoring:
             grams.append(gram_accumulate(X, y))
         X[:, 3] = 0.5  # a column constant within the side adds no df
         grams.append(gram_accumulate(X, y))
-        _, upper = self._assert_bounds_hold(grams, lam, loss)
+        return grams
+
+    BOUNDED = [((1e-3,), "gcv"), ((1e-3, 0.05, 2.0), "gcv"), ((1e-3, 0.05, 2.0), "sse")]
+
+    @pytest.mark.parametrize("lam,loss", BOUNDED)
+    def test_bounds_hold_on_random_stacks(self, lam, loss):
+        _, upper, _ = self._assert_bounds_hold(self._random_stack(), lam, loss)
         # the df may saturate a side of at most m rows
         assert np.isinf(upper[:2]).all() and np.isfinite(upper[2:]).all()
+
+    EXACT = [
+        ((1e-3,), "sse"),  # needs no df
+        ((0.0,), "gcv"), ((0.0, 0.1), "sse"),  # eigendecomposition: a zero weight
+        (tuple(np.geomspace(1e-3, 5.0, 6)), "gcv"),  # eigendecomposition: a long grid
+        (tuple(np.geomspace(1e-3, 5.0, 6)), "sse"),
+    ]
+
+    @pytest.mark.parametrize("lam,loss", EXACT)
+    def test_bounds_are_the_loss_where_it_is_known(self, lam, loss):
+        # where the solve gives the df anyway, or the loss needs none, loose
+        # bounds would only send candidates back through the solver
+        lower, upper, exact = self._assert_bounds_hold(self._random_stack(), lam, loss)
+        assert np.array_equal(lower, exact) and np.array_equal(upper, exact)
 
     @pytest.mark.parametrize("lam,loss", [
         ((1e-20,), "gcv"), ((1e-20, 0.1), "gcv"), ((1e-20, 0.1), "sse"),
@@ -1017,8 +1051,11 @@ class TestBoundedScoring:
             )
             for _ in range(2)
         ]
-        self._assert_bounds_hold([regular[0], singular, regular[1]], lam, loss)
+        grams = [regular[0], singular, regular[1]]
+        lower, upper, exact = self._assert_bounds_hold(grams, lam, loss)
         assert eigh_calls[0] == (1, 2, 2)  # the bounds' own solve fell back
+        # and took the df with it, so the fallen-back side is bounded exactly
+        assert lower[1] == upper[1] == exact[1]
 
     def test_c5_shaped_root_sweep_takes_few_dfs(self, monkeypatch, swept_gains):
         # f2's ten features on 15-knot splines (151 columns) and 50 bins, as
@@ -1048,9 +1085,9 @@ class TestBoundedScoring:
         # the 2047 subsets of 12 levels, so the sweep scores them in two
         # batches.  The levels in ``alike`` act alike, so the best subset is
         # theirs: (0, 6, ..., 11) comes late in canonical order, in the
-        # second batch, and (0, 1, ..., 5) early, in the first.  The early one
-        # is scored by plain SSE, unbounded, so the second batch's gains are
-        # finite too and only the carried best keeps the first batch's winner
+        # second batch, and (0, 1, ..., 5) early, in the first, where only
+        # the carried best keeps the first batch's winner.  Either way the
+        # node's bound leaves some candidates of the second batch unscored
         cases = (((0, 6, 7, 8, 9, 10, 11), 1, "gcv"), ((0, 1, 2, 3, 4, 5), 0, "sse"))
         for alike, batch, loss in cases:
             rng = np.random.default_rng(51)
@@ -1067,8 +1104,6 @@ class TestBoundedScoring:
             node_gram, bins = _node_bins(ds, spec, 8)
             fb = bins[-1]
             config = GrowConfig(num_bins=8, loss=loss)
-            bound = tree_mod._LossBound() if tree_mod._df_bounded(config.lam_values, loss) else None
-            assert (bound is None) == (loss == "sse")
             parent_loss = _node_split_loss(fit_node(node_gram, config.lam), config.loss)
             keys, want = _fresh_sweep(fb, node_gram, parent_loss, config, m)
             chunk = (1 << 22) // m**2
@@ -1076,9 +1111,9 @@ class TestBoundedScoring:
             assert len(keys) == 2047 > chunk and best // chunk == batch
             swept_gains.clear()
             found = tree_mod._sweep_feature(fb, node_gram, parent_loss, config, m,
-                                            tree_mod._Workspace(), bound)
+                                            tree_mod._Workspace(), tree_mod._LossBound())
             assert [gains.size for gains in swept_gains] == [chunk, 2047 - chunk]
-            assert np.isfinite(swept_gains[1]).all() == (bound is None)
+            assert not np.isfinite(swept_gains[1]).all()
             assert found.gain == want[best]
             assert found.left_bin_indices == keys[best][1] == alike
             assert found.candidate.categories == tuple(f"g{j:02d}" for j in alike)
@@ -1216,6 +1251,36 @@ class TestStreamedSearch:
         scratch = sum(buf.nbytes for w in [ws] + ws._workers for buf in w._arrays.values())
         assert len(streamed) > 2 * threads
         assert peak <= scratch + threads * 2 * one
+
+    def test_pool_is_capped_at_the_feature_count(self, monkeypatch):
+        # a thread count far above the feature count makes no more workers
+        # or workspaces than there are features to search
+        asked, pools = [], []
+        workers = tree_mod._Workspace.workers
+
+        def spy(self, count):
+            asked.append(count)
+            return workers(self, count)
+
+        class Pool(tree_mod.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(tree_mod._Workspace, "workers", spy)
+        monkeypatch.setattr(tree_mod, "ThreadPoolExecutor", Pool)
+        rng = np.random.default_rng(13)
+        ds = make_dataset(rng, 600, continuous=3)
+        spec = build_spec(ds, num_knots=3)
+        node_gram, bins = _node_bins(ds, spec, 8)
+        assert len(bins) == 3
+        found = [
+            best_split(node_gram, fit_node(node_gram, 1e-3), bins,
+                       GrowConfig(num_bins=8, threads=threads), spec.total_columns)
+            for threads in (64, 1)
+        ]
+        assert asked == [3] and pools == [3]
+        _assert_same_children(*found)
 
 
 class TestGrow:
