@@ -33,7 +33,7 @@ class UnseenCategoryWarning(UserWarning):
 
 @dataclass(frozen=True)
 class KnotVector:
-    """Strictly increasing knots spanning a feature's training range."""
+    """Finite, strictly increasing knots spanning a feature's training range."""
 
     feature: str
     knots: np.ndarray
@@ -42,8 +42,10 @@ class KnotVector:
         k = np.asarray(self.knots, dtype=np.float64)
         if k.ndim != 1 or k.size < 2:
             raise ValueError("need at least two knots")
-        if np.any(np.diff(k) <= 0):
-            raise ValueError("knots must be strictly increasing")
+        if not (np.isfinite(k).all() and np.all(np.diff(k) > 0)):
+            raise ValueError(
+                f"knots of {self.feature!r} must be finite and strictly increasing"
+            )
         object.__setattr__(self, "knots", k)
 
     def __len__(self) -> int:

@@ -17,13 +17,14 @@ from . import basis, diagnostics, io, simdata, tree
 from .errors import DataError, NumericalError, SplineTreeError
 
 
-def _add_data_arguments(parser):
+def _add_data_arguments(parser, *, schema):
     parser.add_argument("--data", required=True, help="dataset CSV")
     parser.add_argument("--response", help="surrogate response column (default from model)")
     parser.add_argument("--original", help="original response column for accuracy metrics")
-    parser.add_argument("--categorical", action="append", default=[],
-                        help="categorical column (repeatable)")
-    parser.add_argument("--features", help="comma-separated model features (default: all)")
+    if schema:  # evaluate takes its columns from the model
+        parser.add_argument("--categorical", action="append", default=[],
+                            help="categorical column (repeatable)")
+        parser.add_argument("--features", help="comma-separated model features (default: all)")
     parser.add_argument("--transform", choices=["identity", "logit"], default=None,
                         help="response transform applied on load")
 
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit", help="grow, prune, and save a tree")
-    _add_data_arguments(p)
+    _add_data_arguments(p, schema=True)
     p.add_argument("--out", required=True, help="output tree JSON")
     p.add_argument("--config", help="flat key=value defaults file")
     p.add_argument("--knots", type=int, default=None)
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="fidelity/accuracy metrics on a dataset")
     p.add_argument("--model", required=True)
-    _add_data_arguments(p)
+    _add_data_arguments(p, schema=False)
     p.add_argument("--task", choices=["continuous", "binary"], default=None)
 
     p = sub.add_parser("diagnose", help="write importance/contribution/curve CSVs")
@@ -113,85 +114,65 @@ def _parse_lambda(text):
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
-_KINDS = {int: "an integer", float: "a number", str: "text",
+_KINDS = {int: "an integer", float: "a number",
           _parse_lambda: "a number or comma-separated numbers"}
+
+# One row per RunConfig field that a fit flag or config key sets: the field
+# (also the flag's argparse dest), the key (the flag is "--" plus the key
+# with dashes), the parser and the rule the parsed value must meet.
+_OPTIONS = (
+    ("knots", "knots", int, "at least 2", lambda v: v >= 2),
+    ("num_bins", "num_bins", int, "at least 2", lambda v: v >= 2),
+    ("max_depth", "max_depth", int, "nonnegative", lambda v: v >= 0),
+    ("min_samples_leaf", "min_samples_leaf", int, "positive", lambda v: v >= 1),
+    ("lam", "lambda", _parse_lambda, "finite and nonnegative",
+     lambda v: all(0 <= x < np.inf for x in np.atleast_1d(v))),
+    ("loss", "loss", str, "'gcv' or 'sse'", lambda v: v in ("gcv", "sse")),
+    ("r2_threshold", "r2_threshold", float, "in [0, 1]", lambda v: 0 <= v <= 1),
+    ("dsse_fraction", "dsse_fraction", float, "in [0, 1]", lambda v: 0 <= v <= 1),
+    ("lambda1", "lambda1", float, "finite and nonnegative", lambda v: 0 <= v < np.inf),
+    ("seed", "seed", int, "nonnegative", lambda v: v >= 0),
+    ("transform", "transform", str, "'identity' or 'logit'",
+     lambda v: v in ("identity", "logit")),
+    ("test_fraction", "test_fraction", float, "in [0, 1)", lambda v: 0 <= v < 1),
+    ("threads", "threads", int, "at least 1", lambda v: v >= 1),
+)
 
 
 def _config_from_args(args) -> io.RunConfig:
     """The fit's run configuration from flags over ``--config`` values.
 
-    Raises ``_UsageError`` naming the flag or config key of the first value
-    that does not parse or lies outside its domain, or the first config key
-    that names no option.
+    Options a flag or config key leaves unset keep ``io.RunConfig``'s
+    defaults.  Raises ``_UsageError`` naming the first config key that names
+    no option, or else the flag or config key of the first value, in table
+    order, that does not parse or lies outside its domain.
     """
-    defaults = io.read_config(args.config) if args.config else {}
-    sources: dict[str, str] = {}
-    known = {"categorical"}
-
-    def pick(flag, key, cast, fallback):
-        known.add(key)
-        if flag is not None:
-            source, raw = "--" + key.replace("_", "-"), flag
-        elif key in defaults:
-            source, raw = f"{key} in {args.config}", defaults[key]
-        else:
-            return fallback
-        sources[key] = source
-        try:
-            return cast(raw)
-        except ValueError:
-            raise _UsageError(f"{source} must be {_KINDS[cast]}, got {raw!r}") from None
-
-    def require(ok, key, rule, value):
-        if not ok:
-            raise _UsageError(f"{sources[key]} must be {rule}, got {value!r}")
-
-    features = pick(args.features, "features", str, None)
-    if isinstance(features, str):
-        features = tuple(v.strip() for v in features.split(",") if v.strip())
-    categorical = tuple(args.categorical) or tuple(
-        v.strip() for v in defaults.get("categorical", "").split(",") if v.strip()
-    )
-    config = io.RunConfig(
-        features=features,
-        categorical=categorical,
-        knots=pick(args.knots, "knots", int, 15),
-        num_bins=pick(args.num_bins, "num_bins", int, 50),
-        max_depth=pick(args.max_depth, "max_depth", int, 5),
-        min_samples_leaf=pick(args.min_samples_leaf, "min_samples_leaf", int, None),
-        lam=pick(args.lam, "lambda", _parse_lambda, 1e-3),
-        loss=pick(args.loss, "loss", str, "gcv"),
-        r2_threshold=pick(args.r2_threshold, "r2_threshold", float, 0.99),
-        dsse_fraction=pick(args.dsse_fraction, "dsse_fraction", float, 0.02),
-        lambda1=pick(args.lambda1, "lambda1", float, None),
-        seed=pick(args.seed, "seed", int, 0),
-        transform=pick(args.transform, "transform", str, "identity"),
-        test_fraction=pick(args.test_fraction, "test_fraction", float, 1 / 3),
-        threads=pick(args.threads, "threads", int, 1),
-    )
-    unknown = [key for key in defaults if key not in known]
+    given = io.read_config(args.config) if args.config else {}
+    known = {row[1] for row in _OPTIONS} | {"features", "categorical"}
+    unknown = [key for key in given if key not in known]
     if unknown:
         raise _UsageError(f"unknown key {unknown[0]!r} in {args.config}")
-    c = config
-    lam_values = np.atleast_1d(c.lam)
-    require(c.knots >= 2, "knots", "at least 2", c.knots)
-    require(c.num_bins >= 2, "num_bins", "at least 2", c.num_bins)
-    require(c.max_depth >= 0, "max_depth", "nonnegative", c.max_depth)
-    require(c.min_samples_leaf is None or c.min_samples_leaf >= 1,
-            "min_samples_leaf", "positive", c.min_samples_leaf)
-    require(bool(np.all(np.isfinite(lam_values) & (lam_values >= 0))),
-            "lambda", "finite and nonnegative", c.lam)
-    require(c.loss in ("gcv", "sse"), "loss", "'gcv' or 'sse'", c.loss)
-    require(0 <= c.r2_threshold <= 1, "r2_threshold", "in [0, 1]", c.r2_threshold)
-    require(0 <= c.dsse_fraction <= 1, "dsse_fraction", "in [0, 1]", c.dsse_fraction)
-    require(c.lambda1 is None or 0 <= c.lambda1 < np.inf,
-            "lambda1", "finite and nonnegative", c.lambda1)
-    require(c.seed >= 0, "seed", "nonnegative", c.seed)
-    require(c.transform in ("identity", "logit"), "transform",
-            "'identity' or 'logit'", c.transform)
-    require(0 <= c.test_fraction < 1, "test_fraction", "in [0, 1)", c.test_fraction)
-    require(c.threads >= 1, "threads", "at least 1", c.threads)
-    return config
+    values = {}
+    for field, key, parse, rule, ok in _OPTIONS:
+        if getattr(args, field) is not None:
+            source, raw = "--" + key.replace("_", "-"), getattr(args, field)
+        elif key in given:
+            source, raw = f"{key} in {args.config}", given[key]
+        else:
+            continue
+        try:
+            values[field] = parse(raw)
+        except ValueError:
+            raise _UsageError(f"{source} must be {_KINDS[parse]}, got {raw!r}") from None
+        if not ok(values[field]):
+            raise _UsageError(f"{source} must be {rule}, got {values[field]!r}")
+    features = given.get("features") if args.features is None else args.features
+    if features is not None:
+        values["features"] = tuple(v.strip() for v in features.split(",") if v.strip())
+    values["categorical"] = tuple(args.categorical) or tuple(
+        v.strip() for v in given.get("categorical", "").split(",") if v.strip()
+    )
+    return io.RunConfig(**values)
 
 
 def _load_fit_dataset(args, config: io.RunConfig, response: str):

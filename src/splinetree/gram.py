@@ -1,7 +1,10 @@
 """Gram-statistic accumulation and penalized least-squares solving.
 
-Every node model in the tree is fitted from the sufficient statistics
-(X'X, X'y, y'y, n) of its member rows, never from the raw rows themselves.
+Every ridge node model in the tree is fitted from the sufficient
+statistics (X'X, X'y, y'y, n) of its member rows, never from the raw rows
+themselves.  The optional L1 refit of the leaves (``tree.refit_l1``) is
+not: ``tree._lasso_cd`` standardizes each leaf's rows itself (moving it
+onto the leaf grams is ROADMAP item 5).
 The statistics are additive, so child-node systems during split search are
 obtained by summing per-bin statistics and subtracting from the parent.
 :class:`GramStats` is the one format of the statistics, for one row set or
@@ -46,9 +49,14 @@ _CONSTANT_COLUMN_RTOL = 1e-12
 
 # Longest lambda grid the Cholesky route solves.  It pays one
 # factorization per candidate and grid value, against one
-# eigendecomposition per candidate for the whole grid; with GCV on 150- and
-# 29-column blocks the eigendecomposition is the cheaper from six values.
-_CHOLESKY_GRID_LIMIT = 4
+# eigendecomposition per candidate for the whole grid; since the sweep
+# bounds its candidates it takes no triangular inverse for most of them.
+# GCV grows of f2 (20k rows, 50 bins, grid geomspace(1e-3, 5, k), one BLAS
+# thread, paired runs on a 2-core Xeon; Cholesky vs eigh medians, identical
+# trees): at 81 columns and depth 3, 4.51 vs 5.33 s at k = 8, 4.49 vs 5.00
+# at 10, 4.86 vs 5.42 at 12 and 7.48 vs 5.69 at 16; at 151 columns and
+# depth 2, 6.18 vs 7.51, 5.91 vs 7.27, 6.86 vs 7.22 and 10.06 vs 9.12.
+_CHOLESKY_GRID_LIMIT = 12
 
 # ridge_batch standardizes its systems a chunk of about this many bytes at
 # a time: one 150-column block, or a few dozen 29-column ones, so the chunk

@@ -65,8 +65,7 @@ class SurrogateDataset:
                 raise DataError("auxiliary column length differs from response")
         if self.original is not None:
             _require_finite(self.original, "original response column")
-        if not np.all(np.isfinite(self.response)):
-            raise DataError("surrogate response contains non-finite values")
+        _require_finite(self.response, "surrogate response")
 
     @property
     def n(self) -> int:
@@ -83,37 +82,42 @@ class SurrogateDataset:
         )
 
 
-def _require_finite(values, column: str) -> None:
-    """Raise ``DataError`` naming the column and its first non-finite rows."""
-    if np.isfinite(values).all():
+def _require_finite(values, column: str, unit: bool = False) -> None:
+    """Raise ``DataError`` naming the column and its first non-finite rows,
+    or with ``unit``, its first rows outside [0, 1]."""
+    ok = (values >= 0) & (values <= 1) if unit else np.isfinite(values)
+    if ok.all():
         return
-    bad = np.flatnonzero(~np.isfinite(values))
+    bad = np.flatnonzero(~ok)
     shown = ", ".join(str(i) for i in bad[:5])
     more = f" and {bad.size - 5} more" if bad.size > 5 else ""
-    raise DataError(
-        f"{column} has non-finite values at rows {shown}{more} (0-based data rows)"
-    )
+    what = "values outside [0, 1]" if unit else "non-finite values"
+    raise DataError(f"{column} has {what} at rows {shown}{more} (0-based data rows)")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full parameter set for one fit run; flat and file/flag mappable."""
+    """Full parameter set for one fit run; flat and file/flag mappable.
+
+    Its defaults are ``splinetree fit``'s; the grow fields take theirs from
+    :class:`~splinetree.tree.GrowConfig`.
+    """
 
     features: tuple[str, ...] | None = None  # None = every non-reserved column
     categorical: tuple[str, ...] = ()
     knots: int = 15
-    num_bins: int = 50
-    max_depth: int = 5
-    min_samples_leaf: int | None = None
-    lam: float | tuple = 1e-3
-    loss: str = "gcv"
+    num_bins: int = GrowConfig.num_bins
+    max_depth: int = GrowConfig.max_depth
+    min_samples_leaf: int | None = GrowConfig.min_samples_leaf
+    lam: float | tuple = GrowConfig.lam
+    loss: str = GrowConfig.loss
     r2_threshold: float = 0.99
     dsse_fraction: float = 0.02
     lambda1: float | None = None
     seed: int = 0
     transform: str = "identity"  # applied to the response column on load
     test_fraction: float = 1 / 3
-    threads: int = 1
+    threads: int = GrowConfig.threads
 
     def grow_config(self) -> GrowConfig:
         return GrowConfig(
@@ -166,8 +170,8 @@ def load_csv(
     NUL character in a categorical or tag cell.  A row too short for the
     columns read is rejected with its file line number; unparseable
     numeric cells are collected and reported with theirs.
-    ``transform="logit"`` maps the response p through log(p/(1-p)) with
-    clamping.
+    The response must be finite; ``transform="logit"`` also requires it in
+    [0, 1] and maps it through log(p/(1-p)), clamping 0 and 1.
     """
     if transform not in ("identity", "logit"):
         raise DataError(f"unknown response transform {transform!r}")
@@ -235,7 +239,9 @@ def load_csv(
         resp = np.zeros(len(rows))
     else:
         resp = parsed[response]
+        _require_finite(resp, f"response column {response!r}")
         if transform == "logit":
+            _require_finite(resp, f"response column {response!r}", unit=True)
             resp = logit(resp)
     return SurrogateDataset(
         features=features,

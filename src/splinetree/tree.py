@@ -182,9 +182,11 @@ class GrowConfig:
     ``lam`` is the ridge weight; a sequence is treated as a small grid
     selected per fit by GCV (a node fit reuses one eigendecomposition
     across the grid; the split sweep factors each candidate once per
-    value of a short positive grid).  ``loss`` selects the split-search
-    metric: "gcv" compares degrees-of-freedom-penalized SSE, "sse" plain
-    SSE, each taken at the grid value GCV selects for the candidate.
+    value of a positive grid of up to twelve values, and takes one
+    eigendecomposition for a longer one).  ``loss`` selects the
+    split-search metric: "gcv" compares degrees-of-freedom-penalized SSE,
+    "sse" plain SSE, each taken at the grid value GCV selects for the
+    candidate.  The defaults are also ``splinetree fit``'s.
     Every ridge weight must be finite and nonnegative, the grid nonempty
     and ``min_gain`` nonnegative (not NaN); ``max_depth``, ``num_bins``,
     ``threads`` and a given ``min_samples_leaf`` must be integers (Python

@@ -55,6 +55,16 @@ class TestQuantileKnots:
         assert kv.knots[0] == values.min() and kv.knots[-1] == values.max()
 
 
+@pytest.mark.parametrize(
+    "knots",
+    [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0], [0.0, 0.0, 1.0],
+     [1.0, 0.0]],
+)
+def test_knot_vector_rejects_non_finite_or_unordered_knots(knots):
+    with pytest.raises(ValueError, match="knots of 'x' must be finite and strictly increasing"):
+        KnotVector("x", knots)
+
+
 class TestSplineRow:
     """Hat-function rows from ``spline_rows``, one probe point per row."""
 

@@ -1,12 +1,14 @@
 """End-to-end command-line workflow on small simulated files."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from splinetree import load_csv, write_csv
-from splinetree.cli import main
+from splinetree.cli import _OPTIONS, _config_from_args, build_parser, main
+from splinetree.io import RunConfig
 
 
 def run(capsys, *argv):
@@ -172,6 +174,22 @@ class TestFit:
         ]
         assert not model.exists()
 
+    def test_logit_response_outside_unit_interval_exits_3(self, tmp_path, sim_csv, capsys):
+        ds = load_csv(sim_csv, response="f")
+        p = 1.0 / (1.0 + np.exp(-ds.response))
+        p[4] = 1.5
+        names = [f"x{k}" for k in range(1, 11)]
+        data = tmp_path / "prob.csv"
+        write_csv(data, names + ["p"], [ds.columns[n] for n in names] + [p])
+        model = tmp_path / "t.json"
+        code, out, err = run(capsys, "fit", "--data", str(data), "--response", "p",
+                             "--transform", "logit", "--out", str(model))
+        assert code == 3 and out == "" and not model.exists()
+        assert err.splitlines() == [
+            "data error: response column 'p' has values outside [0, 1] at rows 4 "
+            "(0-based data rows)"
+        ]
+
     def test_depth_zero_global_model(self, tmp_path, sim_csv, capsys):
         model = tmp_path / "t.json"
         code, out, _ = run(
@@ -325,6 +343,53 @@ class TestFitArgumentErrors:
         assert err.startswith(f"error: {key} in {conf} must be")
         assert err.count("\n") == 1
 
+    # an out-of-domain value for each row of the option table, by key
+    OUT_OF_DOMAIN = {
+        "knots": "1", "num_bins": "1", "max_depth": "-1", "min_samples_leaf": "0",
+        "lambda": "0.1,-2", "loss": "l1", "r2_threshold": "1.5", "dsse_fraction": "-0.5",
+        "lambda1": "inf", "seed": "-3", "transform": "probit", "test_fraction": "1",
+        "threads": "0",
+    }
+
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    @pytest.mark.parametrize("row", _OPTIONS, ids=[row[1] for row in _OPTIONS])
+    def test_each_option_out_of_domain_exits_2(self, tmp_path, capsys, row, by):
+        _, key, parse, rule, ok = row
+        value = self.OUT_OF_DOMAIN[key]
+        assert not ok(parse(value))
+        flag = "--" + key.replace("_", "-")
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = {value}\n")
+        model = tmp_path / "t.json"
+        argv = ["fit", "--data", str(tmp_path / "absent.csv"), "--response", "f",
+                *([f"{flag}={value}"] if by == "flag" else ["--config", str(conf)]),
+                "--out", str(model)]
+        if by == "flag" and key in ("loss", "transform"):
+            # these flags have argparse choices, which reject the value first
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"argument {flag}: invalid choice" in capsys.readouterr().err
+        else:
+            source = flag if by == "flag" else f"{key} in {conf}"
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err == f"error: {source} must be {rule}, got {parse(value)!r}\n"
+        assert not model.exists()
+
+    def test_option_table_covers_run_config(self, tmp_path):
+        # every RunConfig field but the two column lists has one row, and an
+        # option no flag or config key sets keeps RunConfig's default
+        names = {f.name for f in fields(RunConfig)} - {"features", "categorical"}
+        assert sorted(row[0] for row in _OPTIONS) == sorted(names)
+        conf = tmp_path / "run.conf"
+        conf.write_text("\n")
+        for extra in ([], ["--config", str(conf)]):
+            args = build_parser().parse_args(
+                ["fit", "--data", "d.csv", "--response", "f", "--out", "t.json", *extra]
+            )
+            assert _config_from_args(args) == RunConfig()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("knots = 4\nmax_dpeth = 0\n")
@@ -398,6 +463,15 @@ class TestPredictEvaluate:
         mse_eval = float(eval_out.split("mse=")[1].split()[0])
         assert mse_eval == pytest.approx(mse_fit, rel=2e-6)
 
+    @pytest.mark.parametrize("flag", ["--features", "--categorical"])
+    def test_evaluate_rejects_schema_flags(self, sim_csv, fitted_model, capsys, flag):
+        # evaluate reads the model's columns, so it has no flag to declare them
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--model", str(fitted_model), "--data", str(sim_csv),
+                  "--response", "f", flag, "x1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} x1" in capsys.readouterr().err
+
     def test_evaluate_binary_task_on_non_binary_original_exits_3(
             self, tmp_path, sim_csv, fitted_model, capsys):
         code, out, err = run(
@@ -462,6 +536,12 @@ def _nan_effect_means(doc):
     doc["nodes"][1]["effect_means"][0] = float("nan")
 
 
+def _knot(index, value):
+    def tamper(doc):
+        doc["design"]["knots"]["x1"][index] = value
+    return tamper
+
+
 def _self_loop(doc):
     # node 1 splits into itself and node 2, so both gain a second parent
     doc["nodes"][1].update(split=doc["nodes"][0]["split"], left=1, right=2)
@@ -495,6 +575,10 @@ class TestMalformedInputs:
             (_infinite_threshold, "node 0: split threshold inf is not finite"),
             (_null_effect_means, "node 2: effect_means must have one entry per block"),
             (_nan_effect_means, "node 1: effect_means must have one entry per block, each finite"),
+            # +inf last and -inf first keep the knots increasing
+            (_knot(1, float("nan")), "knots of 'x1' must be finite and strictly increasing"),
+            (_knot(-1, float("inf")), "knots of 'x1' must be finite and strictly increasing"),
+            (_knot(0, float("-inf")), "knots of 'x1' must be finite and strictly increasing"),
         ],
     )
     @pytest.mark.parametrize("command", ["predict", "diagnose"])

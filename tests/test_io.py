@@ -131,6 +131,32 @@ class TestLoadCsv:
         assert ds.response[0] == pytest.approx(0.0, abs=1e-15)
         assert ds.response[1] == pytest.approx(np.log(0.8 / 0.2), rel=1e-12)
 
+    @pytest.mark.parametrize("cell", ["1.5", "-0.2"])
+    def test_logit_response_outside_unit_interval_rejected(self, tmp_path, cell):
+        # clamping would fit on about +-27.63 in place of the value
+        path = tmp_path / "p.csv"
+        path.write_text(f"x,p\n0.0,0.5\n1.0,{cell}\n2.0,0.2\n")
+        with pytest.raises(DataError, match=r"^response column 'p' has values outside "
+                                            r"\[0, 1\] at rows 1 \(0-based data rows\)$"):
+            load_csv(path, response="p", transform="logit")
+        assert load_csv(path, response="p").response[1] == float(cell)
+
+    def test_logit_response_endpoints_clamped(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x,p\n0.0,0.0\n1.0,1.0\n")
+        ds = load_csv(path, response="p", transform="logit")
+        low, high = 1e-12, 1.0 - 1e-12  # the clamp
+        assert_allclose(ds.response, [np.log(low / (1 - low)), np.log(high / (1 - high))],
+                        rtol=1e-12)
+
+    @pytest.mark.parametrize("transform", ["identity", "logit"])
+    def test_non_finite_response_rejected(self, tmp_path, transform):
+        path = tmp_path / "nan.csv"
+        path.write_text("x,p\n0.0,0.5\n1.0,nan\n2.0,0.2\n3.0,-inf\n")
+        with pytest.raises(DataError, match=r"^response column 'p' has non-finite values "
+                                            r"at rows 1, 3 "):
+            load_csv(path, response="p", transform=transform)
+
     def test_roundtrip_full_precision(self, tmp_path, rng):
         path = tmp_path / "round.csv"
         x = rng.standard_normal(20)
@@ -213,6 +239,17 @@ class TestLoadCsv:
                 columns={"x": np.linspace(0.0, 1.0, 12)},
                 response=np.zeros(12),
                 original=original,
+            )
+
+    def test_dataset_rejects_non_finite_response(self):
+        response = np.zeros(12)
+        response[[4, 9]] = [np.nan, -np.inf]
+        with pytest.raises(DataError, match=r"^surrogate response has non-finite values "
+                                            r"at rows 4, 9 "):
+            SurrogateDataset(
+                features=(Feature("x", "continuous"),),
+                columns={"x": np.linspace(0.0, 1.0, 12)},
+                response=response,
             )
 
     def test_dataset_rejects_non_finite_feature(self):

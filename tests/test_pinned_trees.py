@@ -2,8 +2,9 @@
 
 Small trees on a narrow design with 6- and 14-level categoricals (the
 exhaustive subset search and the ordered scan), grown with GCV scoring at
-lambda 1e-3, a lambda grid, plain SSE and two threads, all of which the
-sweep solves by Cholesky, and at lambda 0 and a six-value grid, which it
+lambda 1e-3, a three- and a six-value lambda grid, plain SSE and two
+threads, all of which the sweep solves by Cholesky, and at lambda 0 and a
+13-value grid, one value longer than the Cholesky route takes, which it
 solves by eigendecomposition.  Their
 split features, thresholds, category subsets and node counts must match
 the values below exactly; the node coefficients, which BLAS rounding may
@@ -48,6 +49,7 @@ SETTINGS = {
     "threads": dict(lam=1e-3, threads=2),
     "zero": dict(lam=0.0),
     "grid6": dict(lam=tuple(np.geomspace(1e-3, 5.0, 6))),
+    "grid13": dict(lam=tuple(np.geomspace(1e-3, 5.0, 13))),
 }
 
 # per setting: node count, (node id, feature, threshold or left categories)
@@ -159,6 +161,24 @@ PINNED = {
             10.979504276263592, 42.416065438251245, 56.27904877616074, 11.84197787503065,
             6.001038045875925, 12.886662212548641, 10.442980202079822, 23.748786534232924,
             11.331631284367528, 55.45608348381176, 56.7663707163381,
+        ],
+    ),
+    "grid13": (
+        15,
+        [
+            (0, "x3", -0.2698287512460592),
+            (1, "c14", ("b00", "b03", "b06", "b09", "b12")),
+            (2, "x3", 0.4678995088921384),
+            (3, "x2", 0.23194691474224682),
+            (4, "x2", 0.4858590377316857),
+            (5, "c14", ("b00", "b03", "b06", "b09", "b12")),
+            (6, "c6", ("a0", "a2", "a3", "a5")),
+        ],
+        [
+            37.6517824326358, 21.796270620920037, 50.10032539442622, 4.5521977688710535,
+            10.979504276263592, 42.40516627481153, 56.27589571966477, 11.84197787503065,
+            6.001038045875925, 12.886662212548641, 10.385022997517005, 23.748786534232924,
+            11.331631284367528, 55.469080540199386, 56.741896335313875,
         ],
     ),
 }

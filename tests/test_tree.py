@@ -49,6 +49,9 @@ from splinetree.tree import (
 
 from conftest import implementation_best_split, make_dataset, naive_best_split, stack_grams
 
+# one value longer than the sweep's Cholesky route takes: solved by eigh
+LONG_GRID = tuple(np.geomspace(1e-3, 5.0, gram_mod._CHOLESKY_GRID_LIMIT + 1))
+
 
 class TestCandidateEdges:
     def test_quartile_thresholds(self):
@@ -495,7 +498,8 @@ class TestBatchChildLosses:
     @pytest.mark.parametrize("loss", ["sse", "gcv"])
     @pytest.mark.parametrize(
         "lam",
-        [1e-3, 0.5, (1e-3, 0.05, 2.0), (1e-3, 0.01, 0.05, 0.2, 1.0, 5.0), 0.0, (0.0, 0.1)],
+        [1e-3, 0.5, (1e-3, 0.05, 2.0), (1e-3, 0.01, 0.05, 0.2, 1.0, 5.0), 0.0, (0.0, 0.1),
+         LONG_GRID],
     )
     def test_matches_scalar_fits(self, lam, loss, eigh_calls):
         grams = self._candidate_grams()
@@ -507,7 +511,9 @@ class TestBatchChildLosses:
         long_grid = len(lam_values) > gram_mod._CHOLESKY_GRID_LIMIT
         assert bool(swept) == (min(lam_values) == 0.0 or long_grid)
 
-    @pytest.mark.parametrize("lam", [(1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 6))])
+    @pytest.mark.parametrize(
+        "lam", [(1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 6)), LONG_GRID]
+    )
     def test_grid_sse_ranks_the_refit_model(self, lam, eigh_calls):
         # with a grid, an SSE sweep scores each candidate at the lambda its
         # refit keeps (chosen by GCV), not at the grid's smallest SSE
@@ -773,7 +779,8 @@ class TestSweepWorkspace:
     GRIDS = {
         "scalar": 1e-3,
         "grid3": (1e-3, 0.05, 2.0),  # Cholesky, one factorization per value
-        "grid6": tuple(np.geomspace(1e-3, 5.0, 6)),  # eigendecomposition
+        "grid6": tuple(np.geomspace(1e-3, 5.0, 6)),  # Cholesky
+        "long": LONG_GRID,  # eigendecomposition
         "zero": 0.0,  # eigendecomposition, pseudo-inverse
     }
 
@@ -885,8 +892,8 @@ class TestBoundedScoring:
     of scoring every candidate.
     """
 
-    LAMS = [1e-3, (1e-3, 0.05, 2.0), 0.0, tuple(np.geomspace(1e-3, 5.0, 6))]
-    LAM_IDS = ["scalar", "grid3", "zero", "grid6"]
+    LAMS = [1e-3, (1e-3, 0.05, 2.0), 0.0, tuple(np.geomspace(1e-3, 5.0, 6)), LONG_GRID]
+    LAM_IDS = ["scalar", "grid3", "zero", "grid6", "long"]
 
     @staticmethod
     def _every_candidate_split(node_gram, bins, config, min_leaf):
@@ -1023,8 +1030,8 @@ class TestBoundedScoring:
     EXACT = [
         ((1e-3,), "sse"),  # needs no df
         ((0.0,), "gcv"), ((0.0, 0.1), "sse"),  # eigendecomposition: a zero weight
-        (tuple(np.geomspace(1e-3, 5.0, 6)), "gcv"),  # eigendecomposition: a long grid
-        (tuple(np.geomspace(1e-3, 5.0, 6)), "sse"),
+        (LONG_GRID, "gcv"),  # eigendecomposition: a long grid
+        (LONG_GRID, "sse"),
     ]
 
     @pytest.mark.parametrize("lam,loss", EXACT)
@@ -1434,7 +1441,9 @@ class TestGrow:
         config = GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=60)
         self._grown_alike_across_threads(ds, spec, config)
 
-    @pytest.mark.parametrize("lam", [(1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 6))])
+    @pytest.mark.parametrize(
+        "lam", [(1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 6)), LONG_GRID]
+    )
     def test_determinism_across_threads_with_grid_and_categorical_split(self, rng, lam):
         # each worker sweeps in its own workspace; the c1-by-x1 interaction
         # makes the root split on the categorical feature
@@ -1562,8 +1571,8 @@ class TestHistogramSubtraction:
 
     @pytest.mark.parametrize("loss", ["gcv", "sse"])
     @pytest.mark.parametrize(
-        "lam", [1e-3, (1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 6))],
-        ids=["scalar", "grid3", "grid6"],
+        "lam", [1e-3, (1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 6)), LONG_GRID],
+        ids=["scalar", "grid3", "grid6", "long"],
     )
     def test_tree_bytes_match_direct_binning(self, monkeypatch, lam, loss):
         ds, spec = self._data()
