@@ -205,14 +205,14 @@ def _level_codes(values, levels: Sequence) -> np.ndarray:
     return np.where(table[codes] == values, codes, -1)
 
 
-def build_spec(dataset, num_knots=15, linear: Sequence[str] = ()) -> DesignSpec:
+def build_spec(dataset, num_knots: int = 15, linear: Sequence[str] = ()) -> DesignSpec:
     """Derive the shared design from a dataset's training columns.
 
     Parameters
     ----------
     dataset : SurrogateDataset
-    num_knots : int or mapping feature -> int
-        Knot budget for spline features (duplicates may reduce it).
+    num_knots : int
+        Knot budget for every spline feature (duplicates may reduce it).
     linear : feature names to include as single raw columns instead of splines.
 
     Constant features are excluded from the design (and recorded) rather
@@ -233,9 +233,8 @@ def build_spec(dataset, num_knots=15, linear: Sequence[str] = ()) -> DesignSpec:
                 blocks.append(BasisBlock(feat.name, "linear", col, col + 1))
                 col += 1
                 continue
-            k = num_knots[feat.name] if isinstance(num_knots, Mapping) else num_knots
             try:
-                kv = quantile_knots(values, k, feature=feat.name)
+                kv = quantile_knots(values, num_knots, feature=feat.name)
             except ConstantFeatureError:
                 excluded.append(feat.name)
                 continue

@@ -17,6 +17,13 @@ from . import basis, diagnostics, io, simdata, tree
 from .errors import DataError, NumericalError, SplineTreeError
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors as one ``error:`` line and exit 2, as the fit checks give."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _add_data_arguments(parser, *, schema):
     parser.add_argument("--data", required=True, help="dataset CSV")
     parser.add_argument("--response", help="surrogate response column (default from model)")
@@ -25,12 +32,13 @@ def _add_data_arguments(parser, *, schema):
         parser.add_argument("--categorical", action="append", default=[],
                             help="categorical column (repeatable)")
         parser.add_argument("--features", help="comma-separated model features (default: all)")
-    parser.add_argument("--transform", choices=["identity", "logit"], default=None,
-                        help="response transform applied on load")
+    # fit (schema) checks the transform with its other options, in _OPTIONS
+    parser.add_argument("--transform", choices=None if schema else ["identity", "logit"],
+                        help="response transform applied on load: 'identity' or 'logit'")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splinetree",
         description="Fit and inspect model-based trees on surrogate responses.",
     )
@@ -47,22 +55,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_arguments(p, schema=True)
     p.add_argument("--out", required=True, help="output tree JSON")
     p.add_argument("--config", help="flat key=value defaults file")
-    p.add_argument("--knots", type=int, default=None)
-    p.add_argument("--num-bins", type=int, default=None)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--min-samples-leaf", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", default=None,
+    # _OPTIONS parses and checks each flag it has a row for, as it does the config keys
+    p.add_argument("--knots")
+    p.add_argument("--num-bins")
+    p.add_argument("--max-depth")
+    p.add_argument("--min-samples-leaf")
+    p.add_argument("--lambda", dest="lam",
                    help="ridge weight, or comma-separated grid selected by GCV")
-    p.add_argument("--loss", choices=["gcv", "sse"], default=None)
-    p.add_argument("--r2-threshold", type=float, default=None)
-    p.add_argument("--dsse-fraction", type=float, default=None)
-    p.add_argument("--lambda1", type=float, default=None,
-                   help="optional L1 refit weight for leaf models")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--test-fraction", type=float, default=None)
-    p.add_argument("--tag-column", default=None,
+    p.add_argument("--loss", help="'gcv' or 'sse'")
+    p.add_argument("--r2-threshold")
+    p.add_argument("--dsse-fraction")
+    p.add_argument("--lambda1", help="optional L1 refit weight for leaf models")
+    p.add_argument("--seed")
+    p.add_argument("--test-fraction")
+    p.add_argument("--tag-column",
                    help="column with train/test markers instead of a random split")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads")
     p.add_argument("--task", choices=["continuous", "binary"], default=None,
                    help="accuracy metric family (default: binary iff transform is logit)")
 

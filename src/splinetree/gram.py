@@ -1,10 +1,9 @@
 """Gram-statistic accumulation and penalized least-squares solving.
 
-Every ridge node model in the tree is fitted from the sufficient
-statistics (X'X, X'y, y'y, n) of its member rows, never from the raw rows
-themselves.  The optional L1 refit of the leaves (``tree.refit_l1``) is
-not: ``tree._lasso_cd`` standardizes each leaf's rows itself (moving it
-onto the leaf grams is ROADMAP item 5).
+Every node model in the tree, ridge or the optional L1 refit of the
+leaves (``tree.refit_l1``), is fitted from the sufficient statistics
+(X'X, X'y, y'y, n) of its member rows, never from the raw rows
+themselves.
 The statistics are additive, so child-node systems during split search are
 obtained by summing per-bin statistics and subtracting from the parent.
 :class:`GramStats` is the one format of the statistics, for one row set or
@@ -26,10 +25,13 @@ are treated as null directions (pseudo-inverse behaviour), which keeps
 lambda = 0 fits well defined for deliberately collinear spline bases.  A
 lambda grid is resolved by GCV with one rule, :func:`select_lambda`.
 
-The standardizing arithmetic is written once, in
+The standardizing arithmetic is written once, in :func:`_moments` and
 :func:`_standardized_block`, which :func:`ridge_batch` applies once per
 cache-sized chunk of systems.  Both routes solve from that block, so they
-see the same bits and neither forms the whole stack of blocks.
+see the same bits and neither forms the whole stack of blocks; the L1
+refit's coordinate descent (``tree._lasso_cd``) solves from it too.  The
+map back to the original scale is :func:`_back_map`, and every
+:class:`NodeModel` is assembled by :func:`_node_model`.
 """
 
 from __future__ import annotations
@@ -106,11 +108,13 @@ class GramStats:
 
 @dataclass(frozen=True)
 class NodeModel:
-    """A fitted ridge model for one tree node.
+    """A fitted model for one tree node.
 
     ``coefficients`` are on the original (unstandardized) design scale with
     the intercept in position 0.  ``effective_df`` is the trace of the ridge
-    hat matrix, ``1 + sum_i d_i / (d_i + lam)`` over non-null eigenvalues.
+    hat matrix, ``1 + sum_i d_i / (d_i + lam)`` over non-null eigenvalues;
+    a leaf of the L1 refit has lasso coefficients, ``lam`` 0 and
+    ``effective_df`` 1 + its nonzero coefficients.
     """
 
     coefficients: np.ndarray
@@ -288,7 +292,7 @@ def ridge_batch(stats: GramStats, lam_values, *, cholesky=False, want_edf=True):
     """
     if not all(0.0 <= lam < np.inf for lam in lam_values):  # NaN fails too
         raise ValueError("lambda must be finite and nonnegative")
-    n, mean, scale, b = _moments(stats)
+    n, mean, scale, b, _ = _moments(stats)
     count, p = b.shape
     gammas = np.empty((len(lam_values), count, p))
     edfs = np.full((len(lam_values), count), np.nan)
@@ -313,12 +317,7 @@ def ridge_batch(stats: GramStats, lam_values, *, cholesky=False, want_edf=True):
             part, block = np.add(failed, lo), block[failed]
         gammas[:, part], edfs[:, part] = _eigh_solves(block, b[part], lam_values)
 
-    coefficients = np.empty(gammas.shape[:2] + (gammas.shape[2] + 1,))
-    coefficients[:, :, 1:] = gammas / scale
-    ybar = stats.xty[:, 0] / stats.count
-    coefficients[:, :, 0] = ybar - np.matmul(
-        coefficients[:, :, None, 1:], mean[:, :, None]
-    )[:, :, 0, 0]
+    coefficients = _back_map(stats, gammas, mean, scale)
     return coefficients, _sse(stats, coefficients), edfs
 
 
@@ -356,10 +355,7 @@ def fit_node(gram: GramStats, lam) -> NodeModel:
     lam_values = (float(lam),) if np.isscalar(lam) else tuple(float(v) for v in lam)
     if not lam_values:
         raise ValueError("empty lambda grid")
-    stack = GramStats(
-        xtx=gram.xtx[None], xty=gram.xty[None],
-        yty=np.array([gram.yty]), count=np.array([gram.count]),
-    )
+    stack = _batch_of_one(gram)
     coefficients, sse, edf = ridge_batch(stack, lam_values)
     k = 0
     if not np.isscalar(lam):
@@ -369,14 +365,31 @@ def fit_node(gram: GramStats, lam) -> NodeModel:
                 f"every lambda in the grid gives a saturated model ({gram.count} rows)"
             )
         k = int(index[0])
+    return _node_model(gram, coefficients[k, 0], float(edf[k, 0]), lam_values[k])
+
+
+def _batch_of_one(gram: GramStats) -> GramStats:
+    """One row set's statistics as a stack of one."""
+    return GramStats(
+        xtx=gram.xtx[None], xty=gram.xty[None],
+        yty=np.array([gram.yty]), count=np.array([gram.count]),
+    )
+
+
+def _node_model(gram: GramStats, coefficients, effective_df, lam) -> NodeModel:
+    """The model of one row set's coefficients, scored on its statistics.
+
+    The one assembly of a :class:`NodeModel`: the SSE is :func:`_sse` of
+    the statistics and R^2 compares it with their total sum of squares.
+    """
     n = gram.count
     ybar = gram.xty[0] / n
     tss = max(gram.yty - n * ybar**2, 0.0)
-    node_sse = float(sse[k, 0])
-    r2 = 1.0 if tss <= 0.0 else min(max(1.0 - node_sse / tss, 0.0), 1.0)
+    sse = float(_sse(_batch_of_one(gram), coefficients[None])[0])
+    r2 = 1.0 if tss <= 0.0 else min(max(1.0 - sse / tss, 0.0), 1.0)
     return NodeModel(
-        coefficients=coefficients[k, 0], sse=node_sse, r2=r2,
-        effective_df=float(edf[k, 0]), lam=lam_values[k], count=n,
+        coefficients=coefficients, sse=sse, r2=r2,
+        effective_df=effective_df, lam=lam, count=n,
     )
 
 
@@ -397,16 +410,17 @@ def _moments(stats: GramStats):
     Column means and variances are recovered from the intercept row of
     each ``xtx``; :func:`column_scale` decides which columns are constant
     within their node.  Returns ``n`` (c, 1) as floats, ``mean`` and
-    ``scale`` (c, p), and ``b`` (c, p) = ``Z'y``, with p = m - 1.
+    ``scale`` (c, p), ``b`` (c, p) = ``Z'y`` and the constant-column mask
+    (c, p), with p = m - 1.
     """
     if np.any(stats.count <= 0):
         raise ValueError("cannot standardize statistics of no rows")
     n = stats.count.astype(np.float64)[:, None]
     mean = stats.xtx[:, 0, 1:] / n
     ex2 = np.diagonal(stats.xtx, axis1=1, axis2=2)[:, 1:] / n
-    _, scale = column_scale(np.maximum(ex2 - mean**2, 0.0), ex2)
+    constant, scale = column_scale(np.maximum(ex2 - mean**2, 0.0), ex2)
     b = (stats.xty[:, 1:] - mean * stats.xty[:, :1]) / scale
-    return n, mean, scale, b
+    return n, mean, scale, b, constant
 
 
 def _standardized_block(xtx, n, mean, scale, out=None, outer=None):
@@ -430,6 +444,22 @@ def _standardized_block(xtx, n, mean, scale, out=None, outer=None):
     np.subtract(xtx[:, 1:, 1:], out, out=out)
     np.einsum("ci,cj->cij", scale, scale, out=outer)
     return np.divide(out, outer, out=out)
+
+
+def _back_map(stats: GramStats, gammas, mean, scale):
+    """Coefficients (k, c, m) on the original scale of gammas (k, c, p).
+
+    Each standardized coefficient is divided by its column's scale, and the
+    intercept makes the fit pass through the column and response means of
+    the c stacked statistics.
+    """
+    coefficients = np.empty(gammas.shape[:2] + (gammas.shape[2] + 1,))
+    coefficients[:, :, 1:] = gammas / scale
+    ybar = stats.xty[:, 0] / stats.count
+    coefficients[:, :, 0] = ybar - np.matmul(
+        coefficients[:, :, None, 1:], mean[:, :, None]
+    )[:, :, 0, 0]
+    return coefficients
 
 
 def _eigh_solves(block, b, lam_values):

@@ -109,8 +109,12 @@ from .errors import DataError, NumericalError
 from .gram import (
     GramStats,
     NodeModel,
+    _back_map,
+    _batch_of_one,
+    _moments,
+    _node_model,
+    _standardized_block,
     bin_sum,
-    column_scale,
     complement,
     fit_node,
     gcv_loss,
@@ -1203,22 +1207,26 @@ def _soft_threshold(value: float, bound: float) -> float:
     return 0.0
 
 
-def _lasso_cd(X, y, lambda1, gamma0, max_passes, tol=1e-7):
+def _lasso_cd(gram: GramStats, lambda1, gamma0, max_passes, tol=1e-7):
     """Cyclic coordinate descent for (1/2n)||y - b0 - Z g||^2 + lambda1 |g|_1
-    on the standardized design.  Returns (coefficients, converged)."""
-    n = y.shape[0]
-    mean = X[:, 1:].mean(axis=0)
-    var = X[:, 1:].var(axis=0)
-    degenerate, scale = column_scale(var, (X[:, 1:] ** 2).mean(axis=0))
-    Z = (X[:, 1:] - mean) / scale
-    ybar = float(y.mean())
-    yc = y - ybar
-    A = Z.T @ Z
-    c = Z.T @ yc
-    diag = np.diagonal(A).copy()
-    active = np.nonzero(~degenerate & (diag > 0))[0]
+    on the standardized design of one leaf's statistics.
 
-    gamma = np.where(degenerate, 0.0, gamma0 * scale)
+    Z'Z and Z'y come from the gram by the ridge fits' standardization
+    (``gram._moments``, ``gram._standardized_block``), so every update uses
+    X'X and X'y alone: glmnet's covariance updates (Friedman, Hastie &
+    Tibshirani 2010).  Columns constant within the leaf stay at zero.  The
+    warm start ``gamma0`` is on the original scale.  Stops when a pass moves
+    no coefficient by ``tol`` or more, or after ``max_passes`` passes, and
+    maps g back to the original scale as the ridge fits do.  Returns
+    (coefficients, converged).
+    """
+    stack = _batch_of_one(gram)
+    counts, mean, scale, b, constant = _moments(stack)
+    A = _standardized_block(stack.xtx, counts, mean, scale)[0]
+    c, diag, n = b[0], np.diagonal(A).copy(), gram.count
+    active = np.nonzero(~constant[0] & (diag > 0))[0]
+
+    gamma = np.where(constant[0], 0.0, gamma0 * scale[0])
     u = A @ gamma
     converged = False
     for _ in range(max_passes):
@@ -1234,26 +1242,27 @@ def _lasso_cd(X, y, lambda1, gamma0, max_passes, tol=1e-7):
         if delta < tol:
             converged = True
             break
-
-    coef = np.empty(X.shape[1])
-    coef[1:] = gamma / scale
-    coef[0] = ybar - coef[1:] @ mean
-    return coef, converged
+    return _back_map(stack, gamma[None, None], mean, scale)[0, 0], converged
 
 
 @one_blas_thread()
 def refit_l1(root: TreeNode, dataset, spec, lambda1: float) -> TreeNode:
     """Replace leaf coefficients with lasso fits; structure is unchanged.
 
-    Coordinate descent runs on the standardized design with the intercept
-    unpenalized, warm-started at the current leaf coefficients, until the
-    largest coefficient change in a pass is below 1e-7 or the pass budget
-    (1000 per design column) is exhausted.  Non-converged leaves keep their
-    ridge coefficients and are flagged.  With ``lambda1 = 0`` the problem
-    is plain least squares and is solved directly; ``lambda1`` must be
-    finite and nonnegative (``ValueError``).  The tree is modified in
-    place and returned.  Like :func:`grow`, it runs BLAS on one thread, so
-    the coefficients do not depend on the BLAS thread setting.
+    Each leaf is refitted from its gram statistics, accumulated once from
+    its rows.  Coordinate descent (:func:`_lasso_cd`) runs on the
+    standardized gram with the intercept unpenalized, warm-started at the
+    current leaf coefficients, until the largest coefficient change in a
+    pass is below 1e-7 or the pass budget (1000 per design column) is
+    exhausted.  Non-converged leaves keep their model and effect means and
+    are flagged ``l1_nonconverged``.  With ``lambda1 = 0`` the problem is
+    plain least squares, solved by ``gram.fit_node``.  A refitted leaf's
+    model is assembled as every node model is, its SSE and R^2 taken from
+    the gram, with effective df 1 + the number of nonzero coefficients and
+    lambda 0.  ``lambda1`` must be finite and nonnegative (``ValueError``).
+    The tree is modified in place and returned.  Like :func:`grow`, it
+    runs BLAS on one thread, so the coefficients do not depend on the BLAS
+    thread setting.
     """
     if not 0.0 <= lambda1 < np.inf:
         raise ValueError("lambda1 must be finite and nonnegative")
@@ -1266,29 +1275,17 @@ def refit_l1(root: TreeNode, dataset, spec, lambda1: float) -> TreeNode:
         idx = members[leaf.id]
         if idx.size == 0:
             continue
-        Xl, yl = X[idx], y[idx]
+        Xl = X[idx]
+        gram = gram_accumulate(Xl, y[idx])
         if lambda1 == 0.0:
-            coef = fit_node(gram_accumulate(Xl, yl), 0.0).coefficients
-            converged = True
+            coef, converged = fit_node(gram, 0.0).coefficients, True
         else:
-            # warm start from the current fit, on the standardized scale
             coef, converged = _lasso_cd(
-                Xl, yl, lambda1, leaf.model.coefficients[1:].copy(), max_passes
+                gram, lambda1, leaf.model.coefficients[1:], max_passes
             )
         if not converged:
             leaf.flags = leaf.flags + ("l1_nonconverged",)
             continue
-        resid = yl - Xl @ coef
-        sse = float(resid @ resid)
-        tss = float(np.sum((yl - yl.mean()) ** 2))
-        r2 = 1.0 if tss <= 0 else min(max(1.0 - sse / tss, 0.0), 1.0)
-        leaf.model = NodeModel(
-            coefficients=coef,
-            sse=sse,
-            r2=r2,
-            effective_df=1.0 + int(np.count_nonzero(coef[1:])),
-            lam=0.0,
-            count=idx.size,
-        )
+        leaf.model = _node_model(gram, coef, 1.0 + int(np.count_nonzero(coef[1:])), 0.0)
         leaf.effect_means = _effect_means(Xl, spec, coef)
     return root

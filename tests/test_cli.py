@@ -364,18 +364,54 @@ class TestFitArgumentErrors:
         argv = ["fit", "--data", str(tmp_path / "absent.csv"), "--response", "f",
                 *([f"{flag}={value}"] if by == "flag" else ["--config", str(conf)]),
                 "--out", str(model)]
-        if by == "flag" and key in ("loss", "transform"):
-            # these flags have argparse choices, which reject the value first
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert f"argument {flag}: invalid choice" in capsys.readouterr().err
-        else:
-            source = flag if by == "flag" else f"{key} in {conf}"
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and out == ""
-            assert err == f"error: {source} must be {rule}, got {parse(value)!r}\n"
+        source = flag if by == "flag" else f"{key} in {conf}"
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {source} must be {rule}, got {parse(value)!r}\n"
         assert not model.exists()
+
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    @pytest.mark.parametrize("row", [row for row in _OPTIONS if row[2] is not str],
+                             ids=[row[1] for row in _OPTIONS if row[2] is not str])
+    def test_each_option_unparsable_exits_2(self, tmp_path, capsys, row, by):
+        # a flag and a config key with the same bad value give the same line
+        _, key, parse, _, _ = row
+        flag = "--" + key.replace("_", "-")
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key} = abc\n")
+        argv = ["fit", "--data", str(tmp_path / "absent.csv"), "--response", "f",
+                *([f"{flag}=abc"] if by == "flag" else ["--config", str(conf)]),
+                "--out", str(tmp_path / "t.json")]
+        code, out, err = run(capsys, *argv)
+        source = flag if by == "flag" else f"{key} in {conf}"
+        kind = {int: "an integer", float: "a number"}.get(
+            parse, "a number or comma-separated numbers")
+        assert code == 2 and out == ""
+        assert err == f"error: {source} must be {kind}, got 'abc'\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--response", "f", "--out", "t.json"],
+             "the following arguments are required: --data"),
+            (["fit", "--data", "d.csv", "--out", "t.json", "--bogus", "1"],
+             "unrecognized arguments: --bogus 1"),
+            (["evaluate", "--model", "m.json", "--data", "d.csv", "--task", "multi"],
+             "argument --task: invalid choice: 'multi'"),
+            (["evaluate", "--model", "m.json", "--data", "d.csv", "--transform", "probit"],
+             "argument --transform: invalid choice: 'probit'"),
+            (["simulate", "--kind", "f1", "--n", "ten", "--out", "s.csv"],
+             "argument --n: invalid int value: 'ten'"),
+        ],
+    )
+    def test_parser_errors_are_one_line(self, capsys, argv, message):
+        # argparse's own errors, in the format of the option checks
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     def test_option_table_covers_run_config(self, tmp_path):
         # every RunConfig field but the two column lists has one row, and an

@@ -1885,3 +1885,51 @@ class TestRefitL1:
         splits_before = [(n.id, n.split) for n in root.nodes()]
         refit_l1(root, ds, spec, 0.01)
         assert [(n.id, n.split) for n in root.nodes()] == splits_before
+
+    @pytest.mark.parametrize("lambda1", [1e-3, 0.05])
+    def test_converged_leaves_meet_kkt(self, rng, lambda1):
+        # The lasso optimality (KKT) conditions on the standardized design,
+        # standardized here from each leaf's rows.  With g the residual
+        # correlation (c - A gamma) / n: g_j = lambda1 sign(gamma_j) where
+        # gamma_j != 0, and |g_j| <= lambda1 where gamma_j = 0.  Descent
+        # stops after a pass in which no coordinate moved by 1e-7; each
+        # coordinate meets its condition exactly after its own update, and
+        # the later updates of the pass shift g_j by |A_jk| / n * 1e-7 each,
+        # with |A_jk| / n <= 1 for standardized columns.  So tol is
+        # (p - 1) * 1e-7, plus 1e-9 for rounding.
+        ds, spec, root = self.setup_tree(rng)
+        refit_l1(root, ds, spec, lambda1)
+        members = route(root, spec, ds)
+        X = design_matrix(ds, spec)
+        zeros = nonzeros = 0
+        for leaf in root.leaves():
+            assert "l1_nonconverged" not in leaf.flags
+            idx = members[leaf.id]
+            Xl, yl = X[idx], ds.response[idx]
+            mu, sd = Xl[:, 1:].mean(0), Xl[:, 1:].std(0)
+            keep = sd > 0
+            Z = (Xl[:, 1:][:, keep] - mu[keep]) / sd[keep]
+            n, p = Z.shape
+            gamma = leaf.model.coefficients[1:][keep] * sd[keep]
+            g = (Z.T @ (yl - yl.mean()) - (Z.T @ Z) @ gamma) / n
+            tol = (p - 1) * 1e-7 + 1e-9
+            active = gamma != 0
+            assert np.all(np.abs(g[~active]) <= lambda1 + tol)
+            assert_allclose(g[active], lambda1 * np.sign(gamma[active]), rtol=0, atol=tol)
+            zeros += int(np.sum(~active))
+            nonzeros += int(np.sum(active))
+        assert zeros > 0 and nonzeros > 0
+
+    def test_nonconverged_leaves_keep_their_model(self, rng, monkeypatch):
+        # a step rule of 0 is never met, so every leaf runs out of passes
+        ds, spec, root = self.setup_tree(rng)
+        monkeypatch.setattr(tree_mod, "_lasso_cd", partial(tree_mod._lasso_cd, tol=0.0))
+        before = {leaf.id: (leaf.flags, leaf.model, leaf.effect_means.copy())
+                  for leaf in root.leaves()}
+        refit_l1(root, ds, spec, 0.05)
+        for leaf in root.leaves():
+            flags, model, means = before[leaf.id]
+            assert leaf.flags == flags + ("l1_nonconverged",)
+            assert np.array_equal(leaf.model.coefficients, model.coefficients)
+            assert (leaf.model.sse, leaf.model.r2) == (model.sse, model.r2)
+            assert np.array_equal(leaf.effect_means, means)
