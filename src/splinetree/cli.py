@@ -26,7 +26,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_data_arguments(parser, *, schema):
     parser.add_argument("--data", required=True, help="dataset CSV")
-    parser.add_argument("--response", help="surrogate response column (default from model)")
+    parser.add_argument("--response", required=True, help="surrogate response column")
     parser.add_argument("--original", help="original response column for accuracy metrics")
     if schema:  # evaluate takes its columns from the model
         parser.add_argument("--categorical", action="append", default=[],
@@ -260,9 +260,6 @@ def _print_report(art, dataset, train_rows, test_rows, task):
 
 
 def _cmd_fit(args) -> int:
-    if args.response is None:
-        print("error: fit requires --response", file=sys.stderr)
-        return 2
     try:
         config = _config_from_args(args)
     except _UsageError as exc:
@@ -313,9 +310,6 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.response is None:
-        print("error: evaluate requires --response", file=sys.stderr)
-        return 2
     art = io.load_tree(args.model)
     transform = args.transform or art.config.get("transform", "identity")
     dataset = _load_model_features(

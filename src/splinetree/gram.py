@@ -29,7 +29,7 @@ The standardizing arithmetic is written once, in :func:`_moments` and
 :func:`_standardized_block`, which :func:`ridge_batch` applies once per
 cache-sized chunk of systems.  Both routes solve from that block, so they
 see the same bits and neither forms the whole stack of blocks; the L1
-refit's coordinate descent (``tree._lasso_cd``) solves from it too.  The
+refit's coordinate descent (:func:`fit_lasso`) solves from it too.  The
 map back to the original scale is :func:`_back_map`, and every
 :class:`NodeModel` is assembled by :func:`_node_model`.
 """
@@ -366,6 +366,60 @@ def fit_node(gram: GramStats, lam) -> NodeModel:
             )
         k = int(index[0])
     return _node_model(gram, coefficients[k, 0], float(edf[k, 0]), lam_values[k])
+
+
+def fit_lasso(gram: GramStats, lambda1, start, tol=1e-7):
+    """Lasso-fit one node: (1/2n)||y - b0 - Z g||^2 + lambda1 |g|_1.
+
+    Cyclic coordinate descent on the standardized design of the node's
+    statistics, the ridge fits' standardization (:func:`_moments`,
+    :func:`_standardized_block`), so every update uses X'X and X'y alone:
+    glmnet's covariance updates (Friedman, Hastie & Tibshirani 2010).  The
+    intercept is unpenalized and columns constant within the node stay at
+    zero.  The warm start ``start`` holds the non-intercept coefficients on
+    the original scale.  Descent stops when a pass moves no coefficient by
+    ``tol`` or more, or after 1000 passes per design column, and maps g
+    back to the original scale as the ridge fits do.  With ``lambda1 = 0``
+    the problem is plain least squares, solved by :func:`fit_node`.
+
+    The model is assembled as every node model is (:func:`_node_model`),
+    its SSE and R^2 taken from the statistics, with effective df 1 + the
+    number of nonzero coefficients and lambda 0.  Returns
+    ``(model, converged)``.
+    """
+    if lambda1 == 0.0:
+        coefficients, converged = fit_node(gram, 0.0).coefficients, True
+    else:
+        stack = _batch_of_one(gram)
+        counts, mean, scale, b, constant = _moments(stack)
+        A = _standardized_block(stack.xtx, counts, mean, scale)[0]
+        c, diag, n = b[0], np.diagonal(A).copy(), gram.count
+        active = np.nonzero(~constant[0] & (diag > 0))[0]
+        gamma = np.where(constant[0], 0.0, start * scale[0])
+        u = A @ gamma
+        converged = False
+        for _ in range(1000 * gram.dim):
+            delta = 0.0
+            for j in active:
+                old = gamma[j]
+                rho = (c[j] - u[j] + diag[j] * old) / n
+                if rho > lambda1:  # soft thresholding
+                    rho = rho - lambda1
+                elif rho < -lambda1:
+                    rho = rho + lambda1
+                else:
+                    rho = 0.0
+                new = rho / (diag[j] / n)
+                if new != old:
+                    u += A[:, j] * (new - old)
+                    gamma[j] = new
+                    delta = max(delta, abs(new - old))
+            if delta < tol:
+                converged = True
+                break
+        coefficients = _back_map(stack, gamma[None, None], mean, scale)[0, 0]
+    edf = 1.0 + int(np.count_nonzero(coefficients[1:]))
+    return _node_model(gram, coefficients, edf, 0.0), converged
 
 
 def _batch_of_one(gram: GramStats) -> GramStats:

@@ -138,11 +138,6 @@ class RunConfig:
         return out
 
 
-def _fmt(value) -> str:
-    """Shortest decimal representation that round-trips the float."""
-    return repr(float(value))
-
-
 def logit(p: np.ndarray) -> np.ndarray:
     p = np.clip(p, _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP)
     return np.log(p / (1.0 - p))
@@ -598,40 +593,35 @@ def export_diagnostics(out_dir, importance=None, contributions=None, curves=None
     """Write importance.csv / contributions.csv / curves.csv into a directory.
 
     Rows are ordered by node id, then feature name, then grid position.
-    Returns the mapping of table name to file path.
+    Each table is written by :func:`write_csv`.  Returns the mapping of
+    table name to file path.
     """
     os.makedirs(out_dir, exist_ok=True)
+    values = {} if importance is None else importance.values
+    tables = {
+        "importance": (["leaf_id", "feature", "v"], [
+            (*key, float(values[key])) for key in sorted(values)
+        ]),
+        "contributions": (["node_id", "feature", "c", "p"], [
+            (contrib.node_id, feature, float(contrib.c[feature]), float(contrib.p[feature]))
+            for contrib in sorted(contributions or [], key=lambda s: s.node_id)
+            for feature in sorted(contrib.c)
+        ]),
+        "curves": (["leaf_id", "feature", "grid", "effect"], [
+            (curve.node_id, curve.feature, g, float(value))
+            for curve in sorted(curves or [], key=lambda c: (c.node_id, c.feature))
+            for g, value in zip(curve.grid.tolist(), curve.values)
+        ]),
+    }
     paths = {}
-
-    path = os.path.join(out_dir, "importance.csv")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["leaf_id", "feature", "v"])
-        if importance is not None:
-            for (leaf_id, feature) in sorted(importance.values):
-                writer.writerow([leaf_id, feature, _fmt(importance.values[(leaf_id, feature)])])
-    paths["importance"] = path
-
-    path = os.path.join(out_dir, "contributions.csv")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["node_id", "feature", "c", "p"])
-        for contrib in sorted(contributions or [], key=lambda s: s.node_id):
-            for feature in sorted(contrib.c):
-                writer.writerow(
-                    [contrib.node_id, feature, _fmt(contrib.c[feature]), _fmt(contrib.p[feature])]
-                )
-    paths["contributions"] = path
-
-    path = os.path.join(out_dir, "curves.csv")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["leaf_id", "feature", "grid", "effect"])
-        for curve in sorted(curves or [], key=lambda c: (c.node_id, c.feature)):
-            for g, value in zip(curve.grid, curve.values):
-                cell = _fmt(g) if isinstance(g, (float, np.floating)) else str(g)
-                writer.writerow([curve.node_id, curve.feature, cell, _fmt(value)])
-    paths["curves"] = path
+    for name, (header, rows) in tables.items():
+        paths[name] = os.path.join(out_dir, f"{name}.csv")
+        # a grid holds floats or levels: an object column keeps the Python
+        # values, whose str is repr for a float
+        write_csv(paths[name], header, [
+            np.array(column, dtype=object if label == "grid" else None)
+            for label, column in zip(header, list(zip(*rows)) or [()] * len(header))
+        ])
     return paths
 
 

@@ -6,7 +6,13 @@ per-bin gram statistics: each (node, feature) pair costs at most one pass
 over the node's raw rows to bin-aggregate, after which every candidate
 partition is scored from the small aggregated systems.  Candidate
 thresholds are global quantile edges of the root training data, reused at
-every node, so bin membership per record is computed once.
+every node, so bin membership per record is computed once.  Each feature
+the search may cut is one record fixed at the root (:class:`_SplitFeature`,
+from :func:`_prepare_binning`): its name, its place in schema order, each
+record's bin and its thresholds or levels.  The same record goes from the
+root binning through every node's bins (:class:`FeatureBins`) to the
+winning split, which it alone turns from left bins into a rule
+(:meth:`_SplitFeature.candidate`).
 
 The unit of the search is one feature: bin it from the node's rows, then
 sweep it.  Histogram subtraction (as in LightGBM; Ke et al. 2017) saves
@@ -70,8 +76,8 @@ One loop sweeps every feature (:func:`_sweep_feature`).  A feature kind
 only yields batches of stacked left sides and the bins each candidate
 sends left: a continuous feature's cuts come as one batch, a categorical
 feature's level subsets in chunks of bounded size.  Every batch is scored
-by :func:`_split_gains`; the first highest finite gain wins, and the split
-is built from the feature and the winner's left bins.
+by :func:`_split_gains`; the first highest finite gain wins, and
+:func:`best_split` builds the split of the overall winner only.
 
 The search's scratch memory lives in one workspace per :func:`grow`: the
 node's gathered rows, one bin's gathered rows (each bin is gathered right
@@ -109,13 +115,9 @@ from .errors import DataError, NumericalError
 from .gram import (
     GramStats,
     NodeModel,
-    _back_map,
-    _batch_of_one,
-    _moments,
-    _node_model,
-    _standardized_block,
     bin_sum,
     complement,
+    fit_lasso,
     fit_node,
     gcv_loss,
     gram_accumulate,
@@ -439,25 +441,50 @@ def _compact_bin_ids(bin_ids, num_bins: int) -> np.ndarray:
     return b.astype(np.min_scalar_type(max(num_bins - 1, 0)), copy=False)
 
 
-@dataclass
-class FeatureBins:
-    """Node-restricted per-bin statistics for one feature.
+@dataclass(frozen=True, eq=False)
+class _SplitFeature:
+    """One feature the split search may cut, fixed at the root.
 
-    :attr:`stats` is the stack :func:`bin_grams` returns, one row set per
-    bin, which :func:`splinetree.gram.complement` subtracts bin by bin and
-    :func:`splinetree.gram.bin_sum` sums a side from.  Bins derived by
-    subtraction (:func:`_derive`) carry ``rebin``, which bins the feature
-    directly from the node's rows in the workspace it is given;
-    :func:`best_split` calls it for the winning feature only, so the
-    children's statistics are never built from derived bins.
+    ``index`` is its position among the split features, in schema order,
+    and the first tie-break key; ``bin_ids`` holds each training record's
+    bin.  A continuous feature has its candidate thresholds ``edges``
+    (threshold j sends bins 0..j left); a categorical one has ``edges``
+    None and one bin per level of ``levels``, the full training level list.
     """
 
-    feature: str
-    index: int  # position in schema order; first tie-break key
-    kind: str  # "continuous" | "categorical"
+    name: str
+    index: int
+    bin_ids: np.ndarray
+    edges: np.ndarray | None = None
+    levels: tuple | None = None
+
+    @property
+    def num_bins(self) -> int:
+        return len(self.levels) if self.edges is None else self.edges.size + 1
+
+    def candidate(self, left_bins) -> SplitCandidate:
+        """The split that sends the bins ``left_bins`` left."""
+        if self.edges is None:
+            levels = tuple(self.levels[k] for k in left_bins)
+            return SplitCandidate(self.name, categories=levels)
+        return SplitCandidate(self.name, threshold=float(self.edges[left_bins[-1]]))
+
+
+@dataclass
+class FeatureBins:
+    """Node-restricted per-bin statistics for one split feature.
+
+    :attr:`stats` is the stack :func:`bin_grams` returns, one row set per
+    bin of :attr:`feature`, which :func:`splinetree.gram.complement`
+    subtracts bin by bin and :func:`splinetree.gram.bin_sum` sums a side
+    from.  Bins derived by subtraction (:func:`_derive`) carry ``rebin``,
+    which bins the feature directly from the node's rows in the workspace
+    it is given; :func:`best_split` calls it for the winning feature only,
+    so the children's statistics are never built from derived bins.
+    """
+
+    feature: _SplitFeature
     stats: GramStats  # stacked, one row set per bin
-    edges: np.ndarray | None = None  # continuous: threshold per bin boundary
-    levels: tuple | None = None  # categorical: full training level list
     rebin: Callable[["_Workspace"], "FeatureBins"] | None = None
 
 
@@ -487,13 +514,13 @@ class _FeatureBest:
     """Per-feature sweep winner, scored by the batched path.
 
     :func:`best_split` adds the ``left`` side summed from the bins it was
-    swept from, which are then dropped, and their ``rebin`` if derived.
+    swept from, which are then dropped, and their ``rebin`` if derived;
+    it builds the split of the overall winner only.
     """
 
     gain: float
-    feature_index: int
+    feature: _SplitFeature
     left_bin_indices: tuple[int, ...]
-    candidate: SplitCandidate
     left: GramStats | None = None
     rebin: Callable[["_Workspace"], FeatureBins] | None = None
 
@@ -631,7 +658,7 @@ def _cut_batches(fb, node_count, min_leaf, ws):
     cut, its left bins; the left sides' X'X are cumulated in the
     workspace.
     """
-    bins, edges = fb.stats, fb.edges
+    bins, edges = fb.stats, fb.feature.edges
     # into a buffer: the bins stay as they are, for subtraction and the winner.
     # Bin by bin, as cumsum adds, but one contiguous (m, m) add at a time
     cum_xtx = ws.array("stacked", bins.xtx.shape)
@@ -678,8 +705,8 @@ def _subset_batches(fb, node_count, min_leaf, ws):
     node-mean response.  Yields, per chunk of about 32 MiB of X'X, the
     stacked left sides (their X'X in the workspace) and each one's subset.
     """
-    levels, bins = fb.levels, fb.stats
-    c = len(levels)
+    bins = fb.stats
+    c = fb.feature.num_bins
     counts = bins.count
     if c <= EXHAUSTIVE_CATEGORY_LIMIT:
         subsets = _canonical_subsets(c)
@@ -722,10 +749,9 @@ def _sweep_feature(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
 
     Continuous cuts come as one batch (:func:`_cut_batches`), categorical
     subsets in chunks (:func:`_subset_batches`); each batch of left sides
-    is scored by :func:`_split_gains`, and the split is built from the
-    winner's left bins.
+    is scored by :func:`_split_gains`.
     """
-    batches = _cut_batches if fb.kind == "continuous" else _subset_batches
+    batches = _subset_batches if fb.feature.edges is None else _cut_batches
     best_gain, best_left = -np.inf, None
     for left, left_bins in batches(fb, node_gram.count, min_leaf, ws):
         gains = _split_gains(node_gram, left, parent_loss, config, ws, bound)
@@ -734,13 +760,7 @@ def _sweep_feature(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
             best_gain, best_left = float(gains[i]), tuple(left_bins[i])
     if best_left is None:
         return None
-    if fb.kind == "continuous":
-        candidate = SplitCandidate(fb.feature, threshold=float(fb.edges[best_left[-1]]))
-    else:
-        candidate = SplitCandidate(fb.feature, categories=tuple(fb.levels[k] for k in best_left))
-    return _FeatureBest(
-        gain=best_gain, feature_index=fb.index, left_bin_indices=best_left, candidate=candidate,
-    )
+    return _FeatureBest(gain=best_gain, feature=fb.feature, left_bin_indices=best_left)
 
 
 def best_split(
@@ -795,7 +815,7 @@ def best_split(
         if res is None:
             continue
         if best is None or res.gain > best.gain or (
-            res.gain == best.gain and res.feature_index < best.feature_index
+            res.gain == best.gain and res.feature.index < best.feature.index
         ):
             best = res
     if best is None:
@@ -812,7 +832,7 @@ def best_split(
         + _node_split_loss(right_model, config.loss)
     )
     return BestSplit(
-        candidate=best.candidate,
+        candidate=best.feature.candidate(best.left_bin_indices),
         left_model=left_model,
         right_model=right_model,
         gain=gain,
@@ -821,48 +841,31 @@ def best_split(
     )
 
 
-@dataclass
-class _RootBinning:
-    """Per-feature candidate sets and per-record bin ids, fixed at the root."""
+def _prepare_binning(dataset, spec, config) -> list[_SplitFeature]:
+    """The split features in schema order, binned once at the root.
 
-    kinds: dict
-    edges: dict
-    bin_ids: dict
-    levels: dict
-    order: list  # feature names in schema order, excluded features dropped
-
-    def num_bins(self, name) -> int:
-        if self.kinds[name] == "continuous":
-            return self.edges[name].size + 1
-        return len(self.levels[name])
-
-    def nbytes(self, m: int) -> int:
-        """Bytes of one node's per-bin X'X and X'y over every feature."""
-        return sum(self.num_bins(name) for name in self.order) * (m * m + m) * 8
-
-
-def _prepare_binning(dataset, spec, config) -> _RootBinning:
-    kinds, edges, bin_ids, levels, order = {}, {}, {}, {}, []
+    A continuous feature takes its :func:`candidate_edges`, a categorical
+    one its design levels; features the design excludes, constant ones and
+    those with fewer than two levels cannot be cut and are left out.  A
+    categorical value outside the design's levels raises ``DataError``
+    (:func:`_level_codes`).
+    """
+    features = []
     for feat in dataset.features:
         if feat.name in spec.excluded:
             continue
         values = dataset.columns[feat.name]
         if feat.kind == basis.CONTINUOUS:
-            e = candidate_edges(values, config.num_bins)
-            if e.size == 0:
-                continue
-            kinds[feat.name] = "continuous"
-            edges[feat.name] = e
-            bin_ids[feat.name] = _compact_bin_ids(bin_values(values, e), e.size + 1)
+            edges = candidate_edges(values, config.num_bins)
+            if edges.size:
+                ids = _compact_bin_ids(bin_values(values, edges), edges.size + 1)
+                features.append(_SplitFeature(feat.name, len(features), ids, edges=edges))
         else:
-            levs = spec.levels.get(feat.name)
-            if levs is None or len(levs) < 2:
-                continue
-            kinds[feat.name] = "categorical"
-            levels[feat.name] = levs
-            bin_ids[feat.name] = _level_codes(values, levs, feat.name)
-        order.append(feat.name)
-    return _RootBinning(kinds, edges, bin_ids, levels, order)
+            levels = spec.levels.get(feat.name)
+            if levels is not None and len(levels) >= 2:
+                ids = _level_codes(values, levels, feat.name)
+                features.append(_SplitFeature(feat.name, len(features), ids, levels=levels))
+    return features
 
 
 def _level_codes(values, levels, feature) -> np.ndarray:
@@ -934,27 +937,25 @@ class _NodeRows:
     so they do not depend on which worker thread binned which feature.
     """
 
-    def __init__(self, binning, X, y, rows, node_id, instrumentation, ws):
+    def __init__(self, features, X, y, rows, node_id, instrumentation, ws):
         if rows.size < X.shape[0]:
             X, y = ws.take("node_rows", X, rows), ws.take("node_responses", y, rows)
-        self.binning, self.X, self.y, self.rows = binning, X, y, rows
+        self.features, self.X, self.y, self.rows = features, X, y, rows
         self.node_id, self.instrumentation = node_id, instrumentation
         self._events: dict[int, SplitSearchEvent] = {}
 
     def bin(self, index: int, ws: _Workspace) -> FeatureBins:
-        """The bins of the feature at ``index`` in schema order."""
-        binning, name = self.binning, self.binning.order[index]
-        num_bins = binning.num_bins(name)
+        """The bins of the split feature at ``index``."""
+        feature = self.features[index]
         stats = bin_grams(
-            self.X, self.y, ws.take("bin_ids", binning.bin_ids[name], self.rows), num_bins,
+            self.X, self.y, ws.take("bin_ids", feature.bin_ids, self.rows), feature.num_bins,
             workspace=ws,
         )
         if self.instrumentation is not None:
-            self._events[index] = SplitSearchEvent(self.node_id, name, self.X.shape[0], num_bins)
-        return FeatureBins(
-            feature=name, index=index, kind=binning.kinds[name], stats=stats,
-            edges=binning.edges.get(name), levels=binning.levels.get(name),
-        )
+            self._events[index] = SplitSearchEvent(
+                self.node_id, feature.name, self.X.shape[0], feature.num_bins
+            )
+        return FeatureBins(feature, stats)
 
     def record(self) -> None:
         """Record the passes made so far, in schema order."""
@@ -1042,7 +1043,7 @@ def grow(
             f"min_samples_leaf {min_leaf} is below the design width {m}"
         )
 
-    binning = _prepare_binning(dataset, spec, config)
+    features = _prepare_binning(dataset, spec, config)
     X = basis.design_matrix(dataset, spec)
     y = np.asarray(dataset.response, dtype=np.float64)
 
@@ -1050,7 +1051,7 @@ def grow(
     sources: list[_NodeRows] = []  # made for the search under way, recorded after it
 
     def source(node_id, rows) -> _NodeRows:
-        sources.append(_NodeRows(binning, X, y, rows, node_id, instrumentation, ws))
+        sources.append(_NodeRows(features, X, y, rows, node_id, instrumentation, ws))
         return sources[-1]
 
     def searched(depth, count) -> bool:
@@ -1059,8 +1060,10 @@ def grow(
     # Bins kept for subtraction, in bytes: each keeping parent's until its
     # left child comes up, then its right child's.  While a pair is
     # derived, the parent's and the right child's briefly coexist, so a
-    # parent keeps only if there is room for twice its bins.
-    budget, node_bytes, kept = _kept_bins_budget(X), binning.nbytes(m), 0
+    # parent keeps only if there is room for twice its bins, a node's bins
+    # being its per-bin X'X and X'y over every split feature.
+    node_bytes = sum(feature.num_bins for feature in features) * (m * m + m) * 8
+    budget, kept = _kept_bins_budget(X), 0
 
     def keep(nbytes):
         nonlocal kept
@@ -1068,7 +1071,6 @@ def grow(
         if instrumentation is not None:
             instrumentation.kept_bytes.append(kept)
 
-    features = range(len(binning.order))
     rows = np.arange(dataset.n)
     root_gram = gram_accumulate(X, y)
     root_model = fit_node(root_gram, config.lam)
@@ -1099,7 +1101,7 @@ def grow(
             keep(-node_bytes)
         found = best_split(
             node_gram, node.model,
-            bins if unit is None else [partial(_stored, unit, bins, i) for i in features],
+            bins if unit is None else [partial(_stored, unit, bins, f.index) for f in features],
             config, min_leaf, workspace=ws,
         )
         for made in sources:
@@ -1199,68 +1201,16 @@ def predict(root: TreeNode, spec, dataset) -> np.ndarray:
     return out
 
 
-def _soft_threshold(value: float, bound: float) -> float:
-    if value > bound:
-        return value - bound
-    if value < -bound:
-        return value + bound
-    return 0.0
-
-
-def _lasso_cd(gram: GramStats, lambda1, gamma0, max_passes, tol=1e-7):
-    """Cyclic coordinate descent for (1/2n)||y - b0 - Z g||^2 + lambda1 |g|_1
-    on the standardized design of one leaf's statistics.
-
-    Z'Z and Z'y come from the gram by the ridge fits' standardization
-    (``gram._moments``, ``gram._standardized_block``), so every update uses
-    X'X and X'y alone: glmnet's covariance updates (Friedman, Hastie &
-    Tibshirani 2010).  Columns constant within the leaf stay at zero.  The
-    warm start ``gamma0`` is on the original scale.  Stops when a pass moves
-    no coefficient by ``tol`` or more, or after ``max_passes`` passes, and
-    maps g back to the original scale as the ridge fits do.  Returns
-    (coefficients, converged).
-    """
-    stack = _batch_of_one(gram)
-    counts, mean, scale, b, constant = _moments(stack)
-    A = _standardized_block(stack.xtx, counts, mean, scale)[0]
-    c, diag, n = b[0], np.diagonal(A).copy(), gram.count
-    active = np.nonzero(~constant[0] & (diag > 0))[0]
-
-    gamma = np.where(constant[0], 0.0, gamma0 * scale[0])
-    u = A @ gamma
-    converged = False
-    for _ in range(max_passes):
-        delta = 0.0
-        for j in active:
-            old = gamma[j]
-            rho = (c[j] - u[j] + diag[j] * old) / n
-            new = _soft_threshold(rho, lambda1) / (diag[j] / n)
-            if new != old:
-                u += A[:, j] * (new - old)
-                gamma[j] = new
-                delta = max(delta, abs(new - old))
-        if delta < tol:
-            converged = True
-            break
-    return _back_map(stack, gamma[None, None], mean, scale)[0, 0], converged
-
-
 @one_blas_thread()
 def refit_l1(root: TreeNode, dataset, spec, lambda1: float) -> TreeNode:
     """Replace leaf coefficients with lasso fits; structure is unchanged.
 
     Each leaf is refitted from its gram statistics, accumulated once from
-    its rows.  Coordinate descent (:func:`_lasso_cd`) runs on the
-    standardized gram with the intercept unpenalized, warm-started at the
-    current leaf coefficients, until the largest coefficient change in a
-    pass is below 1e-7 or the pass budget (1000 per design column) is
-    exhausted.  Non-converged leaves keep their model and effect means and
-    are flagged ``l1_nonconverged``.  With ``lambda1 = 0`` the problem is
-    plain least squares, solved by ``gram.fit_node``.  A refitted leaf's
-    model is assembled as every node model is, its SSE and R^2 taken from
-    the gram, with effective df 1 + the number of nonzero coefficients and
-    lambda 0.  ``lambda1`` must be finite and nonnegative (``ValueError``).
-    The tree is modified in place and returned.  Like :func:`grow`, it
+    its rows, by :func:`splinetree.gram.fit_lasso`, warm-started at the
+    current leaf coefficients.  Non-converged leaves keep their model and
+    effect means and are flagged ``l1_nonconverged``.  ``lambda1`` must be
+    finite and nonnegative (``ValueError``).  The tree is modified in place
+    and returned.  Like :func:`grow`, it
     runs BLAS on one thread, so the coefficients do not depend on the BLAS
     thread setting.
     """
@@ -1268,24 +1218,17 @@ def refit_l1(root: TreeNode, dataset, spec, lambda1: float) -> TreeNode:
         raise ValueError("lambda1 must be finite and nonnegative")
     X = basis.design_matrix(dataset, spec)
     y = np.asarray(dataset.response, dtype=np.float64)
-    m = spec.total_columns
-    max_passes = 10 * m * 100
     members = route(root, spec, dataset)
     for leaf in root.leaves():
         idx = members[leaf.id]
         if idx.size == 0:
             continue
         Xl = X[idx]
-        gram = gram_accumulate(Xl, y[idx])
-        if lambda1 == 0.0:
-            coef, converged = fit_node(gram, 0.0).coefficients, True
-        else:
-            coef, converged = _lasso_cd(
-                gram, lambda1, leaf.model.coefficients[1:], max_passes
-            )
+        start = leaf.model.coefficients[1:]
+        model, converged = fit_lasso(gram_accumulate(Xl, y[idx]), lambda1, start)
         if not converged:
             leaf.flags = leaf.flags + ("l1_nonconverged",)
             continue
-        leaf.model = _node_model(gram, coef, 1.0 + int(np.count_nonzero(coef[1:])), 0.0)
-        leaf.effect_means = _effect_means(Xl, spec, coef)
+        leaf.model = model
+        leaf.effect_means = _effect_means(Xl, spec, model.coefficients)
     return root

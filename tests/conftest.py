@@ -21,7 +21,7 @@ from splinetree import (
     gcv_loss,
     gram_accumulate,
 )
-from splinetree.tree import FeatureBins, bin_grams, bin_values
+from splinetree.tree import FeatureBins, _SplitFeature, bin_grams, bin_values
 
 
 def make_dataset(rng, n, continuous=2, categorical=0, levels=4, response=None):
@@ -135,8 +135,8 @@ def implementation_best_split(dataset, spec, config, min_leaf):
             ids = bin_values(col, edges)
             bins.append(
                 FeatureBins(
-                    feat.name, index, "continuous",
-                    bin_grams(X, y, ids, edges.size + 1), edges=edges,
+                    _SplitFeature(feat.name, index, ids, edges=edges),
+                    bin_grams(X, y, ids, edges.size + 1),
                 )
             )
         else:
@@ -147,8 +147,8 @@ def implementation_best_split(dataset, spec, config, min_leaf):
             ids = np.array([lookup[v] for v in col])
             bins.append(
                 FeatureBins(
-                    feat.name, index, "categorical",
-                    bin_grams(X, y, ids, len(levs)), levels=levs,
+                    _SplitFeature(feat.name, index, ids, levels=levs),
+                    bin_grams(X, y, ids, len(levs)),
                 )
             )
     return best_split(node_gram, node_model, bins, config, min_leaf), node_model

@@ -141,11 +141,11 @@ def test_c2_complexity_witness():
     # (b) wall time of one split-search pass grows < 2x as K goes 10 -> 50
     def search(num_bins):
         config = st.GrowConfig(num_bins=num_bins, lam=1e-3, max_depth=1)
-        binning = tree_mod._prepare_binning(ds, spec, config)
+        features = tree_mod._prepare_binning(ds, spec, config)
         ws = tree_mod._Workspace()
         t0 = time.perf_counter()
-        source = tree_mod._NodeRows(binning, X[rows], y[rows], rows, 0, None, ws)
-        bins = [source.bin(i, ws) for i in range(len(binning.order))]
+        source = tree_mod._NodeRows(features, X[rows], y[rows], rows, 0, None, ws)
+        bins = [source.bin(i, ws) for i in range(len(features))]
         tree_mod.best_split(node_gram, node_model, bins, config, min_leaf)
         return time.perf_counter() - t0
 

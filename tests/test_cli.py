@@ -394,7 +394,7 @@ class TestFitArgumentErrors:
         [
             (["fit", "--response", "f", "--out", "t.json"],
              "the following arguments are required: --data"),
-            (["fit", "--data", "d.csv", "--out", "t.json", "--bogus", "1"],
+            (["fit", "--data", "d.csv", "--response", "f", "--out", "t.json", "--bogus", "1"],
              "unrecognized arguments: --bogus 1"),
             (["evaluate", "--model", "m.json", "--data", "d.csv", "--task", "multi"],
              "argument --task: invalid choice: 'multi'"),
@@ -402,6 +402,10 @@ class TestFitArgumentErrors:
              "argument --transform: invalid choice: 'probit'"),
             (["simulate", "--kind", "f1", "--n", "ten", "--out", "s.csv"],
              "argument --n: invalid int value: 'ten'"),
+            (["fit", "--data", "d.csv", "--out", "t.json"],
+             "the following arguments are required: --response"),
+            (["evaluate", "--model", "m.json", "--data", "d.csv"],
+             "the following arguments are required: --response"),
         ],
     )
     def test_parser_errors_are_one_line(self, capsys, argv, message):

@@ -198,6 +198,16 @@ class TestBinGrams:
             bin_grams(X, rng.standard_normal(4), np.array([0.0, 1.0, 1.5, 0.0]), 3)
 
 
+def _by_name(features):
+    """Split features keyed by name."""
+    return {feature.name: feature for feature in features}
+
+
+def _node_bytes(features, m):
+    """Bytes of one node's per-bin X'X and X'y over every split feature."""
+    return sum(feature.num_bins for feature in features) * (m * m + m) * 8
+
+
 class TestPrepareBinning:
     def test_categorical_codes_match_per_row_lookup(self, rng):
         # the spec's levels come from the full data; the subset lacks two
@@ -206,11 +216,11 @@ class TestPrepareBinning:
         spec = build_spec(ds, num_knots=3)
         col = ds.columns["c1"]
         sub = ds.subset(np.nonzero((col != "lv1") & (col != "lv4"))[0])
-        binning = tree_mod._prepare_binning(sub, spec, GrowConfig(num_bins=8))
+        features = _by_name(tree_mod._prepare_binning(sub, spec, GrowConfig(num_bins=8)))
         levels = spec.levels["c1"]
         index = {lev: k for k, lev in enumerate(levels)}
         expected = np.array([index[v] for v in sub.columns["c1"]])
-        codes = binning.bin_ids["c1"]
+        codes = features["c1"].bin_ids
         assert codes.dtype == np.uint8
         assert np.array_equal(codes, expected)
         assert not np.isin([1, 4], codes).any()
@@ -230,10 +240,10 @@ class TestPrepareBinning:
     def test_continuous_ids_are_compact(self, rng):
         ds = make_dataset(rng, 300, continuous=1)
         spec = build_spec(ds, num_knots=3)
-        binning = tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=8))
-        ids = binning.bin_ids["x1"]
+        x1 = _by_name(tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=8)))["x1"]
+        ids = x1.bin_ids
         assert ids.dtype == np.uint8
-        assert np.array_equal(ids, tree_mod.bin_values(ds.columns["x1"], binning.edges["x1"]))
+        assert np.array_equal(ids, tree_mod.bin_values(ds.columns["x1"], x1.edges))
 
 
 class TestSplitMask:
@@ -426,23 +436,23 @@ class TestWinnerGrams:
         ds, spec = self._data()
         config = GrowConfig(num_bins=32)
         X, y = design_matrix(ds, spec), ds.response
-        binning = tree_mod._prepare_binning(ds, spec, config)
+        features = tree_mod._prepare_binning(ds, spec, config)
         ws = tree_mod._Workspace()
-        source = tree_mod._NodeRows(binning, X, y, np.arange(ds.n), 0, None, ws)
-        fb = source.bin(binning.order.index(feature), ws)
+        source = tree_mod._NodeRows(features, X, y, np.arange(ds.n), 0, None, ws)
+        fb = source.bin(_by_name(features)[feature].index, ws)
         node_gram = gram_accumulate(X, y)
         node_model = fit_node(node_gram, config.lam)
         found = best_split(node_gram, node_model, [fb], config, spec.total_columns)
         assert found is not None and found.candidate.feature == feature
-        if fb.kind == "continuous":
-            last = int(np.searchsorted(fb.edges, found.candidate.threshold))
-            assert fb.edges[last] == found.candidate.threshold
+        if fb.feature.edges is not None:
+            last = int(np.searchsorted(fb.feature.edges, found.candidate.threshold))
+            assert fb.feature.edges[last] == found.candidate.threshold
             left_bins = list(range(last + 1))
             assert len(left_bins) >= 9  # beyond numpy's 8-way pairwise unrolling
         else:
-            left_bins = [fb.levels.index(v) for v in found.candidate.categories]
+            left_bins = [fb.feature.levels.index(v) for v in found.candidate.categories]
             assert np.any(np.diff(left_bins) > 1)  # not a run: gathered, not a view
-        ids = np.asarray(binning.bin_ids[feature])
+        ids = np.asarray(fb.feature.bin_ids)
         xtx, xty, yty, count = 0.0, 0.0, 0.0, 0
         for k in left_bins:  # bin by bin, in order
             xk, yk = X[ids == k], y[ids == k]
@@ -671,17 +681,18 @@ def _fresh_gains(node, left, parent_loss, config):
 def _fresh_sweep(fb, node, parent_loss, config, min_leaf):
     """Every scored candidate of one feature and its gain, with fresh arrays."""
     xtx, xty, yty, counts = fb.stats.xtx, fb.stats.xty, fb.stats.yty, fb.stats.count
-    if fb.kind == "continuous":
+    edges = fb.feature.edges
+    if edges is not None:
         cum = [np.cumsum(a, axis=0) for a in (xtx, xty, yty, counts)]
-        cnt = cum[3][: fb.edges.size]
-        distinct = np.ones(fb.edges.size, dtype=bool)
-        distinct[1:] = counts[1 : fb.edges.size] > 0
+        cnt = cum[3][: edges.size]
+        distinct = np.ones(edges.size, dtype=bool)
+        distinct[1:] = counts[1 : edges.size] > 0
         sel = np.nonzero((cnt >= min_leaf) & (node.count - cnt >= min_leaf) & distinct)[0]
         if sel.size == 0:
             return [], np.empty(0)
         gains = _fresh_gains(node, GramStats(*(a[sel] for a in cum)), parent_loss, config)
-        return [("threshold", float(fb.edges[j])) for j in sel], gains
-    c = len(fb.levels)
+        return [("threshold", float(edges[j])) for j in sel], gains
+    c = len(fb.feature.levels)
     if c <= tree_mod.EXHAUSTIVE_CATEGORY_LIMIT:
         subsets = tree_mod._canonical_subsets(c)
     else:  # the ordered scan: prefixes of the levels sorted by node mean
@@ -731,9 +742,9 @@ def swept_gains(monkeypatch):
 def _node_rows(ds, spec, num_bins, rows=None, instrumentation=None):
     """A node's rows (the root's by default) as a binning source, and its workspace."""
     rows = np.arange(ds.n) if rows is None else rows
-    binning = tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=num_bins))
+    features = tree_mod._prepare_binning(ds, spec, GrowConfig(num_bins=num_bins))
     ws = tree_mod._Workspace()
-    source = tree_mod._NodeRows(binning, design_matrix(ds, spec), ds.response, rows, 0,
+    source = tree_mod._NodeRows(features, design_matrix(ds, spec), ds.response, rows, 0,
                                 instrumentation, ws)
     return source, ws
 
@@ -741,7 +752,7 @@ def _node_rows(ds, spec, num_bins, rows=None, instrumentation=None):
 def _node_bins(ds, spec, num_bins):
     """Root node statistics and per-feature bins of a dataset."""
     source, ws = _node_rows(ds, spec, num_bins)
-    bins = [source.bin(i, ws) for i in range(len(source.binning.order))]
+    bins = [source.bin(i, ws) for i in range(len(source.features))]
     return gram_accumulate(source.X, source.y), bins
 
 
@@ -760,9 +771,9 @@ def _singular_left_sides():
     X = np.column_stack([np.ones(n), x, x + z])
     y = np.random.default_rng(5).standard_normal(n)
     edges = candidate_edges(u, 8)
+    ids = tree_mod.bin_values(u, edges)
     fb = tree_mod.FeatureBins(
-        "u", 0, "continuous",
-        bin_grams(X, y, tree_mod.bin_values(u, edges), edges.size + 1), edges=edges,
+        tree_mod._SplitFeature("u", 0, ids, edges=edges), bin_grams(X, y, ids, edges.size + 1),
     )
     return gram_accumulate(X, y), [fb]
 
@@ -791,7 +802,7 @@ class TestSweepWorkspace:
         candidates, want = [], []
         for fb in bins:
             keys, gains = _fresh_sweep(fb, node_gram, parent_loss, config, min_leaf)
-            candidates += [(fb.feature, key) for key in keys]
+            candidates += [(fb.feature.name, key) for key in keys]
             want.append(gains)
         want = np.concatenate(want)
         ws = tree_mod._Workspace()
@@ -817,7 +828,7 @@ class TestSweepWorkspace:
         ds = make_dataset(rng, 1400, continuous=2, categorical=1, levels=levels)
         spec = build_spec(ds, num_knots=4)
         node_gram, bins = _node_bins(ds, spec, 16)
-        assert [fb.kind for fb in bins] == ["continuous", "continuous", "categorical"]
+        assert [fb.feature.edges is None for fb in bins] == [False, False, True]
         config = GrowConfig(lam=self.GRIDS[grid], loss=loss, num_bins=16)
         self._check(node_gram, bins, config, spec.total_columns, swept_gains)
 
@@ -907,14 +918,14 @@ class TestBoundedScoring:
             gains.append(feature_gains)
         fb, (kind, value) = candidates[int(np.argmax(np.concatenate(gains)))]
         if kind == "threshold":
-            left_bins = range(int(np.flatnonzero(fb.edges == value)[0]) + 1)
+            left_bins = range(int(np.flatnonzero(fb.feature.edges == value)[0]) + 1)
         else:
             left_bins = value
-            value = tuple(fb.levels[k] for k in value)
+            value = tuple(fb.feature.levels[k] for k in value)
         left = gram_mod.bin_sum(fb.stats, left_bins)
         models = fit_node(left, config.lam), fit_node(gram_subtract(node_gram, left), config.lam)
         gain = parent_loss - sum(_node_split_loss(model, config.loss) for model in models)
-        return tree_mod.SplitCandidate(fb.feature, **{kind: value}), models, gain
+        return tree_mod.SplitCandidate(fb.feature.name, **{kind: value}), models, gain
 
     @staticmethod
     def _assert_same_winner(node_gram, bins, config, min_leaf, swept_gains):
@@ -1123,17 +1134,19 @@ class TestBoundedScoring:
             assert not np.isfinite(swept_gains[1]).all()
             assert found.gain == want[best]
             assert found.left_bin_indices == keys[best][1] == alike
-            assert found.candidate.categories == tuple(f"g{j:02d}" for j in alike)
+            assert fb.feature.candidate(found.left_bin_indices).categories == tuple(
+                f"g{j:02d}" for j in alike
+            )
             if batch:  # the subset-refit oracle refits 4,094 sides: run it once
                 (feature, key), gain, *_ = naive_best_split(ds, spec, config, m)
-                assert (feature, key) == (fb.index, alike)
+                assert (feature, key) == (fb.feature.index, alike)
                 assert gain == pytest.approx(found.gain, rel=1e-9)
 
 
 def _streamed(ds, spec, num_bins, rows=None):
     """A node's features as callables that bin them from its rows when swept."""
     source, _ = _node_rows(ds, spec, num_bins, rows)
-    return [partial(source.bin, i) for i in range(len(source.binning.order))]
+    return [partial(source.bin, i) for i in range(len(source.features))]
 
 
 def _assert_same_children(a, b):
@@ -1207,7 +1220,7 @@ class TestStreamedSearch:
         ds, spec = TestHistogramSubtraction._data()
         config = GrowConfig(lam=lam, num_bins=8, threads=threads)
         X, y, m = design_matrix(ds, spec), ds.response, spec.total_columns
-        binning = tree_mod._prepare_binning(ds, spec, config)
+        features = tree_mod._prepare_binning(ds, spec, config)
         root_gram, root_bins = gram_accumulate(X, y), _node_bins(ds, spec, 8)[1]
         split = best_split(root_gram, fit_node(root_gram, lam), root_bins, config, m)
         mask = tree_mod.split_mask(ds, spec, split.candidate)
@@ -1215,8 +1228,8 @@ class TestStreamedSearch:
         grams = [split.left_gram, split.right_gram]
         small, large = sorted((0, 1), key=lambda side: rows[side].size)
         ws = tree_mod._Workspace()
-        smaller = tree_mod._NodeRows(binning, X, y, rows[small], 1, None, ws)
-        larger = tree_mod._NodeRows(binning, X, y, rows[large], 2, None, tree_mod._Workspace())
+        smaller = tree_mod._NodeRows(features, X, y, rows[small], 1, None, ws)
+        larger = tree_mod._NodeRows(features, X, y, rows[large], 2, None, tree_mod._Workspace())
         derived = [
             tree_mod._derive(whole, smaller.bin(i, ws), partial(larger.bin, i))
             for i, whole in enumerate(root_bins)
@@ -1240,9 +1253,8 @@ class TestStreamedSearch:
         assert m == 151
         source, ws = _node_rows(ds, spec, 40)
         node_gram = gram_accumulate(source.X, source.y)
-        streamed = [partial(source.bin, i) for i in range(len(source.binning.order))]
-        binning = source.binning
-        one = max(binning.num_bins(name) for name in binning.order) * (m * m + m + 1) * 8
+        streamed = [partial(source.bin, i) for i in range(len(source.features))]
+        one = max(feature.num_bins for feature in source.features) * (m * m + m + 1) * 8
         config = GrowConfig(num_bins=40, threads=threads)
         node_model = fit_node(node_gram, config.lam)
         tracemalloc.start()
@@ -1464,8 +1476,8 @@ class TestGrow:
         spec = build_spec(ds, num_knots=50)
         m = spec.total_columns
         config = GrowConfig(max_depth=2, num_bins=20, min_samples_leaf=m)
-        binning = tree_mod._prepare_binning(ds, spec, config)
-        assert binning.nbytes(m) > design_matrix(ds, spec).nbytes
+        features = tree_mod._prepare_binning(ds, spec, config)
+        assert _node_bytes(features, m) > design_matrix(ds, spec).nbytes
         root, kept_bytes = self._grown_alike_across_threads(ds, spec, config)
         assert not root.is_leaf and not root.left.is_leaf and kept_bytes == []
 
@@ -1545,8 +1557,8 @@ class TestHistogramSubtraction:
         root = grow(ds, spec, config)
         pairs = list(self._pairs(root, config))
         X, y = design_matrix(ds, spec), ds.response
-        binning = tree_mod._prepare_binning(ds, spec, config)
-        features = len(binning.order)
+        names = [feature.name for feature in tree_mod._prepare_binning(ds, spec, config)]
+        features = len(names)
         # one feature at a time, in schema order, pair after pair
         assert len(pairs) * features == len(derived) >= 3 * features  # every pair fits the budget
         derived = [derived[k : k + features] for k in range(0, len(derived), features)]
@@ -1554,10 +1566,10 @@ class TestHistogramSubtraction:
         empty = 0
         for (_, larger), bins in zip(pairs, derived):
             rows = members[larger.id]
-            assert [fb.feature for fb in bins] == binning.order
+            assert [fb.feature.name for fb in bins] == names
             for fb in bins:
-                direct = bin_grams(X[rows], y[rows], binning.bin_ids[fb.feature][rows],
-                                   binning.num_bins(fb.feature))
+                direct = bin_grams(X[rows], y[rows], fb.feature.bin_ids[rows],
+                                   fb.feature.num_bins)
                 derived_stats = (fb.stats.xtx, fb.stats.xty, fb.stats.yty)
                 direct_stats = (direct.xtx, direct.xty, direct.yty)
                 assert [d.shape for d in derived_stats] == [g.shape for g in direct_stats]
@@ -1598,8 +1610,8 @@ class TestHistogramSubtraction:
         spec = build_spec(ds, num_knots=12)
         m = spec.total_columns
         config = GrowConfig(max_depth=3, num_bins=20, min_samples_leaf=m)
-        binning = tree_mod._prepare_binning(ds, spec, config)
-        assert binning.nbytes(m) > design_matrix(ds, spec).nbytes
+        features = tree_mod._prepare_binning(ds, spec, config)
+        assert _node_bytes(features, m) > design_matrix(ds, spec).nbytes
         inst = SplitInstrumentation()
         root = grow(ds, spec, config, instrumentation=inst)
         assert list(self._pairs(root, config)), "no split had both children searched"
@@ -1608,18 +1620,19 @@ class TestHistogramSubtraction:
         searched = [node for node in root.nodes() if self._searched(node, config)]
         assert sorted(passes) == [node.id for node in searched]
         for node in searched:  # one pass per (node, feature), as without subtraction
-            assert passes[node.id] == binning.order
+            assert passes[node.id] == [feature.name for feature in features]
 
     @pytest.mark.parametrize("room", [None, 2], ids=["design-size", "two-nodes"])
     def test_kept_bytes_within_budget(self, monkeypatch, room):
         ds, spec = self._data()
         config = self.CONFIG
         X, m = design_matrix(ds, spec), spec.total_columns
-        binning = tree_mod._prepare_binning(ds, spec, config)
-        node_bytes = binning.nbytes(m)
+        features = tree_mod._prepare_binning(ds, spec, config)
+        names = [feature.name for feature in features]
+        node_bytes = _node_bytes(features, m)
         ws = tree_mod._Workspace()
-        source = tree_mod._NodeRows(binning, X, ds.response, np.arange(ds.n), 0, None, ws)
-        one = [source.bin(i, ws) for i in range(len(binning.order))]
+        source = tree_mod._NodeRows(features, X, ds.response, np.arange(ds.n), 0, None, ws)
+        one = [source.bin(i, ws) for i in range(len(features))]
         assert node_bytes == sum(fb.stats.xtx.nbytes + fb.stats.xty.nbytes for fb in one)
         budget = X.nbytes
         if room is not None:  # room for one parent and its derived child's bins
@@ -1634,8 +1647,8 @@ class TestHistogramSubtraction:
         pairs = list(self._pairs(root, config))
         derived = 0
         for smaller, larger in pairs:
-            assert passes[smaller.id] == binning.order
-            if passes[larger.id] == binning.order:
+            assert passes[smaller.id] == names
+            if passes[larger.id] == names:
                 continue  # binned directly: no room when its parent split
             derived += 1
             # at most one pass: the winning feature, re-binned for the children
@@ -1868,7 +1881,7 @@ class TestRefitL1:
                     break
                 g = g_new
             ours = leaf.model.coefficients[1:][keep] * sd[keep]
-            assert objective(ours) == pytest.approx(objective(g), abs=1e-6)
+            assert objective(ours) == pytest.approx(objective(g), rel=1e-9)
 
     @pytest.mark.parametrize("lambda1", [np.nan, np.inf, -0.1])
     def test_penalty_outside_the_domain_rejected(self, rng, lambda1):
@@ -1923,7 +1936,7 @@ class TestRefitL1:
     def test_nonconverged_leaves_keep_their_model(self, rng, monkeypatch):
         # a step rule of 0 is never met, so every leaf runs out of passes
         ds, spec, root = self.setup_tree(rng)
-        monkeypatch.setattr(tree_mod, "_lasso_cd", partial(tree_mod._lasso_cd, tol=0.0))
+        monkeypatch.setattr(tree_mod, "fit_lasso", partial(tree_mod.fit_lasso, tol=0.0))
         before = {leaf.id: (leaf.flags, leaf.model, leaf.effect_means.copy())
                   for leaf in root.leaves()}
         refit_l1(root, ds, spec, 0.05)
