@@ -160,7 +160,7 @@ def onehot_rows(values, levels: Sequence) -> np.ndarray:
     names them all.
     """
     values = np.asarray(values)
-    codes = _level_codes(values, levels)
+    codes = level_codes(values, levels)
     out = np.zeros((values.size, len(levels) - 1))
     hit = np.flatnonzero(codes > 0)
     out[hit, codes[hit] - 1] = 1.0
@@ -175,7 +175,7 @@ def onehot_rows(values, levels: Sequence) -> np.ndarray:
     return out
 
 
-def _level_codes(values, levels: Sequence) -> np.ndarray:
+def level_codes(values, levels: Sequence) -> np.ndarray:
     """Position in ``levels`` of the level each value equals, or -1 for none.
 
     Each value is found by binary search over the levels, sorted through an

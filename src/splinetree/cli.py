@@ -24,17 +24,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _add_data_arguments(parser, *, schema):
+def _add_data_arguments(parser):
     parser.add_argument("--data", required=True, help="dataset CSV")
     parser.add_argument("--response", required=True, help="surrogate response column")
     parser.add_argument("--original", help="original response column for accuracy metrics")
-    if schema:  # evaluate takes its columns from the model
-        parser.add_argument("--categorical", action="append", default=[],
-                            help="categorical column (repeatable)")
-        parser.add_argument("--features", help="comma-separated model features (default: all)")
-    # fit (schema) checks the transform with its other options, in _OPTIONS
-    parser.add_argument("--transform", choices=None if schema else ["identity", "logit"],
-                        help="response transform applied on load: 'identity' or 'logit'")
+    parser.add_argument("--task", choices=["continuous", "binary"],
+                        help="accuracy metric family (default: binary iff transform is logit)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,27 +47,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("fit", help="grow, prune, and save a tree")
-    _add_data_arguments(p, schema=True)
+    _add_data_arguments(p)
+    p.add_argument("--categorical", action="append", default=[],
+                   help="categorical column (repeatable)")
+    p.add_argument("--features", help="comma-separated model features (default: all)")
     p.add_argument("--out", required=True, help="output tree JSON")
     p.add_argument("--config", help="flat key=value defaults file")
-    # _OPTIONS parses and checks each flag it has a row for, as it does the config keys
-    p.add_argument("--knots")
-    p.add_argument("--num-bins")
-    p.add_argument("--max-depth")
-    p.add_argument("--min-samples-leaf")
-    p.add_argument("--lambda", dest="lam",
-                   help="ridge weight, or comma-separated grid selected by GCV")
-    p.add_argument("--loss", help="'gcv' or 'sse'")
-    p.add_argument("--r2-threshold")
-    p.add_argument("--dsse-fraction")
-    p.add_argument("--lambda1", help="optional L1 refit weight for leaf models")
-    p.add_argument("--seed")
-    p.add_argument("--test-fraction")
     p.add_argument("--tag-column",
                    help="column with train/test markers instead of a random split")
-    p.add_argument("--threads")
-    p.add_argument("--task", choices=["continuous", "binary"], default=None,
-                   help="accuracy metric family (default: binary iff transform is logit)")
+    # _config_from_args parses and checks these flags, as it does the config keys
+    for field, key, _, rule, _ in _OPTIONS:
+        about = _DESCRIPTIONS.get(key)
+        p.add_argument("--" + key.replace("_", "-"), dest=field,
+                       help=f"{about} ({rule})" if about else rule)
 
     p = sub.add_parser("predict", help="write predictions for a dataset")
     p.add_argument("--model", required=True)
@@ -81,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="fidelity/accuracy metrics on a dataset")
     p.add_argument("--model", required=True)
-    _add_data_arguments(p, schema=False)
-    p.add_argument("--task", choices=["continuous", "binary"], default=None)
+    _add_data_arguments(p)
+    p.add_argument("--transform", choices=["identity", "logit"],
+                   help="response transform applied on load: 'identity' or 'logit'")
 
     p = sub.add_parser("diagnose", help="write importance/contribution/curve CSVs")
     p.add_argument("--model", required=True)
@@ -128,6 +116,7 @@ _KINDS = {int: "an integer", float: "a number",
 # One row per RunConfig field that a fit flag or config key sets: the field
 # (also the flag's argparse dest), the key (the flag is "--" plus the key
 # with dashes), the parser and the rule the parsed value must meet.
+# build_parser declares each flag from its row, with the rule as its help.
 _OPTIONS = (
     ("knots", "knots", int, "at least 2", lambda v: v >= 2),
     ("num_bins", "num_bins", int, "at least 2", lambda v: v >= 2),
@@ -145,6 +134,14 @@ _OPTIONS = (
     ("test_fraction", "test_fraction", float, "in [0, 1)", lambda v: 0 <= v < 1),
     ("threads", "threads", int, "at least 1", lambda v: v >= 1),
 )
+
+
+# what a fit flag's help says before its rule, where the rule is not enough
+_DESCRIPTIONS = {
+    "lambda": "ridge weight, or comma-separated grid selected by GCV",
+    "lambda1": "optional L1 refit weight for leaf models",
+    "transform": "response transform applied on load",
+}
 
 
 def _config_from_args(args) -> io.RunConfig:
@@ -193,7 +190,7 @@ def _load_fit_dataset(args, config: io.RunConfig, response: str):
         continuous=continuous,
         categorical=config.categorical,
         original=args.original,
-        tag=getattr(args, "tag_column", None),
+        tag=args.tag_column,
         transform=config.transform,
     )
 

@@ -545,16 +545,13 @@ def _eigh_solves(block, b, lam_values):
     null = (spectrum < NULL_SPACE_RTOL * top[:, None]) | (top <= 0.0)[:, None]
     d = np.maximum(spectrum, 0.0)
     proj = np.matmul(rotation, b[:, :, None])
-    gammas, edfs = [], []
-    for lam in lam_values:
-        if lam == 0.0:
-            recip = np.where(null, 0.0, np.divide(1.0, d, out=np.ones_like(d), where=d > 0))
-        else:
-            recip = 1.0 / (d + lam)
-        gammas.append(np.matmul(columns, recip[:, :, None] * proj)[:, :, 0])
-        shrink = np.divide(d, d + lam, out=np.zeros_like(d), where=(d + lam) > 0)
-        edfs.append(1.0 + np.sum(np.where(null, 0.0, shrink), axis=1))
-    return np.stack(gammas), np.stack(edfs)
+    lams = np.asarray(lam_values, dtype=np.float64)[:, None, None]  # (k, 1, 1)
+    # at lambda = 0 a null direction divides by zero; both masks drop it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        recip = np.where(null & (lams == 0.0), 0.0, 1.0 / (d + lams))
+        shrink = np.where(null, 0.0, d / (d + lams))
+    gammas = np.matmul(columns, recip[..., None] * proj)[..., 0]
+    return gammas, 1.0 + np.sum(shrink, axis=-1)
 
 
 def _cholesky_solves(blocks, b, shifts, work, gammas, edfs):

@@ -26,6 +26,7 @@ TREE_FORMAT = "splinetree-tree"
 TREE_FORMAT_VERSION = 1
 
 _LOGIT_CLAMP = 1e-12
+_WRITE_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -264,21 +265,24 @@ def _text_column(path, rows, index, name) -> np.ndarray:
 def write_csv(path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write aligned columns as CSV with round-trip float formatting.
 
-    Each column is formatted once: floats by the shortest round-trip
-    ``repr``, anything else by ``str`` of its elements.
+    Floats are written by the shortest round-trip ``repr``, anything else
+    by ``str`` of its elements.  Cells are formatted and written
+    ``_WRITE_CHUNK_ROWS`` rows at a time, so the strings held at once do
+    not grow with the table.
     """
     if len({len(col) for col in columns}) > 1:
         raise ValueError("columns must all have the same length")
-    cells = [
-        list(map(repr, col.astype(np.float64).tolist()))
-        if np.issubdtype(col.dtype, np.floating)
-        else list(map(str, col))
-        for col in columns
-    ]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows(zip(*cells))
+        for lo in range(0, len(columns[0]) if columns else 0, _WRITE_CHUNK_ROWS):
+            parts = [col[lo : lo + _WRITE_CHUNK_ROWS] for col in columns]
+            writer.writerows(zip(*(
+                map(repr, part.astype(np.float64).tolist())
+                if np.issubdtype(part.dtype, np.floating)
+                else map(str, part)
+                for part in parts
+            )))
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +315,8 @@ def _split_from_json(doc, where, spec, kinds):
         return None
     feature = _field(doc, "feature", where)
     if "threshold" in doc:
-        kind, split = basis.CONTINUOUS, SplitCandidate(feature, threshold=float(doc["threshold"]))
+        threshold = _field(doc, "threshold", where, float)
+        kind, split = basis.CONTINUOUS, SplitCandidate(feature, threshold=threshold)
     else:
         categories = tuple(_field(doc, "categories", where))
         kind, split = basis.CATEGORICAL, SplitCandidate(feature, categories=categories)
@@ -328,13 +333,25 @@ def _split_from_json(doc, where, spec, kinds):
     return split
 
 
-def _field(doc, key, where):
-    """``doc[key]``, with a DataError naming the place when it is absent."""
+_JSON_KINDS = {int: "an integer", float: "a number"}
+
+
+def _field(doc, key, where, kind=None):
+    """``doc[key]``, with a DataError naming the place when it is absent.
+
+    With ``kind`` int the value must be a JSON integer, and with float a
+    JSON number, returned as a float; a boolean or a string is neither.
+    """
     if not isinstance(doc, Mapping):
         raise DataError(f"{where}: expected an object, got {type(doc).__name__}")
     if key not in doc:
         raise DataError(f"{where}: missing field {key!r}")
-    return doc[key]
+    value = doc[key]
+    if kind is None:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        raise DataError(f"{where}: {key} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return kind(value)
 
 
 def tree_to_json(root: TreeNode, spec: basis.DesignSpec, schema, config: Mapping) -> dict:
@@ -390,14 +407,18 @@ def tree_from_json(doc: Mapping) -> TreeArtifact:
     """Rebuild a tree bundle from its JSON document.
 
     Every malformed document raises DataError: a missing field or a value of
-    the wrong type, a design whose blocks lack their knots or levels or do
-    not match the schema, a coefficient vector that is not finite and
-    ``total_columns`` long, effect means not one finite number per block, a
-    split on a feature the schema or design does not support, a split
-    threshold that is not finite, split categories that are empty, repeat
-    a level or name one the feature does not have, and node links that do
-    not form one tree (a dangling child id, a node with two parents, or a
-    node the root does not reach).
+    the wrong JSON type (nothing is coerced: ids, depths, counts, children,
+    block bounds and ``total_columns`` must be integers, the split
+    threshold and the node statistics numbers, and ``flags`` a list of
+    strings), a schema that repeats a feature, a design whose blocks lack
+    their knots or levels or do not match the schema, a coefficient vector
+    that is not finite and ``total_columns`` long, effect means not one
+    finite number per block, a split on a feature the schema or design does
+    not support, a split threshold that is not finite, split categories
+    that are empty, repeat a level or name one the feature does not have,
+    node links that do not form one tree (a dangling child id, a node with
+    two parents, or a node the root does not reach), and depths that do not
+    count from 0 at the root.
     """
     if not isinstance(doc, Mapping) or doc.get("format") != TREE_FORMAT:
         raise DataError(f"not a {TREE_FORMAT} document")
@@ -408,7 +429,7 @@ def tree_from_json(doc: Mapping) -> TreeArtifact:
         )
     try:
         return _tree_from_json(doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed tree document: {exc}") from exc
 
 
@@ -417,8 +438,8 @@ def _spec_from_json(design, schema) -> basis.DesignSpec:
         basis.BasisBlock(
             _field(b, "feature", "design block"),
             _field(b, "kind", "design block"),
-            int(_field(b, "start", "design block")),
-            int(_field(b, "stop", "design block")),
+            _field(b, "start", "design block", int),
+            _field(b, "stop", "design block", int),
         )
         for b in _field(design, "blocks", "design")
     )
@@ -432,7 +453,7 @@ def _spec_from_json(design, schema) -> basis.DesignSpec:
             name: tuple(levels)
             for name, levels in dict(_field(design, "levels", "design")).items()
         },
-        total_columns=int(_field(design, "total_columns", "design")),
+        total_columns=_field(design, "total_columns", "design", int),
         excluded=tuple(design.get("excluded", ())),
     )
     kinds = {f.name: f.kind for f in schema}
@@ -471,21 +492,24 @@ def _node_from_json(nd, spec, kinds) -> TreeNode:
     split = _split_from_json(_field(nd, "split", where), where, spec, kinds)
     model = NodeModel(
         coefficients=coefficients,
-        sse=float(_field(nd, "sse", where)),
-        r2=float(_field(nd, "r2", where)),
-        effective_df=float(_field(nd, "effective_df", where)),
-        lam=float(_field(nd, "lambda", where)),
-        count=int(_field(nd, "count", where)),
+        sse=_field(nd, "sse", where, float),
+        r2=_field(nd, "r2", where, float),
+        effective_df=_field(nd, "effective_df", where, float),
+        lam=_field(nd, "lambda", where, float),
+        count=_field(nd, "count", where, int),
     )
+    flags = nd.get("flags", [])
+    if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+        raise DataError(f"{where}: flags must be a list of strings, got {flags!r}")
     return TreeNode(
-        id=int(_field(nd, "id", where)),
-        depth=int(_field(nd, "depth", where)),
+        id=_field(nd, "id", where, int),
+        depth=_field(nd, "depth", where, int),
         count=model.count,
         model=model,
         split=split,
-        dsse=float(_field(nd, "dsse", where)),
+        dsse=_field(nd, "dsse", where, float),
         effect_means=effect_means,
-        flags=tuple(nd.get("flags", ())),
+        flags=tuple(flags),
     )
 
 
@@ -494,7 +518,11 @@ def _tree_from_json(doc) -> TreeArtifact:
         Feature(_field(f, "name", "schema entry"), _field(f, "kind", "schema entry"))
         for f in _field(doc, "schema", "document")
     )
-    kinds = {f.name: f.kind for f in schema}
+    kinds = {}
+    for f in schema:
+        if f.name in kinds:
+            raise DataError(f"schema repeats feature {f.name!r}")
+        kinds[f.name] = f.kind
     spec = _spec_from_json(_field(doc, "design", "document"), schema)
     config = dict(_field(doc, "config", "document"))
 
@@ -514,7 +542,7 @@ def _tree_from_json(doc) -> TreeArtifact:
         if left is None:
             continue
         for child in (left, right):
-            if not isinstance(child, int) or child not in nodes:
+            if isinstance(child, bool) or not isinstance(child, int) or child not in nodes:
                 raise DataError(f"{where}: child id {child!r} names no node")
             if child in children:
                 raise DataError(f"node {child} has more than one parent")
@@ -533,6 +561,13 @@ def _tree_from_json(doc) -> TreeArtifact:
     # from the root; the walk from the root then misses its nodes
     if sum(1 for _ in root.nodes()) != len(nodes):
         raise DataError("tree document has nodes the root does not reach")
+    if root.depth != 0:
+        raise DataError(f"root node {root.id}: depth {root.depth} is not 0")
+    for node in root.nodes():
+        for child in (node.left, node.right) if node.split is not None else ():
+            if child.depth != node.depth + 1:
+                raise DataError(f"node {child.id}: depth {child.depth} is not "
+                                f"its parent's depth {node.depth} + 1")
     return TreeArtifact(root=root, spec=spec, schema=schema, config=config)
 
 

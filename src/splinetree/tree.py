@@ -874,7 +874,7 @@ def _level_codes(values, levels, feature) -> np.ndarray:
     A value absent from ``levels`` raises ``DataError`` naming the column
     and the first such value in row order.
     """
-    codes = basis._level_codes(values, levels)
+    codes = basis.level_codes(values, levels)
     unknown = np.flatnonzero(codes < 0)
     if unknown.size:
         first = values[unknown[0] : unknown[0] + 1].tolist()[0]  # a Python value
@@ -988,9 +988,9 @@ def split_mask(dataset, spec, candidate: SplitCandidate, rows=None) -> np.ndarra
     # one entry per level code, the last for code -1: unseen values go left
     levels = spec.levels[candidate.feature]
     goes_left = np.zeros(len(levels) + 1, dtype=bool)
-    goes_left[basis._level_codes(candidate.categories, levels)] = True
+    goes_left[basis.level_codes(candidate.categories, levels)] = True
     goes_left[-1] = True
-    return goes_left[basis._level_codes(col, levels)]
+    return goes_left[basis.level_codes(col, levels)]
 
 
 @one_blas_thread()

@@ -22,7 +22,7 @@ from splinetree.basis import (
     BasisBlock,
     DesignSpec,
     UnseenCategoryWarning,
-    _level_codes,
+    level_codes,
     onehot_rows,
     spline_rows,
 )
@@ -205,7 +205,7 @@ class TestLevelLookup:
 
     @staticmethod
     def _assert_matches(values, levels):
-        assert np.array_equal(_level_codes(values, levels), _reference_codes(values, levels))
+        assert np.array_equal(level_codes(values, levels), _reference_codes(values, levels))
         got, got_warnings = _with_warnings(onehot_rows, values, levels)
         want, want_warnings = _with_warnings(_reference_onehot, values, levels)
         assert np.array_equal(got, want)

@@ -1,6 +1,7 @@
 """End-to-end command-line workflow on small simulated files."""
 
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -417,6 +418,17 @@ class TestFitArgumentErrors:
         assert captured.err.startswith(f"error: {message}")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    def test_fit_help_states_each_option_rule(self, capsys):
+        # each flag of the option table is listed with its row's rule
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for _, key, _, rule, _ in _OPTIONS:
+            flag = "--" + key.replace("_", "-")
+            entry = re.search(rf" {flag} [A-Z0-9_]+ (.*?)(?= --|$)", text)
+            assert entry is not None and rule in entry.group(1), flag
+
     def test_option_table_covers_run_config(self, tmp_path):
         # every RunConfig field but the two column lists has one row, and an
         # option no flag or config key sets keeps RunConfig's default
@@ -582,6 +594,25 @@ def _knot(index, value):
     return tamper
 
 
+def _set(*path, value):
+    """Set the field that ``path`` reaches in the document to ``value``."""
+    def tamper(doc):
+        *parents, key = path
+        for step in parents:
+            doc = doc[step]
+        doc[key] = value
+    return tamper
+
+
+def _shift_depths(doc):
+    for nd in doc["nodes"]:
+        nd["depth"] += 1  # each child stays one below its parent
+
+
+def _repeat_schema_feature(doc):
+    doc["schema"].append(dict(doc["schema"][0]))
+
+
 def _self_loop(doc):
     # node 1 splits into itself and node 2, so both gain a second parent
     doc["nodes"][1].update(split=doc["nodes"][0]["split"], left=1, right=2)
@@ -619,6 +650,29 @@ class TestMalformedInputs:
             (_knot(1, float("nan")), "knots of 'x1' must be finite and strictly increasing"),
             (_knot(-1, float("inf")), "knots of 'x1' must be finite and strictly increasing"),
             (_knot(0, float("-inf")), "knots of 'x1' must be finite and strictly increasing"),
+            # no field is coerced to its type: a true threshold is not 1.0
+            (_set("nodes", 0, "split", "threshold", value=True),
+             "node 0: threshold must be a number, got True"),
+            (_set("nodes", 0, "split", "threshold", value="0.5"),
+             "node 0: threshold must be a number, got '0.5'"),
+            (_set("nodes", 1, "id", value=1.5), "node 1.5: id must be an integer, got 1.5"),
+            (_set("nodes", 1, "flags", value="ab"),
+             "node 1: flags must be a list of strings, got 'ab'"),
+            (_set("nodes", 1, "sse", value="5"), "node 1: sse must be a number, got '5'"),
+            (_set("nodes", 2, "lambda", value=True), "node 2: lambda must be a number, got True"),
+            (_set("nodes", 2, "r2", value=None), "node 2: r2 must be a number, got None"),
+            (_set("nodes", 1, "effective_df", value=False),
+             "node 1: effective_df must be a number, got False"),
+            (_set("nodes", 0, "dsse", value="0"), "node 0: dsse must be a number, got '0'"),
+            (_set("nodes", 2, "count", value=600.0), "node 2: count must be an integer, got 600.0"),
+            (_set("nodes", 0, "left", value=True), "node 0: child id True names no node"),
+            (_set("design", "total_columns", value=3.0),
+             "design: total_columns must be an integer, got 3.0"),
+            (_set("design", "blocks", 0, "start", value="1"),
+             "design block: start must be an integer, got '1'"),
+            (_set("nodes", 1, "depth", value=7), "node 1: depth 7 is not its parent's depth 0 + 1"),
+            (_shift_depths, "root node 0: depth 1 is not 0"),
+            (_repeat_schema_feature, "schema repeats feature 'x1'"),
         ],
     )
     @pytest.mark.parametrize("command", ["predict", "diagnose"])

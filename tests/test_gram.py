@@ -316,6 +316,45 @@ class TestEighSolves:
         assert_allclose(gammas, [[0.0, 0.0], [1.0, -1.0]])
         assert_allclose(edfs, [1.0, 1.0])
 
+    @staticmethod
+    def _per_lambda(block, b, lam_values):
+        """One lambda at a time from the same spectrum: the reference loop."""
+        w, v = np.linalg.eigh(0.5 * (block + np.swapaxes(block, 1, 2)))
+        spectrum, columns = w[:, ::-1], v[:, :, ::-1]
+        top = np.max(spectrum, axis=1, initial=0.0)
+        null = (spectrum < gram_mod.NULL_SPACE_RTOL * top[:, None]) | (top <= 0.0)[:, None]
+        d = np.maximum(spectrum, 0.0)
+        proj = np.matmul(np.swapaxes(columns, 1, 2), b[:, :, None])
+        gammas, edfs = [], []
+        for lam in lam_values:
+            if lam == 0.0:
+                recip = np.where(null, 0.0, np.divide(1.0, d, out=np.ones_like(d), where=d > 0))
+            else:
+                recip = 1.0 / (d + lam)
+            gammas.append(np.matmul(columns, recip[:, :, None] * proj)[:, :, 0])
+            shrink = np.divide(d, d + lam, out=np.zeros_like(d), where=(d + lam) > 0)
+            edfs.append(1.0 + np.sum(np.where(null, 0.0, shrink), axis=1))
+        return np.stack(gammas), np.stack(edfs)
+
+    def test_grid_equals_per_lambda_loop(self, rng):
+        # the whole grid in one broadcast gives the loop's bits, with null
+        # directions from collinear and zero columns, and lambda = 0 in the grid
+        grids = [(0.0,), (1e-3,), (0.0, 0.1, 1.0), (1e-3, 0.05, 2.0),
+                 tuple(np.geomspace(1e-4, 10.0, 13))]
+        for trial in range(100):
+            c, p = int(rng.integers(1, 5)), int(rng.integers(1, 30))
+            x = rng.standard_normal((c, 3 * p, p))
+            if trial % 3 == 1 and p > 2:
+                x[:, :, 1] = x[:, :, 0]
+            if trial % 4 == 2:
+                x[:, :, -1] = 0.0
+            block = np.matmul(np.swapaxes(x, 1, 2), x) / x.shape[1]
+            b = rng.standard_normal((c, p))
+            grid = grids[trial % len(grids)]
+            gammas, edfs = _eigh_solves(block, b, grid)
+            want_gammas, want_edfs = self._per_lambda(block, b, grid)
+            assert np.array_equal(gammas, want_gammas) and np.array_equal(edfs, want_edfs)
+
 
 class TestRidgeSolve:
     def test_interpolating_line(self):
