@@ -136,18 +136,36 @@ def quantile_knots(values, num_knots: int, feature: str = "") -> KnotVector:
     return KnotVector(feature=feature, knots=knots)
 
 
+def hat_interval(x, knots: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """The two hat functions that are nonzero at each point, and their split.
+
+    Returns ``(j, w)``: point i has weight ``1 - w[i]`` on hat ``j[i]`` and
+    ``w[i]`` on hat ``j[i] + 1``.  Points outside the knot range clamp to
+    the boundary knot (constant extrapolation); a point on an inner knot
+    takes the interval to its right, so it lands on that knot's hat with
+    ``w = 0``.
+    """
+    t = knots.knots
+    xc = np.minimum(np.maximum(np.asarray(x, dtype=np.float64), t[0]), t[-1])
+    # j counts the inner knots at or below each point.  One comparison per
+    # knot beats a binary search per unsorted point at the usual knot
+    # counts: 0.17 against 0.47 ms for 16.7k points and 13 inner knots on a
+    # 2-core Xeon, even at 48 (0.61 against 0.70 ms).
+    j = np.zeros(xc.shape, dtype=np.intp)
+    for knot in t[1:-1]:
+        j += xc >= knot
+    return j, (xc - t[j]) / np.diff(t)[j]
+
+
 def spline_rows(x, knots: KnotVector) -> np.ndarray:
     """Hat-function basis values, one row per input point.
 
     Points outside the knot range clamp to the boundary knot (constant
     extrapolation).  Inside the range the values are a partition of unity.
     """
-    t = knots.knots
-    xc = np.clip(np.asarray(x, dtype=np.float64), t[0], t[-1])
-    idx = np.clip(np.searchsorted(t, xc, side="right") - 1, 0, t.size - 2)
-    w = (xc - t[idx]) / (t[idx + 1] - t[idx])
-    out = np.zeros((xc.size, t.size))
-    rows = np.arange(xc.size)
+    idx, w = hat_interval(x, knots)
+    out = np.zeros((idx.size, len(knots)))
+    rows = np.arange(idx.size)
     out[rows, idx] = 1.0 - w
     out[rows, idx + 1] += w
     return out
@@ -160,19 +178,26 @@ def onehot_rows(values, levels: Sequence) -> np.ndarray:
     names them all.
     """
     values = np.asarray(values)
-    codes = level_codes(values, levels)
+    codes = _known_codes(values, levels)
     out = np.zeros((values.size, len(levels) - 1))
     hit = np.flatnonzero(codes > 0)
     out[hit, codes[hit] - 1] = 1.0
+    return out
+
+
+def _known_codes(values: np.ndarray, levels: Sequence) -> np.ndarray:
+    """:func:`level_codes`, with one ``UnseenCategoryWarning`` naming every
+    value that is none of the levels."""
+    codes = level_codes(values, levels)
     unseen = codes < 0
     if unseen.any():
         bad = np.unique(values[unseen])
         warnings.warn(
             f"categories {bad.tolist()!r} were not seen in training; encoded as reference",
             UnseenCategoryWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return out
+    return codes
 
 
 def level_codes(values, levels: Sequence) -> np.ndarray:
@@ -271,11 +296,57 @@ def block_rows(values, spec: DesignSpec, block: BasisBlock) -> np.ndarray:
     raise ValueError(f"unknown block kind {block.kind!r}")
 
 
-def design_matrix(dataset, spec: DesignSpec) -> np.ndarray:
-    """Materialize the full (n, m) design, intercept in column 0."""
+def block_effect(values, spec: DesignSpec, block: BasisBlock, table, which=None) -> np.ndarray:
+    """One block's effect at raw values, ``block_rows(values) @ table``.
+
+    ``table`` holds the block's coefficients (``coefficients[block.columns]``).
+    It may instead be a (k, width) stack of coefficient rows; ``which`` then
+    gives the row for each value, or, left None, every value is evaluated
+    under every row, (k, n).  No basis rows are built: a block row has at
+    most two nonzeros, so the effect is summed from those alone.
+
+    - spline: ``(1 - w)·c[j] + w·c[j + 1]`` with ``(j, w)`` from
+      :func:`hat_interval`; the matrix product adds the same two terms,
+      perhaps in another order, so the two agree to rounding;
+    - linear: ``x·c``;
+    - onehot: the coefficient of each value's level, 0 for the reference
+      level and for unseen values, which raise one
+      ``UnseenCategoryWarning`` as :func:`onehot_rows` does.
+
+    The last two equal the product exactly.  Each value's effect is
+    computed by the same operations whatever ``table``'s shape, so it does
+    not depend on which rows are evaluated together.
+    """
+    table = np.asarray(table, dtype=np.float64)
+    if block.kind == "onehot":
+        codes = _known_codes(np.asarray(values), spec.levels[block.feature])
+        # column 0 stands for the reference level and for unseen values
+        table = np.concatenate([np.zeros(table.shape[:-1] + (1,)), table], axis=-1)
+    start = 0
+    if which is not None:  # one coefficient row per value: index the flat table
+        start, table = np.asarray(which) * table.shape[-1], table.ravel()
+    if block.kind == "spline":
+        j, w = hat_interval(values, spec.knots[block.feature])
+        at = start + j
+        return (1.0 - w) * table[..., at] + w * table[..., at + 1]
+    if block.kind == "linear":
+        x = np.asarray(values, dtype=np.float64)
+        return x * (table[..., :1] if which is None else table[start])
+    if block.kind == "onehot":
+        return table[..., start + np.maximum(codes, 0)]
+    raise ValueError(f"unknown block kind {block.kind!r}")
+
+
+def require_features(dataset, spec: DesignSpec) -> None:
+    """Raise ``DataError`` naming the first design feature the dataset lacks."""
     for block in spec.blocks:
         if block.feature not in dataset.columns:
             raise DataError(f"dataset is missing feature {block.feature!r}")
+
+
+def design_matrix(dataset, spec: DesignSpec) -> np.ndarray:
+    """Materialize the full (n, m) design, intercept in column 0."""
+    require_features(dataset, spec)
     out = np.empty((dataset.n, spec.total_columns))
     out[:, 0] = 1.0
     for block in spec.blocks:

@@ -66,8 +66,7 @@ class Fidelity:
 
 def _block_effect(model, spec, block, values) -> np.ndarray:
     """Uncentered effect of one feature's block at the given raw values."""
-    rows = basis.block_rows(np.asarray(values), spec, block)
-    return rows @ model.coefficients[block.columns]
+    return basis.block_effect(values, spec, block, model.coefficients[block.columns])
 
 
 def effect_eval(node, spec, feature: str, x, *, center: bool = True):
@@ -120,22 +119,21 @@ def leaf_importance(root, spec, dataset) -> ImportanceTable:
     Leaves reached by fewer than two records get importance 0 for every
     feature and are flagged.
     """
+    leaves = list(root.leaves())
     members = tree_mod.route(root, spec, dataset)
-    values: dict[tuple[int, str], float] = {}
-    flagged = set()
-    for leaf in root.leaves():
-        idx = members[leaf.id]
-        if idx.size < 2:
-            flagged.add(leaf.id)
-            for block in spec.blocks:
-                values[(leaf.id, block.feature)] = 0.0
-            continue
-        for block in spec.blocks:
-            h = _block_effect(
-                leaf.model, spec, block, dataset.columns[block.feature][idx]
-            )
-            values[(leaf.id, block.feature)] = float(np.var(h))
-    return ImportanceTable(values=values, flagged=frozenset(flagged))
+    leaf = tree_mod.leaf_numbers(leaves, members, dataset.n)
+    coefficients = np.stack([node.model.coefficients for node in leaves])
+    flagged = frozenset(node.id for node in leaves if members[node.id].size < 2)
+    values = {(node.id, block.feature): 0.0 for node in leaves for block in spec.blocks}
+    for block in spec.blocks:
+        # every record's effect under its own leaf's coefficients
+        h = basis.block_effect(
+            dataset.columns[block.feature], spec, block, coefficients[:, block.columns], leaf
+        )
+        for node in leaves:
+            if node.id not in flagged:
+                values[(node.id, block.feature)] = float(np.var(h[members[node.id]]))
+    return ImportanceTable(values=values, flagged=flagged)
 
 
 def _path_to(root, node_id: int):
@@ -176,26 +174,23 @@ def split_contribution(root, node_id: int, spec, dataset) -> SplitContribution:
     idx = np.arange(dataset.n)
     for parent, child in zip(path, path[1:]):
         mask = tree_mod.split_mask(dataset, spec, parent.split, rows=idx)
-        idx = idx[mask] if child is parent.left else idx[~mask]
+        idx = idx[np.flatnonzero(mask if child is parent.left else ~mask)]
     mask = tree_mod.split_mask(dataset, spec, node.split, rows=idx)
-    sides = ((node.left, idx[mask]), (node.right, idx[~mask]))
+    # the left child's rows, then the right child's
+    n_left = int(np.count_nonzero(mask))
+    idx = np.concatenate([idx[np.flatnonzero(mask)], idx[np.flatnonzero(~mask)]])
+    coefficients = np.stack([m.model.coefficients for m in (node, node.left, node.right)])
 
     c: dict[str, float] = {}
     for block in spec.blocks:
         if block.feature == node.split.feature:
             c[block.feature] = 0.0
             continue
-        parent_coef = node.model.coefficients[block.columns]
-        d = np.empty(idx.size)
-        pos = 0
-        for child, child_idx in sides:
-            rows = basis.block_rows(
-                dataset.columns[block.feature][child_idx], spec, block
-            )
-            d[pos : pos + child_idx.size] = (
-                rows @ parent_coef - rows @ child.model.coefficients[block.columns]
-            )
-            pos += child_idx.size
+        # each record under the node's, the left and the right coefficients
+        e = basis.block_effect(
+            dataset.columns[block.feature][idx], spec, block, coefficients[:, block.columns]
+        )
+        d = e[0] - np.concatenate([e[1, :n_left], e[2, n_left:]])
         c[block.feature] = float(np.var(d)) if d.size else 0.0
 
     total = sum(c.values())

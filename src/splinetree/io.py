@@ -354,6 +354,19 @@ def _field(doc, key, where, kind=None):
     return kind(value)
 
 
+def _statistic(doc, key, where, low=-np.inf, high=np.inf) -> float:
+    """``_field(doc, key, where, float)``, which must be finite and lie in
+    [low, high]; a DataError names the place and the value otherwise."""
+    value = _field(doc, key, where, float)
+    if not (np.isfinite(value) and low <= value <= high):
+        if high < np.inf:
+            domain = f"lie in [{low:g}, {high:g}]"
+        else:
+            domain = "be finite" + ("" if low == -np.inf else f" and >= {low:g}")
+        raise DataError(f"{where}: {key} must {domain}, got {value!r}")
+    return value
+
+
 def tree_to_json(root: TreeNode, spec: basis.DesignSpec, schema, config: Mapping) -> dict:
     nodes = []
     for node in root.nodes():
@@ -410,15 +423,17 @@ def tree_from_json(doc: Mapping) -> TreeArtifact:
     the wrong JSON type (nothing is coerced: ids, depths, counts, children,
     block bounds and ``total_columns`` must be integers, the split
     threshold and the node statistics numbers, and ``flags`` a list of
-    strings), a schema that repeats a feature, a design whose blocks lack
-    their knots or levels or do not match the schema, a coefficient vector
-    that is not finite and ``total_columns`` long, effect means not one
-    finite number per block, a split on a feature the schema or design does
-    not support, a split threshold that is not finite, split categories
-    that are empty, repeat a level or name one the feature does not have,
-    node links that do not form one tree (a dangling child id, a node with
-    two parents, or a node the root does not reach), and depths that do not
-    count from 0 at the root.
+    strings), a node statistic out of its domain (``sse``, ``dsse`` or
+    ``effective_df`` not finite, ``r2`` outside [0, 1], ``lambda`` not
+    finite and nonnegative), a schema that repeats a feature, a design
+    whose blocks lack their knots or levels or do not match the schema, a
+    coefficient vector that is not finite and ``total_columns`` long,
+    effect means not one finite number per block, a split on a feature the
+    schema or design does not support, a split threshold that is not
+    finite, split categories that are empty, repeat a level or name one the
+    feature does not have, node links that do not form one tree (a
+    dangling child id, a node with two parents, or a node the root does
+    not reach), and depths that do not count from 0 at the root.
     """
     if not isinstance(doc, Mapping) or doc.get("format") != TREE_FORMAT:
         raise DataError(f"not a {TREE_FORMAT} document")
@@ -492,10 +507,10 @@ def _node_from_json(nd, spec, kinds) -> TreeNode:
     split = _split_from_json(_field(nd, "split", where), where, spec, kinds)
     model = NodeModel(
         coefficients=coefficients,
-        sse=_field(nd, "sse", where, float),
-        r2=_field(nd, "r2", where, float),
-        effective_df=_field(nd, "effective_df", where, float),
-        lam=_field(nd, "lambda", where, float),
+        sse=_statistic(nd, "sse", where),
+        r2=_statistic(nd, "r2", where, 0.0, 1.0),
+        effective_df=_statistic(nd, "effective_df", where),
+        lam=_statistic(nd, "lambda", where, 0.0),
         count=_field(nd, "count", where, int),
     )
     flags = nd.get("flags", [])
@@ -507,7 +522,7 @@ def _node_from_json(nd, spec, kinds) -> TreeNode:
         count=model.count,
         model=model,
         split=split,
-        dsse=_field(nd, "dsse", where, float),
+        dsse=_statistic(nd, "dsse", where),
         effect_means=effect_means,
         flags=tuple(flags),
     )
@@ -628,35 +643,47 @@ def export_diagnostics(out_dir, importance=None, contributions=None, curves=None
     """Write importance.csv / contributions.csv / curves.csv into a directory.
 
     Rows are ordered by node id, then feature name, then grid position.
-    Each table is written by :func:`write_csv`.  Returns the mapping of
-    table name to file path.
+    Each table is built as its columns and written by :func:`write_csv`.
+    Returns the mapping of table name to file path.
     """
     os.makedirs(out_dir, exist_ok=True)
     values = {} if importance is None else importance.values
+    keys = sorted(values)
+    contributions = sorted(contributions or [], key=lambda s: s.node_id)
+    features = [sorted(contrib.c) for contrib in contributions]
+    curves = sorted(curves or [], key=lambda c: (c.node_id, c.feature))
+    sizes = [curve.values.size for curve in curves]
+    # a grid holds floats or levels: an object column keeps the Python
+    # values, whose str is repr for a float
+    grid = np.empty(sum(sizes), dtype=object)
+    for curve, stop in zip(curves, np.cumsum(sizes)):
+        grid[stop - curve.values.size : stop] = curve.grid
     tables = {
         "importance": (["leaf_id", "feature", "v"], [
-            (*key, float(values[key])) for key in sorted(values)
+            np.array([key[0] for key in keys], dtype=np.int64),
+            np.array([key[1] for key in keys], dtype=str),
+            np.fromiter((values[key] for key in keys), np.float64),
         ]),
         "contributions": (["node_id", "feature", "c", "p"], [
-            (contrib.node_id, feature, float(contrib.c[feature]), float(contrib.p[feature]))
-            for contrib in sorted(contributions or [], key=lambda s: s.node_id)
-            for feature in sorted(contrib.c)
+            np.repeat(np.array([s.node_id for s in contributions], dtype=np.int64),
+                      [len(names) for names in features]),
+            np.array([name for names in features for name in names], dtype=str),
+            np.fromiter((s.c[name] for s, names in zip(contributions, features)
+                         for name in names), np.float64),
+            np.fromiter((s.p[name] for s, names in zip(contributions, features)
+                         for name in names), np.float64),
         ]),
         "curves": (["leaf_id", "feature", "grid", "effect"], [
-            (curve.node_id, curve.feature, g, float(value))
-            for curve in sorted(curves or [], key=lambda c: (c.node_id, c.feature))
-            for g, value in zip(curve.grid.tolist(), curve.values)
+            np.repeat(np.array([curve.node_id for curve in curves], dtype=np.int64), sizes),
+            np.repeat(np.array([curve.feature for curve in curves], dtype=str), sizes),
+            grid,
+            np.concatenate([np.asarray(curve.values, np.float64) for curve in curves] or [[]]),
         ]),
     }
     paths = {}
-    for name, (header, rows) in tables.items():
+    for name, (header, columns) in tables.items():
         paths[name] = os.path.join(out_dir, f"{name}.csv")
-        # a grid holds floats or levels: an object column keeps the Python
-        # values, whose str is repr for a float
-        write_csv(paths[name], header, [
-            np.array(column, dtype=object if label == "grid" else None)
-            for label, column in zip(header, list(zip(*rows)) or [()] * len(header))
-        ])
+        write_csv(paths[name], header, columns)
     return paths
 
 

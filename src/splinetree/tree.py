@@ -1178,26 +1178,40 @@ def route(root: TreeNode, spec, dataset) -> dict[int, np.ndarray]:
         if node.is_leaf:
             return
         mask = split_mask(dataset, spec, node.split, rows=idx)
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
+        walk(node.left, idx[np.flatnonzero(mask)])
+        walk(node.right, idx[np.flatnonzero(~mask)])
 
     walk(root, np.arange(dataset.n))
     return out
 
 
-@one_blas_thread()
+def leaf_numbers(leaves: list[TreeNode], members: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Each of ``n`` records' position in ``leaves``, from :func:`route`'s rows."""
+    out = np.empty(n, dtype=np.intp)
+    for k, leaf in enumerate(leaves):
+        out[members[leaf.id]] = k
+    return out
+
+
 def predict(root: TreeNode, spec, dataset) -> np.ndarray:
     """Predictions for every record: route to a leaf, evaluate its model.
 
-    Like :func:`grow`, it runs BLAS on one thread: a threaded product may
-    round a prediction differently, and one thread was not slower here.
+    One walk of :func:`route` gives each record its leaf.  The prediction
+    is that leaf's intercept plus each block's effect, added in block
+    order, from the raw feature values by :func:`splinetree.basis.block_effect`;
+    no design matrix is built and no BLAS runs, so the bytes do not depend
+    on the BLAS thread setting.  A dataset that lacks a design feature
+    raises ``DataError``.
     """
-    X = basis.design_matrix(dataset, spec)
-    out = np.empty(dataset.n)
-    members = route(root, spec, dataset)
-    for leaf in root.leaves():
-        idx = members[leaf.id]
-        out[idx] = X[idx] @ leaf.model.coefficients
+    basis.require_features(dataset, spec)
+    leaves = list(root.leaves())
+    leaf = leaf_numbers(leaves, route(root, spec, dataset), dataset.n)
+    coefficients = np.stack([node.model.coefficients for node in leaves])
+    out = coefficients[leaf, 0]
+    for block in spec.blocks:
+        out += basis.block_effect(
+            dataset.columns[block.feature], spec, block, coefficients[:, block.columns], leaf
+        )
     return out
 
 

@@ -22,6 +22,9 @@ from splinetree.basis import (
     BasisBlock,
     DesignSpec,
     UnseenCategoryWarning,
+    block_effect,
+    block_rows,
+    hat_interval,
     level_codes,
     onehot_rows,
     spline_rows,
@@ -102,6 +105,20 @@ class TestSplineRow:
             assert np.max(np.abs(below - above)) < 1e-7
 
 
+@pytest.mark.parametrize("inner", [0, 1, 13, 150])
+def test_hat_interval_matches_binary_search(rng, inner):
+    # counting the knots at or below a point gives the clamped binary
+    # search's interval, and the same weight
+    t = np.sort(rng.uniform(-1.0, 1.0, inner + 2))
+    kv = KnotVector("x", t)
+    x = np.concatenate([rng.uniform(-1.5, 1.5, 500), t, [-np.inf, np.inf]])
+    xc = np.clip(x, t[0], t[-1])
+    j = np.clip(np.searchsorted(t, xc, side="right") - 1, 0, t.size - 2)
+    got_j, got_w = hat_interval(x, kv)
+    assert np.array_equal(got_j, j)
+    assert np.array_equal(got_w, (xc - t[j]) / (t[j + 1] - t[j]))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     hst.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
@@ -146,6 +163,104 @@ class TestOnehot:
         rows = onehot_rows(values, self.LEVELS)
         for i, v in enumerate(values):
             assert_allclose(rows[i], onehot_rows(np.array([v]), self.LEVELS)[0])
+
+
+class TestBlockEffect:
+    """``block_effect`` against its oracle, the basis rows times the coefficients.
+
+    Linear and one-hot effects equal the product exactly; a spline effect
+    adds the same two terms as the product, perhaps in another order, so it
+    agrees to ``1e-12 * max|c|``.
+    """
+
+    KNOTS = np.array([-1.0, -0.25, 0.5, 2.0, 3.5])
+    # levels in the order a tree document may hold them, not sorted
+    LEVELS = ("d", "a", "c", "b", "e")
+
+    def spec(self):
+        blocks = (
+            BasisBlock("x", "spline", 1, 6),
+            BasisBlock("z", "linear", 6, 7),
+            BasisBlock("c", "onehot", 7, 11),
+        )
+        return DesignSpec(blocks=blocks, knots={"x": KnotVector("x", self.KNOTS)},
+                          levels={"c": self.LEVELS}, total_columns=11)
+
+    def values(self, rng, feature, n=400):
+        if feature == "x":  # below, inside and above the knot span, and on every knot
+            return np.concatenate([rng.uniform(-4.0, 6.0, n), self.KNOTS, [-1e9, 1e9]])
+        if feature == "z":
+            return np.concatenate([rng.normal(scale=1e3, size=n), [0.0, -0.0, 1e300]])
+        return rng.choice(np.array(self.LEVELS), size=n)
+
+    @staticmethod
+    def oracle(values, spec, block, table, which):
+        rows = block_rows(values, spec, block)
+        return np.array([rows[i] @ table[k] for i, k in enumerate(which)])
+
+    @pytest.mark.parametrize("feature", ["z", "c"])
+    def test_linear_and_onehot_equal_the_product(self, rng, feature):
+        spec = self.spec()
+        block = spec.block_for(feature)
+        values = self.values(rng, feature)
+        c = rng.normal(size=block.width)
+        assert np.array_equal(block_effect(values, spec, block, c),
+                              block_rows(values, spec, block) @ c)
+        table = rng.normal(size=(3, block.width))
+        which = rng.integers(0, 3, values.size)
+        assert np.array_equal(block_effect(values, spec, block, table, which),
+                              self.oracle(values, spec, block, table, which))
+
+    def test_onehot_reference_and_unseen_values_are_zero(self, rng):
+        spec = self.spec()
+        block = spec.block_for("c")
+        values = np.array(["d", "zz", "b", "", "zz", "a", "d"])
+        c = rng.normal(size=block.width) + 5.0  # no coefficient is 0
+        got, got_warnings = _with_warnings(block_effect, values, spec, block, c)
+        rows, want_warnings = _with_warnings(block_rows, values, spec, block)
+        assert np.array_equal(got, rows @ c)
+        assert np.array_equal(got == 0.0, [True, True, False, True, True, False, True])
+        assert got_warnings == want_warnings == [(
+            UnseenCategoryWarning,
+            "categories ['', 'zz'] were not seen in training; encoded as reference",
+        )]
+
+    def test_spline_agrees_with_the_product(self, rng):
+        spec = self.spec()
+        block = spec.block_for("x")
+        values = self.values(rng, "x")
+        c = rng.normal(scale=50.0, size=block.width)
+        atol = 1e-12 * np.max(np.abs(c))
+        assert_allclose(block_effect(values, spec, block, c),
+                        block_rows(values, spec, block) @ c, rtol=0, atol=atol)
+        table = rng.normal(scale=50.0, size=(4, block.width))
+        which = rng.integers(0, 4, values.size)
+        assert_allclose(block_effect(values, spec, block, table, which),
+                        self.oracle(values, spec, block, table, which),
+                        rtol=0, atol=1e-12 * np.max(np.abs(table)))
+
+    def test_spline_at_knots_is_the_knot_coefficient(self, rng):
+        spec = self.spec()
+        block = spec.block_for("x")
+        c = rng.normal(size=block.width)
+        assert np.array_equal(block_effect(self.KNOTS, spec, block, c), c)
+        j, w = hat_interval(self.KNOTS, spec.knots["x"])
+        assert np.array_equal(j, [0, 1, 2, 3, 3]) and np.array_equal(w, [0, 0, 0, 0, 1])
+
+    @pytest.mark.parametrize("feature", ["x", "z", "c"])
+    def test_each_value_alike_under_any_table_shape(self, rng, feature):
+        # a value's effect does not depend on the other values or table rows
+        spec = self.spec()
+        block = spec.block_for(feature)
+        values = self.values(rng, feature)
+        table = rng.normal(size=(3, block.width))
+        which = rng.integers(0, 3, values.size)
+        every = block_effect(values, spec, block, table)
+        assert every.shape == (3, values.size)
+        for k in range(3):
+            assert np.array_equal(every[k], block_effect(values, spec, block, table[k]))
+        assert np.array_equal(block_effect(values, spec, block, table, which),
+                              every[which, np.arange(values.size)])
 
 
 def _reference_codes(values, levels):

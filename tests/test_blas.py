@@ -1,4 +1,5 @@
-"""grow, predict and refit_l1 run BLAS on one thread, so their bytes do not depend on it."""
+"""grow and refit_l1 run BLAS on one thread and predict runs none, so their bytes do
+not depend on the BLAS thread setting."""
 
 import os
 import subprocess
@@ -84,7 +85,9 @@ def test_restored_when_the_block_raises(pools):
 
 
 def test_grow_and_predict_are_pinned(pools, monkeypatch):
-    # the counts seen from inside each function: each builds a design matrix
+    # grow and refit_l1 each build a design matrix: the counts seen from
+    # inside it.  predict builds none and calls no BLAS, so its bytes are
+    # the same with the pools at 1 and at 2 threads.
     seen = []
     inner = splinetree.basis.design_matrix
 
@@ -93,12 +96,18 @@ def test_grow_and_predict_are_pinned(pools, monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(splinetree.basis, "design_matrix", spy)
-    sim = splinetree.simulate("f2", 600, 0.5, seed=1)
+    sim = splinetree.simulate("f2", 3000, 0.5, seed=1)
     data = splinetree.to_dataset(sim)
-    spec = splinetree.build_spec(data, num_knots=3)
+    spec = splinetree.build_spec(data, num_knots=10)
     before = _counts(pools)
-    root = splinetree.grow(data, spec, splinetree.GrowConfig(max_depth=1))
-    splinetree.predict(root, spec, data)
+    root = splinetree.grow(data, spec, splinetree.GrowConfig(max_depth=2, num_bins=16))
+    on_two = splinetree.predict(root, spec, data).tobytes()
+    for _, put in pools:
+        put(1)
+    on_one = splinetree.predict(root, spec, data).tobytes()
+    for _, put in pools:
+        put(2)
     splinetree.refit_l1(root, data, spec, 1e-2)
-    assert seen == [[1] * len(pools)] * 3
+    assert on_one == on_two
+    assert seen == [[1] * len(pools)] * 2
     assert _counts(pools) == before

@@ -664,6 +664,20 @@ class TestMalformedInputs:
             (_set("nodes", 1, "effective_df", value=False),
              "node 1: effective_df must be a number, got False"),
             (_set("nodes", 0, "dsse", value="0"), "node 0: dsse must be a number, got '0'"),
+            # each node statistic within its domain; export would draw R2=inf
+            (_set("nodes", 1, "r2", value=float("inf")), "node 1: r2 must lie in [0, 1], got inf"),
+            (_set("nodes", 2, "r2", value=-0.25), "node 2: r2 must lie in [0, 1], got -0.25"),
+            (_set("nodes", 0, "r2", value=float("nan")),
+             "node 0: r2 must lie in [0, 1], got nan"),
+            (_set("nodes", 1, "sse", value=float("inf")), "node 1: sse must be finite, got inf"),
+            (_set("nodes", 2, "effective_df", value=float("nan")),
+             "node 2: effective_df must be finite, got nan"),
+            (_set("nodes", 0, "dsse", value=float("-inf")),
+             "node 0: dsse must be finite, got -inf"),
+            (_set("nodes", 1, "lambda", value=-1e-3),
+             "node 1: lambda must be finite and >= 0, got -0.001"),
+            (_set("nodes", 2, "lambda", value=float("inf")),
+             "node 2: lambda must be finite and >= 0, got inf"),
             (_set("nodes", 2, "count", value=600.0), "node 2: count must be an integer, got 600.0"),
             (_set("nodes", 0, "left", value=True), "node 0: child id True names no node"),
             (_set("design", "total_columns", value=3.0),
@@ -777,6 +791,16 @@ class TestDiagnoseExport:
         assert code == 0
         assert out.startswith("digraph tree {")
         assert "size=" in out and "R2=" in out
+
+    def test_export_rejects_infinite_r2(self, tmp_path, fitted_model, capsys):
+        doc = json.loads(fitted_model.read_text())
+        doc["nodes"][0]["r2"] = float("inf")
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "export", "--model", str(model), "--format", "dot")
+        assert code == 3 and not out
+        node = doc["nodes"][0]["id"]
+        assert err.splitlines() == [f"data error: node {node}: r2 must lie in [0, 1], got inf"]
 
     def test_missing_model_file(self, tmp_path, capsys):
         code, _, err = run(capsys, "export", "--model", str(tmp_path / "none.json"))

@@ -61,7 +61,8 @@ class TestEffectEval:
                     leaf, spec, block.feature,
                     ds.columns[block.feature][idx], center=False,
                 )
-            assert_allclose(total, pred[idx], atol=1e-10)
+            # one evaluator, summed in block order as predict sums it
+            assert np.array_equal(total, pred[idx])
 
     def test_unknown_feature_rejected(self, fitted):
         _, spec, root = fitted
