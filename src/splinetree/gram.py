@@ -16,22 +16,27 @@ derived bins and the split sweep's right sides all take the complement.
 
 One batched ridge solver, :func:`ridge_batch`, serves both the node fits
 and the split sweep: each step works over a leading candidate axis, and
-:func:`fit_node` is a batch of one.  It standardizes the non-intercept
-columns to zero mean / unit variance using moments recovered from the
-intercept row of X'X, penalizes in the standardized space, and maps
-coefficients back to the original scale.  The intercept is never
+:func:`fit_node` is a batch of one.  It penalizes the non-intercept
+coefficients as if each column were standardized to zero mean / unit
+variance, with moments recovered from the intercept row of X'X, and
+returns coefficients on the original scale.  The intercept is never
 penalized, and eigenvalues below ``NULL_SPACE_RTOL`` times the largest one
 are treated as null directions (pseudo-inverse behaviour), which keeps
 lambda = 0 fits well defined for deliberately collinear spline bases.  A
 lambda grid is resolved by GCV with one rule, :func:`select_lambda`.
 
-The standardizing arithmetic is written once, in :func:`_moments` and
-:func:`_standardized_block`, which :func:`ridge_batch` applies once per
-cache-sized chunk of systems.  Both routes solve from that block, so they
-see the same bits and neither forms the whole stack of blocks; the L1
-refit's coordinate descent (:func:`fit_lasso`) solves from it too.  The
-map back to the original scale is :func:`_back_map`, and every
-:class:`NodeModel` is assembled by :func:`_node_model`.
+The reference route, the eigendecomposition, solves from the standardized
+block, whose arithmetic is written once, in :func:`_moments` and
+:func:`_standardized_block`; :func:`ridge_batch` applies it once per
+cache-sized chunk of systems, never forming the whole stack of blocks, and
+the L1 refit's coordinate descent (:func:`fit_lasso`) solves from it too.
+The map back to the original scale is :func:`_back_map`.  The split
+sweep's Cholesky route forms no standardized block: it factors each
+system's own uncentered X'X, bordered by the intercept, whose Schur
+complement does the centering (:func:`_cholesky_solves`).  The two routes
+solve the same problem and agree to rounding, not to the bit.  Every
+:class:`NodeModel` comes from the reference route and is assembled by
+:func:`_node_model`.
 """
 
 from __future__ import annotations
@@ -54,15 +59,17 @@ _CONSTANT_COLUMN_RTOL = 1e-12
 # eigendecomposition per candidate for the whole grid; since the sweep
 # bounds its candidates it takes no triangular inverse for most of them.
 # GCV grows of f2 (20k rows, 50 bins, grid geomspace(1e-3, 5, k), one BLAS
-# thread, paired runs on a 2-core Xeon; Cholesky vs eigh medians, identical
-# trees): at 81 columns and depth 3, 4.51 vs 5.33 s at k = 8, 4.49 vs 5.00
-# at 10, 4.86 vs 5.42 at 12 and 7.48 vs 5.69 at 16; at 151 columns and
-# depth 2, 6.18 vs 7.51, 5.91 vs 7.27, 6.86 vs 7.22 and 10.06 vs 9.12.
+# thread, three alternating pairs on a 2-core Xeon; Cholesky vs eigh
+# medians, identical trees): at 81 columns and depth 3, 2.12 vs 2.69 s at
+# k = 8, 3.06 vs 2.80 at 12, 4.57 vs 3.30 at 13 and 5.72 vs 3.96 at 16; at
+# 151 columns and depth 2, 3.88 vs 5.88, 5.65 vs 6.39, 6.02 vs 6.25 (two
+# pairs of three) and 7.15 vs 6.23.  The break-even lies between 8 and 12
+# values at 81 columns and between 13 and 16 at 151, so 12 stays.
 _CHOLESKY_GRID_LIMIT = 12
 
-# ridge_batch standardizes its systems a chunk of about this many bytes at
-# a time: one 150-column block, or a few dozen 29-column ones, so the chunk
-# stays in cache and small blocks share each numpy call.
+# The eigendecomposition route standardizes its systems a chunk of about
+# this many bytes at a time: one 150-column block, or a few dozen 29-column
+# ones, so the chunk stays in cache and small blocks share each numpy call.
 _STANDARDIZE_CHUNK_BYTES = 1 << 18
 
 
@@ -252,36 +259,38 @@ def ridge_batch(stats: GramStats, lam_values, *, cholesky=False, want_edf=True):
     """Ridge fits of stacked gram statistics, for every lambda in a grid.
 
     ``stats`` is a stack of c systems, X'X (c, m, m), X'y (c, m), y'y and
-    counts (c,), column 0 the intercept.  Each is standardized from its
-    own statistics (:func:`_moments`, :func:`_standardized_block`), solved
-    for every lambda, mapped back to the original scale, and its SSE taken
-    from the statistics.  Returns the coefficients (k, c, m), SSEs (k, c) and
-    effective df (k, c) for the k grid values; pass them to
-    :func:`select_lambda` to resolve a grid.
+    counts (c,), column 0 the intercept.  Each is solved for every lambda
+    with its standardized coefficients penalized, the coefficients returned
+    on the original scale, and its SSE taken from the statistics.  Returns
+    the coefficients (k, c, m), SSEs (k, c) and effective df (k, c) for the
+    k grid values; pass them to :func:`select_lambda` to resolve a grid.
 
-    One loop standardizes the systems a chunk of about
-    ``_STANDARDIZE_CHUNK_BYTES`` at a time, never the whole (c, p, p) stack.
-    With ``cholesky``, every lambda positive and at most
-    ``_CHOLESKY_GRID_LIMIT`` of them, each system of a chunk is
-    Cholesky-factored once per lambda (:func:`_cholesky_solves`), and
+    Two routes solve the same problem.  With ``cholesky``, every lambda
+    positive and at most ``_CHOLESKY_GRID_LIMIT`` of them, each system is
+    Cholesky-factored once per lambda on its own uncentered X'X bordered by
+    the intercept (:func:`_cholesky_solves`), no standardized block formed;
     ``want_edf=False`` lets it skip the df (left NaN).  Every other system,
-    and every one whose factorization fails, is solved from the same block
-    by the reference, the eigendecomposition (:func:`_eigh_solves`): one
-    factorization serves the whole grid, eigenvalues below
-    ``NULL_SPACE_RTOL`` times the largest are null directions
-    (pseudo-inverse at lambda = 0) and the df sums d / (d + lambda) over
-    the others.
+    and every one whose factorization fails, is standardized
+    (:func:`_moments`, :func:`_standardized_block`) a chunk of about
+    ``_STANDARDIZE_CHUNK_BYTES`` at a time, never the whole (c, p, p)
+    stack, and solved by the reference, the eigendecomposition
+    (:func:`_eigh_solves`): one factorization serves the whole grid,
+    eigenvalues below ``NULL_SPACE_RTOL`` times the largest are null
+    directions (pseudo-inverse at lambda = 0) and the df sums
+    d / (d + lambda) over the others.
 
     The two routes count the df of a nearly collinear direction
     differently: an eigenvalue w above zero but below ``NULL_SPACE_RTOL``
     times the largest is null space to the eigendecomposition, which adds
-    0, while the trace identity adds w / (w + lambda).  The SSEs agree;
-    the GCV of such a system differs by that much df (about 1e-7 relative
-    on two columns 1e-5 apart).  It is left so: counting w in the
-    reference would change the stored ``effective_df`` of such nodes, and
-    dropping it from the Cholesky route needs the spectrum that route
-    exists to avoid.  Node models always come from the reference route
-    (:func:`fit_node`), so only the split sweep's ranking sees it.
+    0, while the bordered trace identity counts it as the standardized one
+    did, w / (w + lambda), since both take the trace of the same inverse.
+    The SSEs agree; the GCV of such a system differs by that much df
+    (about 1e-7 relative on two columns 1e-5 apart).  It is left so:
+    counting w in the reference would change the stored ``effective_df``
+    of such nodes, and dropping it from the Cholesky route needs the
+    spectrum that route exists to avoid.  Node models always come from the
+    reference route (:func:`fit_node`), so only the split sweep's ranking
+    sees it.
 
     Raises
     ------
@@ -292,32 +301,29 @@ def ridge_batch(stats: GramStats, lam_values, *, cholesky=False, want_edf=True):
     """
     if not all(0.0 <= lam < np.inf for lam in lam_values):  # NaN fails too
         raise ValueError("lambda must be finite and nonnegative")
-    n, mean, scale, b, _ = _moments(stats)
+    n, mean, scale, b, constant = _moments(stats)
     count, p = b.shape
-    gammas = np.empty((len(lam_values), count, p))
+    coefficients = np.empty((len(lam_values), count, p + 1))
     edfs = np.full((len(lam_values), count), np.nan)
-    factor = cholesky and min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT
-    # made once per call: once per chunk slows the sweep's many small calls
-    shifts = [(lam, lam * np.eye(p)) for lam in lam_values] if factor else None
-    work = np.empty((p, p))
-    size = max(1, min(count, _STANDARDIZE_CHUNK_BYTES // (8 * max(p, 1) ** 2)))
-    blocks, outer = np.empty((size, p, p)), np.empty((size, p, p))
-    for lo in range(0, count, size):
-        part = slice(lo, min(lo + size, count))
-        block = _standardized_block(
-            stats.xtx[part], n[part], mean[part], scale[part],
-            out=blocks[: part.stop - lo], outer=outer[: part.stop - lo],
+    rest = np.arange(count)
+    if cholesky and min(lam_values) > 0.0 and len(lam_values) <= _CHOLESKY_GRID_LIMIT:
+        rest = _cholesky_solves(
+            stats, scale, constant & (mean != 0.0), lam_values,
+            coefficients, edfs if want_edf else None,
         )
-        if factor:
-            failed = _cholesky_solves(
-                block, b[part], shifts, work, gammas[:, part], edfs[:, part] if want_edf else None,
+    if rest.size:
+        gammas = np.empty((len(lam_values), rest.size, p))
+        size = max(1, min(rest.size, _STANDARDIZE_CHUNK_BYTES // (8 * max(p, 1) ** 2)))
+        blocks, outer = np.empty((size, p, p)), np.empty((size, p, p))
+        for lo in range(0, rest.size, size):
+            part = rest[lo : lo + size]
+            block = _standardized_block(
+                stats.xtx[part], n[part], mean[part], scale[part],
+                out=blocks[: part.size], outer=outer[: part.size],
             )
-            if not failed:
-                continue
-            part, block = np.add(failed, lo), block[failed]
-        gammas[:, part], edfs[:, part] = _eigh_solves(block, b[part], lam_values)
-
-    coefficients = _back_map(stats, gammas, mean, scale)
+            gammas[:, lo : lo + size], edfs[:, part] = _eigh_solves(block, b[part], lam_values)
+        ybar = stats.xty[rest, 0] / stats.count[rest]
+        coefficients[:, rest] = _back_map(ybar, gammas, mean[rest], scale[rest])
     return coefficients, _sse(stats, coefficients), edfs
 
 
@@ -417,7 +423,8 @@ def fit_lasso(gram: GramStats, lambda1, start, tol=1e-7):
             if delta < tol:
                 converged = True
                 break
-        coefficients = _back_map(stack, gamma[None, None], mean, scale)[0, 0]
+        ybar = gram.xty[:1] / gram.count
+        coefficients = _back_map(ybar, gamma[None, None], mean, scale)[0, 0]
     edf = 1.0 + int(np.count_nonzero(coefficients[1:]))
     return _node_model(gram, coefficients, edf, 0.0), converged
 
@@ -500,16 +507,15 @@ def _standardized_block(xtx, n, mean, scale, out=None, outer=None):
     return np.divide(out, outer, out=out)
 
 
-def _back_map(stats: GramStats, gammas, mean, scale):
+def _back_map(ybar, gammas, mean, scale):
     """Coefficients (k, c, m) on the original scale of gammas (k, c, p).
 
     Each standardized coefficient is divided by its column's scale, and the
-    intercept makes the fit pass through the column and response means of
-    the c stacked statistics.
+    intercept makes the fit pass through the column means and the response
+    means ``ybar`` (c,) of the c systems.
     """
     coefficients = np.empty(gammas.shape[:2] + (gammas.shape[2] + 1,))
     coefficients[:, :, 1:] = gammas / scale
-    ybar = stats.xty[:, 0] / stats.count
     coefficients[:, :, 0] = ybar - np.matmul(
         coefficients[:, :, None, 1:], mean[:, :, None]
     )[:, :, 0, 0]
@@ -554,40 +560,67 @@ def _eigh_solves(block, b, lam_values):
     return gammas, 1.0 + np.sum(shrink, axis=-1)
 
 
-def _cholesky_solves(blocks, b, shifts, work, gammas, edfs):
-    """Ridge solutions of stacked standardized systems by Cholesky.
+def _cholesky_solves(stats: GramStats, scale, offset, lam_values, coefficients, edfs):
+    """Ridge solutions of stacked systems by Cholesky, on their uncentered grams.
 
-    ``shifts`` holds (lambda, lambda I) per grid value, every lambda > 0.
-    For each block and lambda, block + lambda I is copied into the p x p
-    ``work`` matrix that LAPACK factors in place as L L', and
-    gamma = (block + lambda I)^-1 b from the triangular solves is written
-    into ``gammas`` (k, c, p).  When ``edfs`` (k, c) is given, the
-    effective df is written into it from the GCV trace identity
-    edf = 1 + p - lambda tr((block + lambda I)^-1), with the trace taken as
-    ||L^-1||_F^2 (Golub, Heath & Wahba 1979).  A column constant within the
-    node has a zero row and column in the block (up to rounding), so it
-    adds 1 - lambda / lambda = 0 to the df, as its null direction does in
-    the spectral sum.  Returns the positions of the systems whose
-    factorization failed for some lambda; their entries are unset.
+    Every lambda is positive.  For each system and lambda, X'X with
+    lambda scale_j^2 added to each non-intercept diagonal entry is copied
+    into an m x m work matrix that LAPACK factors in place as L L', and
+    the triangular solves on X'y write the coefficients, on the original
+    scale, into ``coefficients`` (k, c, m).  Bordering by the unpenalized
+    intercept centers the system: the intercept's Schur complement is
+    (C + lambda D^2) beta_1 = X'y - mean sum(y), with C the centered block
+    and D the column scales, which is the standardized system
+    (D^-1 C D^-1 + lambda I) gamma = b multiplied by D, with
+    beta_1 = D^-1 gamma.  When ``edfs`` (k, c) is given, the effective df
+    is written into it from the GCV trace identity (Golub, Heath & Wahba
+    1979): the hat matrix's trace is
+    m - lambda sum_j scale_j^2 ((X'X + lambda D^2)^-1)_jj over the
+    non-intercept columns, each diagonal entry the squared norm of column j
+    of L^-1.
+
+    A column constant within the node centers to the zero column, so it
+    gets coefficient 0 and adds 1 - lambda / lambda = 0 to the df, as its
+    null direction does in the spectral sum.  A zero column (a hat function
+    outside the node) does so as it stands.  One constant away from zero,
+    flagged in ``offset`` (c, p), would lose lambda in the rounding of
+    n c^2 on the diagonal, so its row and column of X'X and its X'y entry
+    are zeroed first, which is what centering does to them.  Returns the
+    positions of the systems whose factorization failed for some lambda;
+    their entries are unset.
     """
-    p = b.shape[1]
+    m = stats.dim
+    work = np.empty((m, m))
+    diagonal = np.einsum("ii->i", work)[1:]  # a view: the penalized entries
+    pinned = offset.any(axis=1).tolist()
+    weights = scale * scale
+    # shifts[i, k] = lambda_k scale_i^2, each entry one product as lam * weight
+    shifts = weights[:, None, :] * np.asarray(lam_values, dtype=np.float64)[None, :, None]
     failed = []
-    for i, block in enumerate(blocks):
-        for k, (lam, shift) in enumerate(shifts):
-            # the shifted block is symmetric, so its transpose is the
-            # same matrix in the Fortran order LAPACK factors in place
-            np.add(block, shift, out=work)
+    for i, (xtx, xty, weight) in enumerate(zip(stats.xtx, stats.xty, weights)):
+        columns = np.flatnonzero(offset[i]) + 1 if pinned[i] else None
+        if columns is not None:
+            xty = xty.copy()
+            xty[columns] = 0.0
+        for k, lam in enumerate(lam_values):
+            np.copyto(work, xtx)
+            if columns is not None:
+                work[columns], work[:, columns] = 0.0, 0.0
+            np.add(diagonal, shifts[i, k], out=diagonal)
+            # the bordered gram is symmetric, so its transpose is the same
+            # matrix in the Fortran order LAPACK factors in place
             chol, info = dpotrf(work.T, lower=1, overwrite_a=1)
             if info != 0:
                 failed.append(i)
                 break
-            gammas[k, i], _ = dpotrs(chol, b[i], lower=1)
+            coefficients[k, i], _ = dpotrs(chol, xty, lower=1)
             if edfs is not None:
                 inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
                 # einsum, not a BLAS dot: numpy's BLAS thread pool would
                 # contend with scipy's LAPACK pool between these calls
-                edfs[k, i] = 1.0 + p - lam * np.einsum("ij,ij->", inv, inv)
-    return failed
+                norms = np.einsum("ij,ij->j", inv, inv)
+                edfs[k, i] = m - lam * np.einsum("j,j->", norms[1:], weight)
+    return np.array(failed, dtype=np.intp)
 
 
 def gcv_loss(sse, count, effective_df):

@@ -87,7 +87,8 @@ cumulated X'X when the feasible cuts are contiguous), the right sides, the
 categorical subset products and the sides of the candidates scored
 exactly.  Each buffer keeps the largest size asked for, so after the first
 nodes no (candidates, m, m) or row-sized array is allocated; the solver
-standardizes the candidates in cache-sized chunks, on either route (see
+factors each candidate in one m x m work matrix, or standardizes them in
+cache-sized chunks on the eigendecomposition route (see
 :func:`splinetree.gram.ridge_batch`).  With
 ``threads > 1`` the units, their binning included, are spread over worker
 threads, each with a workspace of its own.  The operations and their order
@@ -98,6 +99,7 @@ bytes do not depend on the BLAS thread setting either.
 
 from __future__ import annotations
 
+import math
 import numbers
 import threading
 from collections import deque
@@ -280,7 +282,7 @@ class _Workspace:
 
     def array(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         """An uninitialized C-contiguous array over the named buffer."""
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         buf = self._arrays.get(name)
         if buf is None or buf.size < size or buf.dtype != dtype:
             self._arrays.pop(name, None)  # free the old buffer first

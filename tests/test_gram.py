@@ -14,6 +14,7 @@ from splinetree import (
     gram_accumulate,
     gram_subtract,
 )
+from splinetree import basis
 from splinetree import gram as gram_mod
 from splinetree.gram import (
     _eigh_solves, _sse, bin_sum, complement, ridge_batch, zero_gram,
@@ -524,8 +525,10 @@ class TestRidgeBatch:
 
         for name in ("vdot", "dot"):
             monkeypatch.setattr(np, name, refuse)
-        # no eigh either: every system must take the Cholesky route
+        # no eigh either: every system must take the Cholesky route, which
+        # factors the uncentered gram and standardizes nothing
         monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(gram_mod, "_standardized_block", refuse)
         got = ridge_batch(stacked, (0.05, 2.0), cholesky=True)
         assert not np.isnan(got[2]).any()
         for a, b in zip(got, want):
@@ -579,8 +582,9 @@ class TestRidgeBatch:
             assert np.array_equal(a, b, equal_nan=True)
 
     def test_failed_factorization_is_standardized_once(self, rng, monkeypatch):
-        # the eigendecomposition solves a failed system from the chunk's
-        # block, so every system is standardized exactly once
+        # the Cholesky route factors the uncentered grams and standardizes
+        # nothing; the eigendecomposition solves a failed system from its
+        # standardized block, made once
         stacked = self._with_singular(rng)
         standardized, solved = [], []
         block_of = gram_mod._standardized_block
@@ -597,11 +601,136 @@ class TestRidgeBatch:
         monkeypatch.setattr(gram_mod, "_standardized_block", spy_block)
         monkeypatch.setattr(gram_mod, "_eigh_solves", spy_eigh)
         coefs, sse, edf = ridge_batch(stacked, (1e-20,), cholesky=True, want_edf=False)
-        assert standardized == [5]
+        assert standardized == [1]
         assert len(solved) == 1 and solved[0].shape == (1, 2, 2)
         assert np.array_equal(solved[0][0], np.full((2, 2), 16.0))
         # the fallen-back system has its df, the others skipped it
         assert np.isnan(edf[0]).tolist() == [True, True, False, True, True]
+
+
+class TestBorderedRoute:
+    """The Cholesky route's bordered solve against the eigendecomposition and a direct solve.
+
+    The Cholesky route factors each system's uncentered X'X, bordered by
+    the intercept, with lambda scale_j^2 on the non-intercept diagonal; the
+    reference standardizes it and eigendecomposes the block.  Both solve
+    the same penalized problem, which the direct solve states on the
+    centered rows themselves.
+    """
+
+    GRIDS = [(1e-3,), (1e-3, 0.05, 2.0), tuple(np.geomspace(1e-3, 5.0, 12))]
+
+    @staticmethod
+    def _direct(X, y, lam, scale):
+        """Coefficients, SSE and df of the penalized fit, from centered rows."""
+        mean = X[:, 1:].mean(axis=0)
+        Xc = X[:, 1:] - mean
+        A = Xc.T @ Xc + lam * np.diag(scale**2)
+        beta = np.linalg.solve(A, Xc.T @ (y - y.mean()))
+        beta = np.r_[y.mean() - mean @ beta, beta]
+        return beta, np.sum((y - X @ beta) ** 2), 1.0 + np.trace(Xc @ np.linalg.solve(A, Xc.T))
+
+    @staticmethod
+    def _hat_design(rng, n):
+        # two hat-function blocks, each summing to the intercept column, a
+        # linear column and a one-hot column
+        cols = [np.ones(n)]
+        for _ in range(2):
+            x = rng.uniform(-1.0, 1.0, n)
+            cols.append(basis.spline_rows(x, basis.quantile_knots(x, 5)))
+        cols.append(rng.standard_normal(n))
+        cols.append((rng.random(n) < 0.3).astype(float))
+        return np.column_stack(cols)
+
+    def _problems(self, rng, kind):
+        problems = []
+        for trial in range(6):
+            n = int(rng.integers(30, 400))
+            if kind == "hats":
+                X = self._hat_design(rng, n)
+            else:
+                X = np.column_stack([np.ones(n), rng.standard_normal((n, 6))])
+            beta = rng.standard_normal(X.shape[1])
+            if kind == "constant":
+                X[:, 2] = 0.0  # a hat function outside the node
+                X[:, 3] = 2.5  # constant within the node
+                X[:, 4] = 1000.1  # far from zero, and not summed exactly
+                beta[2:5] = 0.0
+            y = X @ beta + 0.3 * rng.standard_normal(n)
+            problems.append((X, y))
+        return problems
+
+    def _compare(self, problems, lam_values, rtol):
+        """Both routes' largest errors against the direct solve.
+
+        Slope errors are relative to the largest slope, SSE and df errors
+        relative to the direct solve's.  The bordered route's must be within
+        ``rtol``.  Returns the errors (2, 3), bordered first, and the two
+        routes' results.
+        """
+        stats = stack_grams([gram_accumulate(X, y) for X, y in problems])
+        scale = gram_mod._moments(stats)[2]
+        routes = [ridge_batch(stats, lam_values, cholesky=c) for c in (True, False)]
+        errors = np.zeros((2, 3))
+        for i, (X, y) in enumerate(problems):
+            for k, lam in enumerate(lam_values):
+                beta, sse, df = self._direct(X, y, lam, scale[i])
+                size = np.max(np.abs(beta[1:]))
+                for r, (coefs, sses, edfs) in enumerate(routes):
+                    errors[r] = np.maximum(errors[r], [
+                        np.max(np.abs(coefs[k, i, 1:] - beta[1:])) / size,
+                        abs(sses[k, i] / sse - 1.0),
+                        abs(edfs[k, i] / df - 1.0),
+                    ])
+        assert np.all(errors[0] <= rtol), errors[0]
+        return errors, routes
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["one", "three", "twelve"])
+    @pytest.mark.parametrize("kind", ["random", "hats", "constant"])
+    def test_matches_eigh_and_direct(self, rng, kind, grid):
+        # the hat blocks' exact null direction leaves the largest df error:
+        # the trace identity counts its rounding, w / (w + lambda), as the
+        # standardized Cholesky route did
+        errors, (bordered, reference) = self._compare(
+            self._problems(rng, kind), grid, rtol=[1e-8, 1e-10, 1e-9]
+        )
+        assert_allclose(bordered[1], reference[1], rtol=1e-10)
+        if kind == "constant":
+            # the reference solves the rounding left in the 1000.1 column's
+            # centered entries (a slope near 1e-4, df up to 4e-4); the
+            # bordered route zeroes the column as centering would exactly
+            assert errors[0][0] < errors[1][0] and errors[0][2] < errors[1][2]
+        else:
+            assert_allclose(bordered[2], reference[2], rtol=1e-9)
+
+    @pytest.mark.parametrize("offset, rtol", [(1e3, [1e-8, 1e-7, 1e-10]),
+                                              (1e6, [1e-2, 1e-1, 1e-4])])
+    @pytest.mark.parametrize("grid", GRIDS, ids=["one", "three", "twelve"])
+    def test_offset_linear_columns(self, rng, grid, offset, rtol):
+        # a linear column far from zero loses digits in X'X itself, which
+        # both routes center alike: the bordered route keeps the accuracy
+        # the standardized one has
+        problems = []
+        for _ in range(30):
+            n = int(rng.integers(50, 400))
+            X = np.column_stack([np.ones(n), rng.standard_normal((n, 4))])
+            X[:, 2] = 3.0 * X[:, 2] + offset
+            X[:, 4] = 3.0 * X[:, 4] - offset
+            problems.append((X, X[:, 1:] @ rng.standard_normal(4) + rng.standard_normal(n)))
+        (bordered, reference), _ = self._compare(problems, grid, rtol)
+        assert np.all(bordered <= 2.0 * reference + 1e-12), (bordered, reference)
+
+    def test_failed_factorization_falls_back(self, rng):
+        # the duplicated +-1 column of TestRidgeBatch: its bordered gram
+        # plus a 1e-20 ridge weight stays exactly singular, so that system
+        # alone is solved by the eigendecomposition, as with cholesky off
+        stacked = TestRidgeBatch._with_singular(rng)
+        got = ridge_batch(stacked, (1e-20, 0.5), cholesky=True)
+        want = ridge_batch(stacked, (1e-20, 0.5))
+        for a, b in zip(got, want):
+            assert np.array_equal(a[:, 2], b[:, 2])
+            assert not np.array_equal(a[:, [0, 1, 3, 4]], b[:, [0, 1, 3, 4]])
+            assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
 def sse_of(g, beta):

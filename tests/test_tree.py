@@ -614,48 +614,53 @@ class TestBatchChildLosses:
 def _fresh_child_losses(sides, lam_values, loss):
     """Reference for the sweep's child losses, with fresh arrays throughout.
 
-    The whole stack is standardized at once, each candidate's
-    block + lambda I is a new array handed to LAPACK, and failed
-    factorizations are redone by the eigendecomposition on the stacked
-    block; the operations and their order are the sweep's.
+    On the Cholesky route each candidate's X'X + lambda diag(0, scale^2) is
+    a new array handed to LAPACK and solved against X'y on the original
+    scale, a column constant away from zero having its row, column and X'y
+    entry zeroed first.  Failed factorizations, and every candidate off
+    that route, are standardized as one stack and redone by the
+    eigendecomposition.  The operations and their order are the sweep's.
     """
     xtx, xty, counts = sides.xtx, sides.xty, sides.count
     n = counts.astype(np.float64)[:, None]
     mean = xtx[:, 0, 1:] / n
     ex2 = np.diagonal(xtx, axis1=1, axis2=2)[:, 1:] / n
-    _, scale = gram_mod.column_scale(np.maximum(ex2 - mean**2, 0.0), ex2)
-    centered = xtx[:, 1:, 1:] - n[:, :, None] * (mean[:, :, None] * mean[:, None, :])
-    block = centered / (scale[:, :, None] * scale[:, None, :])
-    b = (xty[:, 1:] - mean * xty[:, :1]) / scale
+    constant, scale = gram_mod.column_scale(np.maximum(ex2 - mean**2, 0.0), ex2)
     grid = len(lam_values) > 1
-    count, p = b.shape
+    count, m = xty.shape
+    coefficients = np.empty((len(lam_values), count, m))
+    edfs = np.full((len(lam_values), count), np.nan)
+    eigen = np.ones(count, dtype=bool)
     if min(lam_values) > 0 and len(lam_values) <= gram_mod._CHOLESKY_GRID_LIMIT:
-        gammas = np.empty((len(lam_values), count, p))
-        edfs = np.full((len(lam_values), count), np.nan)
-        failed = np.zeros(count, dtype=bool)
         for k, lam in enumerate(lam_values):
             for i in range(count):
-                if failed[i]:
+                if k > 0 and eigen[i]:
                     continue
-                chol, info = dpotrf((block[i] + lam * np.eye(p)).T, lower=1, overwrite_a=1)
-                if info != 0:
-                    failed[i] = True
+                # a column constant away from zero is zeroed, as centering would
+                offset = np.r_[False, constant[i] & (mean[i] != 0.0)]
+                gram, rhs = xtx[i].copy(), np.where(offset, 0.0, xty[i])
+                gram[offset], gram[:, offset] = 0.0, 0.0
+                penalty = np.diag(np.r_[0.0, lam * scale[i] ** 2])
+                chol, info = dpotrf((gram + penalty).T, lower=1, overwrite_a=1)
+                eigen[i] = info != 0
+                if eigen[i]:
                     continue
-                gammas[k, i], _ = dpotrs(chol, b[i], lower=1)
+                coefficients[k, i], _ = dpotrs(chol, rhs, lower=1)
                 if loss == "gcv" or grid:
                     inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
-                    edfs[k, i] = 1.0 + p - lam * np.einsum("ij,ij->", inv, inv)
-        if failed.any():
-            gammas[:, failed], edfs[:, failed] = gram_mod._eigh_solves(
-                block[failed], b[failed], lam_values
-            )
-    else:
-        gammas, edfs = gram_mod._eigh_solves(block, b, lam_values)
-    coefficients = np.empty(gammas.shape[:2] + (p + 1,))
-    coefficients[:, :, 1:] = gammas / scale
-    coefficients[:, :, 0] = xty[:, 0] / counts - np.matmul(
-        coefficients[:, :, None, 1:], mean[:, :, None]
-    )[:, :, 0, 0]
+                    norms = np.einsum("ij,ij->j", inv, inv)
+                    edfs[k, i] = m - lam * np.einsum("j,j->", norms[1:], scale[i] ** 2)
+    if eigen.any():
+        xtx_e, mean_e, scale_e, n_e = xtx[eigen], mean[eigen], scale[eigen], n[eigen]
+        centered = xtx_e[:, 1:, 1:] - n_e[:, :, None] * (mean_e[:, :, None] * mean_e[:, None, :])
+        block = centered / (scale_e[:, :, None] * scale_e[:, None, :])
+        b = (xty[eigen, 1:] - mean_e * xty[eigen, :1]) / scale_e
+        gammas, edfs[:, eigen] = gram_mod._eigh_solves(block, b, lam_values)
+        betas = gammas / scale_e
+        coefficients[:, eigen, 1:] = betas
+        coefficients[:, eigen, 0] = xty[eigen, 0] / counts[eigen] - np.matmul(
+            betas[:, :, None, :], mean_e[:, :, None]
+        )[:, :, 0, 0]
     sse = gram_mod._sse(sides, coefficients)
     if loss == "sse" and not grid:
         return sse[0]
