@@ -222,26 +222,28 @@ def _train_test_rows(dataset, config: io.RunConfig):
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
-def _metric_rows(art, dataset, rows, task):
-    part = dataset.subset(rows)
-    pred = tree.predict(art.root, art.spec, part)
-    fid = diagnostics.fidelity(pred, part.response)
-    acc = None
-    if part.original is not None:
-        acc = diagnostics.accuracy(pred, part.original, task=task)
-    return fid, acc
+def _print_report(root, spec, dataset, train_rows, test_rows, task):
+    """Print the tree's size and its metrics on the train and test rows.
 
-
-def _print_report(art, dataset, train_rows, test_rows, task):
-    n_nodes = sum(1 for _ in art.root.nodes())
-    n_leaves = sum(1 for _ in art.root.leaves())
-    depth = max(node.depth for node in art.root.nodes())
+    The whole dataset is predicted once and each partition scored from its
+    slice: a record's prediction does not depend on the others predicted
+    with it.
+    """
+    n_nodes = sum(1 for _ in root.nodes())
+    n_leaves = sum(1 for _ in root.leaves())
+    depth = max(node.depth for node in root.nodes())
     print(f"tree: {n_nodes} nodes, {n_leaves} leaves, depth {depth}")
     sections = [("train", train_rows)]
-    if test_rows is not None and len(test_rows):
+    if len(test_rows):
         sections.append(("test", test_rows))
 
-    metrics = [(label, *_metric_rows(art, dataset, rows, task)) for label, rows in sections]
+    pred = tree.predict(root, spec, dataset)
+    metrics = [
+        (label, diagnostics.fidelity(pred[rows], dataset.response[rows]),
+         None if dataset.original is None
+         else diagnostics.accuracy(pred[rows], dataset.original[rows], task=task))
+        for label, rows in sections
+    ]
     binary = task == "binary"
     print(f"{'':22s}{'MSE':>12s}{'R2':>12s}")
     for label, fid, _ in metrics:
@@ -279,11 +281,10 @@ def _cmd_fit(args) -> int:
     pruned = tree.prune(grown, config.r2_threshold, config.dsse_fraction)
     if config.lambda1 is not None:
         pruned = tree.refit_l1(pruned, train, spec, config.lambda1)
-    saved_config = config.to_json_dict() | {"response": args.response}
+    # json writes the tuple fields as lists
+    saved_config = vars(config) | {"response": args.response}
     io.save_tree(args.out, pruned, spec, dataset.features, saved_config)
-
-    art = io.TreeArtifact(root=pruned, spec=spec, schema=dataset.features, config={})
-    _print_report(art, dataset, train_rows, test_rows, task)
+    _print_report(pruned, spec, dataset, train_rows, test_rows, task)
     return 0
 
 
@@ -333,17 +334,16 @@ def _cmd_diagnose(args) -> int:
         for node in art.root.nodes()
         if not node.is_leaf
     ]
-    curves = []
-    for leaf in art.root.leaves():
-        for block in art.spec.blocks:
-            if block.kind == "linear":
-                values = dataset.columns[block.feature]
-                grid = np.linspace(values.min(), values.max(), 100)
-                curves.append(
-                    diagnostics.effect_curve(leaf, art.spec, block.feature, grid=grid)
-                )
-            else:
-                curves.append(diagnostics.effect_curve(leaf, art.spec, block.feature))
+    # a linear block has no knot span: its grid spans the data, built once
+    columns = dataset.columns
+    grids = {block.feature: np.linspace(columns[block.feature].min(),
+                                        columns[block.feature].max(), 100)
+             for block in art.spec.blocks if block.kind == "linear"}
+    curves = [
+        diagnostics.effect_curve(leaf, art.spec, block.feature, grid=grids.get(block.feature))
+        for leaf in art.root.leaves()
+        for block in art.spec.blocks
+    ]
     paths = io.export_diagnostics(
         args.out_dir, importance=importance, contributions=contributions, curves=curves
     )

@@ -130,14 +130,6 @@ class RunConfig:
             threads=self.threads,
         )
 
-    def to_json_dict(self) -> dict:
-        out = {}
-        for key, value in self.__dict__.items():
-            if isinstance(value, tuple):
-                value = list(value)
-            out[key] = value
-        return out
-
 
 def logit(p: np.ndarray) -> np.ndarray:
     p = np.clip(p, _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP)

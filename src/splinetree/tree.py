@@ -113,7 +113,7 @@ import numpy as np
 
 from . import basis
 from ._blas import one_blas_thread
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .gram import (
     GramStats,
     NodeModel,
@@ -503,28 +503,34 @@ def _derive(whole: FeatureBins, sub: FeatureBins, rebin) -> FeatureBins:
 
 @dataclass(frozen=True)
 class BestSplit:
+    """A node's winning split: its rule, its children's statistics and
+    models, and the split feature with the bins it sends left, which
+    partition the node's training rows as the rule does."""
+
     candidate: SplitCandidate
     left_model: NodeModel
     right_model: NodeModel
     gain: float
     left_gram: GramStats
     right_gram: GramStats
+    feature: _SplitFeature
+    left_bins: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class _FeatureBest:
     """Per-feature sweep winner, scored by the batched path.
 
-    :func:`best_split` adds the ``left`` side summed from the bins it was
-    swept from, which are then dropped, and their ``rebin`` if derived;
-    it builds the split of the overall winner only.
+    It carries its ``left`` side, summed from the bins it was swept from,
+    which are then dropped, and their ``rebin`` (None unless derived);
+    :func:`best_split` builds the split of the overall winner only.
     """
 
     gain: float
     feature: _SplitFeature
     left_bin_indices: tuple[int, ...]
-    left: GramStats | None = None
-    rebin: Callable[["_Workspace"], FeatureBins] | None = None
+    left: GramStats
+    rebin: Callable[["_Workspace"], FeatureBins] | None
 
 
 # Relative slack on the loss bound below which a candidate is scored
@@ -751,7 +757,8 @@ def _sweep_feature(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
 
     Continuous cuts come as one batch (:func:`_cut_batches`), categorical
     subsets in chunks (:func:`_subset_batches`); each batch of left sides
-    is scored by :func:`_split_gains`.
+    is scored by :func:`_split_gains`.  The best's left side is summed from
+    ``fb``'s bins (:func:`splinetree.gram.bin_sum`).
     """
     batches = _subset_batches if fb.feature.edges is None else _cut_batches
     best_gain, best_left = -np.inf, None
@@ -762,7 +769,8 @@ def _sweep_feature(fb, node_gram, parent_loss, config, min_leaf, ws, bound):
             best_gain, best_left = float(gains[i]), tuple(left_bins[i])
     if best_left is None:
         return None
-    return _FeatureBest(gain=best_gain, feature=fb.feature, left_bin_indices=best_left)
+    return _FeatureBest(gain=best_gain, feature=fb.feature, left_bin_indices=best_left,
+                        left=bin_sum(fb.stats, best_left), rebin=fb.rebin)
 
 
 def best_split(
@@ -792,7 +800,9 @@ def best_split(
     subtraction, their :attr:`FeatureBins.rebin` bins that feature from the
     node's rows, and its left side is summed from the direct bins instead;
     the right side is the node's minus the left
-    (:func:`splinetree.gram.gram_subtract`).
+    (:func:`splinetree.gram.gram_subtract`).  The split carries the winning
+    feature and the bins it sends left, from which :func:`grow` splits the
+    node's rows.
 
     The sweep's scratch arrays live in ``workspace`` (fresh when not given;
     ``grow`` passes one that lives as long as the grow).  With
@@ -807,10 +817,7 @@ def best_split(
 
     def search(entry, worker):
         fb = entry if isinstance(entry, FeatureBins) else entry(worker)
-        res = _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf, worker, bound)
-        if res is None:
-            return None
-        return replace(res, left=bin_sum(fb.stats, res.left_bin_indices), rebin=fb.rebin)
+        return _sweep_feature(fb, node_gram, parent_loss, config, min_samples_leaf, worker, bound)
 
     best = None
     for res in _map_features(search, list(feature_bins), ws, config.threads):
@@ -840,6 +847,8 @@ def best_split(
         gain=gain,
         left_gram=left_gram,
         right_gram=right_gram,
+        feature=best.feature,
+        left_bins=best.left_bin_indices,
     )
 
 
@@ -981,7 +990,11 @@ def _effect_means(X_node, spec, coefficients) -> np.ndarray:
 
 
 def split_mask(dataset, spec, candidate: SplitCandidate, rows=None) -> np.ndarray:
-    """Boolean routing mask (True = left) for the given records."""
+    """Boolean routing mask (True = left) for the given records.
+
+    The one routing rule for raw values: :func:`route`, :func:`predict`
+    and the diagnostics walk a tree by it.
+    """
     col = dataset.columns[candidate.feature]
     if rows is not None:
         col = col[rows]
@@ -1030,7 +1043,9 @@ def grow(
     stores what its callables build; one that cannot stores nothing, so it
     holds one feature's bins per worker.  With ``config.threads > 1``,
     binning as well as sweeping runs on that many threads; each node's
-    passes are recorded in schema order.
+    passes are recorded in schema order.  A split node's rows go to its
+    children by the winning feature's root bins, the partition its rule
+    gives them (:func:`split_mask` routes raw values).
     """
     if dataset.n == 0:
         raise DataError("dataset is empty")
@@ -1112,14 +1127,11 @@ def grow(
         if found is None or found.gain <= config.min_gain:
             bins = None
             continue
-        mask = split_mask(dataset, spec, found.candidate, rows=node_rows)
-        left_rows = node_rows[mask]
-        right_rows = node_rows[~mask]
-        if left_rows.size != found.left_gram.count:
-            raise NumericalError(
-                "routing mask disagrees with bin counts for "
-                f"{found.candidate.feature!r} at node {node.id}"
-            )
+        # the winning bins are the rule's partition: bin_values puts x in a
+        # bin <= j exactly when x <= edges[j], and a level's bin is its code
+        goes_left = np.isin(np.arange(found.feature.num_bins), found.left_bins)
+        mask = goes_left[found.feature.bin_ids[node_rows]]
+        left_rows, right_rows = node_rows[mask], node_rows[~mask]
         pair = None
         if (bins is not None and searched(node.depth + 1, min(left_rows.size, right_rows.size))
                 and kept + 2 * node_bytes <= budget):
