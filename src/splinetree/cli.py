@@ -150,7 +150,8 @@ def _config_from_args(args) -> io.RunConfig:
     Options a flag or config key leaves unset keep ``io.RunConfig``'s
     defaults.  Raises ``_UsageError`` naming the first config key that names
     no option, or else the flag or config key of the first value, in table
-    order, that does not parse or lies outside its domain.
+    order, that does not parse or lies outside its domain, or else the first
+    categorical column that the features, when given, do not list.
     """
     given = io.read_config(args.config) if args.config else {}
     known = {row[1] for row in _OPTIONS} | {"features", "categorical"}
@@ -177,6 +178,10 @@ def _config_from_args(args) -> io.RunConfig:
     values["categorical"] = tuple(args.categorical) or tuple(
         v.strip() for v in given.get("categorical", "").split(",") if v.strip()
     )
+    if "features" in values:
+        stray = [name for name in values["categorical"] if name not in values["features"]]
+        if stray:
+            raise _UsageError(f"categorical column {stray[0]!r} is not one of the features")
     return io.RunConfig(**values)
 
 
@@ -208,18 +213,29 @@ def _check_labels(dataset, task, original):
             )
 
 
-def _train_test_rows(dataset, config: io.RunConfig):
+def _train_test_rows(dataset, config: io.RunConfig, args):
+    """The training and test rows: by the tag column, or a seeded random split.
+
+    Every tag must be 'train' or 'test', and at least two rows must train.
+    """
     if dataset.tags is not None:
-        train = np.nonzero(dataset.tags == "train")[0]
-        test = np.nonzero(dataset.tags == "test")[0]
-        if train.size == 0:
-            raise DataError("tag column has no 'train' rows")
-        return train, test
-    n = dataset.n
-    rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(n)
-    n_test = int(round(n * config.test_fraction))
-    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+        other = np.flatnonzero((dataset.tags != "train") & (dataset.tags != "test"))
+        if other.size:
+            raise DataError(
+                f"{args.data}: line {other[0] + 2}, tag column {args.tag_column!r}: "
+                f"{str(dataset.tags[other[0]])!r} is neither 'train' nor 'test'"
+            )
+        train = np.flatnonzero(dataset.tags == "train")
+        test = np.flatnonzero(dataset.tags == "test")
+        source = f"tag column {args.tag_column!r} marks"
+    else:
+        perm = np.random.default_rng(config.seed).permutation(dataset.n)
+        n_test = int(round(dataset.n * config.test_fraction))
+        train, test = np.sort(perm[n_test:]), np.sort(perm[:n_test])
+        source = "the random split leaves"
+    if train.size < 2:
+        raise DataError(f"{source} {train.size} training rows; a fit needs at least 2")
+    return train, test
 
 
 def _print_report(root, spec, dataset, train_rows, test_rows, task):
@@ -227,14 +243,15 @@ def _print_report(root, spec, dataset, train_rows, test_rows, task):
 
     The whole dataset is predicted once and each partition scored from its
     slice: a record's prediction does not depend on the others predicted
-    with it.
+    with it.  A test partition of fewer than two rows, which no metric can
+    score, is left out.
     """
     n_nodes = sum(1 for _ in root.nodes())
     n_leaves = sum(1 for _ in root.leaves())
     depth = max(node.depth for node in root.nodes())
     print(f"tree: {n_nodes} nodes, {n_leaves} leaves, depth {depth}")
     sections = [("train", train_rows)]
-    if len(test_rows):
+    if len(test_rows) >= 2:
         sections.append(("test", test_rows))
 
     pred = tree.predict(root, spec, dataset)
@@ -267,7 +284,7 @@ def _cmd_fit(args) -> int:
     dataset = _load_fit_dataset(args, config, args.response)
     task = args.task or ("binary" if config.transform == "logit" else "continuous")
     _check_labels(dataset, task, args.original)
-    train_rows, test_rows = _train_test_rows(dataset, config)
+    train_rows, test_rows = _train_test_rows(dataset, config, args)
     train = dataset.subset(train_rows)
     spec = basis.build_spec(train, num_knots=config.knots)
     if config.min_samples_leaf is not None and config.min_samples_leaf < spec.total_columns:
@@ -313,6 +330,8 @@ def _cmd_evaluate(args) -> int:
     dataset = _load_model_features(
         art, args.data, args.response, original=args.original, transform=transform
     )
+    if dataset.n < 2:
+        raise DataError(f"{args.data}: evaluate needs at least 2 data rows, got {dataset.n}")
     task = args.task or ("binary" if transform == "logit" else "continuous")
     _check_labels(dataset, task, args.original)
     pred = tree.predict(art.root, art.spec, dataset)

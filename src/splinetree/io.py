@@ -41,8 +41,8 @@ class SurrogateDataset:
 
     ``original`` optionally carries the upstream problem's own response for
     accuracy metrics; ``tags`` optionally carries a train/test marker per
-    row.  Continuous feature columns, the response and ``original`` must be
-    finite.
+    row.  Feature names must be distinct, as in a tree's schema.  Continuous
+    feature columns, the response and ``original`` must be finite.
     """
 
     features: tuple[Feature, ...]
@@ -53,7 +53,11 @@ class SurrogateDataset:
 
     def __post_init__(self):
         n = self.response.shape[0]
+        seen = set()
         for feat in self.features:
+            if feat.name in seen:
+                raise DataError(f"schema repeats feature {feat.name!r}")
+            seen.add(feat.name)
             if feat.name not in self.columns:
                 raise DataError(f"missing column {feat.name!r}")
             col = self.columns[feat.name]
@@ -152,10 +156,11 @@ def load_csv(
     original, tag, and declared categoricals is treated as continuous.
     With ``response=None`` no response column is read and the dataset gets
     an all-zero placeholder response (for prediction and diagnostics).
-    A header that names a column twice is rejected, and a UTF-8 byte
-    order mark before the header is dropped.  A file that is not UTF-8
-    text or that the ``csv`` module cannot split is rejected, and so is a
-    NUL character in a categorical or tag cell.  A row too short for the
+    A header that names a column twice is rejected, and so is a feature
+    named twice or that is also the response, original or tag column; a
+    UTF-8 byte order mark before the header is dropped.  A file that is
+    not UTF-8 text or that the ``csv`` module cannot split is rejected, and
+    so is a NUL character in a categorical or tag cell.  A row too short for the
     columns read is rejected with its file line number; unparseable
     numeric cells are collected and reported with theirs.
     The response must be finite; ``transform="logit"`` also requires it in
@@ -185,6 +190,14 @@ def load_csv(
     declared = set(categorical) | reserved
     if continuous is None:
         continuous = [name for name in header if name not in declared]
+    # each column read has one role; only the response may double as the original
+    roles = {name: f"also the {role} column"
+             for name, role in ((tag, "tag"), (original, "original"), (response, "response"))
+             if name}
+    for name in [*continuous, *categorical]:
+        if name in roles:
+            raise DataError(f"{path}: feature {name!r} is {roles[name]}")
+        roles[name] = "named twice"
     used = [*(n for n in (response, original, tag) if n), *continuous, *categorical]
     for name in used:
         if name not in index:

@@ -45,10 +45,11 @@ def test_bin_grams_takes_the_rows_first():
 def test_grow_calls_the_traced_bindings(monkeypatch, threads):
     # the tracer sees a call only if grow makes it through the module
     # attribute: one best_split per searched node (the parent of the
-    # tree.sweep spans) and one bin_grams per recorded binning pass
+    # tree.sweep spans) and one bin_grams per recorded binning pass.  grow
+    # splits a node's rows by the winning bins, so it routes nothing
     from splinetree import tree as tree_mod
 
-    calls = {"best_split": [], "bin_grams": []}
+    calls = {"best_split": [], "bin_grams": [], "split_mask": []}
     for name, calls_of in calls.items():
         inner = getattr(tree_mod, name)
 
@@ -68,3 +69,4 @@ def test_grow_calls_the_traced_bindings(monkeypatch, threads):
     assert len(searched) > 3
     assert len(calls["best_split"]) == len(searched)
     assert len(calls["bin_grams"]) == len(inst.events)
+    assert calls["split_mask"] == []

@@ -39,6 +39,19 @@ def sim_csv(tmp_path, capsys):
     return path
 
 
+def tagged_csv(src, dst, tags):
+    """The first ``len(tags)`` rows of a simulated CSV, with a three-level
+    column ``c`` and the tags in column ``part``."""
+    ds = load_csv(src, response="f", original="y")
+    n = len(tags)
+    names = [f"x{k}" for k in range(1, 11)]
+    levels = np.array(["u", "v", "w"])[np.arange(n) % 3]
+    write_csv(dst, names + ["c", "f", "y", "part"],
+              [ds.columns[name][:n] for name in names]
+              + [levels, ds.response[:n], ds.original[:n], np.array(tags)])
+    return dst
+
+
 @pytest.fixture
 def fitted_model(tmp_path, sim_csv, capsys):
     model = tmp_path / "tree.json"
@@ -120,6 +133,29 @@ class TestFit:
         "Fidelity     train       0.0837264      0.9906\n"
         "Fidelity      test        0.137219      0.9835\n"
     )
+
+    def test_report_predicts_once(self, tmp_path, sim_csv, capsys, monkeypatch):
+        # the train and test rows, fidelity and accuracy alike, are scored
+        # from one prediction of the loaded dataset
+        from splinetree import tree as tree_mod
+
+        calls = []
+        inner = tree_mod.predict
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(tree_mod, "predict", counting)
+        code, out, err = run(
+            capsys, "fit", "--data", str(sim_csv), "--response", "f",
+            "--original", "y", "--knots", "4", "--max-depth", "1",
+            "--num-bins", "6", "--min-samples-leaf", "60", "--seed", "3",
+            "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 0, err
+        assert out.startswith(self.REPORT_HEAD) and "Accuracy      test" in out
+        assert len(calls) == 1
 
     def test_report_bytes_with_original(self, tmp_path, sim_csv, capsys):
         code, out, err = run(
@@ -476,6 +512,103 @@ class TestFitArgumentErrors:
         assert err.count("\n") == 1 and out == "" and not model.exists()
 
 
+class TestFitInputs:
+    """Each column that fit reads has one role, each tag is 'train' or
+    'test', and at least two rows train; a fit that breaks one of these
+    ends with one error line and writes no tree."""
+
+    @staticmethod
+    def rejected(capsys, tmp_path, code, *argv):
+        model = tmp_path / "t.json"
+        got, out, err = run(capsys, "fit", *argv, "--knots", "4", "--out", str(model))
+        assert got == code, err
+        assert err.count("\n") == 1 and out == "" and not model.exists()
+        return err
+
+    def test_tag_other_than_train_or_test_exits_3(self, tmp_path, sim_csv, capsys):
+        tags = ["train"] * 300 + ["Train"] * 150 + ["test"] * 100 + ["validation"] * 50
+        data = tagged_csv(sim_csv, tmp_path / "tagged.csv", tags)
+        err = self.rejected(capsys, tmp_path, 3, "--data", str(data), "--response", "f",
+                            "--features", "x1,x2", "--tag-column", "part")
+        assert err == (f"data error: {data}: line 302, tag column 'part': "
+                       "'Train' is neither 'train' nor 'test'\n")
+
+    def test_tags_choose_the_partitions(self, tmp_path, sim_csv, capsys):
+        data = tagged_csv(sim_csv, tmp_path / "tagged.csv", ["train", "test"] * 300)
+        model = tmp_path / "t.json"
+        code, out, err = run(capsys, "fit", "--data", str(data), "--response", "f",
+                             "--features", "x1,x2", "--tag-column", "part", "--knots", "4",
+                             "--max-depth", "0", "--out", str(model))
+        assert code == 0, err
+        assert json.loads(model.read_text())["nodes"][0]["count"] == 300
+        assert "Fidelity      test" in out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--features", "x1,x1"], "feature 'x1' is named twice"),
+        (["--features", "x1,c", "--categorical", "c", "--categorical", "c"],
+         "feature 'c' is named twice"),
+        (["--features", "x1,f"], "feature 'f' is also the response column"),
+        (["--original", "y", "--features", "x1,y"], "feature 'y' is also the original column"),
+        (["--features", "x1,part", "--tag-column", "part"],
+         "feature 'part' is also the tag column"),
+    ], ids=["repeated", "repeated-categorical", "response", "original", "tag"])
+    def test_column_with_two_roles_exits_3(self, tmp_path, sim_csv, capsys, argv, message):
+        data = tagged_csv(sim_csv, tmp_path / "tagged.csv", ["train"] * 400)
+        err = self.rejected(capsys, tmp_path, 3, "--data", str(data), "--response", "f", *argv)
+        assert err == f"data error: {data}: {message}\n"
+
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    def test_categorical_outside_the_features_exits_2(self, tmp_path, capsys, by):
+        # checked before any data is read: the data file does not exist
+        features = ["--features", "x1,x2"]
+        if by == "config":
+            conf = tmp_path / "run.conf"
+            conf.write_text("features = x1,x2\n")
+            features = ["--config", str(conf)]
+        err = self.rejected(capsys, tmp_path, 2, "--data", str(tmp_path / "absent.csv"),
+                            "--response", "f", *features, "--categorical", "c")
+        assert err == "error: categorical column 'c' is not one of the features\n"
+
+    def test_response_may_double_as_original(self, tmp_path, sim_csv, capsys):
+        code, out, err = run(capsys, "fit", "--data", str(sim_csv), "--response", "f",
+                             "--original", "f", "--features", "x1,x2", "--knots", "4",
+                             "--max-depth", "0", "--out", str(tmp_path / "t.json"))
+        assert code == 0, err
+        assert "Accuracy     train" in out
+
+    def test_no_training_row_exits_3(self, tmp_path, sim_csv, capsys):
+        err = self.rejected(capsys, tmp_path, 3, "--data", str(sim_csv), "--response", "f",
+                            "--test-fraction", "0.99999")
+        assert err == ("data error: the random split leaves 0 training rows; "
+                       "a fit needs at least 2\n")
+
+    def test_two_row_file_exits_3(self, tmp_path, sim_csv, capsys):
+        # the default split tests one row and trains on the other
+        lines = sim_csv.read_text().splitlines()
+        data = tmp_path / "two.csv"
+        data.write_text("\n".join(lines[:3]) + "\n")
+        err = self.rejected(capsys, tmp_path, 3, "--data", str(data), "--response", "f")
+        assert err == ("data error: the random split leaves 1 training rows; "
+                       "a fit needs at least 2\n")
+
+    def test_one_tagged_training_row_exits_3(self, tmp_path, sim_csv, capsys):
+        data = tagged_csv(sim_csv, tmp_path / "tagged.csv", ["train"] + ["test"] * 99)
+        err = self.rejected(capsys, tmp_path, 3, "--data", str(data), "--response", "f",
+                            "--features", "x1,x2", "--tag-column", "part")
+        assert err == ("data error: tag column 'part' marks 1 training rows; "
+                       "a fit needs at least 2\n")
+
+    def test_one_row_test_partition_is_left_out_of_the_report(self, tmp_path, sim_csv,
+                                                             capsys):
+        # round(1200 * 0.0005) = 1 test row, which no metric can score
+        code, out, err = run(capsys, "fit", "--data", str(sim_csv), "--response", "f",
+                             "--original", "y", "--knots", "4", "--max-depth", "1",
+                             "--test-fraction", "0.0005", "--out", str(tmp_path / "t.json"))
+        assert code == 0, err
+        rows = [line.split()[:2] for line in out.splitlines()[2:]]
+        assert rows == [["Fidelity", "train"], ["Accuracy", "train"]]
+
+
 class TestPredictEvaluate:
     def test_predict_writes_csv(self, tmp_path, sim_csv, fitted_model, capsys):
         out_csv = tmp_path / "pred.csv"
@@ -523,6 +656,15 @@ class TestPredictEvaluate:
                   "--response", "f", flag, "x1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} x1" in capsys.readouterr().err
+
+    def test_evaluate_one_row_exits_3(self, tmp_path, sim_csv, fitted_model, capsys):
+        lines = sim_csv.read_text().splitlines()
+        data = tmp_path / "one.csv"
+        data.write_text("\n".join(lines[:2]) + "\n")
+        code, out, err = run(capsys, "evaluate", "--model", str(fitted_model),
+                             "--data", str(data), "--response", "f")
+        assert code == 3 and out == ""
+        assert err == f"data error: {data}: evaluate needs at least 2 data rows, got 1\n"
 
     def test_evaluate_binary_task_on_non_binary_original_exits_3(
             self, tmp_path, sim_csv, fitted_model, capsys):

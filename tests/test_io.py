@@ -336,6 +336,39 @@ class TestLoadCsv:
         assert ds.features[-1].kind == "categorical"
         assert list(ds.tags) == ["train", "test", "train"]
 
+    @pytest.mark.parametrize("schema, message", [
+        (dict(continuous=["a", "a"]), "feature 'a' is named twice"),
+        (dict(continuous=["a"], categorical=["c", "c"]), "feature 'c' is named twice"),
+        (dict(continuous=["a", "c"], categorical=["c"]), "feature 'c' is named twice"),
+        (dict(continuous=["a", "y"]), "feature 'y' is also the response column"),
+        (dict(continuous=["a", "o"], original="o"), "feature 'o' is also the original column"),
+        (dict(categorical=["y"]), "feature 'y' is also the response column"),
+        (dict(continuous=["a"], categorical=["part"], tag="part"),
+         "feature 'part' is also the tag column"),
+    ], ids=["repeated", "repeated-categorical", "both-kinds", "response", "original",
+            "categorical-response", "tag"])
+    def test_each_column_has_one_role(self, tmp_path, schema, message):
+        path = tmp_path / "roles.csv"
+        path.write_text("a,c,y,o,part\n1,u,0.5,2,train\n2,v,0.7,3,test\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_csv(path, response="y", **schema)
+
+    def test_response_may_double_as_original(self, tmp_path):
+        path = tmp_path / "same.csv"
+        path.write_text("a,y\n1,0.5\n2,0.7\n")
+        ds = load_csv(path, response="y", original="y")
+        assert [f.name for f in ds.features] == ["a"]
+        assert np.array_equal(ds.original, ds.response)
+
+    def test_dataset_rejects_repeated_feature(self):
+        # the tree loader's rule: a dataset save_tree can write, load_tree reads
+        with pytest.raises(DataError, match="^schema repeats feature 'x'$"):
+            SurrogateDataset(
+                features=(Feature("x", "continuous"), Feature("x", "categorical")),
+                columns={"x": np.linspace(0.0, 1.0, 12)},
+                response=np.zeros(12),
+            )
+
 
 class TestTreeJson:
     def test_roundtrip_predictions_exact(self, fitted, tmp_path, rng):

@@ -19,6 +19,7 @@ import pytest
 from splinetree import (
     Feature, GrowConfig, SplitInstrumentation, SurrogateDataset, build_spec, grow,
 )
+from splinetree.tree import route
 
 from conftest import make_dataset
 
@@ -202,3 +203,47 @@ def test_grown_structure_matches_pinned_values(setting):
     assert splits == want_splits
     norms = [float(np.linalg.norm(node.model.coefficients)) for node in nodes]
     np.testing.assert_allclose(norms, want_norms, rtol=1e-8)
+
+
+def _tied_to_thresholds(config, rounds=8):
+    """The pinned data with training values set exactly to the thresholds of
+    the tree grown on it, with its design and that tree.
+
+    Tying values moves the quantile edges and so the thresholds, so each
+    round ties the regrown tree's untied thresholds until every continuous
+    split cuts at a value that some rows hold.
+    """
+    ds = _data()[0]
+    rng = np.random.default_rng(5)
+    for _ in range(rounds):
+        spec = build_spec(ds, num_knots=3)
+        root = grow(ds, spec, config)
+        untied = [node.split for node in root.nodes()
+                  if node.split is not None and node.split.threshold is not None
+                  and not (ds.columns[node.split.feature] == node.split.threshold).any()]
+        if not untied:
+            return ds, spec, root
+        columns = dict(ds.columns)
+        for split in untied:
+            column = columns[split.feature] = columns[split.feature].copy()
+            column[rng.choice(column.size, 30, replace=False)] = split.threshold
+        ds = SurrogateDataset(features=ds.features, columns=columns, response=ds.response)
+    raise AssertionError(f"thresholds still untied after {rounds} rounds")
+
+
+@pytest.mark.parametrize("setting", list(SETTINGS))
+def test_grown_rows_follow_the_routing_rule(setting):
+    # grow splits each node's rows by the winning feature's root bins; the
+    # routing rule must send the same rows, those equal to a threshold and
+    # those of every level of a categorical split included
+    config = GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=40, **SETTINGS[setting])
+    ds, spec, root = _tied_to_thresholds(config)
+    splits = [node.split for node in root.nodes() if node.split is not None]
+    assert any(split.categories is not None for split in splits)
+    assert any(split.threshold is not None for split in splits)
+    members = route(root, spec, ds)
+    for node in root.nodes():
+        assert members[node.id].size == node.count
+        if node.split is not None:
+            both = np.concatenate([members[node.left.id], members[node.right.id]])
+            assert np.array_equal(np.sort(both), members[node.id])
