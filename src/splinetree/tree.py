@@ -12,7 +12,7 @@ from :func:`_prepare_binning`): its name, its place in schema order, each
 record's bin and its thresholds or levels.  The same record goes from the
 root binning through every node's bins (:class:`FeatureBins`) to the
 winning split, which it alone turns from left bins into a rule
-(:meth:`_SplitFeature.candidate`).
+(:meth:`_SplitFeature.candidate`); its bin ids then split the node's rows.
 
 The unit of the search is one feature: bin it from the node's rows, then
 sweep it.  Histogram subtraction (as in LightGBM; Ke et al. 2017) saves
