@@ -171,33 +171,36 @@ def spline_rows(x, knots: KnotVector) -> np.ndarray:
     return out
 
 
-def onehot_rows(values, levels: Sequence) -> np.ndarray:
+def onehot_rows(values, levels: Sequence, *, codes=None) -> np.ndarray:
     """Indicator rows against ``levels`` with the first level dropped.
 
     Unseen values encode as all-zero rows, and one ``UnseenCategoryWarning``
-    names them all.
+    names them all.  ``codes``, if given, are the values' :func:`level_codes`
+    against ``levels``, made before.
     """
     values = np.asarray(values)
-    codes = _known_codes(values, levels)
-    out = np.zeros((values.size, len(levels) - 1))
+    if codes is None:
+        codes = level_codes(values, levels)
+    _warn_unseen(values, codes)
+    out = np.zeros((codes.size, len(levels) - 1))
     hit = np.flatnonzero(codes > 0)
     out[hit, codes[hit] - 1] = 1.0
     return out
 
 
-def _known_codes(values: np.ndarray, levels: Sequence) -> np.ndarray:
-    """:func:`level_codes`, with one ``UnseenCategoryWarning`` naming every
-    value that is none of the levels."""
-    codes = level_codes(values, levels)
+def _warn_unseen(values, codes: np.ndarray) -> None:
+    """One ``UnseenCategoryWarning`` naming every value whose code is -1.
+
+    ``values`` is read only if there is one.
+    """
     unseen = codes < 0
     if unseen.any():
-        bad = np.unique(values[unseen])
+        bad = np.unique(np.asarray(values)[unseen])
         warnings.warn(
             f"categories {bad.tolist()!r} were not seen in training; encoded as reference",
             UnseenCategoryWarning,
             stacklevel=3,
         )
-    return codes
 
 
 def level_codes(values, levels: Sequence) -> np.ndarray:
@@ -285,18 +288,35 @@ def build_spec(dataset, num_knots: int = 15, linear: Sequence[str] = ()) -> Desi
     )
 
 
-def block_rows(values, spec: DesignSpec, block: BasisBlock) -> np.ndarray:
-    """Basis expansion of one feature's raw values, (n, block.width)."""
+def block_codes(dataset, spec: DesignSpec, block: BasisBlock):
+    """The dataset's level codes of an onehot block's column, else None.
+
+    The codes come from ``dataset.level_codes``, which makes them once per
+    column (see :class:`splinetree.io.SurrogateDataset`); :func:`level_codes`
+    codes raw values that belong to no dataset.
+    """
+    if block.kind != "onehot":
+        return None
+    return dataset.level_codes(block.feature, spec.levels[block.feature])
+
+
+def block_rows(values, spec: DesignSpec, block: BasisBlock, *, codes=None) -> np.ndarray:
+    """Basis expansion of one feature's raw values, (n, block.width).
+
+    ``codes`` may give an onehot block's level codes of ``values``.
+    """
     if block.kind == "spline":
         return spline_rows(values, spec.knots[block.feature])
     if block.kind == "onehot":
-        return onehot_rows(values, spec.levels[block.feature])
+        return onehot_rows(values, spec.levels[block.feature], codes=codes)
     if block.kind == "linear":
         return np.asarray(values, dtype=np.float64).reshape(-1, 1)
     raise ValueError(f"unknown block kind {block.kind!r}")
 
 
-def block_effect(values, spec: DesignSpec, block: BasisBlock, table, which=None) -> np.ndarray:
+def block_effect(
+    values, spec: DesignSpec, block: BasisBlock, table, which=None, *, codes=None
+) -> np.ndarray:
     """One block's effect at raw values, ``block_rows(values) @ table``.
 
     ``table`` holds the block's coefficients (``coefficients[block.columns]``).
@@ -311,7 +331,13 @@ def block_effect(values, spec: DesignSpec, block: BasisBlock, table, which=None)
     - linear: ``x·c``;
     - onehot: the coefficient of each value's level, 0 for the reference
       level and for unseen values, which raise one
-      ``UnseenCategoryWarning`` as :func:`onehot_rows` does.
+      ``UnseenCategoryWarning`` per call, as :func:`onehot_rows` does.
+      ``codes`` may give the values' level codes, made before: a dataset
+      column's from :func:`block_codes`, which the dataset keeps from its
+      first coding of the column and makes again once the column is
+      edited in place or replaced (at the cost of one copy of the
+      column).  ``values`` is then read only to name unseen values in the
+      warning, and may be None when no code is -1.
 
     The last two equal the product exactly.  Each value's effect is
     computed by the same operations whatever ``table``'s shape, so it does
@@ -319,7 +345,10 @@ def block_effect(values, spec: DesignSpec, block: BasisBlock, table, which=None)
     """
     table = np.asarray(table, dtype=np.float64)
     if block.kind == "onehot":
-        codes = _known_codes(np.asarray(values), spec.levels[block.feature])
+        if codes is None:
+            values = np.asarray(values)
+            codes = level_codes(values, spec.levels[block.feature])
+        _warn_unseen(values, codes)
         # column 0 stands for the reference level and for unseen values
         table = np.concatenate([np.zeros(table.shape[:-1] + (1,)), table], axis=-1)
     start = 0
@@ -351,7 +380,8 @@ def design_matrix(dataset, spec: DesignSpec) -> np.ndarray:
     out[:, 0] = 1.0
     for block in spec.blocks:
         out[:, block.columns] = block_rows(
-            dataset.columns[block.feature], spec, block
+            dataset.columns[block.feature], spec, block,
+            codes=block_codes(dataset, spec, block),
         )
     return out
 

@@ -188,6 +188,10 @@ def _config_from_args(args) -> io.RunConfig:
 def _load_fit_dataset(args, config: io.RunConfig, response: str):
     continuous = None
     if config.features is not None:
+        # a repeated categorical would be lost from the continuous list below
+        for k, name in enumerate(config.features):
+            if name in config.features[:k]:
+                raise DataError(f"{args.data}: feature {name!r} is named twice")
         continuous = [f for f in config.features if f not in config.categorical]
     return io.load_csv(
         args.data,

@@ -128,7 +128,8 @@ def leaf_importance(root, spec, dataset) -> ImportanceTable:
     for block in spec.blocks:
         # every record's effect under its own leaf's coefficients
         h = basis.block_effect(
-            dataset.columns[block.feature], spec, block, coefficients[:, block.columns], leaf
+            dataset.columns[block.feature], spec, block, coefficients[:, block.columns], leaf,
+            codes=basis.block_codes(dataset, spec, block),
         )
         for node in leaves:
             if node.id not in flagged:
@@ -186,10 +187,13 @@ def split_contribution(root, node_id: int, spec, dataset) -> SplitContribution:
         if block.feature == node.split.feature:
             c[block.feature] = 0.0
             continue
-        # each record under the node's, the left and the right coefficients
-        e = basis.block_effect(
-            dataset.columns[block.feature][idx], spec, block, coefficients[:, block.columns]
-        )
+        # each record under the node's, the left and the right coefficients;
+        # a categorical column's values are gathered only to name unseen ones
+        col, codes = dataset.columns[block.feature], basis.block_codes(dataset, spec, block)
+        if codes is not None:
+            codes = codes[idx]
+        values = col[idx] if codes is None or (codes < 0).any() else None
+        e = basis.block_effect(values, spec, block, coefficients[:, block.columns], codes=codes)
         d = e[0] - np.concatenate([e[1, :n_left], e[2, n_left:]])
         c[block.feature] = float(np.var(d)) if d.size else 0.0
 

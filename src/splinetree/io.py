@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,6 +43,14 @@ class SurrogateDataset:
     accuracy metrics; ``tags`` optionally carries a train/test marker per
     row.  Feature names must be distinct, as in a tree's schema.  Continuous
     feature columns, the response and ``original`` must be finite.
+
+    :meth:`level_codes` codes a categorical column against a design's levels
+    on its first request and keeps the codes, with a private copy of the
+    column they were made from, for the fit, routing, prediction and the
+    diagnostics to share.  The copy is how an in-place edit is seen: the
+    codes are reused only while the column is the same array with the same
+    values.  The cost is one copy of each coded column, plus its codes at
+    one or two bytes a row.  Nothing is coded when a dataset is built.
     """
 
     features: tuple[Feature, ...]
@@ -50,6 +58,8 @@ class SurrogateDataset:
     response: np.ndarray
     original: np.ndarray | None = None
     tags: np.ndarray | None = None
+    # feature -> (column, copy of its values, levels, codes) of the last coding
+    _codes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.response.shape[0]
@@ -75,6 +85,28 @@ class SurrogateDataset:
     @property
     def n(self) -> int:
         return self.response.shape[0]
+
+    def level_codes(self, feature: str, levels) -> np.ndarray:
+        """``basis.level_codes(self.columns[feature], levels)``, made once.
+
+        The codes are kept in the narrowest signed integer type and reused
+        while the column is the same array with the same values as when they
+        were made, so an in-place edit or a replaced column is coded again.
+        Each reuse compares the column with the copy (a column holding NaN
+        never compares equal, so it is coded every time).  The codes are
+        shared, so they are read-only.
+        """
+        col = self.columns[feature]
+        levels = tuple(levels)
+        kept = self._codes.get(feature)
+        if (kept is not None and kept[0] is col and kept[2] == levels
+                and np.array_equal(kept[1], col)):
+            return kept[3]
+        dtype = np.min_scalar_type(-max(len(levels), 1))  # holds -1 .. len - 1
+        codes = basis.level_codes(col, levels).astype(dtype)
+        codes.flags.writeable = False
+        self._codes[feature] = (col, col.copy(), levels, codes)
+        return codes
 
     def subset(self, rows) -> "SurrogateDataset":
         rows = np.asarray(rows)

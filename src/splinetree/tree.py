@@ -856,10 +856,12 @@ def _prepare_binning(dataset, spec, config) -> list[_SplitFeature]:
     """The split features in schema order, binned once at the root.
 
     A continuous feature takes its :func:`candidate_edges`, a categorical
-    one its design levels; features the design excludes, constant ones and
-    those with fewer than two levels cannot be cut and are left out.  A
-    categorical value outside the design's levels raises ``DataError``
-    (:func:`_level_codes`).
+    one its design levels, and its bins are the dataset's level codes
+    (``dataset.level_codes``, which the design matrix then reuses).
+    Features the design excludes, constant ones and those with fewer than
+    two levels cannot be cut and are left out.  A categorical value outside
+    the design's levels raises ``DataError`` naming the column and the
+    first such value in row order.
     """
     features = []
     for feat in dataset.features:
@@ -871,29 +873,21 @@ def _prepare_binning(dataset, spec, config) -> list[_SplitFeature]:
             if edges.size:
                 ids = _compact_bin_ids(bin_values(values, edges), edges.size + 1)
                 features.append(_SplitFeature(feat.name, len(features), ids, edges=edges))
-        else:
-            levels = spec.levels.get(feat.name)
-            if levels is not None and len(levels) >= 2:
-                ids = _level_codes(values, levels, feat.name)
-                features.append(_SplitFeature(feat.name, len(features), ids, levels=levels))
+            continue
+        levels = spec.levels.get(feat.name)
+        if levels is None or len(levels) < 2:
+            continue
+        codes = dataset.level_codes(feat.name, levels)
+        unknown = np.flatnonzero(codes < 0)
+        if unknown.size:
+            first = values[unknown[0] : unknown[0] + 1].tolist()[0]  # a Python value
+            raise DataError(
+                f"categorical column {feat.name!r} holds {first!r}, "
+                "which is not one of the design's levels"
+            )
+        ids = _compact_bin_ids(codes, len(levels))
+        features.append(_SplitFeature(feat.name, len(features), ids, levels=levels))
     return features
-
-
-def _level_codes(values, levels, feature) -> np.ndarray:
-    """Position of each value in ``levels``, as compact bin ids.
-
-    A value absent from ``levels`` raises ``DataError`` naming the column
-    and the first such value in row order.
-    """
-    codes = basis.level_codes(values, levels)
-    unknown = np.flatnonzero(codes < 0)
-    if unknown.size:
-        first = values[unknown[0] : unknown[0] + 1].tolist()[0]  # a Python value
-        raise DataError(
-            f"categorical column {feature!r} holds {first!r}, "
-            "which is not one of the design's levels"
-        )
-    return _compact_bin_ids(codes, len(levels))
 
 
 def _kept_bins_budget(X) -> int:
@@ -993,19 +987,20 @@ def split_mask(dataset, spec, candidate: SplitCandidate, rows=None) -> np.ndarra
     """Boolean routing mask (True = left) for the given records.
 
     The one routing rule for raw values: :func:`route`, :func:`predict`
-    and the diagnostics walk a tree by it.
+    and the diagnostics walk a tree by it.  A categorical rule reads the
+    dataset's level codes of the column (``dataset.level_codes``), made
+    once per column.
     """
-    col = dataset.columns[candidate.feature]
-    if rows is not None:
-        col = col[rows]
     if candidate.threshold is not None:
-        return col <= candidate.threshold
+        col = dataset.columns[candidate.feature]
+        return (col if rows is None else col[rows]) <= candidate.threshold
     # one entry per level code, the last for code -1: unseen values go left
     levels = spec.levels[candidate.feature]
     goes_left = np.zeros(len(levels) + 1, dtype=bool)
     goes_left[basis.level_codes(candidate.categories, levels)] = True
     goes_left[-1] = True
-    return goes_left[basis.level_codes(col, levels)]
+    codes = dataset.level_codes(candidate.feature, levels)
+    return goes_left[codes if rows is None else codes[rows]]
 
 
 @one_blas_thread()
@@ -1224,7 +1219,8 @@ def predict(root: TreeNode, spec, dataset) -> np.ndarray:
     out = coefficients[leaf, 0]
     for block in spec.blocks:
         out += basis.block_effect(
-            dataset.columns[block.feature], spec, block, coefficients[:, block.columns], leaf
+            dataset.columns[block.feature], spec, block, coefficients[:, block.columns], leaf,
+            codes=basis.block_codes(dataset, spec, block),
         )
     return out
 

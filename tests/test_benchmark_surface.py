@@ -70,3 +70,75 @@ def test_grow_calls_the_traced_bindings(monkeypatch, threads):
     assert len(calls["best_split"]) == len(searched)
     assert len(calls["bin_grams"]) == len(inst.events)
     assert calls["split_mask"] == []
+
+
+class TestCodesEachColumnOnce:
+    """A dataset's categorical columns are coded once, however often they are read."""
+
+    @staticmethod
+    def coded(monkeypatch, ds):
+        """What ``basis.level_codes`` codes from here on: the name of each
+        whole dataset column, and "part" for any other array of the dataset's
+        values (a split's categories are shorter than its levels)."""
+        from splinetree import basis
+
+        names = []
+        inner = basis.level_codes
+
+        def counting(values, levels):
+            if np.size(values) > len(levels):
+                names.append(next((name for name, col in ds.columns.items() if col is values),
+                                  "part"))
+            return inner(values, levels)
+
+        monkeypatch.setattr(basis, "level_codes", counting)
+        return names
+
+    @staticmethod
+    def data(seed):
+        """Two categorical columns whose levels flip a continuous effect, so
+        that the tree splits on both."""
+        ds = make_dataset(np.random.default_rng(seed), 2000, continuous=2, categorical=2,
+                          levels=5)
+        c = ds.columns
+        ds.response = (np.where(np.isin(c["c1"], ["lv0", "lv3"]), 1.0, -1.0) * np.sin(3 * c["x1"])
+                       + np.where(c["c2"] == "lv2", 1.0, -1.0) * c["x2"])
+        return ds
+
+    @pytest.fixture
+    def fitted(self):
+        ds = self.data(0)
+        spec = build_spec(ds, num_knots=3)
+        root = grow(ds, spec, GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=60))
+        internal = [node for node in root.nodes() if not node.is_leaf]
+        assert sum(node.split.categories is not None for node in internal) >= 2
+        return ds, spec, root, internal
+
+    def test_grow(self, monkeypatch):
+        # the design matrix and the root binning share the codes
+        ds = self.data(0)
+        spec = build_spec(ds, num_knots=3)
+        names = self.coded(monkeypatch, ds)
+        grow(ds, spec, GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=60))
+        assert names == ["c1", "c2"]
+
+    def test_diagnostics(self, monkeypatch, fitted):
+        from splinetree import leaf_importance, split_contribution
+
+        ds, spec, root, internal = fitted
+        data = self.data(1)
+        names = self.coded(monkeypatch, data)
+        leaf_importance(root, spec, data)
+        for node in internal:
+            split_contribution(root, node.id, spec, data)
+        assert sorted(names) == ["c1", "c2"]
+
+    def test_repeated_predict(self, monkeypatch, fitted):
+        from splinetree import predict
+
+        ds, spec, root, _ = fitted
+        data = self.data(1)
+        first = predict(root, spec, data)
+        names = self.coded(monkeypatch, data)
+        assert np.array_equal(predict(root, spec, data), first)
+        assert names == []

@@ -157,6 +157,32 @@ class TestFit:
         assert out.startswith(self.REPORT_HEAD) and "Accuracy      test" in out
         assert len(calls) == 1
 
+    def test_diagnose_codes_each_column_once(self, tmp_path, sim_csv, capsys, monkeypatch):
+        # the importance and every split's contribution read one coding of
+        # the categorical column
+        from splinetree import basis
+
+        data = tagged_csv(sim_csv, tmp_path / "tagged.csv", ["train"] * 600)
+        model = tmp_path / "t.json"
+        code, _, err = run(capsys, "fit", "--data", str(data), "--response", "f",
+                           "--features", "x1,x2,c", "--categorical", "c", "--knots", "4",
+                           "--max-depth", "2", "--min-samples-leaf", "40", "--r2-threshold", "1",
+                           "--dsse-fraction", "0", "--out", str(model))
+        assert code == 0, err
+        assert len(json.loads(model.read_text())["nodes"]) > 3
+        coded = []
+        inner = basis.level_codes
+
+        def counting(values, levels):
+            coded.append(np.size(values))
+            return inner(values, levels)
+
+        monkeypatch.setattr(basis, "level_codes", counting)
+        code, _, err = run(capsys, "diagnose", "--model", str(model), "--data", str(data),
+                           "--out-dir", str(tmp_path / "diag"))
+        assert code == 0, err
+        assert coded.count(600) == 1
+
     def test_report_bytes_with_original(self, tmp_path, sim_csv, capsys):
         code, out, err = run(
             capsys, "fit", "--data", str(sim_csv), "--response", "f",
@@ -547,11 +573,13 @@ class TestFitInputs:
         (["--features", "x1,x1"], "feature 'x1' is named twice"),
         (["--features", "x1,c", "--categorical", "c", "--categorical", "c"],
          "feature 'c' is named twice"),
+        (["--features", "x1,c,c", "--categorical", "c"], "feature 'c' is named twice"),
         (["--features", "x1,f"], "feature 'f' is also the response column"),
         (["--original", "y", "--features", "x1,y"], "feature 'y' is also the original column"),
         (["--features", "x1,part", "--tag-column", "part"],
          "feature 'part' is also the tag column"),
-    ], ids=["repeated", "repeated-categorical", "response", "original", "tag"])
+    ], ids=["repeated", "repeated-categorical", "repeated-categorical-feature", "response",
+            "original", "tag"])
     def test_column_with_two_roles_exits_3(self, tmp_path, sim_csv, capsys, argv, message):
         data = tagged_csv(sim_csv, tmp_path / "tagged.csv", ["train"] * 400)
         err = self.rejected(capsys, tmp_path, 3, "--data", str(data), "--response", "f", *argv)

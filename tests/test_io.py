@@ -5,6 +5,7 @@ import csv
 import functools
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,12 +31,16 @@ from splinetree import (
     predict,
     prune,
     read_config,
+    route,
     save_tree,
     split_contribution,
     tree_from_json,
     tree_to_json,
     write_csv,
 )
+
+from splinetree import basis
+from splinetree.basis import UnseenCategoryWarning
 
 from conftest import make_dataset
 
@@ -694,3 +699,135 @@ class TestDeterminism:
         save_tree(p2, root, spec, ds.features, {"seed": 1})
         assert p1.read_bytes() == p2.read_bytes()
         assert export_dot(root) == export_dot(root)
+
+
+_fresh_codes = basis.level_codes  # the oracle, unwrapped by the spies below
+
+
+def _coded(monkeypatch):
+    """Every array that ``basis.level_codes`` codes from here on, in call order."""
+    calls = []
+    inner = basis.level_codes
+
+    def counting(values, levels):
+        calls.append(values)
+        return inner(values, levels)
+
+    monkeypatch.setattr(basis, "level_codes", counting)
+    return calls
+
+
+class TestLevelCodeCache:
+    """``SurrogateDataset.level_codes`` against a fresh ``basis.level_codes``."""
+
+    LEVELS = ("lv0", "lv1", "lv2", "lv3")
+
+    @staticmethod
+    def assert_fresh(ds, feature, levels):
+        got = ds.level_codes(feature, levels)
+        assert np.array_equal(got, _fresh_codes(ds.columns[feature], levels))
+        return got
+
+    def test_codes_once_in_the_narrowest_signed_type(self, rng, monkeypatch):
+        ds = make_dataset(rng, 300, continuous=1, categorical=1)
+        calls = _coded(monkeypatch)
+        first = self.assert_fresh(ds, "c1", self.LEVELS)
+        assert first.dtype == np.int8 and not first.flags.writeable
+        assert ds.level_codes("c1", list(self.LEVELS)) is first
+        assert [values is ds.columns["c1"] for values in calls] == [True]
+        many = tuple(f"lv{k}" for k in range(200))
+        assert self.assert_fresh(ds, "c1", many).dtype == np.int16
+        # other levels are coded again, then kept in place of the first
+        assert ds.level_codes("c1", many) is ds.level_codes("c1", many)
+
+    def test_in_place_edit_is_coded_again(self, rng):
+        ds = make_dataset(rng, 300, continuous=1, categorical=1)
+        before = self.assert_fresh(ds, "c1", self.LEVELS).copy()
+        ds.columns["c1"][[3, 40]] = ["lv2", "unseen"]
+        after = self.assert_fresh(ds, "c1", self.LEVELS)
+        assert after[40] == -1 and not np.array_equal(after, before)
+
+    @pytest.mark.parametrize("how", ["copy", "U12", "object"])
+    def test_replaced_column_is_coded_again(self, rng, monkeypatch, how):
+        ds = make_dataset(rng, 300, continuous=1, categorical=1)
+        self.assert_fresh(ds, "c1", self.LEVELS)
+        col = ds.columns["c1"]
+        ds.columns["c1"] = {"copy": col.copy, "U12": lambda: col.astype("U12"),
+                            "object": lambda: col.astype(object)}[how]()
+        calls = _coded(monkeypatch)
+        self.assert_fresh(ds, "c1", self.LEVELS)
+        assert calls[0] is ds.columns["c1"]
+        # the replacement is kept, and edits to it are seen
+        ds.columns["c1"][7] = "unseen-but-long"
+        assert self.assert_fresh(ds, "c1", self.LEVELS)[7] == -1
+
+    def test_object_column(self, rng):
+        ds = make_dataset(rng, 300, continuous=1, categorical=1)
+        ds.columns["c1"] = ds.columns["c1"].astype(object)
+        first = self.assert_fresh(ds, "c1", self.LEVELS)
+        assert ds.level_codes("c1", self.LEVELS) is first
+        ds.columns["c1"][[0, 1]] = [None, 3]
+        assert list(self.assert_fresh(ds, "c1", self.LEVELS)[:2]) == [-1, -1]
+
+    def test_integer_column(self, rng):
+        values = rng.integers(0, 5, 300)
+        ds = SurrogateDataset(features=(Feature("k", "categorical"),),
+                              columns={"k": values}, response=np.zeros(300))
+        levels = (4, 0, 2, 1, 3)  # a tree document's levels need not be sorted
+        first = self.assert_fresh(ds, "k", levels)
+        assert ds.level_codes("k", levels) is first
+        values[::9] = 7
+        assert (self.assert_fresh(ds, "k", levels)[::9] == -1).all()
+
+    def test_float_column_with_nan_is_never_reused(self, rng, monkeypatch):
+        values = rng.choice([0.5, 1.5, 2.5, np.nan], 300)
+        values[0] = np.nan
+        ds = SurrogateDataset(features=(Feature("r", "categorical"),),
+                              columns={"r": values}, response=np.zeros(300))
+        levels = (0.5, 1.5, 2.5)
+        calls = _coded(monkeypatch)
+        self.assert_fresh(ds, "r", levels)
+        values[np.isnan(values)] = 1.5  # a NaN is never equal to its copy
+        assert (self.assert_fresh(ds, "r", levels) >= 0).all()
+        assert sum(c is values for c in calls) == 2
+        values[5] = np.nan
+        assert self.assert_fresh(ds, "r", levels)[5] == -1
+
+    def test_edited_dataset_answers_as_a_fresh_copy(self, rng):
+        ds = make_dataset(rng, 1500, continuous=2, categorical=2, levels=5)
+        spec = build_spec(ds, num_knots=3)
+        root = grow(ds, spec, GrowConfig(max_depth=3, num_bins=8, min_samples_leaf=80))
+        internal = [node for node in root.nodes() if not node.is_leaf]
+        assert any(node.split.categories is not None for node in internal)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnseenCategoryWarning)
+            predict(root, spec, ds)  # codes every categorical column
+            for name in ("c1", "c2"):
+                col = ds.columns[name]
+                col[rng.choice(ds.n, 200, replace=False)] = rng.choice(
+                    ["lv0", "lv4", "unseen"], 200)
+            fresh = SurrogateDataset(
+                features=ds.features,
+                columns={name: col.copy() for name, col in ds.columns.items()},
+                response=ds.response.copy(),
+            )
+            assert np.array_equal(predict(root, spec, ds), predict(root, spec, fresh))
+            got, want = route(root, spec, ds), route(root, spec, fresh)
+            assert got.keys() == want.keys()
+            assert all(np.array_equal(got[k], want[k]) for k in got)
+            for node in internal:
+                a = split_contribution(root, node.id, spec, ds)
+                b = split_contribution(root, node.id, spec, fresh)
+                assert (a.c, a.p, a.no_interaction) == (b.c, b.p, b.no_interaction)
+            a, b = leaf_importance(root, spec, ds), leaf_importance(root, spec, fresh)
+            assert (a.values, a.flagged) == (b.values, b.flagged)
+
+    def test_each_predict_warns_once(self, fitted):
+        ds, spec, root = fitted
+        ds.columns["c1"][::11] = "zz"
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                predict(root, spec, ds)
+            assert [w.category for w in caught] == [UnseenCategoryWarning]
+            assert "['zz']" in str(caught[0].message)
