@@ -178,7 +178,6 @@ def onehot_rows(values, levels: Sequence, *, codes=None) -> np.ndarray:
     names them all.  ``codes``, if given, are the values' :func:`level_codes`
     against ``levels``, made before.
     """
-    values = np.asarray(values)
     if codes is None:
         codes = level_codes(values, levels)
     _warn_unseen(values, codes)
@@ -346,7 +345,6 @@ def block_effect(
     table = np.asarray(table, dtype=np.float64)
     if block.kind == "onehot":
         if codes is None:
-            values = np.asarray(values)
             codes = level_codes(values, spec.levels[block.feature])
         _warn_unseen(values, codes)
         # column 0 stands for the reference level and for unseen values
