@@ -173,10 +173,15 @@ def split_contribution(root, node_id: int, spec, dataset) -> SplitContribution:
         raise ValueError(f"node {node_id} is a leaf; contributions need a split")
     # the node's rows, masked along its path exactly as route() walks it
     idx = np.arange(dataset.n)
+    codes = tree_mod.split_codes(dataset, spec, path)
     for parent, child in zip(path, path[1:]):
-        mask = tree_mod.split_mask(dataset, spec, parent.split, rows=idx)
+        mask = tree_mod.split_mask(
+            dataset, spec, parent.split, rows=idx, codes=codes.get(parent.split.feature)
+        )
         idx = idx[np.flatnonzero(mask if child is parent.left else ~mask)]
-    mask = tree_mod.split_mask(dataset, spec, node.split, rows=idx)
+    mask = tree_mod.split_mask(
+        dataset, spec, node.split, rows=idx, codes=codes.get(node.split.feature)
+    )
     # the left child's rows, then the right child's
     n_left = int(np.count_nonzero(mask))
     idx = np.concatenate([idx[np.flatnonzero(mask)], idx[np.flatnonzero(~mask)]])

@@ -983,13 +983,13 @@ def _effect_means(X_node, spec, coefficients) -> np.ndarray:
     return out
 
 
-def split_mask(dataset, spec, candidate: SplitCandidate, rows=None) -> np.ndarray:
+def split_mask(dataset, spec, candidate: SplitCandidate, rows=None, *, codes=None) -> np.ndarray:
     """Boolean routing mask (True = left) for the given records.
 
     The one routing rule for raw values: :func:`route`, :func:`predict`
     and the diagnostics walk a tree by it.  A categorical rule reads the
-    dataset's level codes of the column (``dataset.level_codes``), made
-    once per column.
+    dataset's level codes of the column: ``codes``, as :func:`split_codes`
+    gives them for a walk, else ``dataset.level_codes``.
     """
     if candidate.threshold is not None:
         col = dataset.columns[candidate.feature]
@@ -999,8 +999,26 @@ def split_mask(dataset, spec, candidate: SplitCandidate, rows=None) -> np.ndarra
     goes_left = np.zeros(len(levels) + 1, dtype=bool)
     goes_left[basis.level_codes(candidate.categories, levels)] = True
     goes_left[-1] = True
-    codes = dataset.level_codes(candidate.feature, levels)
+    if codes is None:
+        codes = dataset.level_codes(candidate.feature, levels)
     return goes_left[codes if rows is None else codes[rows]]
+
+
+def split_codes(dataset, spec, nodes) -> dict[str, np.ndarray]:
+    """The dataset's level codes of each categorical column that splits one
+    of ``nodes``, looked up once per column, for a walk to hand
+    :func:`split_mask`.
+
+    Each ``dataset.level_codes`` lookup compares the column with the copy
+    its codes were made from, so a walk pays that once per column rather
+    than once per node.
+    """
+    out = {}
+    for node in nodes:
+        split = node.split
+        if split is not None and split.threshold is None and split.feature not in out:
+            out[split.feature] = dataset.level_codes(split.feature, spec.levels[split.feature])
+    return out
 
 
 @one_blas_thread()
@@ -1181,12 +1199,13 @@ def prune(root: TreeNode, r2_threshold: float, dsse_fraction: float) -> TreeNode
 def route(root: TreeNode, spec, dataset) -> dict[int, np.ndarray]:
     """Row indices reaching each node, keyed by node id."""
     out = {}
+    codes = split_codes(dataset, spec, root.nodes())
 
     def walk(node, idx):
         out[node.id] = idx
         if node.is_leaf:
             return
-        mask = split_mask(dataset, spec, node.split, rows=idx)
+        mask = split_mask(dataset, spec, node.split, rows=idx, codes=codes.get(node.split.feature))
         walk(node.left, idx[np.flatnonzero(mask)])
         walk(node.right, idx[np.flatnonzero(~mask)])
 

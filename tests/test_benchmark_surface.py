@@ -133,6 +133,26 @@ class TestCodesEachColumnOnce:
             split_contribution(root, node.id, spec, data)
         assert sorted(names) == ["c1", "c2"]
 
+    def test_route_looks_up_each_column_once(self, monkeypatch, fitted):
+        # a lookup compares the column with the copy its codes were made
+        # from, so a walk makes one per categorical split column, not one
+        # per categorical node
+        from splinetree.tree import route
+
+        ds, spec, root, internal = fitted
+        split = [node.split.feature for node in internal if node.split.categories is not None]
+        assert len(split) > len(set(split))
+        looked = []
+        inner = ds.level_codes
+
+        def counting(feature, levels):
+            looked.append(feature)
+            return inner(feature, levels)
+
+        monkeypatch.setattr(ds, "level_codes", counting)
+        route(root, spec, ds)
+        assert sorted(looked) == sorted(set(split))
+
     def test_repeated_predict(self, monkeypatch, fitted):
         from splinetree import predict
 
