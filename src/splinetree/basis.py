@@ -287,16 +287,23 @@ def build_spec(dataset, num_knots: int = 15, linear: Sequence[str] = ()) -> Desi
     )
 
 
-def block_codes(dataset, spec: DesignSpec, block: BasisBlock):
-    """The dataset's level codes of an onehot block's column, else None.
+def dataset_codes(dataset, spec: DesignSpec, features=None) -> dict[str, np.ndarray]:
+    """The dataset's level codes of each categorical design feature, by name.
 
-    The codes come from ``dataset.level_codes``, which makes them once per
-    column (see :class:`splinetree.io.SurrogateDataset`); :func:`level_codes`
-    codes raw values that belong to no dataset.
+    ``features`` picks some (others are skipped); by default every feature
+    with design levels.  Each is one ``dataset.level_codes`` lookup, which
+    makes a column's codes once and keeps them (see
+    :class:`splinetree.io.SurrogateDataset`); a lookup compares the column
+    with the copy its codes were made from, so a call looks the codes up
+    here once and hands them on.  :func:`level_codes` codes raw values that
+    belong to no dataset.
     """
-    if block.kind != "onehot":
-        return None
-    return dataset.level_codes(block.feature, spec.levels[block.feature])
+    names = spec.levels if features is None else dict.fromkeys(features)
+    return {
+        name: dataset.level_codes(name, spec.levels[name])
+        for name in names
+        if name in spec.levels
+    }
 
 
 def block_rows(values, spec: DesignSpec, block: BasisBlock, *, codes=None) -> np.ndarray:
@@ -332,7 +339,7 @@ def block_effect(
       level and for unseen values, which raise one
       ``UnseenCategoryWarning`` per call, as :func:`onehot_rows` does.
       ``codes`` may give the values' level codes, made before: a dataset
-      column's from :func:`block_codes`, which the dataset keeps from its
+      column's from :func:`dataset_codes`, which the dataset keeps from its
       first coding of the column and makes again once the column is
       edited in place or replaced (at the cost of one copy of the
       column).  ``values`` is then read only to name unseen values in the
@@ -376,10 +383,10 @@ def design_matrix(dataset, spec: DesignSpec) -> np.ndarray:
     require_features(dataset, spec)
     out = np.empty((dataset.n, spec.total_columns))
     out[:, 0] = 1.0
+    codes = dataset_codes(dataset, spec)
     for block in spec.blocks:
         out[:, block.columns] = block_rows(
-            dataset.columns[block.feature], spec, block,
-            codes=block_codes(dataset, spec, block),
+            dataset.columns[block.feature], spec, block, codes=codes.get(block.feature)
         )
     return out
 

@@ -120,7 +120,8 @@ def leaf_importance(root, spec, dataset) -> ImportanceTable:
     feature and are flagged.
     """
     leaves = list(root.leaves())
-    members = tree_mod.route(root, spec, dataset)
+    codes = basis.dataset_codes(dataset, spec)
+    members = tree_mod.route(root, spec, dataset, codes=codes)
     leaf = tree_mod.leaf_numbers(leaves, members, dataset.n)
     coefficients = np.stack([node.model.coefficients for node in leaves])
     flagged = frozenset(node.id for node in leaves if members[node.id].size < 2)
@@ -129,7 +130,7 @@ def leaf_importance(root, spec, dataset) -> ImportanceTable:
         # every record's effect under its own leaf's coefficients
         h = basis.block_effect(
             dataset.columns[block.feature], spec, block, coefficients[:, block.columns], leaf,
-            codes=basis.block_codes(dataset, spec, block),
+            codes=codes.get(block.feature),
         )
         for node in leaves:
             if node.id not in flagged:
@@ -173,7 +174,7 @@ def split_contribution(root, node_id: int, spec, dataset) -> SplitContribution:
         raise ValueError(f"node {node_id} is a leaf; contributions need a split")
     # the node's rows, masked along its path exactly as route() walks it
     idx = np.arange(dataset.n)
-    codes = tree_mod.split_codes(dataset, spec, path)
+    codes = basis.dataset_codes(dataset, spec)
     for parent, child in zip(path, path[1:]):
         mask = tree_mod.split_mask(
             dataset, spec, parent.split, rows=idx, codes=codes.get(parent.split.feature)
@@ -194,11 +195,13 @@ def split_contribution(root, node_id: int, spec, dataset) -> SplitContribution:
             continue
         # each record under the node's, the left and the right coefficients;
         # a categorical column's values are gathered only to name unseen ones
-        col, codes = dataset.columns[block.feature], basis.block_codes(dataset, spec, block)
-        if codes is not None:
-            codes = codes[idx]
-        values = col[idx] if codes is None or (codes < 0).any() else None
-        e = basis.block_effect(values, spec, block, coefficients[:, block.columns], codes=codes)
+        col, rows_codes = dataset.columns[block.feature], codes.get(block.feature)
+        if rows_codes is not None:
+            rows_codes = rows_codes[idx]
+        values = col[idx] if rows_codes is None or (rows_codes < 0).any() else None
+        e = basis.block_effect(
+            values, spec, block, coefficients[:, block.columns], codes=rows_codes
+        )
         d = e[0] - np.concatenate([e[1, :n_left], e[2, n_left:]])
         c[block.feature] = float(np.var(d)) if d.size else 0.0
 

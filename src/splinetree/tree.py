@@ -988,8 +988,9 @@ def split_mask(dataset, spec, candidate: SplitCandidate, rows=None, *, codes=Non
 
     The one routing rule for raw values: :func:`route`, :func:`predict`
     and the diagnostics walk a tree by it.  A categorical rule reads the
-    dataset's level codes of the column: ``codes``, as :func:`split_codes`
-    gives them for a walk, else ``dataset.level_codes``.
+    dataset's level codes of the column: ``codes``, as
+    :func:`splinetree.basis.dataset_codes` gives them for a walk, else
+    ``dataset.level_codes``.
     """
     if candidate.threshold is not None:
         col = dataset.columns[candidate.feature]
@@ -1002,23 +1003,6 @@ def split_mask(dataset, spec, candidate: SplitCandidate, rows=None, *, codes=Non
     if codes is None:
         codes = dataset.level_codes(candidate.feature, levels)
     return goes_left[codes if rows is None else codes[rows]]
-
-
-def split_codes(dataset, spec, nodes) -> dict[str, np.ndarray]:
-    """The dataset's level codes of each categorical column that splits one
-    of ``nodes``, looked up once per column, for a walk to hand
-    :func:`split_mask`.
-
-    Each ``dataset.level_codes`` lookup compares the column with the copy
-    its codes were made from, so a walk pays that once per column rather
-    than once per node.
-    """
-    out = {}
-    for node in nodes:
-        split = node.split
-        if split is not None and split.threshold is None and split.feature not in out:
-            out[split.feature] = dataset.level_codes(split.feature, spec.levels[split.feature])
-    return out
 
 
 @one_blas_thread()
@@ -1196,10 +1180,18 @@ def prune(root: TreeNode, r2_threshold: float, dsse_fraction: float) -> TreeNode
     return rebuild(root)
 
 
-def route(root: TreeNode, spec, dataset) -> dict[int, np.ndarray]:
-    """Row indices reaching each node, keyed by node id."""
+def route(root: TreeNode, spec, dataset, *, codes=None) -> dict[int, np.ndarray]:
+    """Row indices reaching each node, keyed by node id.
+
+    ``codes`` maps categorical features to the dataset's level codes, as
+    :func:`splinetree.basis.dataset_codes` gives them; by default the walk
+    looks up each categorical split column's codes once.
+    """
     out = {}
-    codes = split_codes(dataset, spec, root.nodes())
+    if codes is None:
+        codes = basis.dataset_codes(
+            dataset, spec, (node.split.feature for node in root.nodes() if not node.is_leaf)
+        )
 
     def walk(node, idx):
         out[node.id] = idx
@@ -1233,13 +1225,14 @@ def predict(root: TreeNode, spec, dataset) -> np.ndarray:
     """
     basis.require_features(dataset, spec)
     leaves = list(root.leaves())
-    leaf = leaf_numbers(leaves, route(root, spec, dataset), dataset.n)
+    codes = basis.dataset_codes(dataset, spec)
+    leaf = leaf_numbers(leaves, route(root, spec, dataset, codes=codes), dataset.n)
     coefficients = np.stack([node.model.coefficients for node in leaves])
     out = coefficients[leaf, 0]
     for block in spec.blocks:
         out += basis.block_effect(
             dataset.columns[block.feature], spec, block, coefficients[:, block.columns], leaf,
-            codes=basis.block_codes(dataset, spec, block),
+            codes=codes.get(block.feature),
         )
     return out
 

@@ -133,15 +133,23 @@ class TestCodesEachColumnOnce:
             split_contribution(root, node.id, spec, data)
         assert sorted(names) == ["c1", "c2"]
 
-    def test_route_looks_up_each_column_once(self, monkeypatch, fitted):
+    @pytest.mark.parametrize("call", ["route", "predict", "leaf_importance",
+                                      "split_contribution"])
+    def test_one_lookup_per_column_per_call(self, monkeypatch, fitted, call):
         # a lookup compares the column with the copy its codes were made
-        # from, so a walk makes one per categorical split column, not one
-        # per categorical node
-        from splinetree.tree import route
+        # from, so a call makes one per categorical column, not one per
+        # categorical node or per use
+        from splinetree import diagnostics, tree
 
         ds, spec, root, internal = fitted
         split = [node.split.feature for node in internal if node.split.categories is not None]
         assert len(split) > len(set(split))
+        deepest = max(internal, key=lambda node: node.depth)
+        run = {"route": lambda: tree.route(root, spec, ds),
+               "predict": lambda: tree.predict(root, spec, ds),
+               "leaf_importance": lambda: diagnostics.leaf_importance(root, spec, ds),
+               "split_contribution":
+                   lambda: diagnostics.split_contribution(root, deepest.id, spec, ds)}[call]
         looked = []
         inner = ds.level_codes
 
@@ -150,8 +158,8 @@ class TestCodesEachColumnOnce:
             return inner(feature, levels)
 
         monkeypatch.setattr(ds, "level_codes", counting)
-        route(root, spec, ds)
-        assert sorted(looked) == sorted(set(split))
+        run()
+        assert sorted(looked) == sorted(set(split) if call == "route" else spec.levels)
 
     def test_repeated_predict(self, monkeypatch, fitted):
         from splinetree import predict
