@@ -49,8 +49,10 @@ class SurrogateDataset:
     column they were made from, for the fit, routing, prediction and the
     diagnostics to share.  The copy is how an in-place edit is seen: the
     codes are reused only while the column is the same array with the same
-    values.  The cost is one copy of each coded column, plus its codes at
-    one or two bytes a row.  Nothing is coded when a dataset is built.
+    values, and each lookup compares the two, so a call looks each column
+    up once (``basis.dataset_codes``) and hands the codes on.  The cost is
+    one copy of each coded column, plus its codes at one or two bytes a
+    row.  Nothing is coded when a dataset is built.
     """
 
     features: tuple[Feature, ...]
