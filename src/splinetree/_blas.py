@@ -1,21 +1,31 @@
-"""One BLAS thread for the duration of a block, where the BLAS allows it.
+"""scipy's LAPACK through ctypes, and one BLAS thread for the duration of a block.
+
+:func:`lapack` binds the three LAPACK routines the split sweep's Cholesky
+route calls (``dpotrf``, ``dpotrs``, ``dtrtri``) on first use, so that
+importing the package imports no scipy: a process that never fits never
+loads it.  Each is the function scipy's Cython LAPACK exports in a capsule
+(``scipy.linalg.cython_lapack.__pyx_capi__``), the symbol scipy's f2py
+wrappers call too, of whichever LAPACK the scipy build links, wrapped as a
+``ctypes.CFUNCTYPE`` function.  A ctypes call releases the GIL, so worker
+threads can factor at once.
 
 numpy and scipy wheels each bundle an OpenBLAS build (``scipy-openblas``)
 next to the package, in ``numpy.libs`` and ``scipy.libs``.  Each keeps its
 own thread pool, and a product or factorization run on another number of
 threads may round differently.  :func:`one_blas_thread` sets both pools to
 one thread and restores their counts on exit, the technique of
-threadpoolctl, without depending on it.  The libraries are looked up by
-name in those two directories the first time it is entered, and only if
-they are already loaded.  With another BLAS, or a build without these
-symbols, it does nothing.
+threadpoolctl, without depending on it.  The first time it is entered it
+binds LAPACK, which loads scipy's library, and then looks the libraries up
+by name in those two directories, taking only those already loaded.  With
+another BLAS, or a build without these symbols, it does nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import importlib
+import functools
+import importlib.util
 import os
 import threading
 
@@ -33,6 +43,30 @@ _saved: list[int] = []
 _depth = 0
 
 
+@functools.cache
+def lapack() -> tuple:
+    """scipy's LAPACK ``dpotrf``, ``dpotrs`` and ``dtrtri``, bound on first use.
+
+    Returns the three as ctypes functions, in that order.  They take every
+    argument by pointer, as Fortran does (each declared ``c_void_p``), and
+    return nothing: the status is written to the last argument, ``info``.
+    """
+    from scipy.linalg.cython_lapack import __pyx_capi__ as capsules
+
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    functions = []
+    for routine, arguments in (("dpotrf", 5), ("dpotrs", 8), ("dtrtri", 6)):
+        capsule = capsules[routine]
+        prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * arguments)
+        functions.append(prototype(address(capsule, name(capsule))))
+    return tuple(functions)
+
+
 def _find_pools() -> list:
     if not hasattr(os, "RTLD_NOLOAD"):
         return []
@@ -40,7 +74,10 @@ def _find_pools() -> list:
 
     pools = []
     for package, directory, pattern, suffix in _OPENBLAS:
-        root = os.path.dirname(os.path.dirname(importlib.import_module(package).__file__))
+        spec = importlib.util.find_spec(package)  # finds; imports nothing
+        if spec is None or spec.origin is None:
+            continue
+        root = os.path.dirname(os.path.dirname(spec.origin))
         for path in sorted(glob.glob(os.path.join(root, directory, pattern))):
             try:  # RTLD_NOLOAD: a library not loaded yet stays unloaded
                 lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
@@ -65,6 +102,7 @@ def one_blas_thread():
     global _pools, _depth
     with _lock:
         if _pools is None:
+            lapack()  # loads scipy's OpenBLAS, so that its pool is found
             _pools = _find_pools()
         if _depth == 0:
             _saved[:] = [get() for get, _ in _pools]

@@ -289,8 +289,7 @@ def _cmd_fit(args) -> int:
     task = args.task or ("binary" if config.transform == "logit" else "continuous")
     _check_labels(dataset, task, args.original)
     train_rows, test_rows = _train_test_rows(dataset, config, args)
-    train = dataset.subset(train_rows)
-    spec = basis.build_spec(train, num_knots=config.knots)
+    spec = basis.build_spec(dataset.subset(train_rows), num_knots=config.knots)
     if config.min_samples_leaf is not None and config.min_samples_leaf < spec.total_columns:
         print(
             f"error: min_samples_leaf {config.min_samples_leaf} is below the "
@@ -298,6 +297,10 @@ def _cmd_fit(args) -> int:
             file=sys.stderr,
         )
         return 2
+    # each categorical column is coded once, on the loaded dataset, which the
+    # report predicts; the training rows carry those codes into the grow
+    basis.dataset_codes(dataset, spec)
+    train = dataset.subset(train_rows)
     grown = tree.grow(train, spec, config.grow_config())
     pruned = tree.prune(grown, config.r2_threshold, config.dsse_fraction)
     if config.lambda1 is not None:

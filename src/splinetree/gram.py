@@ -33,7 +33,10 @@ the L1 refit's coordinate descent (:func:`fit_lasso`) solves from it too.
 The map back to the original scale is :func:`_back_map`.  The split
 sweep's Cholesky route forms no standardized block: it factors each
 system's own uncentered X'X, bordered by the intercept, whose Schur
-complement does the centering (:func:`_cholesky_solves`).  The two routes
+complement does the centering (:func:`_cholesky_solves`).  It calls
+scipy's LAPACK (:func:`dpotrf`, :func:`dpotrs`, :func:`dtrtri`) through
+ctypes, bound on the first fit, so importing this module loads no scipy
+and the factorizations release the GIL.  The two routes
 solve the same problem and agree to rounding, not to the bit.  Every
 :class:`NodeModel` comes from the reference route and is assembled by
 :func:`_node_model`.
@@ -41,11 +44,13 @@ solve the same problem and agree to rounding, not to the bit.  Every
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
+from ._blas import lapack
 from .errors import NumericalError
 
 # Relative eigenvalue cutoff below which a direction counts as null space.
@@ -565,9 +570,10 @@ def _cholesky_solves(stats: GramStats, scale, offset, lam_values, coefficients, 
 
     Every lambda is positive.  For each system and lambda, X'X with
     lambda scale_j^2 added to each non-intercept diagonal entry is copied
-    into an m x m work matrix that LAPACK factors in place as L L', and
-    the triangular solves on X'y write the coefficients, on the original
-    scale, into ``coefficients`` (k, c, m).  Bordering by the unpenalized
+    into an m x m work matrix that LAPACK factors in place as L L'
+    (:func:`dpotrf`), and the triangular solves on X'y (:func:`dpotrs`)
+    write the coefficients, on the original scale, into their row of
+    ``coefficients`` (k, c, m) in place.  Bordering by the unpenalized
     intercept centers the system: the intercept's Schur complement is
     (C + lambda D^2) beta_1 = X'y - mean sum(y), with C the centered block
     and D the column scales, which is the standardized system
@@ -577,7 +583,13 @@ def _cholesky_solves(stats: GramStats, scale, offset, lam_values, coefficients, 
     1979): the hat matrix's trace is
     m - lambda sum_j scale_j^2 ((X'X + lambda D^2)^-1)_jj over the
     non-intercept columns, each diagonal entry the squared norm of column j
-    of L^-1.
+    of L^-1 (:func:`dtrtri`).
+
+    The LAPACK routines are scipy's, called through ctypes (see
+    :mod:`splinetree._blas`), which releases the GIL for each call.  Their
+    arguments are made once per call of this function and shared by all
+    its factorizations, never kept between calls: worker threads may run
+    it at once.
 
     A column constant within the node centers to the zero column, so it
     gets coefficient 0 and adds 1 - lambda / lambda = 0 to the df, as its
@@ -590,12 +602,25 @@ def _cholesky_solves(stats: GramStats, scale, offset, lam_values, coefficients, 
     their entries are unset.
     """
     m = stats.dim
-    work = np.empty((m, m))
+    if (coefficients.shape != (len(lam_values), len(stats.xtx), m)
+            or coefficients.dtype != np.float64 or not coefficients.flags.c_contiguous):
+        raise ValueError("coefficients must be a C-ordered float64 array (k, c, m)")
+    args = _LapackArgs(m)
+    # the bordered gram is symmetric, so its transpose is the same matrix
+    # in the Fortran order LAPACK factors in place
+    work, chol = args.work, args.work.T
     diagonal = np.einsum("ii->i", work)[1:]  # a view: the penalized entries
+    # LAPACK reads and writes only the lower triangle of ``chol``.  The df
+    # sums whole columns of L^-1, so for it only that triangle is copied in
+    # and the strict upper one stays zero, as scipy's wrapper leaves it
+    # (clean=1): the norms sum the same terms in the same order
+    triangle = None if edfs is None else np.triu(np.ones((m, m), dtype=bool))
     pinned = offset.any(axis=1).tolist()
     weights = scale * scale
     # shifts[i, k] = lambda_k scale_i^2, each entry one product as lam * weight
     shifts = weights[:, None, :] * np.asarray(lam_values, dtype=np.float64)[None, :, None]
+    # where dpotrs writes the solution of system i at lambda k
+    base, step_k, step_i = coefficients.ctypes.data, *coefficients.strides[:2]
     failed = []
     for i, (xtx, xty, weight) in enumerate(zip(stats.xtx, stats.xty, weights)):
         columns = np.flatnonzero(offset[i]) + 1 if pinned[i] else None
@@ -603,24 +628,84 @@ def _cholesky_solves(stats: GramStats, scale, offset, lam_values, coefficients, 
             xty = xty.copy()
             xty[columns] = 0.0
         for k, lam in enumerate(lam_values):
-            np.copyto(work, xtx)
+            if triangle is None:
+                np.copyto(work, xtx)
+            else:
+                np.copyto(work, xtx, where=triangle)
             if columns is not None:
                 work[columns], work[:, columns] = 0.0, 0.0
             np.add(diagonal, shifts[i, k], out=diagonal)
-            # the bordered gram is symmetric, so its transpose is the same
-            # matrix in the Fortran order LAPACK factors in place
-            chol, info = dpotrf(work.T, lower=1, overwrite_a=1)
-            if info != 0:
+            if dpotrf(chol, args) != 0:
                 failed.append(i)
                 break
-            coefficients[k, i], _ = dpotrs(chol, xty, lower=1)
+            coefficients[k, i] = xty
+            dpotrs(chol, args, base + k * step_k + i * step_i)
             if edfs is not None:
-                inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
+                dtrtri(chol, args)
                 # einsum, not a BLAS dot: numpy's BLAS thread pool would
                 # contend with scipy's LAPACK pool between these calls
-                norms = np.einsum("ij,ij->j", inv, inv)
+                norms = np.einsum("ij,ij->j", chol, chol)
                 edfs[k, i] = m - lam * np.einsum("j,j->", norms[1:], weight)
     return np.array(failed, dtype=np.intp)
+
+
+class _LapackArgs:
+    """An m x m work matrix and the ctypes arguments of LAPACK calls on it.
+
+    LAPACK takes every argument by pointer.  These point at ``work``,
+    C-ordered and zeroed at first, which LAPACK reads as its
+    Fortran-ordered transpose and factors in its lower triangle; at
+    ``info``; and at the right-hand side, whose address ``rhs`` is set
+    before each solve.  Each routine is bound to them once
+    (:func:`splinetree._blas.lapack` binds the routines on first use).
+    The object keeps every buffer they point at.  Calls that share it must
+    not run at once.
+    """
+
+    def __init__(self, m: int):
+        potrf, potrs, trtri = lapack()
+        self.work = np.zeros((m, m))
+        self.info, self.rhs = ctypes.c_int(0), ctypes.c_void_p()
+        self._scalars = (ctypes.c_int(m), ctypes.c_int(1), ctypes.c_char(b"L"),
+                         ctypes.c_char(b"N"))
+        order, one, lower, nonunit = (ctypes.c_void_p(ctypes.addressof(x))
+                                      for x in self._scalars)
+        a = ctypes.c_void_p(self.work.ctypes.data)
+        info = ctypes.c_void_p(ctypes.addressof(self.info))
+        self.potrf = partial(potrf, lower, order, a, order, info)
+        self.potrs = partial(potrs, lower, order, one, a, order, self.rhs, order, info)
+        self.trtri = partial(trtri, lower, nonunit, order, a, order, info)
+
+
+def dpotrf(a, args: _LapackArgs) -> int:
+    """Factor the Fortran-ordered ``a`` in place as L L', in its lower triangle.
+
+    LAPACK's ``dpotrf`` through ``args``, which point at ``a``.  Returns
+    its ``info``: 0, or the order of the first leading minor that is not
+    positive definite.  The strict upper triangle is left as it was.
+    """
+    args.potrf()
+    return args.info.value
+
+
+def dpotrs(a, args: _LapackArgs, rhs: int) -> None:
+    """Solve L L' x = b with the factor in ``a``, writing x over b.
+
+    LAPACK's ``dpotrs`` through ``args``, which point at ``a``; ``rhs`` is
+    the address of b, m contiguous doubles.
+    """
+    args.rhs.value = rhs
+    args.potrs()
+
+
+def dtrtri(a, args: _LapackArgs) -> int:
+    """Invert the lower triangular factor in ``a`` in place.
+
+    LAPACK's ``dtrtri`` through ``args``, which point at ``a``; returns its
+    ``info``.  The strict upper triangle is left as it was.
+    """
+    args.trtri()
+    return args.info.value
 
 
 def gcv_loss(sse, count, effective_df):

@@ -52,7 +52,8 @@ class SurrogateDataset:
     values, and each lookup compares the two, so a call looks each column
     up once (``basis.dataset_codes``) and hands the codes on.  The cost is
     one copy of each coded column, plus its codes at one or two bytes a
-    row.  Nothing is coded when a dataset is built.
+    row.  Nothing is coded when a dataset is built; a :meth:`subset`
+    carries the codes made so far, gathered by row.
     """
 
     features: tuple[Feature, ...]
@@ -111,14 +112,21 @@ class SurrogateDataset:
         return codes
 
     def subset(self, rows) -> "SurrogateDataset":
+        """The given rows, carrying the level codes made so far, gathered by row."""
         rows = np.asarray(rows)
-        return SurrogateDataset(
+        part = SurrogateDataset(
             features=self.features,
             columns={name: col[rows] for name, col in self.columns.items()},
             response=self.response[rows],
             original=None if self.original is None else self.original[rows],
             tags=None if self.tags is None else self.tags[rows],
         )
+        for feature, (_, _, levels, _) in list(self._codes.items()):
+            codes = self.level_codes(feature, levels)[rows]  # recoded if edited
+            codes.flags.writeable = False
+            col = part.columns[feature]
+            part._codes[feature] = (col, col.copy(), levels, codes)
+        return part
 
 
 def _require_finite(values, column: str, unit: bool = False) -> None:

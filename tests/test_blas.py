@@ -1,6 +1,7 @@
 """grow and refit_l1 run BLAS on one thread and predict runs none, so their bytes do
 not depend on the BLAS thread setting."""
 
+import json
 import os
 import subprocess
 import sys
@@ -111,3 +112,47 @@ def test_grow_and_predict_are_pinned(pools, monkeypatch):
     assert on_one == on_two
     assert seen == [[1] * len(pools)] * 2
     assert _counts(pools) == before
+
+
+# Grows a tree in a process that has loaded no scipy, and prints the thread
+# count of every OpenBLAS pool found, as the sweep's first factorization
+# sees them and after the grow.
+FIRST_GROW = """
+import json, sys
+import splinetree as st
+from splinetree import _blas, gram
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+seen = []
+inner = gram.dpotrf
+
+def spy(a, args):
+    if not seen:
+        seen.append([get() for get, _ in _blas._find_pools()])
+    return inner(a, args)
+
+gram.dpotrf = spy
+sim = st.simulate("f2", 3000, 0.5, seed=3)
+train = st.to_dataset(sim, rows=sim.train_idx)
+st.grow(train, st.build_spec(train, num_knots=10), st.GrowConfig(max_depth=1, num_bins=16))
+print(json.dumps({"inside": seen[0], "after": [get() for get, _ in _blas._find_pools()]}))
+"""
+
+
+def test_first_grow_pins_the_lazily_loaded_pool():
+    # scipy's OpenBLAS is loaded by the first grow itself, when it binds
+    # LAPACK: its pool must be found and pinned as well as numpy's.  In a
+    # process that has already loaded scipy, as this one has, the other
+    # tests cannot see the difference.
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(splinetree.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_GROW], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    if not counts["after"]:
+        pytest.skip("no bundled OpenBLAS found")
+    if max(counts["after"]) < 2:
+        pytest.skip("every pool runs one thread by default (one core)")
+    assert counts["inside"] == [1] * len(counts["after"])

@@ -183,6 +183,27 @@ class TestFit:
         assert code == 0, err
         assert coded.count(600) == 1
 
+    def test_fit_codes_each_column_once(self, tmp_path, sim_csv, capsys, monkeypatch):
+        # the loaded dataset is coded once; the grow reads its training
+        # rows' codes from that coding and the report's predict reads it whole
+        from splinetree import basis
+
+        data = tagged_csv(sim_csv, tmp_path / "tagged.csv", ["train", "train", "test"] * 400)
+        coded = []
+        inner = basis.level_codes
+
+        def counting(values, levels):
+            coded.append(np.size(values))
+            return inner(values, levels)
+
+        monkeypatch.setattr(basis, "level_codes", counting)
+        code, _, err = run(capsys, "fit", "--data", str(data), "--response", "f",
+                           "--features", "x1,x2,c", "--categorical", "c", "--knots", "4",
+                           "--max-depth", "2", "--min-samples-leaf", "40",
+                           "--out", str(tmp_path / "t.json"))
+        assert code == 0, err
+        assert [n for n in coded if n > 3] == [1200]
+
     def test_report_bytes_with_original(self, tmp_path, sim_csv, capsys):
         code, out, err = run(
             capsys, "fit", "--data", str(sim_csv), "--response", "f",

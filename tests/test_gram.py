@@ -733,6 +733,106 @@ class TestBorderedRoute:
             assert_allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
+class TestLapackBinding:
+    """The ctypes LAPACK calls against scipy's f2py wrappers, bit for bit.
+
+    Both call the same library symbols, so the factor, the solution and the
+    inverse must carry the same bits, and so must every result of the
+    Cholesky route.  The f2py reference of that route is the loop it
+    replaced, kept here.
+    """
+
+    @staticmethod
+    def _spd(rng, m):
+        X = np.column_stack([np.ones(3 * m + 2), rng.standard_normal((3 * m + 2, m - 1))])
+        return X.T @ X + 1e-3 * np.diag(np.r_[0.0, np.ones(m - 1)])
+
+    @staticmethod
+    def _bound(a):
+        """``a`` in a work matrix, which LAPACK reads transposed, and its arguments."""
+        args = gram_mod._LapackArgs(len(a))
+        np.copyto(args.work, a)
+        return args.work.T, args
+
+    @pytest.mark.parametrize("m", [1, 2, 29, 151])
+    def test_factor_solve_inverse_match_f2py(self, rng, m):
+        lapack = pytest.importorskip("scipy.linalg.lapack")
+        for _ in range(8 if m < 151 else 3):
+            a, b = self._spd(rng, m), rng.standard_normal(m)
+            want, info = lapack.dpotrf(a.T.copy(order="F"), lower=1)
+            chol, args = self._bound(a)
+            assert gram_mod.dpotrf(chol, args) == info == 0
+            assert np.array_equal(np.tril(chol), want)
+            # the strict upper triangle is left as it was
+            assert np.array_equal(np.triu(chol, 1), np.triu(a.T, 1))
+            x = b.copy()
+            gram_mod.dpotrs(chol, args, x.ctypes.data)
+            assert np.array_equal(x, lapack.dpotrs(want, b, lower=1)[0])
+            inverse, info = lapack.dtrtri(want, lower=1)
+            assert gram_mod.dtrtri(chol, args) == info == 0
+            assert np.array_equal(np.tril(chol), inverse)
+
+    @pytest.mark.parametrize("m, bad", [(1, 0), (2, 1), (29, 7), (151, 100)])
+    def test_failed_factorization_reports_the_same_info(self, rng, m, bad):
+        lapack = pytest.importorskip("scipy.linalg.lapack")
+        a = self._spd(rng, m)
+        a[bad, bad] = -1.0  # the leading minor of order bad + 1 is not positive
+        want = lapack.dpotrf(a.T.copy(order="F"), lower=1)[1]
+        chol, args = self._bound(a)
+        assert gram_mod.dpotrf(chol, args) == want == bad + 1
+
+    @staticmethod
+    def _f2py_cholesky_solves(stats, scale, offset, lam_values, coefficients, edfs):
+        """``gram._cholesky_solves`` through scipy's f2py wrappers."""
+        from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
+
+        m = stats.dim
+        work = np.empty((m, m))
+        diagonal = np.einsum("ii->i", work)[1:]
+        shifts = (scale * scale)[:, None, :] * np.asarray(lam_values)[None, :, None]
+        failed = []
+        for i, (xtx, xty, weight) in enumerate(zip(stats.xtx, stats.xty, scale * scale)):
+            columns = np.flatnonzero(offset[i]) + 1
+            xty = xty.copy()
+            xty[columns] = 0.0
+            for k, lam in enumerate(lam_values):
+                np.copyto(work, xtx)
+                work[columns], work[:, columns] = 0.0, 0.0
+                np.add(diagonal, shifts[i, k], out=diagonal)
+                chol, info = dpotrf(work.T, lower=1, overwrite_a=1)
+                if info != 0:
+                    failed.append(i)
+                    break
+                coefficients[k, i], _ = dpotrs(chol, xty, lower=1)
+                if edfs is not None:
+                    inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
+                    norms = np.einsum("ij,ij->j", inv, inv)
+                    edfs[k, i] = m - lam * np.einsum("j,j->", norms[1:], weight)
+        return np.array(failed, dtype=np.intp)
+
+    @pytest.mark.parametrize("grid", TestBorderedRoute.GRIDS, ids=["one", "three", "twelve"])
+    @pytest.mark.parametrize("kind", ["random", "hats", "constant"])
+    @pytest.mark.parametrize("want_edf", [True, False])
+    def test_ridge_batch_matches_f2py(self, rng, monkeypatch, kind, grid, want_edf):
+        pytest.importorskip("scipy.linalg.lapack")
+        stats = stack_grams([gram_accumulate(X, y)
+                             for X, y in TestBorderedRoute()._problems(rng, kind)])
+        got = ridge_batch(stats, grid, cholesky=True, want_edf=want_edf)
+        monkeypatch.setattr(gram_mod, "_cholesky_solves", self._f2py_cholesky_solves)
+        want = ridge_batch(stats, grid, cholesky=True, want_edf=want_edf)
+        assert np.isnan(got[2]).all() != want_edf
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+
+    def test_failed_systems_match_f2py(self, rng, monkeypatch):
+        stacked = TestRidgeBatch._with_singular(rng)
+        got = ridge_batch(stacked, (1e-20, 0.5), cholesky=True)
+        monkeypatch.setattr(gram_mod, "_cholesky_solves", self._f2py_cholesky_solves)
+        want = ridge_batch(stacked, (1e-20, 0.5), cholesky=True)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
 def sse_of(g, beta):
     """``_sse`` of one set of coefficients against one set of statistics."""
     beta = np.asarray(beta, dtype=np.float64)

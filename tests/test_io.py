@@ -761,6 +761,21 @@ class TestLevelCodeCache:
         ds.columns["c1"][7] = "unseen-but-long"
         assert self.assert_fresh(ds, "c1", self.LEVELS)[7] == -1
 
+    def test_subset_carries_the_codes_by_row(self, rng, monkeypatch):
+        ds = make_dataset(rng, 300, continuous=1, categorical=2)
+        self.assert_fresh(ds, "c1", self.LEVELS)
+        rows = rng.permutation(300)[:120]
+        calls = _coded(monkeypatch)
+        part = ds.subset(rows)
+        first = self.assert_fresh(part, "c1", self.LEVELS)
+        assert part.level_codes("c1", self.LEVELS) is first and not first.flags.writeable
+        assert calls == [] and part._codes.keys() == {"c1"}  # c2 was never coded
+        # edits to the subset, or to the dataset before subsetting, are seen
+        part.columns["c1"][0] = "unseen"
+        assert self.assert_fresh(part, "c1", self.LEVELS)[0] == -1
+        ds.columns["c1"][rows[1]] = "unseen"
+        assert self.assert_fresh(ds.subset(rows), "c1", self.LEVELS)[1] == -1
+
     def test_object_column(self, rng):
         ds = make_dataset(rng, 300, continuous=1, categorical=1)
         ds.columns["c1"] = ds.columns["c1"].astype(object)
