@@ -74,10 +74,8 @@ def _find_pools() -> list:
 
     pools = []
     for package, directory, pattern, suffix in _OPENBLAS:
-        spec = importlib.util.find_spec(package)  # finds; imports nothing
-        if spec is None or spec.origin is None:
-            continue
-        root = os.path.dirname(os.path.dirname(spec.origin))
+        # find_spec locates the package without importing it
+        root = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
         for path in sorted(glob.glob(os.path.join(root, directory, pattern))):
             try:  # RTLD_NOLOAD: a library not loaded yet stays unloaded
                 lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
+from scipy.linalg import lapack
 
 from splinetree import (
     GramStats,
@@ -756,7 +757,6 @@ class TestLapackBinding:
 
     @pytest.mark.parametrize("m", [1, 2, 29, 151])
     def test_factor_solve_inverse_match_f2py(self, rng, m):
-        lapack = pytest.importorskip("scipy.linalg.lapack")
         for _ in range(8 if m < 151 else 3):
             a, b = self._spd(rng, m), rng.standard_normal(m)
             want, info = lapack.dpotrf(a.T.copy(order="F"), lower=1)
@@ -774,7 +774,6 @@ class TestLapackBinding:
 
     @pytest.mark.parametrize("m, bad", [(1, 0), (2, 1), (29, 7), (151, 100)])
     def test_failed_factorization_reports_the_same_info(self, rng, m, bad):
-        lapack = pytest.importorskip("scipy.linalg.lapack")
         a = self._spd(rng, m)
         a[bad, bad] = -1.0  # the leading minor of order bad + 1 is not positive
         want = lapack.dpotrf(a.T.copy(order="F"), lower=1)[1]
@@ -784,8 +783,6 @@ class TestLapackBinding:
     @staticmethod
     def _f2py_cholesky_solves(stats, scale, offset, lam_values, coefficients, edfs):
         """``gram._cholesky_solves`` through scipy's f2py wrappers."""
-        from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
-
         m = stats.dim
         work = np.empty((m, m))
         diagonal = np.einsum("ii->i", work)[1:]
@@ -799,13 +796,13 @@ class TestLapackBinding:
                 np.copyto(work, xtx)
                 work[columns], work[:, columns] = 0.0, 0.0
                 np.add(diagonal, shifts[i, k], out=diagonal)
-                chol, info = dpotrf(work.T, lower=1, overwrite_a=1)
+                chol, info = lapack.dpotrf(work.T, lower=1, overwrite_a=1)
                 if info != 0:
                     failed.append(i)
                     break
-                coefficients[k, i], _ = dpotrs(chol, xty, lower=1)
+                coefficients[k, i], _ = lapack.dpotrs(chol, xty, lower=1)
                 if edfs is not None:
-                    inv, _ = dtrtri(chol, lower=1, overwrite_c=1)
+                    inv, _ = lapack.dtrtri(chol, lower=1, overwrite_c=1)
                     norms = np.einsum("ij,ij->j", inv, inv)
                     edfs[k, i] = m - lam * np.einsum("j,j->", norms[1:], weight)
         return np.array(failed, dtype=np.intp)
@@ -814,13 +811,12 @@ class TestLapackBinding:
     @pytest.mark.parametrize("kind", ["random", "hats", "constant"])
     @pytest.mark.parametrize("want_edf", [True, False])
     def test_ridge_batch_matches_f2py(self, rng, monkeypatch, kind, grid, want_edf):
-        pytest.importorskip("scipy.linalg.lapack")
         stats = stack_grams([gram_accumulate(X, y)
                              for X, y in TestBorderedRoute()._problems(rng, kind)])
         got = ridge_batch(stats, grid, cholesky=True, want_edf=want_edf)
         monkeypatch.setattr(gram_mod, "_cholesky_solves", self._f2py_cholesky_solves)
         want = ridge_batch(stats, grid, cholesky=True, want_edf=want_edf)
-        assert np.isnan(got[2]).all() != want_edf
+        assert np.isnan(got[2]).any() != want_edf
         for a, b in zip(got, want):
             assert np.array_equal(a, b, equal_nan=True)
 
